@@ -3,7 +3,7 @@
 An experiment file is a JSON document (with a ``"version"`` field)
 describing a model, a box grid, seeds and a set of tasks; ``run_experiment``
 executes every task, writes one CSV per task plus a JSON summary, and
-returns a record carrying the spec hash, the seeds used and per-cell wall
+returns a record carrying the spec hash, the seeds used and per-task wall
 clock.  Outputs are deterministic: identical specs produce byte-identical
 files regardless of the worker count.
 

@@ -467,8 +467,13 @@ class CriterionSeries:
 
 
 def _plateau(means):
-    """Plateau estimate and stability flag from per-N means."""
+    """Plateau estimate and stability flag from per-N means.
+
+    A failed (NaN) mean in the upper half gives a NaN estimate, flagged bad.
+    """
     half = list(means[len(means) // 2:])
+    if any(math.isnan(v) for v in half):
+        return math.nan, False
     estimate = max(half)
     first, last = half[0], half[-1]
     if first == 0.0 and last == 0.0:

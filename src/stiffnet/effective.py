@@ -24,7 +24,7 @@ import scipy.sparse.linalg
 
 from .criteria import derive_cell_seed, generate_model
 from .energy import SolverError, SolverOptions
-from .geometry import _UnionFind, components, restrict_box
+from .geometry import _connected_labels, components, restrict_box
 from .multigraph import InclusionGraph, build_graph
 
 __all__ = [
@@ -104,38 +104,34 @@ def _clamped_gap_minimum(graph, clamped, u_clamped, solver_opts):
     n = graph.n_nodes
     a_idx, b_idx, mu, _ = graph.edge_arrays
     u = np.zeros(n)
-    for i, v in u_clamped.items():
-        u[i] = v
+    u[list(u_clamped)] = list(u_clamped.values())
 
-    free = np.array([i not in clamped for i in range(n)], dtype=bool)
-    n_free = int(free.sum())
-    if n_free and graph.n_edges:
+    free = np.ones(n, dtype=bool)
+    free[list(clamped)] = False
+    if free.any() and graph.n_edges:
         # Keep only free nodes connected to the clamped set through edges.
-        uf = _UnionFind(n)
-        for ea, eb in zip(a_idx, b_idx):
-            uf.union(int(ea), int(eb))
-        anchored_roots = {uf.find(i) for i in clamped}
-        solvable = np.array([free[i] and uf.find(i) in anchored_roots
-                             for i in range(n)], dtype=bool)
+        m, cluster = _connected_labels(n, a_idx, b_idx)
+        anchored = np.zeros(m, dtype=bool)
+        anchored[cluster[list(clamped)]] = True
+        solvable = free & anchored[cluster]
         idx_of = -np.ones(n, dtype=np.int64)
         solve_ids = np.nonzero(solvable)[0]
         idx_of[solve_ids] = np.arange(solve_ids.size)
         if solve_ids.size:
-            rows, cols, vals = [], [], []
+            # Per edge, in edge order: (ia, ia, w), (ib, ib, w) for each
+            # solvable end and (ia, ib, -w), (ib, ia, -w) when both are;
+            # the CSR duplicate sums then add in a fixed order.
+            ia, ib = idx_of[a_idx], idx_of[b_idx]
+            both = (ia >= 0) & (ib >= 0)
+            entry = np.stack([ia >= 0, ib >= 0, both, both], axis=1)
+            rows = np.stack([ia, ib, ia, ib], axis=1)[entry]
+            cols = np.stack([ia, ib, ib, ia], axis=1)[entry]
+            vals = np.stack([mu, mu, -mu, -mu], axis=1)[entry]
             rhs = np.zeros(solve_ids.size)
-            for ea, eb, w in zip(a_idx, b_idx, mu):
-                ia, ib = idx_of[ea], idx_of[eb]
-                if ia >= 0:
-                    rows.append(ia); cols.append(ia); vals.append(w)
-                if ib >= 0:
-                    rows.append(ib); cols.append(ib); vals.append(w)
-                if ia >= 0 and ib >= 0:
-                    rows.append(ia); cols.append(ib); vals.append(-w)
-                    rows.append(ib); cols.append(ia); vals.append(-w)
-                elif ia >= 0:
-                    rhs[ia] += w * u[eb]
-                elif ib >= 0:
-                    rhs[ib] += w * u[ea]
+            # An edge with one solvable end feeds the clamped end's value.
+            one_end = (ia >= 0) != (ib >= 0)
+            far = np.where(ia >= 0, u[b_idx], u[a_idx])
+            np.add.at(rhs, np.maximum(ia, ib)[one_end], (mu * far)[one_end])
             L = scipy.sparse.csr_matrix(
                 (vals, (rows, cols)), shape=(solve_ids.size, solve_ids.size))
             if solve_ids.size < opts.dense_cutoff:

@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 __all__ = [
     "Sphere",
@@ -169,8 +171,9 @@ class ComponentSet:
     """Partition of the spheres of a configuration into components.
 
     Two spheres share a component when their surface distance is at most
-    ``contact_tol``.  Stored CSR-style: ``order`` lists sphere indices
-    grouped by component, ``starts`` delimits the groups.  Per-component
+    ``contact_tol``.  Components are numbered by their smallest sphere
+    index.  Stored CSR-style: ``order`` lists sphere indices grouped by
+    component, ``starts`` delimits the groups.  Per-component
     statistics:
 
     * ``volumes``   -- ball volumes minus pairwise lens overlaps,
@@ -199,31 +202,48 @@ class ComponentSet:
         return self.order[self.starts[i]:self.starts[i + 1]]
 
 
-class _UnionFind:
-    """Union-find with path compression and union by size."""
+def _connected_labels(n, a, b):
+    """Components of the graph on ``n`` vertices with edges (a[k], b[k]).
 
-    def __init__(self, n):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
+    Returns ``(m, labels)``: labels run over ``0..m-1`` and are ordered by
+    each component's smallest vertex.  Parallel edges and loops are fine.
+    """
+    if n == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    adjacency = coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
+    m, raw = connected_components(adjacency, directed=False)
+    _, first = np.unique(raw, return_index=True)   # smallest vertex per label
+    return int(m), np.argsort(np.argsort(first))[raw]
 
-    def find(self, i):
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
 
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-        return True
+# Below this many balls the quadratic scan beats building a hull.
+_HULL_MIN_BALLS = 64
+
+
+def _pairwise_extent(centers, radii):
+    """Max surface-to-surface extent of a ball family (its diameter).
+
+    With equal radii the farthest centres lie on their convex hull, so only
+    hull vertices and coplanar points are scanned, by the same formula as
+    the full blocked scan; other families and flat hulls take the full scan.
+    """
+    if centers.shape[0] == 1:
+        return float(2.0 * radii[0])
+    if centers.shape[0] >= _HULL_MIN_BALLS and radii.min() == radii.max():
+        try:
+            hull = ConvexHull(centers)
+        except QhullError:
+            pass
+        else:
+            keep = np.union1d(hull.vertices, hull.coplanar[:, 0])
+            centers, radii = centers[keep], radii[keep]
+    best = 0.0
+    block = 1024
+    for s in range(0, centers.shape[0], block):
+        c1, r1 = centers[s:s + block], radii[s:s + block]
+        dmat = np.linalg.norm(c1[:, None, :] - centers[None, :, :], axis=2)
+        best = max(best, float((dmat + r1[:, None] + radii[None, :]).max()))
+    return best
 
 
 def _pairs_within(centers, radii, slack):
@@ -260,33 +280,29 @@ def _lens_volume(r1, r2, dist):
 def components(config: SphereConfig) -> ComponentSet:
     """Connected components of a configuration.
 
-    Union-find over sphere pairs with center distance at most
-    ``r_i + r_j + contact_tol``.  Component volume uses pairwise
-    inclusion-exclusion only; the generators never produce triple
+    Components are the connected sets of the graph joining sphere pairs
+    with center distance at most ``r_i + r_j + contact_tol``; they are
+    numbered by their smallest sphere index.  Component volume uses
+    pairwise inclusion-exclusion only; the generators never produce triple
     overlaps, and ``triple_overlap_possible`` records whether the
     truncation could matter for this instance.
     """
     n = config.n_spheres
     centers, radii = config.centers, config.radii
-    uf = _UnionFind(n)
-    overlap_pairs = []
+    touching = overlaps = np.empty((0, 2), dtype=np.int64)
+    overlap_dist = np.zeros(0)
     if n >= 2:
         cand = _pairs_within(centers, radii, config.contact_tol)
         if cand.size:
             d = np.linalg.norm(centers[cand[:, 0]] - centers[cand[:, 1]], axis=1)
-            touch = d <= radii[cand[:, 0]] + radii[cand[:, 1]] + config.contact_tol
-            for (i, j), dist in zip(cand[touch], d[touch]):
-                uf.union(int(i), int(j))
-                if dist < radii[i] + radii[j]:
-                    overlap_pairs.append((int(i), int(j), float(dist)))
+            r_sum = radii[cand[:, 0]] + radii[cand[:, 1]]
+            touching = cand[d <= r_sum + config.contact_tol]
+            overlaps, overlap_dist = cand[d < r_sum], d[d < r_sum]
 
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-    # Component index by first appearance => ordered by min sphere index.
-    _, labels = np.unique(roots, return_inverse=True) if n else (None, np.empty(0, np.int64))
-    m = int(labels.max()) + 1 if n else 0
+    m, labels = _connected_labels(n, touching[:, 0], touching[:, 1])
 
     order = np.argsort(labels, kind="stable").astype(np.int64)
-    counts = np.bincount(labels, minlength=m) if m else np.zeros(0, np.int64)
+    counts = np.bincount(labels, minlength=m)
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
     ball_vol = _FOUR_THIRDS_PI * radii ** 3
@@ -295,39 +311,25 @@ def components(config: SphereConfig) -> ComponentSet:
     weighted = centers * ball_vol[:, None]
     centroids = np.zeros((m, 3))
     np.add.at(centroids, labels, weighted)
-    vol_norm = np.zeros(m)
-    np.add.at(vol_norm, labels, ball_vol)
-    if m:
-        centroids /= vol_norm[:, None]
+    centroids /= volumes[:, None]   # before the lens corrections below
 
-    for i, j, dist in overlap_pairs:
+    for (i, j), dist in zip(overlaps.tolist(), overlap_dist.tolist()):
         volumes[labels[i]] -= _lens_volume(float(radii[i]), float(radii[j]), dist)
 
     # Diameter: vectorized 2r for singletons, pairwise extent otherwise.
-    diameters = 2.0 * radii[order[starts[:-1]]] if m else np.zeros(0)
-    multi = np.nonzero(counts > 1)[0]
-    for k in multi:
+    diameters = 2.0 * radii[order[starts[:-1]]]
+    for k in np.nonzero(counts > 1)[0]:
         idx = order[starts[k]:starts[k + 1]]
-        c, r = centers[idx], radii[idx]
-        dmat = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
-        diameters[k] = float((dmat + r[:, None] + r[None, :]).max())
+        diameters[k] = _pairwise_extent(centers[idx], radii[idx])
 
-    boundary = np.zeros(m, dtype=bool)
-    if n:
-        reach = np.max(np.abs(centers), axis=1) + radii
-        comp_reach = np.full(m, -np.inf)
-        np.maximum.at(comp_reach, labels, reach)
-        boundary = comp_reach >= config.box_half_width
+    reach = np.max(np.abs(centers), axis=1) + radii
+    comp_reach = np.full(m, -np.inf)
+    np.maximum.at(comp_reach, labels, reach)
+    boundary = comp_reach >= config.box_half_width
 
-    triple_possible = False
-    if overlap_pairs:
-        # A sphere appearing in two overlap pairs may create a triple overlap.
-        seen = {}
-        for i, j, _ in overlap_pairs:
-            for s in (i, j):
-                seen[s] = seen.get(s, 0) + 1
-                if seen[s] > 1:
-                    triple_possible = True
+    # A sphere appearing in two overlap pairs may create a triple overlap.
+    triple_possible = bool(overlaps.size
+                           and np.bincount(overlaps.ravel()).max() > 1)
 
     return ComponentSet(
         labels=labels,
@@ -351,10 +353,6 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
     if not (0.0 < M <= config.box_half_width):
         raise ValueError(f"need 0 < M <= box_half_width, got M={M}")
     comp = components(config)
-    if config.n_spheres == 0:
-        return SphereConfig(config.centers, config.radii, M, model=config.model,
-                            seed=config.seed, contact_tol=config.contact_tol,
-                            warnings=config.warnings)
     reach = np.max(np.abs(config.centers), axis=1) + config.radii
     comp_reach = np.full(comp.n_components, -np.inf)
     np.maximum.at(comp_reach, comp.labels, reach)

@@ -14,12 +14,18 @@ narrower than ``kappa`` that are not in a protected edge set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import ComponentSet, SphereConfig, _UnionFind, _pairs_within
+from .geometry import (
+    ComponentSet,
+    SphereConfig,
+    _connected_labels,
+    _pairs_within,
+    _pairwise_extent,
+)
 
 __all__ = [
     "Node",
@@ -105,14 +111,11 @@ class InclusionGraph:
     @cached_property
     def edge_arrays(self):
         """(a_idx, b_idx, mu, d) as arrays aligned with the edge order."""
-        if not self.edges:
-            z = np.zeros(0)
-            return np.zeros(0, np.int64), np.zeros(0, np.int64), z, z
-        a = np.fromiter((e.a for e in self.edges), np.int64, len(self.edges))
-        b = np.fromiter((e.b for e in self.edges), np.int64, len(self.edges))
-        mu = np.fromiter((e.mu for e in self.edges), float, len(self.edges))
-        d = np.fromiter((e.d for e in self.edges), float, len(self.edges))
-        return a, b, mu, d
+        m = len(self.edges)
+        return (np.fromiter((e.a for e in self.edges), np.int64, m),
+                np.fromiter((e.b for e in self.edges), np.int64, m),
+                np.fromiter((e.mu for e in self.edges), float, m),
+                np.fromiter((e.d for e in self.edges), float, m))
 
     @cached_property
     def node_volumes(self):
@@ -200,7 +203,10 @@ class InclusionGraph:
 
 @dataclass
 class ClusterPartition:
-    """Connected components of the multigraph (clusters of inclusions)."""
+    """Connected components of the multigraph (clusters of inclusions).
+
+    Clusters are numbered by their smallest node id.
+    """
 
     node_cluster: np.ndarray        # (n_nodes,) node -> cluster index
     members: tuple[tuple[int, ...], ...]
@@ -216,7 +222,7 @@ class ClusterPartition:
 def closest_points(sphere_a, sphere_b):
     """Closest surface points of two disjoint spheres and their gap.
 
-    Spheres are (center, radius) pairs (``geometry.Sphere`` works too).
+    Spheres are (center, radius) pairs.
     The points lie on the center line; rejects overlapping spheres.
     """
     ca, ra = np.asarray(sphere_a[0], dtype=float), float(sphere_a[1])
@@ -231,16 +237,31 @@ def closest_points(sphere_a, sphere_b):
     return xa, xb, dist - ra - rb
 
 
+def _row_norms(v):
+    """Euclidean norms of the rows of ``v``.
+
+    Rounded exactly as ``np.linalg.norm`` rounds one vector (a BLAS dot
+    product, then a square root); ``norm(axis=1)`` sums in another order
+    and can differ in the last bit.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def _cap_cos_angle(r_self, r_other, center_dist, delta):
     """Cosine of the angular radius of the near-contact cap.
 
     The cap of a sphere of radius ``r_self`` facing a partner at center
     distance ``center_dist`` collects the surface points within ``delta``
-    of the partner ball.
+    of the partner ball.  Works on scalars and arrays alike.
     """
     c = (center_dist ** 2 + r_self ** 2 - (r_other + delta) ** 2) / (
         2.0 * center_dist * r_self)
-    return min(1.0, max(-1.0, c))
+    return np.clip(c, -1.0, 1.0)
+
+
+# Cap tests this close to the overlap limit are redone with scalar math, so
+# the rounding of the vectorized arccos (off by ~1e-7 at worst) never counts.
+_CAP_TIE = 1e-6
 
 
 def _count_g2_violations(config, pairs, dist, delta):
@@ -250,33 +271,43 @@ def _count_g2_violations(config, pairs, dist, delta):
     region to pair with at most one partner within ``2*delta``.  For balls
     this fails exactly when two caps on one sphere overlap; we count such
     spheres instead of second-guessing the configuration.
+
+    Caps are grouped by sphere; pass ``t`` tests each cap against the one
+    ``t`` places later in its group, on spheres not yet found in violation.
     """
-    by_sphere: dict[int, list[tuple[float, np.ndarray]]] = {}
     centers, radii = config.centers, config.radii
-    for (i, j), dij in zip(pairs, dist):
-        gap = dij - radii[i] - radii[j]
-        if gap > 2.0 * delta:
-            continue
-        axis = (centers[j] - centers[i]) / dij
-        by_sphere.setdefault(int(i), []).append(
-            (math.acos(_cap_cos_angle(radii[i], radii[j], dij, delta)), axis))
-        by_sphere.setdefault(int(j), []).append(
-            (math.acos(_cap_cos_angle(radii[j], radii[i], dij, delta)), -axis))
-    violations = 0
-    for caps in by_sphere.values():
-        if len(caps) < 2:
-            continue
-        bad = False
-        for k in range(len(caps)):
-            for l in range(k + 1, len(caps)):
-                ang = math.acos(min(1.0, max(-1.0, float(caps[k][1] @ caps[l][1]))))
-                if ang < caps[k][0] + caps[l][0]:
-                    bad = True
-                    break
-            if bad:
-                break
-        violations += bad
-    return violations
+    i, j = pairs[:, 0], pairs[:, 1]
+    axis = (centers[j] - centers[i]) / dist[:, None]
+    sphere = np.concatenate([i, j])
+    order = np.argsort(sphere, kind="stable")
+    sphere = sphere[order]
+    partner = np.concatenate([j, i])[order]
+    cdist = np.concatenate([dist, dist])[order]
+    axes = np.concatenate([axis, -axis])[order]
+    half = np.arccos(_cap_cos_angle(radii[sphere], radii[partner], cdist, delta))
+
+    def exact_overlap(k, l):
+        hk, hl = (math.acos(_cap_cos_angle(radii[sphere[c]], radii[partner[c]],
+                                           cdist[c], delta)) for c in (k, l))
+        ang = math.acos(min(1.0, max(-1.0, float(axes[k] @ axes[l]))))
+        return ang < hk + hl
+
+    bad = np.zeros(radii.size, dtype=bool)
+    k = np.arange(sphere.size)
+    t = 1
+    while k.size:
+        k = k[k + t < sphere.size]
+        k = k[(sphere[k + t] == sphere[k]) & ~bad[sphere[k]]]
+        l = k + t
+        ang = np.arccos(np.clip((axes[k, None, :] @ axes[l, :, None])[:, 0, 0],
+                                -1.0, 1.0))
+        limit = half[k] + half[l]
+        hit = ang < limit
+        for p in np.nonzero(np.abs(ang - limit) <= _CAP_TIE)[0]:
+            hit[p] = exact_overlap(k[p], l[p])
+        bad[sphere[k[hit]]] = True
+        t += 1
+    return int(bad.sum())
 
 
 def build_graph(component_set: ComponentSet, config: SphereConfig,
@@ -286,119 +317,119 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
     One edge per pair of spheres in distinct components with gap at most
     ``delta``; candidate pairs come from a KD-tree query at radius
     ``2*max_radius + delta`` so no pair can be missed.  Edges are sorted by
-    (node_a, node_b, d) and the edge count matches brute-force pair
-    enumeration exactly.
+    (node_a, node_b, d, xa, xb) and the edge count matches brute-force pair
+    enumeration exactly.  Contact points and gaps are bit-identical to
+    ``closest_points`` on each pair.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1): weights |ln d| must "
                          "stay positive")
-    labels = component_set.labels
-    n_comp = component_set.n_components
+    cs = component_set
+    labels = cs.labels
+    centers, radii = config.centers, config.radii
 
-    nodes = []
-    for k in range(n_comp):
-        idx = component_set.sphere_indices(k)
-        nodes.append(Node(
-            id=k,
-            volume=float(component_set.volumes[k]),
-            centroid=component_set.centroids[k].copy(),
-            diameter=float(component_set.diameters[k]),
-            boundary=bool(component_set.boundary[k]),
-            component_index=k,
-            sphere_ids=tuple(int(i) for i in idx),
-            sphere_centers=config.centers[idx].copy(),
-            sphere_radii=config.radii[idx].copy(),
-        ))
+    # Node fields in constructor order; per-node arrays are rows or slices
+    # of fresh arrays, so nodes share nothing with the inputs.
+    n_comp, ids = cs.n_components, cs.order.tolist()
+    spans = list(map(slice, cs.starts[:-1].tolist(), cs.starts[1:].tolist()))
+    sphere_centers, sphere_radii = centers[cs.order], radii[cs.order]
+    nodes = tuple(map(
+        Node, range(n_comp), cs.volumes.tolist(), list(cs.centroids.copy()),
+        cs.diameters.tolist(), cs.boundary.tolist(), range(n_comp),
+        (tuple(ids[s]) for s in spans), (sphere_centers[s] for s in spans),
+        (sphere_radii[s] for s in spans)))
 
     g2_violations = 0
-    records = []
+    kept = np.empty((0, 2), dtype=np.int64)
     if config.n_spheres >= 2:
         # Search out to 2*delta so the cap-separation diagnostic sees the
         # near misses as well; edges keep the strict gap <= delta cut.
-        cand = _pairs_within(config.centers, config.radii, 2.0 * delta)
+        cand = _pairs_within(centers, radii, 2.0 * delta)
         if cand.size:
-            diff = config.centers[cand[:, 0]] - config.centers[cand[:, 1]]
+            diff = centers[cand[:, 0]] - centers[cand[:, 1]]
             dist = np.linalg.norm(diff, axis=1)
-            gap = dist - config.radii[cand[:, 0]] - config.radii[cand[:, 1]]
+            gap = dist - radii[cand[:, 0]] - radii[cand[:, 1]]
             cross = labels[cand[:, 0]] != labels[cand[:, 1]]
             near = cross & (gap <= 2.0 * delta)
             g2_violations = _count_g2_violations(
                 config, cand[near], dist[near], delta)
-            keep = cross & (gap <= delta)
-            for (i, j), dij in zip(cand[keep], dist[keep]):
-                xa, xb, d = closest_points(
-                    (config.centers[i], config.radii[i]),
-                    (config.centers[j], config.radii[j]))
-                na, nb = int(labels[i]), int(labels[j])
-                if na > nb:
-                    na, nb = nb, na
-                    xa, xb = xb, xa
-                records.append((na, nb, d, xa, xb))
+            kept = cand[cross & (gap <= delta)]
 
-    records.sort(key=lambda r: (r[0], r[1], r[2], tuple(r[3]), tuple(r[4])))
-    edges = tuple(
-        Edge(id=k, a=na, b=nb, xa=xa, xb=xb, d=d, mu=abs(math.log(d)))
-        for k, (na, nb, d, xa, xb) in enumerate(records)
-    )
-    return InclusionGraph(nodes=tuple(nodes), edges=edges, delta=delta,
+    # closest_points on every kept pair at once, in its operation order.
+    i, j = kept[:, 0], kept[:, 1]
+    ri, rj = radii[i], radii[j]
+    between = centers[j] - centers[i]
+    dist = _row_norms(between)
+    if np.any(dist <= ri + rj):
+        raise ValueError("spheres overlap or touch; merge them into one "
+                         "component instead of building a gap")
+    unit = between / dist[:, None]
+    xi = centers[i] + ri[:, None] * unit
+    xj = centers[j] - rj[:, None] * unit
+    d = dist - ri - rj
+    # Orient every edge from its lower node id.
+    swap = labels[i] > labels[j]
+    na, nb = np.minimum(labels[i], labels[j]), np.maximum(labels[i], labels[j])
+    xa = np.where(swap[:, None], xj, xi)
+    xb = np.where(swap[:, None], xi, xj)
+    order = np.lexsort((xb[:, 2], xb[:, 1], xb[:, 0],
+                        xa[:, 2], xa[:, 1], xa[:, 0], d, nb, na))
+    d = d[order].tolist()
+    edges = tuple(map(Edge, range(len(d)), na[order].tolist(),
+                      nb[order].tolist(), list(xa[order]), list(xb[order]),
+                      d, [abs(math.log(v)) for v in d]))
+    return InclusionGraph(nodes=nodes, edges=edges, delta=delta,
                           box_half_width=config.box_half_width,
                           g2_violations=g2_violations)
 
 
-def _pairwise_extent(centers, radii):
-    """Max surface-to-surface extent of a ball family (its diameter)."""
-    if centers.shape[0] == 1:
-        return float(2.0 * radii[0])
-    best = 0.0
-    block = 1024
-    for s in range(0, centers.shape[0], block):
-        c1, r1 = centers[s:s + block], radii[s:s + block]
-        dmat = np.linalg.norm(c1[:, None, :] - centers[None, :, :], axis=2)
-        best = max(best, float((dmat + r1[:, None] + radii[None, :]).max()))
+def _union_diameter(nodes, geo):
+    """Diameter of a union of nodes.
+
+    Exact over the member balls when the nodes carry them (``geo``);
+    otherwise an upper bound from node data: the max over node pairs of
+    centroid distance plus both half diameters.
+    """
+    if geo:
+        return _pairwise_extent(np.concatenate([nd.sphere_centers for nd in nodes]),
+                                np.concatenate([nd.sphere_radii for nd in nodes]))
+    centroids = np.stack([nd.centroid for nd in nodes])
+    half = 0.5 * np.array([nd.diameter for nd in nodes])
+    best = max(nd.diameter for nd in nodes)
+    for s in range(len(nodes) - 1):
+        dist = _row_norms(centroids[s] - centroids[s + 1:])
+        best = max(best, float((dist + half[s] + half[s + 1:]).max()))
     return best
+
+
+def _groups(labels, m):
+    """Indices with each label 0..m-1, ascending within each group."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=m))[:-1]
+    return np.split(order, bounds) if m else []
 
 
 def clusters(graph: InclusionGraph) -> ClusterPartition:
     """Connected components of the multigraph, with per-cluster stats.
 
-    Union diameter is exact (pairwise over all member balls) when the graph
-    carries sphere geometry; otherwise an upper bound from node centroids
-    and node diameters is used.
+    Clusters are numbered by their smallest node id.  Union diameter is
+    exact (pairwise over all member balls) when the graph carries sphere
+    geometry; otherwise an upper bound from node centroids and node
+    diameters is used.
     """
-    n = graph.n_nodes
-    uf = _UnionFind(n)
-    for e in graph.edges:
-        uf.union(e.a, e.b)
-    roots = np.fromiter((uf.find(i) for i in range(n)), np.int64, n)
-    _, node_cluster = (np.unique(roots, return_inverse=True)
-                       if n else (None, np.zeros(0, np.int64)))
-    m = int(node_cluster.max()) + 1 if n else 0
-
-    members = tuple(
-        tuple(int(i) for i in np.nonzero(node_cluster == k)[0]) for k in range(m))
+    a_idx, b_idx, _, _ = graph.edge_arrays
+    m, node_cluster = _connected_labels(graph.n_nodes, a_idx, b_idx)
+    members = tuple(tuple(g.tolist()) for g in _groups(node_cluster, m))
     volumes = np.zeros(m)
-    cardinalities = np.zeros(m, dtype=np.int64)
     diameters = np.zeros(m)
     geo = graph.has_geometry()
     for k, mem in enumerate(members):
-        vols = [graph.nodes[i].volume for i in mem]
-        volumes[k] = math.fsum(vols)
-        cardinalities[k] = len(mem)
-        if geo:
-            centers = np.concatenate([graph.nodes[i].sphere_centers for i in mem])
-            radii = np.concatenate([graph.nodes[i].sphere_radii for i in mem])
-            diameters[k] = _pairwise_extent(centers, radii)
-        else:
-            best = max(graph.nodes[i].diameter for i in mem)
-            for ii in range(len(mem)):
-                for jj in range(ii + 1, len(mem)):
-                    na, nb = graph.nodes[mem[ii]], graph.nodes[mem[jj]]
-                    best = max(best, float(np.linalg.norm(na.centroid - nb.centroid))
-                               + 0.5 * na.diameter + 0.5 * nb.diameter)
-            diameters[k] = best
+        nodes = [graph.nodes[i] for i in mem]
+        volumes[k] = math.fsum(nd.volume for nd in nodes)
+        diameters[k] = _union_diameter(nodes, geo)
     return ClusterPartition(node_cluster=node_cluster, members=members,
                             diameters=diameters, volumes=volumes,
-                            cardinalities=cardinalities)
+                            cardinalities=np.bincount(node_cluster, minlength=m))
 
 
 def short_at(graph: InclusionGraph, node_pairs) -> InclusionGraph:
@@ -408,7 +439,8 @@ def short_at(graph: InclusionGraph, node_pairs) -> InclusionGraph:
     node (summed volume, volume-weighted centroid, union diameter); edges
     joining merged nodes are suppressed, all other edges survive with
     remapped endpoints and keep their ids, so the edge set of the result
-    is a subset of the input's.
+    is a subset of the input's.  Merged nodes are numbered by their
+    smallest source node id.
     """
     pairs = [(int(a), int(b)) for a, b in node_pairs]
     n = graph.n_nodes
@@ -418,68 +450,37 @@ def short_at(graph: InclusionGraph, node_pairs) -> InclusionGraph:
     if not pairs:
         return graph
 
-    uf = _UnionFind(n)
-    for a, b in pairs:
-        uf.union(a, b)
-    roots = np.fromiter((uf.find(i) for i in range(n)), np.int64, n)
-    _, merge_map = np.unique(roots, return_inverse=True)
-
-    m = int(merge_map.max()) + 1
+    ends = np.array(pairs, dtype=np.int64)
+    m, merge_map = _connected_labels(n, ends[:, 0], ends[:, 1])
     new_nodes = []
     geo = graph.has_geometry()
-    for k in range(m):
-        mem = [graph.nodes[i] for i in np.nonzero(merge_map == k)[0]]
+    for k, group in enumerate(_groups(merge_map, m)):
+        mem = [graph.nodes[i] for i in group]
         if len(mem) == 1:
-            src = mem[0]
-            new_nodes.append(Node(
-                id=k, volume=src.volume, centroid=src.centroid,
-                diameter=src.diameter, boundary=src.boundary,
-                component_index=src.component_index,
-                sphere_ids=src.sphere_ids,
-                sphere_centers=src.sphere_centers,
-                sphere_radii=src.sphere_radii,
-            ))
+            new_nodes.append(replace(mem[0], id=k))
             continue
         volume = math.fsum(nd.volume for nd in mem)
         centroid = sum((nd.volume * nd.centroid for nd in mem),
                        start=np.zeros(3)) / volume
+        sphere_ids = centers = radii = None
         if geo:
-            centers = np.concatenate([nd.sphere_centers for nd in mem])
-            radii = np.concatenate([nd.sphere_radii for nd in mem])
-            diameter = _pairwise_extent(centers, radii)
             sphere_ids = tuple(sorted(i for nd in mem for i in nd.sphere_ids))
             order = np.argsort([i for nd in mem for i in nd.sphere_ids])
-            centers, radii = centers[order], radii[order]
-        else:
-            # Upper bound from node data: never underestimates the extent.
-            diameter = max(nd.diameter for nd in mem)
-            for ii in range(len(mem)):
-                for jj in range(ii + 1, len(mem)):
-                    diameter = max(
-                        diameter,
-                        float(np.linalg.norm(mem[ii].centroid - mem[jj].centroid))
-                        + 0.5 * mem[ii].diameter + 0.5 * mem[jj].diameter)
-            sphere_ids = centers = radii = None
+            centers = np.concatenate([nd.sphere_centers for nd in mem])[order]
+            radii = np.concatenate([nd.sphere_radii for nd in mem])[order]
         new_nodes.append(Node(
-            id=k, volume=volume, centroid=centroid, diameter=float(diameter),
-            boundary=any(nd.boundary for nd in mem),
-            component_index=None,
-            sphere_ids=sphere_ids,
-            sphere_centers=centers,
-            sphere_radii=radii,
-        ))
+            id=k, volume=volume, centroid=centroid,
+            diameter=float(_union_diameter(mem, geo)),
+            boundary=any(nd.boundary for nd in mem), component_index=None,
+            sphere_ids=sphere_ids, sphere_centers=centers, sphere_radii=radii))
 
     new_edges = []
     for e in graph.edges:
         na, nb = int(merge_map[e.a]), int(merge_map[e.b])
-        if na == nb:
-            continue
-        if na > nb:
-            new_edges.append(Edge(id=e.id, a=nb, b=na, xa=e.xb, xb=e.xa,
-                                  d=e.d, mu=e.mu))
-        else:
-            new_edges.append(Edge(id=e.id, a=na, b=nb, xa=e.xa, xb=e.xb,
-                                  d=e.d, mu=e.mu))
+        if na < nb:
+            new_edges.append(replace(e, a=na, b=nb))
+        elif na > nb:
+            new_edges.append(replace(e, a=nb, b=na, xa=e.xb, xb=e.xa))
     new_edges.sort(key=lambda e: (e.a, e.b, e.d, e.id))
 
     return InclusionGraph(
@@ -526,8 +527,6 @@ def is_cycle_free(graph: InclusionGraph) -> bool:
     Any pair of parallel edges counts as a cycle, so this is exactly
     ``n_edges == n_nodes - n_clusters``.
     """
-    uf = _UnionFind(graph.n_nodes)
-    for e in graph.edges:
-        if not uf.union(e.a, e.b):
-            return False
-    return True
+    a_idx, b_idx, _, _ = graph.edge_arrays
+    n_clusters, _ = _connected_labels(graph.n_nodes, a_idx, b_idx)
+    return graph.n_edges == graph.n_nodes - n_clusters

@@ -136,6 +136,49 @@ def brute_force_gap_pairs(config, delta):
     return out
 
 
+def scalar_g2_violations(config, pairs, dist, delta):
+    """Spheres with overlapping contact caps, by explicit per-cap loops.
+
+    ``pairs`` are sphere index pairs and ``dist`` their center distances;
+    pairs with gap above ``2*delta`` are skipped.  A sphere counts once as
+    soon as two of its caps overlap.
+    """
+    def cap_cos(r_self, r_other, center_dist):
+        c = (center_dist ** 2 + r_self ** 2 - (r_other + delta) ** 2) / (
+            2.0 * center_dist * r_self)
+        return min(1.0, max(-1.0, c))
+
+    by_sphere = {}
+    centers, radii = config.centers, config.radii
+    for (i, j), dij in zip(pairs, dist):
+        if dij - radii[i] - radii[j] > 2.0 * delta:
+            continue
+        axis = (centers[j] - centers[i]) / dij
+        by_sphere.setdefault(int(i), []).append(
+            (math.acos(cap_cos(radii[i], radii[j], dij)), axis))
+        by_sphere.setdefault(int(j), []).append(
+            (math.acos(cap_cos(radii[j], radii[i], dij)), -axis))
+    violations = 0
+    for caps in by_sphere.values():
+        bad = False
+        for k in range(len(caps)):
+            for l in range(k + 1, len(caps)):
+                dot = float(caps[k][1] @ caps[l][1])
+                if math.acos(min(1.0, max(-1.0, dot))) < caps[k][0] + caps[l][0]:
+                    bad = True
+                    break
+            if bad:
+                break
+        violations += bad
+    return violations
+
+
+def quadratic_extent(centers, radii):
+    """Ball-family diameter from the full pairwise matrix, no pruning."""
+    dmat = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+    return float((dmat + radii[:, None] + radii[None, :]).max())
+
+
 def bfs_clusters(graph):
     """Cluster membership by breadth-first search (oracle for union-find)."""
     n = graph.n_nodes

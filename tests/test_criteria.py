@@ -8,6 +8,7 @@ import pytest
 from conftest import make_graph, random_test_graph, single_edge_graph
 from stiffnet.criteria import (
     H2Options,
+    _plateau,
     density_estimate,
     derive_cell_seed,
     h1_statistic,
@@ -314,3 +315,12 @@ class TestScan:
             0.2, [6, 8, 10], 2, "h1", {"xi": (1.0, 0.0, 0.0)})
         assert not series.errors
         assert all(v >= 0.0 for row in series.values for v in row)
+
+
+class TestPlateau:
+    def test_nan_in_upper_half_voids_plateau(self):
+        estimate, ok = _plateau([1.0, 1.0, 1.0, math.nan, 1.1])
+        assert math.isnan(estimate) and ok is False
+
+    def test_nan_in_lower_half_ignored(self):
+        assert _plateau([math.nan, 1.0, 1.0, 1.1]) == (1.1, True)

@@ -172,6 +172,11 @@ class TestRestrictBox:
         assert out.n_spheres == 1
         assert out.radii[0] == 0.1
 
+    def test_empty_configuration(self):
+        config = SphereConfig(np.empty((0, 3)), np.empty(0), 3.0)
+        out = restrict_box(config, 2.0)
+        assert out.n_spheres == 0 and out.box_half_width == 2.0
+
     def test_idempotent(self):
         config = generate_hardcore(seed=5, N=6, intensity=0.02, radius=1,
                                    min_gap=0.2)
