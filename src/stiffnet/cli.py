@@ -28,6 +28,7 @@ from . import __version__
 from .criteria import (
     CriterionSeries,
     H2Options,
+    check_scan_grid,
     derive_cell_seed,
     generate_model,
     h1_statistic,
@@ -229,12 +230,10 @@ class ExperimentSpec:
             raise ValidationError(f"unknown model {self.model!r}")
         needs_grid = [t for t in self.tasks if t != "keller"]
         if needs_grid:
-            if len(self.N_grid) < 3:
-                raise ValidationError("N_grid needs at least 3 entries")
-            if any(b <= a for a, b in zip(self.N_grid, self.N_grid[1:])):
-                raise ValidationError("N_grid must be strictly increasing")
-            if self.n_seeds < 1:
-                raise ValidationError("n_seeds must be >= 1")
+            try:
+                check_scan_grid(self.N_grid, self.n_seeds)
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from None
         if not (0.0 < self.delta < 1.0) and needs_grid:
             raise ValidationError("delta must lie in (0, 1)")
 

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .energy import (
     BoundaryFamily,
+    LaplacianAssembly,
     SolverOptions,
+    SPDSolver,
     affine_boundary_family,
     midpoint_boundary_family,
     minimize_energy,
@@ -155,8 +155,6 @@ def _condensed_quadratic_form(graph: InclusionGraph,
     from the stationarity system leaves the Schur complement
     Q = W - W A K^-1 A^T W with W = diag(2 mu), K = D + 2 L.
     """
-    from .energy import LaplacianAssembly
-
     n, m = graph.n_nodes, graph.n_edges
     a_idx, b_idx, mu, _ = graph.edge_arrays
     W = np.diag(2.0 * mu)
@@ -179,47 +177,25 @@ def h2_exact_s2(graph: InclusionGraph) -> float:
 class _CachedMinimizer:
     """Minimum energy over potentials for a fixed graph, beta varying.
 
-    The system matrix does not depend on the boundary family, so it is
-    factored (dense) or preconditioned (sparse) once and reused across all
-    ascent iterations.
+    The system matrix does not depend on the boundary family, so one
+    ``SPDSolver`` serves every ascent iteration.
     """
 
     def __init__(self, graph: InclusionGraph, opts: SolverOptions):
-        from .energy import LaplacianAssembly, SolverError
-
-        self._solver_error = SolverError
         a_idx, b_idx, mu, _ = graph.edge_arrays
         self.a_idx, self.b_idx, self.mu = a_idx, b_idx, mu
         self.n = graph.n_nodes
         self.volumes = (np.ones(self.n) if opts.identity_mass
                         else graph.node_volumes)
-        K = LaplacianAssembly(graph, identity_mass=opts.identity_mass
-                              ).system_matrix
-        if self.n < opts.dense_cutoff:
-            self.chol = scipy.linalg.cho_factor(K.toarray())
-            self.K = None
-        else:
-            self.chol = None
-            self.K = K
-            self.precond = scipy.sparse.diags(1.0 / K.diagonal())
-            self.max_iter = (opts.max_iter if opts.max_iter is not None
-                             else 10 * self.n)
-            self.tol = opts.tol
+        assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
+        self.solver = SPDSolver(assembly.system_matrix, opts)
 
     def minimum(self, beta):
         """(residuals, minimal energy) at the antisymmetric family beta."""
         rhs = np.zeros(self.n)
         np.subtract.at(rhs, self.a_idx, 2.0 * self.mu * beta)
         np.add.at(rhs, self.b_idx, 2.0 * self.mu * beta)
-        if self.chol is not None:
-            u = scipy.linalg.cho_solve(self.chol, rhs)
-        else:
-            u, info = scipy.sparse.linalg.cg(
-                self.K, rhs, rtol=self.tol, atol=0.0,
-                maxiter=self.max_iter, M=self.precond)
-            if info != 0:
-                raise self._solver_error(
-                    "ascent inner solve did not converge")
+        u = self.solver.solve(rhs)
         r = (beta + u[self.a_idx]) - u[self.b_idx]
         num = float(np.sum(2.0 * self.mu * r * r)
                     + np.sum(self.volumes * u * u))
@@ -517,6 +493,22 @@ def _evaluate_statistic(statistic, config, delta, params):
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
+def check_scan_grid(N_grid, n_seeds: int) -> list[float]:
+    """The grid as floats; raises ValueError unless it is scannable.
+
+    A scan needs at least 3 strictly increasing box sizes (the plateau
+    estimate reads the larger half) and at least one seed per size.
+    """
+    N_grid = [float(N) for N in N_grid]
+    if len(N_grid) < 3:
+        raise ValueError("N_grid needs at least 3 entries")
+    if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
+        raise ValueError("N_grid must be strictly increasing")
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
+    return N_grid
+
+
 def scan_limsup(model_params: dict, delta: float, N_grid, n_seeds: int,
                 statistic_selector: str, statistic_params: dict | None = None,
                 base_seed: int = 0) -> CriterionSeries:
@@ -526,13 +518,7 @@ def scan_limsup(model_params: dict, delta: float, N_grid, n_seeds: int,
     derived seed; failures are recorded per cell (value NaN) without
     aborting the scan.
     """
-    N_grid = [float(N) for N in N_grid]
-    if len(N_grid) < 3:
-        raise ValueError("N_grid needs at least 3 entries")
-    if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
-        raise ValueError("N_grid must be strictly increasing")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    N_grid = check_scan_grid(N_grid, n_seeds)
     params = dict(statistic_params or {})
     model = dict(model_params)
     model_name = model.pop("model")

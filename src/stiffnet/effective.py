@@ -5,7 +5,9 @@ is driven by clamping the potential to the affine field xi . x on every
 node touching a boundary layer of the box, and minimizing the pure gap
 energy sum_e 2 mu_e (u_a - u_b)^2 over the interior nodes.  The map
 xi -> min-energy / |Q_N| is a quadratic form; its matrix A_net is
-recovered from six directions by polarization.
+recovered from six directions by polarization.  The clamped system
+matrix does not depend on xi: it is assembled and factored once per
+graph, and the six directions differ only in the right-hand side.
 
 A_net measures the inclusion-network contribution only: no ambient-medium
 conductance is added in parallel, and no claim is made that A_net
@@ -18,12 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
-from .criteria import derive_cell_seed, generate_model
-from .energy import SolverError, SolverOptions
+from .criteria import check_scan_grid, derive_cell_seed, generate_model
+from .energy import SolverOptions, SPDSolver
 from .geometry import _connected_labels, components, restrict_box
 from .multigraph import InclusionGraph, build_graph
 
@@ -93,71 +93,6 @@ def boundary_nodes(graph: InclusionGraph, layer_width: float) -> set[int]:
     return out
 
 
-def _clamped_gap_minimum(graph, clamped, u_clamped, solver_opts):
-    """Minimize sum_e 2 mu_e (u_a - u_b)^2 with the given nodes clamped.
-
-    Interior clusters with no path to a clamped node are free up to a
-    constant; they are set to zero (their edges contribute nothing).
-    Returns the minimal gap energy.
-    """
-    opts = solver_opts or SolverOptions()
-    n = graph.n_nodes
-    a_idx, b_idx, mu, _ = graph.edge_arrays
-    u = np.zeros(n)
-    u[list(u_clamped)] = list(u_clamped.values())
-
-    free = np.ones(n, dtype=bool)
-    free[list(clamped)] = False
-    if free.any() and graph.n_edges:
-        # Keep only free nodes connected to the clamped set through edges.
-        m, cluster = _connected_labels(n, a_idx, b_idx)
-        anchored = np.zeros(m, dtype=bool)
-        anchored[cluster[list(clamped)]] = True
-        solvable = free & anchored[cluster]
-        idx_of = -np.ones(n, dtype=np.int64)
-        solve_ids = np.nonzero(solvable)[0]
-        idx_of[solve_ids] = np.arange(solve_ids.size)
-        if solve_ids.size:
-            # Per edge, in edge order: (ia, ia, w), (ib, ib, w) for each
-            # solvable end and (ia, ib, -w), (ib, ia, -w) when both are;
-            # the CSR duplicate sums then add in a fixed order.
-            ia, ib = idx_of[a_idx], idx_of[b_idx]
-            both = (ia >= 0) & (ib >= 0)
-            entry = np.stack([ia >= 0, ib >= 0, both, both], axis=1)
-            rows = np.stack([ia, ib, ia, ib], axis=1)[entry]
-            cols = np.stack([ia, ib, ib, ia], axis=1)[entry]
-            vals = np.stack([mu, mu, -mu, -mu], axis=1)[entry]
-            rhs = np.zeros(solve_ids.size)
-            # An edge with one solvable end feeds the clamped end's value.
-            one_end = (ia >= 0) != (ib >= 0)
-            far = np.where(ia >= 0, u[b_idx], u[a_idx])
-            np.add.at(rhs, np.maximum(ia, ib)[one_end], (mu * far)[one_end])
-            L = scipy.sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(solve_ids.size, solve_ids.size))
-            if solve_ids.size < opts.dense_cutoff:
-                chol = scipy.linalg.cho_factor(L.toarray())
-                x = scipy.linalg.cho_solve(chol, rhs)
-            else:
-                max_iter = (opts.max_iter if opts.max_iter is not None
-                            else 10 * solve_ids.size)
-                precond = scipy.sparse.diags(1.0 / L.diagonal())
-                x, info = scipy.sparse.linalg.cg(
-                    L, rhs, rtol=opts.tol, atol=0.0, maxiter=max_iter, M=precond)
-                if info != 0:
-                    raise SolverError("clamped network solve did not converge")
-            rhs_norm = float(np.linalg.norm(rhs))
-            if rhs_norm > 0.0:
-                res = float(np.linalg.norm(L @ x - rhs)) / rhs_norm
-                if res > max(opts.tol, 1e-12) * 10.0:
-                    raise SolverError(
-                        f"clamped solve residual {res:.3e} above tolerance",
-                        residual=res)
-            u[solve_ids] = x
-
-    diff = u[a_idx] - u[b_idx]
-    return float(np.sum(2.0 * mu * diff * diff))
-
-
 def network_effective_tensor(graph: InclusionGraph, layer_width: float,
                              solver_opts: SolverOptions | None = None
                              ) -> EffectiveTensor:
@@ -166,20 +101,53 @@ def network_effective_tensor(graph: InclusionGraph, layer_width: float,
     For each probe direction xi the boundary nodes carry u = xi . x_I and
     the interior minimizes the pure gap energy; e(xi) = E_min / |Q_N|.
     Axes give the diagonal of A_net, the face diagonals give the
-    off-diagonal entries by polarization.
+    off-diagonal entries by polarization.  Interior clusters with no path
+    to a clamped node are free up to a constant; they are set to zero
+    (their edges contribute nothing).
     """
-    if graph.n_nodes == 0:
-        zero = np.zeros((3, 3))
-        return EffectiveTensor(zero, (0.0,) * 6, graph.box_half_width,
-                               graph.delta, layer_width)
-    clamped = boundary_nodes(graph, layer_width)
-    volume = graph.box_volume()
+    n = graph.n_nodes
+    a_idx, b_idx, mu, _ = graph.edge_arrays
+    clamped = sorted(boundary_nodes(graph, layer_width))
+    solvable = np.zeros(n, dtype=bool)
+    if graph.n_edges:
+        # Keep only free nodes connected to the clamped set through edges.
+        m, cluster = _connected_labels(n, a_idx, b_idx)
+        anchored = np.zeros(m, dtype=bool)
+        anchored[cluster[clamped]] = True
+        solvable = anchored[cluster]
+        solvable[clamped] = False
+    solve_ids = np.nonzero(solvable)[0]
+    idx_of = -np.ones(n, dtype=np.int64)
+    idx_of[solve_ids] = np.arange(solve_ids.size)
+    ia, ib = idx_of[a_idx], idx_of[b_idx]
+    if solve_ids.size:
+        # Per edge, in edge order: (ia, ia, w), (ib, ib, w) for each
+        # solvable end and (ia, ib, -w), (ib, ia, -w) when both are;
+        # the CSR duplicate sums then add in a fixed order.
+        both = (ia >= 0) & (ib >= 0)
+        entry = np.stack([ia >= 0, ib >= 0, both, both], axis=1)
+        rows = np.stack([ia, ib, ia, ib], axis=1)[entry]
+        cols = np.stack([ia, ib, ib, ia], axis=1)[entry]
+        vals = np.stack([mu, mu, -mu, -mu], axis=1)[entry]
+        solver = SPDSolver(scipy.sparse.csr_matrix(
+            (vals, (rows, cols)), shape=(solve_ids.size, solve_ids.size)),
+            solver_opts or SolverOptions())
+    # An edge with one solvable end feeds the clamped end's value.
+    one_end = (ia >= 0) != (ib >= 0)
+
     energies = []
     for direction in TENSOR_DIRECTIONS:
         xi = np.asarray(direction, dtype=float)
-        u_clamped = {i: float(graph.nodes[i].centroid @ xi) for i in clamped}
-        e = _clamped_gap_minimum(graph, clamped, u_clamped, solver_opts)
-        energies.append(e / volume)
+        u = np.zeros(n)
+        u[clamped] = [float(graph.nodes[i].centroid @ xi) for i in clamped]
+        if solve_ids.size:
+            rhs = np.zeros(solve_ids.size)
+            far = np.where(ia >= 0, u[b_idx], u[a_idx])
+            np.add.at(rhs, np.maximum(ia, ib)[one_end], (mu * far)[one_end])
+            u[solve_ids] = solver.solve(rhs)
+        diff = u[a_idx] - u[b_idx]
+        energies.append(float(np.sum(2.0 * mu * diff * diff))
+                        / graph.box_volume())
 
     A = np.zeros((3, 3))
     A[0, 0], A[1, 1], A[2, 2] = energies[0], energies[1], energies[2]
@@ -216,9 +184,7 @@ def effective_scan(model_params: dict, delta: float, N_grid, n_seeds: int,
                    layer_width: float | None = None, base_seed: int = 0,
                    solver_opts: SolverOptions | None = None) -> EffectiveSeries:
     """Tensors over an (N, seed) grid; clamping layer defaults to delta."""
-    N_grid = [float(N) for N in N_grid]
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    N_grid = check_scan_grid(N_grid, n_seeds)
     layer = float(layer_width) if layer_width is not None else float(delta)
     model = dict(model_params)
     model_name = model.pop("model")

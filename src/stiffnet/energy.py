@@ -15,8 +15,10 @@ Minimizing over u is a symmetric positive definite linear system
     (D + 2 L) u = -2 A^T diag(mu) beta,      beta_e = b_ab - b_ba,
 
 with L the weighted graph Laplacian and D = diag(|I|) (optionally the
-identity, for comparison runs).  Solved by Jacobi-preconditioned conjugate
-gradients, with a dense Cholesky fallback on small systems.
+identity, for comparison runs).  ``SPDSolver`` is the single solve path
+of the package (this minimization, the h2 ascent, the clamped network):
+dense Cholesky on small systems, Jacobi-preconditioned conjugate
+gradients otherwise, and every solution certified by its residual.
 
 The module also evaluates the explicit gap profile
 
@@ -44,6 +46,7 @@ __all__ = [
     "EnergyBreakdown",
     "SolverOptions",
     "SolverError",
+    "SPDSolver",
     "LaplacianAssembly",
     "energy",
     "energy_gradient",
@@ -58,7 +61,11 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Conjugate gradients failed to reach the requested residual."""
+    """A linear solve failed to reach the requested residual.
+
+    ``residual`` is the relative residual of the rejected solution (NaN
+    when the matrix could not be factored).
+    """
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -92,9 +99,6 @@ class BoundaryFamily:
         """Per-edge differences b_ab - b_ba (all the energy sees of b)."""
         return self.ab - self.ba
 
-    def to_list(self):
-        return [[float(x), float(y)] for x, y in zip(self.ab, self.ba)]
-
     @classmethod
     def zeros(cls, n_edges):
         return cls(np.zeros(n_edges), np.zeros(n_edges))
@@ -119,9 +123,6 @@ class PotentialFamily:
     def n_nodes(self):
         return int(self.u.size)
 
-    def to_list(self):
-        return [float(v) for v in self.u]
-
     @classmethod
     def zeros(cls, n_nodes):
         return cls(np.zeros(n_nodes))
@@ -139,9 +140,61 @@ class EnergyBreakdown:
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-10
-    max_iter: int | None = None       # default 10 * n_nodes
-    dense_cutoff: int = 200
+    max_iter: int | None = None       # default 10 * n_unknowns
     identity_mass: bool = False
+
+
+# Systems with fewer unknowns are factored densely; larger ones take CG.
+DENSE_CUTOFF = 200
+
+
+class SPDSolver:
+    """Solves K x = rhs for one SPD matrix K and many right-hand sides.
+
+    Below ``DENSE_CUTOFF`` unknowns K is Cholesky-factored once; larger
+    systems get their Jacobi preconditioner once and run conjugate
+    gradients per right-hand side.  Every solution is certified: a
+    relative residual |K x - rhs| / |rhs| above 10 max(tol, 1e-12), or
+    NaN, raises ``SolverError`` carrying that residual.
+    """
+
+    def __init__(self, K, opts: SolverOptions):
+        self.K = K
+        self.n = K.shape[0]
+        self.tol = opts.tol
+        self._chol = None
+        if self.n < DENSE_CUTOFF:
+            try:
+                self._chol = scipy.linalg.cho_factor(K.toarray())
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"system matrix is not positive definite: "
+                                  f"{exc}", residual=math.nan) from None
+        else:
+            self._precond = scipy.sparse.diags(1.0 / K.diagonal())
+            self._max_iter = (opts.max_iter if opts.max_iter is not None
+                              else 10 * self.n)
+
+    def solve(self, rhs):
+        rhs_norm = float(np.linalg.norm(rhs))
+        if rhs_norm == 0.0:
+            return np.zeros(self.n)
+        if self._chol is not None:
+            x, info = scipy.linalg.cho_solve(self._chol, rhs), 0
+        else:
+            x, info = scipy.sparse.linalg.cg(
+                self.K, rhs, rtol=self.tol, atol=0.0, maxiter=self._max_iter,
+                M=self._precond)
+        residual = float(np.linalg.norm(self.K @ x - rhs)) / rhs_norm
+        if info != 0:
+            raise SolverError(
+                f"conjugate gradients did not converge in {self._max_iter} "
+                f"iterations (relative residual {residual:.3e})",
+                residual=residual)
+        if not residual <= max(self.tol, 1e-12) * 10.0:
+            raise SolverError(
+                f"solution rejected: relative residual {residual:.3e} exceeds "
+                f"tolerance {self.tol:.1e}", residual=residual)
+        return x
 
 
 def _check_indexing(graph, u=None, b=None):
@@ -206,7 +259,6 @@ class LaplacianAssembly:
         self.laplacian = scipy.sparse.csr_matrix(
             (vals, (rows, cols)), shape=(n, n))
         diag = np.ones(n) if identity_mass else graph.node_volumes.copy()
-        self.mass_diagonal = diag
         self.mass = scipy.sparse.diags(diag, format="csr")
         self.system_matrix = (self.mass + 2.0 * self.laplacian).tocsr()
         self._graph = graph
@@ -233,37 +285,11 @@ def minimize_energy(graph: InclusionGraph, b: BoundaryFamily,
     """
     opts = solver_opts or SolverOptions()
     _check_indexing(graph, b=b)
-    n = graph.n_nodes
-    if n == 0:
+    if graph.n_nodes == 0:
         return PotentialFamily.zeros(0), EnergyBreakdown(0.0, 0.0, 0.0)
-
     assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
-    rhs = assembly.rhs(b)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        u = PotentialFamily.zeros(n)
-        return u, energy(graph, u, b, identity_mass=opts.identity_mass)
-
-    K = assembly.system_matrix
-    if n < opts.dense_cutoff:
-        chol = scipy.linalg.cho_factor(K.toarray())
-        x = scipy.linalg.cho_solve(chol, rhs)
-    else:
-        max_iter = opts.max_iter if opts.max_iter is not None else 10 * n
-        precond = scipy.sparse.diags(1.0 / K.diagonal())
-        x, info = scipy.sparse.linalg.cg(
-            K, rhs, rtol=opts.tol, atol=0.0, maxiter=max_iter, M=precond)
-        if info != 0:
-            res = float(np.linalg.norm(K @ x - rhs)) / rhs_norm
-            raise SolverError(
-                f"conjugate gradients did not converge in {max_iter} "
-                f"iterations (relative residual {res:.3e})", residual=res)
-    residual = float(np.linalg.norm(K @ x - rhs)) / rhs_norm
-    if residual > max(opts.tol, 1e-12) * 10.0:
-        raise SolverError(
-            f"solution rejected: relative residual {residual:.3e} exceeds "
-            f"tolerance {opts.tol:.1e}", residual=residual)
-    u = PotentialFamily(x)
+    u = PotentialFamily(
+        SPDSolver(assembly.system_matrix, opts).solve(assembly.rhs(b)))
     return u, energy(graph, u, b, identity_mass=opts.identity_mass)
 
 

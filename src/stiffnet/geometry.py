@@ -277,6 +277,21 @@ def _lens_volume(r1, r2, dist):
             / (12.0 * dist))
 
 
+def _contact_pairs(config: SphereConfig):
+    """Sphere pairs in contact: center distance d <= r_i + r_j + contact_tol.
+
+    Returns ``(pairs, d, r_sum)``, pairs in lexicographic order with their
+    center distances and radius sums; overlapping pairs are those with
+    ``d < r_sum``.
+    """
+    pairs = _pairs_within(config.centers, config.radii, config.contact_tol)
+    d = np.linalg.norm(config.centers[pairs[:, 0]] - config.centers[pairs[:, 1]],
+                       axis=1)
+    r_sum = config.radii[pairs[:, 0]] + config.radii[pairs[:, 1]]
+    touching = d <= r_sum + config.contact_tol
+    return pairs[touching], d[touching], r_sum[touching]
+
+
 def components(config: SphereConfig) -> ComponentSet:
     """Connected components of a configuration.
 
@@ -289,16 +304,8 @@ def components(config: SphereConfig) -> ComponentSet:
     """
     n = config.n_spheres
     centers, radii = config.centers, config.radii
-    touching = overlaps = np.empty((0, 2), dtype=np.int64)
-    overlap_dist = np.zeros(0)
-    if n >= 2:
-        cand = _pairs_within(centers, radii, config.contact_tol)
-        if cand.size:
-            d = np.linalg.norm(centers[cand[:, 0]] - centers[cand[:, 1]], axis=1)
-            r_sum = radii[cand[:, 0]] + radii[cand[:, 1]]
-            touching = cand[d <= r_sum + config.contact_tol]
-            overlaps, overlap_dist = cand[d < r_sum], d[d < r_sum]
-
+    touching, d, r_sum = _contact_pairs(config)
+    overlaps, overlap_dist = touching[d < r_sum], d[d < r_sum]
     m, labels = _connected_labels(n, touching[:, 0], touching[:, 1])
 
     order = np.argsort(labels, kind="stable").astype(np.int64)
@@ -352,11 +359,12 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
     """
     if not (0.0 < M <= config.box_half_width):
         raise ValueError(f"need 0 < M <= box_half_width, got M={M}")
-    comp = components(config)
+    pairs, _, _ = _contact_pairs(config)
+    m, labels = _connected_labels(config.n_spheres, pairs[:, 0], pairs[:, 1])
     reach = np.max(np.abs(config.centers), axis=1) + config.radii
-    comp_reach = np.full(comp.n_components, -np.inf)
-    np.maximum.at(comp_reach, comp.labels, reach)
-    keep = comp_reach[comp.labels] < M
+    comp_reach = np.full(m, -np.inf)
+    np.maximum.at(comp_reach, labels, reach)
+    keep = comp_reach[labels] < M
     return SphereConfig(
         config.centers[keep],
         config.radii[keep],

@@ -192,6 +192,18 @@ class InclusionGraph:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"invalid graph document: {exc}") from None
+        for k, nd in enumerate(nodes):
+            if nd.id != k or not (0.0 < nd.volume < math.inf):
+                raise SchemaError(f"node at position {k}: need id {k} and a "
+                                  f"finite positive volume, got id {nd.id}, "
+                                  f"vol {nd.volume!r}")
+        for e in edges:
+            if not (0 <= e.a < e.b < len(nodes) and 0.0 < e.d < 1.0
+                    and e.mu == abs(math.log(e.d))):
+                raise SchemaError(
+                    f"edge {e.id}: need 0 <= a < b < {len(nodes)}, d in "
+                    f"(0, 1) and mu = |ln d|, got a {e.a}, b {e.b}, "
+                    f"d {e.d!r}, mu {e.mu!r}")
         return cls(nodes=nodes, edges=edges, delta=float(data["delta"]),
                    box_half_width=float(data["N"]))
 

@@ -23,7 +23,7 @@ from stiffnet.cli import (
     save_json,
 )
 from stiffnet.geometry import SphereConfig, components, generate_hardcore
-from stiffnet.multigraph import build_graph
+from stiffnet.multigraph import build_graph, short_kappa
 
 
 def spec_dict(**overrides):
@@ -40,6 +40,12 @@ def spec_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def hardcore_graph():
+    config = generate_hardcore(seed=13, N=5, intensity=0.05, radius=0.9,
+                               min_gap=0.02)
+    return build_graph(components(config), config, 0.45)
 
 
 class TestSerialization:
@@ -60,6 +66,12 @@ class TestSerialization:
         assert graph.n_edges > 0
         back = roundtrip(graph, tmp_path / "graph.json")
         assert back == graph
+
+    def test_shorted_graph_roundtrip(self, tmp_path):
+        graph = hardcore_graph()
+        shorted = short_kappa(graph, (), sorted(e.d for e in graph.edges)[2])
+        assert shorted.n_nodes < graph.n_nodes
+        assert roundtrip(shorted, tmp_path / "shorted.json") == shorted
 
     def test_corrupted_file_raises_schema_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -171,6 +183,32 @@ class TestMain:
         assert code == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["total"] >= 0.0
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["edges"][0].update(b=10 ** 6),
+        lambda doc: [e.update(mu=-5.0) for e in doc["edges"]],
+        lambda doc: doc["nodes"][0].update(id=7),
+        lambda doc: doc["edges"][0].update(d=1.5),
+        lambda doc: doc["edges"][0].update(mu=doc["edges"][0]["mu"] * 2),
+        lambda doc: doc["nodes"][1].update(vol=0.0),
+    ], ids=["far-endpoint", "negative-mu", "misnumbered-node", "wide-gap",
+            "inconsistent-mu", "zero-volume"])
+    def test_energy_rejects_out_of_range_graph(self, tmp_path, capsys,
+                                               corrupt):
+        doc = hardcore_graph().to_dict()
+        corrupt(doc)
+        path = tmp_path / "graph.json"
+        path.write_text(dumps_17g(doc))
+        code = main(["energy", "--graph", str(path)])
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_effective_with_decreasing_grid_exits_3(self, capsys):
+        code = main(["effective", "--model", "lattice", "--radius", "0.3",
+                     "--delta", "0.5", "--N-grid", "3,2"])
+        assert code == EXIT_VALIDATION_ERROR
+        assert "N_grid" in capsys.readouterr().err
 
     def test_run_with_empty_tasks_exits_3(self, tmp_path):
         spec_path = tmp_path / "spec.json"

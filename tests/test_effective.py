@@ -136,6 +136,14 @@ class TestEffectiveScan:
         # mean roundoff leaves at most ulp-level spread
         assert all(s <= 1e-12 for s in series.frobenius_stderrs)
 
+    @pytest.mark.parametrize("N_grid, n_seeds", [
+        ([3, 2, 1], 1), ([3, 4], 1), ([3, 4, 5], 0)])
+    def test_unscannable_grid_rejected(self, N_grid, n_seeds):
+        model = {"model": "lattice", "spacing": 1.0, "radius": 0.3,
+                 "jitter": 0.0}
+        with pytest.raises(ValueError):
+            effective_scan(model, 0.5, N_grid, n_seeds)
+
     def test_hardcore_scatter_shrinks_with_more_seeds(self):
         model = {"model": "hardcore", "intensity": 0.03, "radius": 1.0,
                  "min_gap": 0.1}
