@@ -2,10 +2,15 @@
 
 An experiment file is a JSON document (with a ``"version"`` field)
 describing a model, a box grid, seeds and a set of tasks; ``run_experiment``
-executes every task, writes one CSV per task plus a JSON summary, and
-returns a record carrying the spec hash, the seeds used and per-task wall
-clock.  Outputs are deterministic: identical specs produce byte-identical
-files regardless of the worker count.
+builds each (N, seed) cell once, evaluates every task on it, writes one
+CSV per task plus a JSON summary, and returns a record carrying the spec
+hash, the seeds used and ``wall_clock``: the wall time of each cell, keyed
+``(N, seed_index)``, covering its build and all its tasks (there is no
+per-task time; it is not written to disk).  Outputs are deterministic:
+identical specs produce byte-identical files regardless of the worker
+count.  The ``criteria`` and ``effective`` subcommands write the same CSV
+rows and summary dicts, report each failed cell on stderr and exit 1, as
+``run`` does.
 
 Subcommands: generate, graph, energy, criteria, effective, keller, run.
 """
@@ -13,12 +18,11 @@ Subcommands: generate, graph, energy, criteria, effective, keller, run.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import hashlib
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,16 +33,14 @@ from .criteria import (
     CriterionSeries,
     H2Options,
     check_scan_grid,
-    derive_cell_seed,
+    evaluate_statistic,
     generate_model,
-    h1_statistic,
+    scan_cells,
     scan_limsup,
 )
 from .effective import EffectiveSeries, effective_scan, network_effective_tensor
 from .energy import (
-    BoundaryFamily,
     KellerParams,
-    SolverOptions,
     affine_boundary_family,
     keller_energy,
     midpoint_boundary_family,
@@ -126,15 +128,11 @@ def _write_json(obj, parts):
 
 def save_json(obj, path):
     """Write a configuration or graph to disk (17-digit floats)."""
-    if isinstance(obj, SphereConfig):
-        doc = obj.to_dict()
-    elif isinstance(obj, InclusionGraph):
-        doc = obj.to_dict()
-    elif isinstance(obj, dict):
-        doc = obj
-    else:
+    if isinstance(obj, (SphereConfig, InclusionGraph)):
+        obj = obj.to_dict()
+    elif not isinstance(obj, dict):
         raise TypeError(f"cannot save {type(obj).__name__}")
-    Path(path).write_text(dumps_17g(doc) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps_17g(obj) + "\n", encoding="utf-8")
 
 
 def load_json(path, kind=None):
@@ -271,7 +269,8 @@ class ResultRecord:
         return not self.cell_errors
 
 
-def _write_csv(path, header, rows):
+def _csv_text(header, rows) -> str:
+    """CSV with a header line; floats in ``repr`` form, exact round trips."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -281,11 +280,11 @@ def _write_csv(path, header, rows):
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def _keller_table(params: dict):
-    """Rows over the nu grid plus the slope of the closed form vs ln(1/nu)."""
+    """Rows over the nu grid and the slope of the closed form vs ln(1/nu)."""
     a = float(params.get("a", 1.0))
     d = float(params.get("d", 1.0))
     gamma = float(params.get("gamma", 1.0))
@@ -294,12 +293,12 @@ def _keller_table(params: dict):
     rows = []
     for nu in nu_grid:
         out = keller_energy(KellerParams(a=a, nu=nu, d=d, gamma=gamma))
-        rows.append((nu, out["z_closed_form"], out["z_quadrature"],
-                     out["full_quadrature"], out["weighted_quadrature"]))
+        rows.append([nu, out["z_closed_form"], out["z_quadrature"],
+                     out["full_quadrature"], out["weighted_quadrature"]])
     x = np.log(1.0 / np.array(nu_grid))
     y = np.array([r[1] for r in rows])
     slope = float(np.polyfit(x, y, 1)[0]) if len(rows) > 1 else math.nan
-    return rows, slope
+    return {"rows": rows, "slope": slope}
 
 
 def _scan_statistic_params(spec: ExperimentSpec, task: str) -> dict:
@@ -332,8 +331,9 @@ def _scan_statistic_params(spec: ExperimentSpec, task: str) -> dict:
 def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
     """Execute every task of a spec; write CSVs and a JSON summary.
 
-    ``spec`` may be a path to a JSON spec file or an ExperimentSpec.
-    Partial results are written even when some cells error.
+    ``spec`` may be a path to a JSON spec file or an ExperimentSpec.  The
+    scan tasks share one pass over the (N, seed) grid, ``threads`` cells at
+    a time.  Partial results are written even when some cells error.
     """
     if not isinstance(spec, ExperimentSpec):
         try:
@@ -345,76 +345,50 @@ def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    model_params = {"model": spec.model, **spec.model_params}
+    layer_width = spec.task_params.get("layer_width")
+    layer = float(layer_width) if layer_width is not None else spec.delta
+    evaluators = {}
+    for task in spec.tasks:
+        if task == "effective":
+            evaluators[task] = lambda cell: network_effective_tensor(
+                cell.graph, layer)
+        elif task != "keller":
+            evaluators[task] = functools.partial(
+                evaluate_statistic, task, _scan_statistic_params(spec, task))
+    scan = None
+    if evaluators:
+        scan = scan_cells({"model": spec.model, **spec.model_params},
+                          spec.delta, spec.N_grid, spec.n_seeds, evaluators,
+                          base_seed=spec.base_seed, threads=threads)
+
     task_outputs: dict = {}
     seeds_used: dict = {}
-    wall_clock: dict = {}
     cell_errors: list[str] = []
-
-    def _run_task(task):
-        t0 = time.perf_counter()
+    for task in spec.tasks:
         if task == "keller":
-            rows, slope = _keller_table(spec.task_params.get("keller", {}))
-            result = {"rows": rows, "slope": slope}
-        elif task == "effective":
-            series = effective_scan(
-                model_params, spec.delta, spec.N_grid, spec.n_seeds,
-                layer_width=spec.task_params.get("layer_width"),
-                base_seed=spec.base_seed)
-            result = series
+            table = _keller_table(spec.task_params.get("keller", {}))
+            header = ("nu", "z_closed_form", "z_quadrature",
+                      "full_quadrature", "weighted_quadrature")
+            task_outputs[task], rows = table, table["rows"]
         else:
-            series = scan_limsup(
-                model_params, spec.delta, spec.N_grid, spec.n_seeds,
-                statistic_selector=task,
-                statistic_params=_scan_statistic_params(spec, task),
-                base_seed=spec.base_seed)
-            result = series
-        return task, result, time.perf_counter() - t0
-
-    if threads > 1 and len(spec.tasks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_task, spec.tasks))
-    else:
-        results = [_run_task(t) for t in spec.tasks]
-    results.sort(key=lambda r: spec.tasks.index(r[0]))
-
-    for task, result, elapsed in results:
-        wall_clock[task] = elapsed
-        if task == "keller":
-            task_outputs[task] = {
-                "rows": [[float(v) for v in row] for row in result["rows"]],
-                "slope": result["slope"],
-            }
-            _write_csv(out / "keller.csv",
-                       ("nu", "z_closed_form", "z_quadrature",
-                        "full_quadrature", "weighted_quadrature"),
-                       result["rows"])
-        elif task == "effective":
-            series: EffectiveSeries = result
-            _write_csv(out / "effective.csv",
-                       ("N", "seed", "a11", "a22", "a33", "a12", "a13", "a23"),
-                       series.to_rows())
-            task_outputs[task] = {
-                "mean_matrices": [[[float(v) for v in row] for row in m]
-                                  for m in series.mean_matrices],
-                "frobenius_stderrs": [float(v) for v in series.frobenius_stderrs],
-            }
-            seeds_used[task] = [list(s) for s in series.seeds]
-            cell_errors.extend(series.errors)
-        else:
-            series: CriterionSeries = result
-            _write_csv(out / f"{task}.csv", ("N", "seed", "value"),
-                       series.to_rows())
+            if task == "effective":
+                series = EffectiveSeries.from_scan(scan, task, spec.delta,
+                                                   layer)
+            else:
+                series = CriterionSeries.from_scan(scan, task)
+            header, rows = series.CSV_HEADER, series.to_rows()
             task_outputs[task] = series.to_summary_dict()
             seeds_used[task] = [list(s) for s in series.seeds]
             cell_errors.extend(series.errors)
+        (out / f"{task}.csv").write_text(_csv_text(header, rows),
+                                         encoding="utf-8")
 
     record = ResultRecord(
         spec_hash=spec.hash(),
         tool_version=__version__,
         task_outputs=task_outputs,
         seeds_used=seeds_used,
-        wall_clock=wall_clock,
+        wall_clock=scan.wall_clock if scan is not None else {},
         cell_errors=tuple(cell_errors),
     )
     summary = {
@@ -425,8 +399,7 @@ def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
         "seeds_used": seeds_used,
         "cell_errors": list(record.cell_errors),
     }
-    Path(out / "summary.json").write_text(dumps_17g(summary) + "\n",
-                                          encoding="utf-8")
+    save_json(summary, out / "summary.json")
     return record
 
 
@@ -533,32 +506,33 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION_ERROR
 
 
-def _emit(args, payload: dict, default_name: str):
-    text = dumps_17g(payload) + "\n"
+def _emit(args, text: str):
+    """Write ``text`` to ``--out``, or to stdout without it."""
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
+def _exit_code(cell_errors) -> int:
+    """Report each failed cell on stderr; EXIT_CELL_ERRORS if there is one."""
+    for message in cell_errors:
+        print(f"error: {message}", file=sys.stderr)
+    return EXIT_CELL_ERRORS if cell_errors else EXIT_OK
+
+
 def _dispatch(args) -> int:
     if args.command == "generate":
         config = generate_model(args.model, _model_params_from_args(args),
                                 args.N, args.seed)
-        if args.out:
-            save_json(config, args.out)
-        else:
-            sys.stdout.write(dumps_17g(config.to_dict()) + "\n")
+        _emit(args, dumps_17g(config.to_dict()) + "\n")
         return EXIT_OK
 
     if args.command == "graph":
         config = load_json(args.config, kind="config")
         restricted = restrict_box(config, config.box_half_width)
         graph = build_graph(components(restricted), restricted, args.delta)
-        if args.out:
-            save_json(graph, args.out)
-        else:
-            sys.stdout.write(dumps_17g(graph.to_dict()) + "\n")
+        _emit(args, dumps_17g(graph.to_dict()) + "\n")
         return EXIT_OK
 
     if args.command == "energy":
@@ -567,67 +541,39 @@ def _dispatch(args) -> int:
                   else midpoint_boundary_family)
         b = family(graph, args.xi)
         _, breakdown = minimize_energy(graph, b)
-        _emit(args, {"gap": breakdown.gap, "mass": breakdown.mass,
-                     "total": breakdown.total}, "energy.json")
+        _emit(args, dumps_17g({"gap": breakdown.gap, "mass": breakdown.mass,
+                               "total": breakdown.total}) + "\n")
         return EXIT_OK
 
-    if args.command == "criteria":
+    if args.command in ("criteria", "effective"):
         N_grid = [float(v) for v in args.N_grid.split(",")]
         model_params = {"model": args.model, **_model_params_from_args(args)}
-        statistic_params = {"xi": args.xi, "s": args.s, "k": args.k,
-                            "p": args.p}
-        if args.statistic == "h2":
-            statistic_params["opts"] = H2Options(s=args.s, seed=args.seed)
-        series = scan_limsup(model_params, args.delta, N_grid, args.n_seeds,
-                             args.statistic, statistic_params,
-                             base_seed=args.seed)
-        if args.format == "csv":
-            rows = "\n".join(f"{N},{seed},{value!r}"
-                             for N, seed, value in series.to_rows())
-            text = "N,seed,value\n" + rows + "\n"
-            if args.out:
-                Path(args.out).write_text(text, encoding="utf-8")
-            else:
-                sys.stdout.write(text)
+        if args.command == "criteria":
+            statistic_params = {"xi": args.xi, "s": args.s, "k": args.k,
+                                "p": args.p}
+            if args.statistic == "h2":
+                statistic_params["opts"] = H2Options(s=args.s, seed=args.seed)
+            series = scan_limsup(model_params, args.delta, N_grid,
+                                 args.n_seeds, args.statistic,
+                                 statistic_params, base_seed=args.seed)
+            payload = series.to_summary_dict()
         else:
-            _emit(args, series.to_summary_dict(), "criteria.json")
-        return EXIT_OK
-
-    if args.command == "effective":
-        N_grid = [float(v) for v in args.N_grid.split(",")]
-        model_params = {"model": args.model, **_model_params_from_args(args)}
-        series = effective_scan(model_params, args.delta, N_grid,
-                                args.n_seeds, layer_width=args.layer_width,
-                                base_seed=args.seed)
+            series = effective_scan(model_params, args.delta, N_grid,
+                                    args.n_seeds, layer_width=args.layer_width,
+                                    base_seed=args.seed)
+            payload = {"N_grid": list(series.N_grid),
+                       **series.to_summary_dict()}
         if args.format == "csv":
-            header = "N,seed,a11,a22,a33,a12,a13,a23"
-            rows = "\n".join(",".join([str(r[0]), str(r[1])]
-                                      + [repr(float(v)) for v in r[2:]])
-                             for r in series.to_rows())
-            text = header + "\n" + rows + "\n"
-            if args.out:
-                Path(args.out).write_text(text, encoding="utf-8")
-            else:
-                sys.stdout.write(text)
+            _emit(args, _csv_text(series.CSV_HEADER, series.to_rows()))
         else:
-            payload = {
-                "N_grid": list(series.N_grid),
-                "mean_matrices": [[[float(v) for v in row] for row in m]
-                                  for m in series.mean_matrices],
-                "frobenius_stderrs": [float(v) for v in series.frobenius_stderrs],
-            }
-            _emit(args, payload, "effective.json")
-        return EXIT_OK
+            _emit(args, dumps_17g(payload) + "\n")
+        return _exit_code(series.errors)
 
     if args.command == "keller":
         nu_grid = [float(v) for v in args.nu_grid.split(",")]
-        rows, slope = _keller_table({"a": args.a, "d": args.d,
-                                     "gamma": args.gamma, "nu_grid": nu_grid})
-        payload = {
-            "rows": [[float(v) for v in row] for row in rows],
-            "slope": slope,
-        }
-        _emit(args, payload, "keller.json")
+        table = _keller_table({"a": args.a, "d": args.d, "gamma": args.gamma,
+                               "nu_grid": nu_grid})
+        _emit(args, dumps_17g(table) + "\n")
         return EXIT_OK
 
     if args.command == "run":
@@ -636,7 +582,7 @@ def _dispatch(args) -> int:
         print(f"spec {record.spec_hash[:12]}: "
               f"{len(record.task_outputs)} tasks, "
               f"{len(record.cell_errors)} cell errors")
-        return EXIT_OK if record.ok else EXIT_CELL_ERRORS
+        return _exit_code(record.cell_errors)
 
     raise ValueError(f"unknown command {args.command!r}")
 

@@ -18,14 +18,19 @@ minimized by b = (beta/2, -beta/2)).  For s = 2 on small graphs the sup is
 also computed exactly as the top eigenvalue of the condensed quadratic
 form.
 
-``scan_limsup`` evaluates a statistic over an (N, seed) grid and reports a
-plateau estimate, the empirical surrogate for an almost-sure limsup.
+``scan_cells`` is the one loop over an (N, seed) grid: it builds each
+cell's configuration and graph once and evaluates every requested task on
+it.  ``scan_limsup`` runs it for one statistic and reports a plateau
+estimate, the empirical surrogate for an almost-sure limsup.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +67,10 @@ __all__ = [
     "log_moment_statistic",
     "density_estimate",
     "scan_limsup",
+    "scan_cells",
+    "evaluate_statistic",
+    "ScanCell",
+    "CellScan",
     "derive_cell_seed",
     "generate_model",
 ]
@@ -81,7 +90,6 @@ class H2Options:
     max_ascent_iters: int = 500
     tol: float = 1e-8
     seed: int = 0
-    exclude_zero: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -112,6 +120,17 @@ def _ordered_pair_power_sum(b: BoundaryFamily, s: float) -> float:
     return float(2.0 * (np.sum(np.abs(b.ab) ** s) + np.sum(np.abs(b.ba) ** s)))
 
 
+def _affine_energy_density(graph: InclusionGraph, xi,
+                           solver_opts: SolverOptions | None = None) -> float:
+    """inf_u E(u, affine family of a nonzero xi) / |Q_N| on a built graph."""
+    xi = np.asarray(xi, dtype=float).reshape(3)
+    if not (np.linalg.norm(xi) > 0.0):
+        raise ValueError("xi must be nonzero")
+    b = affine_boundary_family(graph, xi)
+    _, breakdown = minimize_energy(graph, b, solver_opts)
+    return breakdown.total / graph.box_volume()
+
+
 def h1_statistic(config: SphereConfig, delta: float, xi,
                  solver_opts: SolverOptions | None = None) -> float:
     """Normalized minimal energy with the affine boundary family.
@@ -119,15 +138,9 @@ def h1_statistic(config: SphereConfig, delta: float, xi,
     Builds the box-restricted configuration, its gap multigraph at
     threshold ``delta``, and returns inf_u E / |Q_N|.
     """
-    xi = np.asarray(xi, dtype=float).reshape(3)
-    if not (np.linalg.norm(xi) > 0.0):
-        raise ValueError("xi must be nonzero")
     restricted = restrict_box(config, config.box_half_width)
-    comp = components(restricted)
-    graph = build_graph(comp, restricted, delta)
-    b = affine_boundary_family(graph, xi)
-    _, breakdown = minimize_energy(graph, b, solver_opts)
-    return breakdown.total / graph.box_volume()
+    graph = build_graph(components(restricted), restricted, delta)
+    return _affine_energy_density(graph, xi, solver_opts)
 
 
 def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float,
@@ -420,6 +433,37 @@ class CriterionSeries:
     plateau_ok: bool
     errors: tuple[str, ...] = ()
 
+    CSV_HEADER = ("N", "seed", "value")
+
+    @classmethod
+    def from_scan(cls, scan: "CellScan", task: str) -> "CriterionSeries":
+        """Series of one scalar task; failed cells read NaN, means skip NaN."""
+        values = tuple(tuple(math.nan if v is None else float(v) for v in row)
+                       for row in scan.values[task])
+        means, stderrs = [], []
+        for vals in values:
+            arr = np.array(vals)
+            good = arr[~np.isnan(arr)]
+            if good.size == 0:
+                means.append(math.nan)
+                stderrs.append(math.nan)
+            else:
+                means.append(float(good.mean()))
+                stderrs.append(float(good.std(ddof=1) / math.sqrt(good.size))
+                               if good.size > 1 else 0.0)
+        estimate, ok = _plateau(means)
+        return cls(
+            statistic=task,
+            N_grid=scan.N_grid,
+            seeds=scan.seeds,
+            values=values,
+            means=tuple(means),
+            stderrs=tuple(stderrs),
+            plateau_estimate=estimate,
+            plateau_ok=ok,
+            errors=scan.errors[task],
+        )
+
     def to_rows(self):
         """CSV rows (N, seed, value), cells in grid order."""
         rows = []
@@ -462,20 +506,46 @@ def _plateau(means):
     return float(estimate), bool(ok)
 
 
-def _evaluate_statistic(statistic, config, delta, params):
-    """One scan cell: restricted configuration -> statistic value."""
-    restricted = restrict_box(config, config.box_half_width)
+class ScanCell:
+    """One (N, seed) cell of a scan; each stage is built on first use, once.
+
+    Every task evaluated on the cell shares its stages.  A stage that
+    raises is not cached, so each task needing it records the failure.
+    ``sample_seed`` seeds the cluster-moment sample points.
+    """
+
+    def __init__(self, model: str, model_params: dict, delta: float,
+                 N: float, seed: int, sample_seed: int):
+        self.model, self.model_params, self.delta = model, model_params, delta
+        self.N, self.seed, self.sample_seed = N, seed, sample_seed
+
+    @functools.cached_property
+    def config(self) -> SphereConfig:
+        return generate_model(self.model, self.model_params, self.N, self.seed)
+
+    @functools.cached_property
+    def restricted(self) -> SphereConfig:
+        return restrict_box(self.config, self.config.box_half_width)
+
+    @functools.cached_property
+    def comp(self):
+        return components(self.restricted)
+
+    @functools.cached_property
+    def graph(self) -> InclusionGraph:
+        return build_graph(self.comp, self.restricted, self.delta)
+
+
+def evaluate_statistic(statistic: str, params: dict, cell: ScanCell) -> float:
+    """One cell's value of ``statistic``; a scan task once ``params`` is bound."""
     if statistic == "density":
-        return density_estimate(restricted)
+        return float(np.sum(cell.comp.volumes)) / cell.restricted.box_volume()
+    graph = cell.graph
     if statistic == "h1":
-        xi = params.get("xi", (1.0, 0.0, 0.0))
-        return h1_statistic(restricted, delta, xi,
-                            params.get("solver"))
-    comp = components(restricted)
-    graph = build_graph(comp, restricted, delta)
+        return _affine_energy_density(graph, params.get("xi", (1.0, 0.0, 0.0)))
     kappa = params.get("kappa")
     if kappa is not None and statistic in ("h2", "logmoment"):
-        graph = short_kappa(graph, params.get("protected_edges", ()), kappa)
+        graph = short_kappa(graph, (), kappa)
     if statistic == "h2":
         opts = params.get("opts")
         if opts is None:
@@ -485,9 +555,9 @@ def _evaluate_statistic(statistic, config, delta, params):
         return log_moment_statistic(graph, params.get("k", 2.0))
     if statistic == "clustermoment":
         est = cluster_moment_statistic(
-            config=restricted, graph=graph, p=params.get("p", 2.0),
+            config=cell.restricted, graph=graph, p=params.get("p", 2.0),
             n_samples=params.get("n_samples", 2000),
-            seed=params.get("sample_seed", 0),
+            seed=params.get("sample_seed", cell.sample_seed),
             quantity=params.get("quantity", "diam"))
         return est.mean
     raise ValueError(f"unknown statistic {statistic!r}")
@@ -509,6 +579,67 @@ def check_scan_grid(N_grid, n_seeds: int) -> list[float]:
     return N_grid
 
 
+@dataclass(frozen=True)
+class CellScan:
+    """Every task's results over an (N, seed) grid, in grid order.
+
+    ``values[task]`` has one tuple per N, ``None`` where the task failed;
+    ``errors[task]`` lists those failures.  ``wall_clock`` maps
+    ``(N, seed_index)`` to the time spent building and evaluating a cell.
+    """
+
+    N_grid: tuple[float, ...]
+    seeds: tuple[tuple[int, ...], ...]
+    values: dict
+    errors: dict
+    wall_clock: dict
+
+
+def scan_cells(model_params: dict, delta: float, N_grid, n_seeds: int,
+               tasks: dict, base_seed: int = 0, threads: int = 1) -> CellScan:
+    """Evaluate every task on each (N, seed) cell of fresh configurations.
+
+    ``tasks`` maps a name to an evaluator, ScanCell -> value.  Each cell
+    draws its configuration at its own derived seed and is dropped once
+    its tasks are done.  A failure is recorded per (cell, task) without
+    aborting anything else.  With ``threads > 1`` cells run on a thread
+    pool; results are collected in grid order, so they do not depend on it.
+    """
+    N_grid = check_scan_grid(N_grid, n_seeds)
+    model = dict(model_params)
+    model_name = model.pop("model")
+
+    def run_cell(N, k):
+        t0 = time.perf_counter()
+        cell = ScanCell(model_name, model, delta, N,
+                        derive_cell_seed(base_seed, N, k),
+                        derive_cell_seed(base_seed + 1, N, k))
+        results = {}
+        for task, evaluate in tasks.items():
+            try:
+                results[task] = (evaluate(cell), None)
+            except Exception as exc:   # noqa: BLE001 - per-(cell, task) isolation
+                results[task] = (None, f"N={N} seed_index={k}: {exc}")
+        return cell.seed, results, time.perf_counter() - t0
+
+    grid = [(N, k) for N in N_grid for k in range(n_seeds)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            cells = list(pool.map(run_cell, *zip(*grid)))
+    else:
+        cells = [run_cell(N, k) for N, k in grid]
+    rows = [cells[i:i + n_seeds] for i in range(0, len(cells), n_seeds)]
+    return CellScan(
+        N_grid=tuple(N_grid),
+        seeds=tuple(tuple(seed for seed, _, _ in row) for row in rows),
+        values={task: tuple(tuple(res[task][0] for _, res, _ in row)
+                            for row in rows) for task in tasks},
+        errors={task: tuple(res[task][1] for _, res, _ in cells
+                            if res[task][1] is not None) for task in tasks},
+        wall_clock={cell: elapsed for cell, (_, _, elapsed) in zip(grid, cells)},
+    )
+
+
 def scan_limsup(model_params: dict, delta: float, N_grid, n_seeds: int,
                 statistic_selector: str, statistic_params: dict | None = None,
                 base_seed: int = 0) -> CriterionSeries:
@@ -518,52 +649,8 @@ def scan_limsup(model_params: dict, delta: float, N_grid, n_seeds: int,
     derived seed; failures are recorded per cell (value NaN) without
     aborting the scan.
     """
-    N_grid = check_scan_grid(N_grid, n_seeds)
-    params = dict(statistic_params or {})
-    model = dict(model_params)
-    model_name = model.pop("model")
-
-    seeds_out, values_out, errors = [], [], []
-    for N in N_grid:
-        cell_seeds, cell_values = [], []
-        for k in range(n_seeds):
-            cell_seed = derive_cell_seed(base_seed, N, k)
-            cell_seeds.append(cell_seed)
-            try:
-                config = generate_model(model_name, model, N, cell_seed)
-                cell_params = dict(params)
-                if statistic_selector == "clustermoment":
-                    cell_params.setdefault("sample_seed",
-                                           derive_cell_seed(base_seed + 1, N, k))
-                value = _evaluate_statistic(statistic_selector, config,
-                                            delta, cell_params)
-            except Exception as exc:   # noqa: BLE001 - per-cell isolation
-                errors.append(f"N={N} seed_index={k}: {exc}")
-                value = math.nan
-            cell_values.append(float(value))
-        seeds_out.append(tuple(cell_seeds))
-        values_out.append(tuple(cell_values))
-
-    means, stderrs = [], []
-    for vals in values_out:
-        arr = np.array(vals)
-        good = arr[~np.isnan(arr)]
-        if good.size == 0:
-            means.append(math.nan)
-            stderrs.append(math.nan)
-        else:
-            means.append(float(good.mean()))
-            stderrs.append(float(good.std(ddof=1) / math.sqrt(good.size))
-                           if good.size > 1 else 0.0)
-    estimate, ok = _plateau(means)
-    return CriterionSeries(
-        statistic=statistic_selector,
-        N_grid=tuple(N_grid),
-        seeds=tuple(seeds_out),
-        values=tuple(values_out),
-        means=tuple(means),
-        stderrs=tuple(stderrs),
-        plateau_estimate=estimate,
-        plateau_ok=ok,
-        errors=tuple(errors),
-    )
+    task = functools.partial(evaluate_statistic, statistic_selector,
+                             dict(statistic_params or {}))
+    scan = scan_cells(model_params, delta, N_grid, n_seeds,
+                      {statistic_selector: task}, base_seed)
+    return CriterionSeries.from_scan(scan, statistic_selector)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .criteria import check_scan_grid, derive_cell_seed, generate_model
+from .criteria import CellScan, scan_cells
 from .energy import SolverOptions, SPDSolver
-from .geometry import _connected_labels, components, restrict_box
-from .multigraph import InclusionGraph, build_graph
+from .geometry import _connected_labels
+from .multigraph import InclusionGraph
 
 __all__ = [
     "EffectiveTensor",
@@ -169,6 +169,45 @@ class EffectiveSeries:
     frobenius_stderrs: tuple[float, ...]
     errors: tuple[str, ...] = ()
 
+    CSV_HEADER = ("N", "seed", "a11", "a22", "a33", "a12", "a13", "a23")
+
+    @classmethod
+    def from_scan(cls, scan: CellScan, task: str, delta: float,
+                  layer: float) -> "EffectiveSeries":
+        """Series of one tensor task; failed cells read an all-NaN tensor.
+
+        Means and spreads skip every tensor with a non-finite entry.
+        """
+        tensors, means, stderrs = [], [], []
+        for N, row in zip(scan.N_grid, scan.values[task]):
+            row = tuple(EffectiveTensor(np.full((3, 3), np.nan), (math.nan,) * 6,
+                                        N, delta, layer) if t is None else t
+                        for t in row)
+            tensors.append(row)
+            mats = [t.matrix for t in row if np.all(np.isfinite(t.matrix))]
+            if mats:
+                stack = np.stack(mats)
+                mean = stack.mean(axis=0)
+                means.append(mean)
+                if len(mats) > 1:
+                    frob = np.array([np.linalg.norm(m - mean) for m in mats])
+                    stderrs.append(float(np.sqrt(np.sum(frob ** 2)
+                                                 / (len(mats) - 1))
+                                         / math.sqrt(len(mats))))
+                else:
+                    stderrs.append(0.0)
+            else:
+                means.append(np.full((3, 3), np.nan))
+                stderrs.append(math.nan)
+        return cls(
+            N_grid=scan.N_grid,
+            seeds=scan.seeds,
+            tensors=tuple(tensors),
+            mean_matrices=tuple(means),
+            frobenius_stderrs=tuple(stderrs),
+            errors=scan.errors[task],
+        )
+
     def to_rows(self):
         """CSV rows (N, seed, a11, a22, a33, a12, a13, a23)."""
         rows = []
@@ -179,57 +218,20 @@ class EffectiveSeries:
                              m[0, 1], m[0, 2], m[1, 2]))
         return rows
 
+    def to_summary_dict(self):
+        return {
+            "mean_matrices": [[[float(v) for v in row] for row in m]
+                              for m in self.mean_matrices],
+            "frobenius_stderrs": [float(v) for v in self.frobenius_stderrs],
+        }
+
 
 def effective_scan(model_params: dict, delta: float, N_grid, n_seeds: int,
                    layer_width: float | None = None, base_seed: int = 0,
                    solver_opts: SolverOptions | None = None) -> EffectiveSeries:
     """Tensors over an (N, seed) grid; clamping layer defaults to delta."""
-    N_grid = check_scan_grid(N_grid, n_seeds)
     layer = float(layer_width) if layer_width is not None else float(delta)
-    model = dict(model_params)
-    model_name = model.pop("model")
-
-    seeds_out, tensors_out, errors = [], [], []
-    means, stderrs = [], []
-    for N in N_grid:
-        cell_seeds, cell_tensors, mats = [], [], []
-        for k in range(n_seeds):
-            cell_seed = derive_cell_seed(base_seed, N, k)
-            cell_seeds.append(cell_seed)
-            try:
-                config = generate_model(model_name, model, N, cell_seed)
-                restricted = restrict_box(config, config.box_half_width)
-                comp = components(restricted)
-                graph = build_graph(comp, restricted, delta)
-                tensor = network_effective_tensor(graph, layer, solver_opts)
-            except Exception as exc:   # noqa: BLE001 - per-cell isolation
-                errors.append(f"N={N} seed_index={k}: {exc}")
-                tensor = EffectiveTensor(np.full((3, 3), np.nan), (math.nan,) * 6,
-                                         N, delta, layer)
-            cell_tensors.append(tensor)
-            if np.all(np.isfinite(tensor.matrix)):
-                mats.append(tensor.matrix)
-        seeds_out.append(tuple(cell_seeds))
-        tensors_out.append(tuple(cell_tensors))
-        if mats:
-            stack = np.stack(mats)
-            mean = stack.mean(axis=0)
-            means.append(mean)
-            if len(mats) > 1:
-                frob = np.array([np.linalg.norm(m - mean) for m in mats])
-                stderrs.append(float(np.sqrt(np.sum(frob ** 2)
-                                             / (len(mats) - 1))
-                                     / math.sqrt(len(mats))))
-            else:
-                stderrs.append(0.0)
-        else:
-            means.append(np.full((3, 3), np.nan))
-            stderrs.append(math.nan)
-    return EffectiveSeries(
-        N_grid=tuple(N_grid),
-        seeds=tuple(seeds_out),
-        tensors=tuple(tensors_out),
-        mean_matrices=tuple(means),
-        frobenius_stderrs=tuple(stderrs),
-        errors=tuple(errors),
-    )
+    scan = scan_cells(model_params, delta, N_grid, n_seeds, {
+        "effective": lambda cell: network_effective_tensor(
+            cell.graph, layer, solver_opts)}, base_seed)
+    return EffectiveSeries.from_scan(scan, "effective", delta, layer)

@@ -73,12 +73,14 @@ class SphereConfig:
         radii = np.asarray(radii, dtype=float).reshape(-1)
         if centers.shape[0] != radii.shape[0]:
             raise ValueError("centers and radii length mismatch")
-        if radii.size and not np.all(radii > 0.0):
-            raise ValueError("all radii must be positive")
-        if not (box_half_width > 0.0):
-            raise ValueError("box_half_width must be positive")
-        if not (contact_tol > 0.0):
-            raise ValueError("contact_tol must be positive")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("all centers must be finite")
+        if radii.size and not np.all((radii > 0.0) & (radii < np.inf)):
+            raise ValueError("all radii must be positive and finite")
+        if not (0.0 < box_half_width < math.inf):
+            raise ValueError("box_half_width must be positive and finite")
+        if not (0.0 < contact_tol < math.inf):
+            raise ValueError("contact_tol must be positive and finite")
         self.centers = centers
         self.radii = radii
         self.box_half_width = float(box_half_width)

@@ -237,6 +237,40 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["slope"] == pytest.approx(math.pi / 2, rel=0.02)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["criteria", "--model", "lattice", "--radius", "0.3",
+          "--delta", "0.05", "--N-grid", "3,4,5", "--n-seeds", "1",
+          "--statistic", "h2"], "graph has no edges"),
+        (["effective", "--model", "lattice", "--radius", "0.3",
+          "--delta", "0.5", "--N-grid", "3,4,5", "--layer-width", "-1"],
+         "layer_width must be positive"),
+    ], ids=["criteria-h2-edgeless", "effective-negative-layer"])
+    def test_scan_subcommand_reports_cell_errors(self, tmp_path, capsys,
+                                                 argv, message):
+        out_path = tmp_path / "series.csv"
+        code = main(["--format", "csv", "--out", str(out_path), *argv])
+        assert code == EXIT_CELL_ERRORS
+        assert len(out_path.read_text().splitlines()) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line, N in zip(err, (3.0, 4.0, 5.0)):
+            assert line.startswith(f"error: N={N} seed_index=0: {message}")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["spheres"][0]["c"].__setitem__(1, math.nan),
+        lambda doc: doc.update(box_half_width=math.inf),
+    ], ids=["nan-center", "infinite-box"])
+    def test_graph_rejects_non_finite_config(self, tmp_path, capsys, corrupt):
+        doc = generate_hardcore(seed=3, N=4, intensity=0.05, radius=0.9,
+                                min_gap=0.05).to_dict()
+        corrupt(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = main(["graph", "--config", str(path), "--delta", "0.45"])
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_criteria_subcommand_csv(self, tmp_path):
         out_path = tmp_path / "series.csv"
         code = main(["--format", "csv", "--out", str(out_path), "criteria",

@@ -1,0 +1,86 @@
+"""The cell-major scan loop: each (N, seed) cell is built once for all tasks."""
+
+import math
+
+import stiffnet.cli
+import stiffnet.criteria
+import stiffnet.effective
+from stiffnet.cli import ExperimentSpec, run_experiment
+from stiffnet.criteria import scan_limsup
+from stiffnet.effective import effective_scan
+
+MODEL = {"spacing": 1.0, "radius": 0.4, "jitter": 0.05}
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``name`` in every stiffnet module that binds it; returns the tally."""
+    calls = []
+    original = getattr(stiffnet.criteria, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (stiffnet.criteria, stiffnet.effective, stiffnet.cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def spec(**overrides):
+    data = {
+        "version": 1,
+        "model": "lattice",
+        "model_params": MODEL,
+        "delta": 0.5,
+        "N_grid": [3, 4, 5],
+        "n_seeds": 1,
+        "base_seed": 11,
+        "tasks": ["h1", "logmoment", "clustermoment", "effective"],
+        "task_params": {"p": 2.0, "n_samples": 200},
+    }
+    data.update(overrides)
+    return ExperimentSpec.from_dict(data)
+
+
+def test_each_cell_generated_and_built_once(tmp_path, monkeypatch):
+    generated = count_calls(monkeypatch, "generate_model")
+    built = count_calls(monkeypatch, "build_graph")
+    record = run_experiment(spec(), out_dir=tmp_path)
+    assert record.ok
+    assert len(generated) == 3
+    assert len(built) == 3
+    assert set(record.wall_clock) == {(3.0, 0), (4.0, 0), (5.0, 0)}
+
+    model = {"model": "lattice", **MODEL}
+    task_params = {"h1": {"xi": (1.0, 0.0, 0.0)}, "logmoment": {"k": 2.0},
+                   "clustermoment": {"p": 2.0, "n_samples": 200}}
+    for task, params in task_params.items():
+        series = scan_limsup(model, 0.5, [3, 4, 5], 1, task, params,
+                             base_seed=11)
+        assert record.task_outputs[task]["values"] == \
+            [list(v) for v in series.values]
+    tensors = effective_scan(model, 0.5, [3, 4, 5], 1, base_seed=11)
+    assert record.task_outputs["effective"]["mean_matrices"] == \
+        [m.tolist() for m in tensors.mean_matrices]
+
+
+def test_build_failure_recorded_by_every_task(tmp_path):
+    bad = spec(model_params={**MODEL, "spacing": -1.0},
+               tasks=["logmoment", "effective", "h1"])
+    record = run_experiment(bad, out_dir=tmp_path, threads=2)
+    messages = [f"N={N} seed_index=0: spacing must be positive"
+                for N in (3.0, 4.0, 5.0)]
+    assert record.cell_errors == tuple(messages * 3)
+    assert all(math.isnan(v) for row in record.task_outputs["h1"]["values"]
+               for v in row)
+
+
+def test_cell_threads_byte_identical(tmp_path):
+    one = spec(n_seeds=2)
+    run_experiment(one, out_dir=tmp_path / "a")
+    run_experiment(one, out_dir=tmp_path / "b", threads=3)
+    for name in ("h1.csv", "logmoment.csv", "clustermoment.csv",
+                 "effective.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
