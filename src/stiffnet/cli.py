@@ -46,7 +46,7 @@ from .energy import (
     midpoint_boundary_family,
     minimize_energy,
 )
-from .geometry import SphereConfig, components, restrict_box
+from .geometry import SchemaError, SphereConfig, components, restrict_box
 from .multigraph import InclusionGraph, build_graph
 
 __all__ = [
@@ -68,10 +68,6 @@ EXIT_OK = 0
 EXIT_CELL_ERRORS = 1
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
-
-
-class SchemaError(ValueError):
-    """A document does not match its expected schema."""
 
 
 class ValidationError(ValueError):
@@ -555,12 +551,13 @@ def _dispatch(args) -> int:
                 statistic_params["opts"] = H2Options(s=args.s, seed=args.seed)
             series = scan_limsup(model_params, args.delta, N_grid,
                                  args.n_seeds, args.statistic,
-                                 statistic_params, base_seed=args.seed)
+                                 statistic_params, base_seed=args.seed,
+                                 threads=args.threads)
             payload = series.to_summary_dict()
         else:
             series = effective_scan(model_params, args.delta, N_grid,
                                     args.n_seeds, layer_width=args.layer_width,
-                                    base_seed=args.seed)
+                                    base_seed=args.seed, threads=args.threads)
             payload = {"N_grid": list(series.N_grid),
                        **series.to_summary_dict()}
         if args.format == "csv":

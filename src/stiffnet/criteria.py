@@ -169,11 +169,10 @@ def _condensed_quadratic_form(graph: InclusionGraph,
     Q = W - W A K^-1 A^T W with W = diag(2 mu), K = D + 2 L.
     """
     n, m = graph.n_nodes, graph.n_edges
-    a_idx, b_idx, mu, _ = graph.edge_arrays
-    W = np.diag(2.0 * mu)
+    W = np.diag(2.0 * graph.mu)
     A = np.zeros((m, n))
-    A[np.arange(m), a_idx] += 1.0
-    A[np.arange(m), b_idx] -= 1.0
+    A[np.arange(m), graph.a] += 1.0
+    A[np.arange(m), graph.b] -= 1.0
     K = LaplacianAssembly(graph, identity_mass=identity_mass).system_matrix.toarray()
     WA = W @ A
     return W - WA @ np.linalg.solve(K, WA.T)
@@ -195,11 +194,10 @@ class _CachedMinimizer:
     """
 
     def __init__(self, graph: InclusionGraph, opts: SolverOptions):
-        a_idx, b_idx, mu, _ = graph.edge_arrays
-        self.a_idx, self.b_idx, self.mu = a_idx, b_idx, mu
+        self.a_idx, self.b_idx, self.mu = graph.a, graph.b, graph.mu
         self.n = graph.n_nodes
         self.volumes = (np.ones(self.n) if opts.identity_mass
-                        else graph.node_volumes)
+                        else graph.volumes)
         assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
         self.solver = SPDSolver(assembly.system_matrix, opts)
 
@@ -383,8 +381,7 @@ def log_moment_statistic(graph: InclusionGraph, k: float) -> float:
     """(1/|Q_N|) sum over edges of mu_e^k, each undirected edge once."""
     if not (k >= 1.0):
         raise ValueError("k must be >= 1")
-    _, _, mu, _ = graph.edge_arrays
-    return float(np.sum(mu ** k)) / graph.box_volume()
+    return float(np.sum(graph.mu ** k)) / graph.box_volume()
 
 
 def density_estimate(config: SphereConfig) -> float:
@@ -642,15 +639,15 @@ def scan_cells(model_params: dict, delta: float, N_grid, n_seeds: int,
 
 def scan_limsup(model_params: dict, delta: float, N_grid, n_seeds: int,
                 statistic_selector: str, statistic_params: dict | None = None,
-                base_seed: int = 0) -> CriterionSeries:
+                base_seed: int = 0, threads: int = 1) -> CriterionSeries:
     """Evaluate a statistic over an (N, seed) grid of fresh configurations.
 
     Each cell draws an independent configuration from the model at its own
     derived seed; failures are recorded per cell (value NaN) without
-    aborting the scan.
+    aborting the scan.  ``threads`` cells run at a time (see ``scan_cells``).
     """
     task = functools.partial(evaluate_statistic, statistic_selector,
                              dict(statistic_params or {}))
     scan = scan_cells(model_params, delta, N_grid, n_seeds,
-                      {statistic_selector: task}, base_seed)
+                      {statistic_selector: task}, base_seed, threads)
     return CriterionSeries.from_scan(scan, statistic_selector)

@@ -62,15 +62,6 @@ class EffectiveTensor:
     def eigenvalues(self):
         return np.linalg.eigvalsh(self.matrix)
 
-    def to_dict(self):
-        return {
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-            "direction_energies": [float(v) for v in self.direction_energies],
-            "N": self.box_half_width,
-            "delta": self.delta,
-            "layer_width": self.layer_width,
-        }
-
 
 def boundary_nodes(graph: InclusionGraph, layer_width: float) -> set[int]:
     """Nodes whose component meets the layer of width ``layer_width`` at the box boundary.
@@ -81,16 +72,13 @@ def boundary_nodes(graph: InclusionGraph, layer_width: float) -> set[int]:
     """
     if not (layer_width > 0.0):
         raise ValueError("layer_width must be positive")
-    if not graph.has_geometry():
+    if graph.spheres is None:
         raise ValueError("graph carries no sphere geometry; boundary layers "
                          "need a graph built from its configuration")
-    threshold = graph.box_half_width - layer_width
-    out = set()
-    for node in graph.nodes:
-        reach = np.max(np.abs(node.sphere_centers), axis=1) + node.sphere_radii
-        if float(reach.max()) >= threshold:
-            out.add(node.id)
-    return out
+    centers, radii = graph.spheres.centers, graph.spheres.radii
+    reach = np.max(np.abs(centers), axis=1) + radii
+    return set(np.unique(
+        graph.sphere_node[reach >= graph.box_half_width - layer_width]).tolist())
 
 
 def network_effective_tensor(graph: InclusionGraph, layer_width: float,
@@ -106,7 +94,7 @@ def network_effective_tensor(graph: InclusionGraph, layer_width: float,
     (their edges contribute nothing).
     """
     n = graph.n_nodes
-    a_idx, b_idx, mu, _ = graph.edge_arrays
+    a_idx, b_idx, mu = graph.a, graph.b, graph.mu
     clamped = sorted(boundary_nodes(graph, layer_width))
     solvable = np.zeros(n, dtype=bool)
     if graph.n_edges:
@@ -139,7 +127,8 @@ def network_effective_tensor(graph: InclusionGraph, layer_width: float,
     for direction in TENSOR_DIRECTIONS:
         xi = np.asarray(direction, dtype=float)
         u = np.zeros(n)
-        u[clamped] = [float(graph.nodes[i].centroid @ xi) for i in clamped]
+        # Row-by-row dot products, rounded as ``centroid @ xi`` on one row.
+        u[clamped] = (graph.centroids[clamped, None, :] @ xi[:, None])[:, 0, 0]
         if solve_ids.size:
             rhs = np.zeros(solve_ids.size)
             far = np.where(ia >= 0, u[b_idx], u[a_idx])
@@ -228,10 +217,14 @@ class EffectiveSeries:
 
 def effective_scan(model_params: dict, delta: float, N_grid, n_seeds: int,
                    layer_width: float | None = None, base_seed: int = 0,
-                   solver_opts: SolverOptions | None = None) -> EffectiveSeries:
-    """Tensors over an (N, seed) grid; clamping layer defaults to delta."""
+                   solver_opts: SolverOptions | None = None,
+                   threads: int = 1) -> EffectiveSeries:
+    """Tensors over an (N, seed) grid, ``threads`` cells at a time.
+
+    The clamping layer defaults to delta.
+    """
     layer = float(layer_width) if layer_width is not None else float(delta)
     scan = scan_cells(model_params, delta, N_grid, n_seeds, {
         "effective": lambda cell: network_effective_tensor(
-            cell.graph, layer, solver_opts)}, base_seed)
+            cell.graph, layer, solver_opts)}, base_seed, threads)
     return EffectiveSeries.from_scan(scan, "effective", delta, layer)

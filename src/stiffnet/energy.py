@@ -213,18 +213,16 @@ def _gap_residuals(graph, u, b):
     built by telescoping the same differences cancel exactly in floating
     point; ``cycle_free_potentials`` relies on this.
     """
-    a_idx, b_idx, _, _ = graph.edge_arrays
-    return (b.antisymmetric_part() + u.u[a_idx]) - u.u[b_idx]
+    return (b.antisymmetric_part() + u.u[graph.a]) - u.u[graph.b]
 
 
 def energy(graph: InclusionGraph, u: PotentialFamily, b: BoundaryFamily,
            identity_mass: bool = False) -> EnergyBreakdown:
     """Evaluate the energy; each undirected edge contributes twice."""
     _check_indexing(graph, u, b)
-    _, _, mu, _ = graph.edge_arrays
     r = _gap_residuals(graph, u, b)
-    gap = float(np.sum(2.0 * mu * r * r))
-    weights = np.ones_like(u.u) if identity_mass else graph.node_volumes
+    gap = float(np.sum(2.0 * graph.mu * r * r))
+    weights = np.ones_like(u.u) if identity_mass else graph.volumes
     mass = float(np.sum(weights * u.u * u.u))
     return EnergyBreakdown(gap=gap, mass=mass, total=gap + mass)
 
@@ -232,12 +230,11 @@ def energy(graph: InclusionGraph, u: PotentialFamily, b: BoundaryFamily,
 def energy_gradient(graph, u, b, identity_mass=False):
     """Gradient of the energy with respect to the node potentials."""
     _check_indexing(graph, u, b)
-    a_idx, b_idx, mu, _ = graph.edge_arrays
     r = _gap_residuals(graph, u, b)
-    weights = np.ones_like(u.u) if identity_mass else graph.node_volumes
+    weights = np.ones_like(u.u) if identity_mass else graph.volumes
     g = 2.0 * weights * u.u
-    np.add.at(g, a_idx, 4.0 * mu * r)
-    np.add.at(g, b_idx, -4.0 * mu * r)
+    np.add.at(g, graph.a, 4.0 * graph.mu * r)
+    np.add.at(g, graph.b, -4.0 * graph.mu * r)
     return g
 
 
@@ -252,26 +249,25 @@ class LaplacianAssembly:
 
     def __init__(self, graph: InclusionGraph, identity_mass: bool = False):
         n = graph.n_nodes
-        a_idx, b_idx, mu, _ = graph.edge_arrays
+        a_idx, b_idx, mu = graph.a, graph.b, graph.mu
         rows = np.concatenate([a_idx, b_idx, a_idx, b_idx])
         cols = np.concatenate([a_idx, b_idx, b_idx, a_idx])
         vals = np.concatenate([mu, mu, -mu, -mu])
         self.laplacian = scipy.sparse.csr_matrix(
             (vals, (rows, cols)), shape=(n, n))
-        diag = np.ones(n) if identity_mass else graph.node_volumes.copy()
+        diag = np.ones(n) if identity_mass else graph.volumes.copy()
         self.mass = scipy.sparse.diags(diag, format="csr")
         self.system_matrix = (self.mass + 2.0 * self.laplacian).tocsr()
         self._graph = graph
-        self.identity_mass = identity_mass
 
     def rhs(self, b: BoundaryFamily):
         """Right-hand side induced by the antisymmetric parts of ``b``."""
-        _check_indexing(self._graph, b=b)
-        a_idx, b_idx, mu, _ = self._graph.edge_arrays
+        graph = self._graph
+        _check_indexing(graph, b=b)
         beta = b.antisymmetric_part()
-        rhs = np.zeros(self._graph.n_nodes)
-        np.add.at(rhs, a_idx, -2.0 * mu * beta)
-        np.add.at(rhs, b_idx, 2.0 * mu * beta)
+        rhs = np.zeros(graph.n_nodes)
+        np.add.at(rhs, graph.a, -2.0 * graph.mu * beta)
+        np.add.at(rhs, graph.b, 2.0 * graph.mu * beta)
         return rhs
 
 
@@ -299,10 +295,8 @@ def minimize_energy(graph: InclusionGraph, b: BoundaryFamily,
 
 def affine_boundary_family(graph: InclusionGraph, xi) -> BoundaryFamily:
     """The family b_ab = xi . x_a_centroid, b_ba = xi . x_b_centroid."""
-    xi = np.asarray(xi, dtype=float).reshape(3)
-    a_idx, b_idx, _, _ = graph.edge_arrays
-    proj = graph.node_centroids @ xi if graph.n_nodes else np.zeros(0)
-    return BoundaryFamily(proj[a_idx], proj[b_idx])
+    proj = graph.centroids @ np.asarray(xi, dtype=float).reshape(3)
+    return BoundaryFamily(proj[graph.a], proj[graph.b])
 
 
 def midpoint_boundary_family(graph: InclusionGraph, xi) -> BoundaryFamily:
@@ -315,14 +309,12 @@ def midpoint_boundary_family(graph: InclusionGraph, xi) -> BoundaryFamily:
     xi = np.asarray(xi, dtype=float).reshape(3)
     if graph.n_edges == 0:
         return BoundaryFamily.zeros(0)
-    a_idx, b_idx, _, _ = graph.edge_arrays
-    mid = np.stack([(e.xa + e.xb) * 0.5 for e in graph.edges])
-    proj = graph.node_centroids @ xi
-    mid_proj = mid @ xi
-    ab = proj[a_idx] - mid_proj
-    ba = proj[b_idx] - mid_proj
-    diam = np.fromiter((n.diameter for n in graph.nodes), float, graph.n_nodes)
-    bound = (np.linalg.norm(xi) * (np.maximum(diam[a_idx], diam[b_idx])
+    proj = graph.centroids @ xi
+    mid_proj = ((graph.xa + graph.xb) * 0.5) @ xi
+    ab = proj[graph.a] - mid_proj
+    ba = proj[graph.b] - mid_proj
+    diam = graph.diameters
+    bound = (np.linalg.norm(xi) * (np.maximum(diam[graph.a], diam[graph.b])
                                    + graph.delta)) * (1.0 + 1e-9) + 1e-12
     if np.any(np.abs(ab) > bound) or np.any(np.abs(ba) > bound):
         raise RuntimeError("midpoint family out of its guaranteed bound; "
@@ -349,9 +341,9 @@ def cycle_free_potentials(graph: InclusionGraph, b: BoundaryFamily,
     d1 = b.antisymmetric_part()
 
     adjacency: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-    for k, e in enumerate(graph.edges):
-        adjacency[e.a].append((e.b, k, True))    # traversal along storage
-        adjacency[e.b].append((e.a, k, False))   # traversal against storage
+    for k, (lo, hi) in enumerate(zip(graph.a.tolist(), graph.b.tolist())):
+        adjacency[lo].append((hi, k, True))    # traversal along storage
+        adjacency[hi].append((lo, k, False))   # traversal against storage
 
     part = graph_clusters(graph)
     root_by_cluster = {k: min(mem) for k, mem in enumerate(part.members)}
@@ -402,8 +394,8 @@ def lift_short_potentials(graph_F: InclusionGraph, graph_Fprime: InclusionGraph,
         raise ValueError("merge map does not index the source graph's nodes")
     _check_indexing(graph_Fprime, u=u_prime)
     xi = np.asarray(xi, dtype=float).reshape(3)
-    proj_fine = graph_F.node_centroids @ xi
-    proj_coarse = graph_Fprime.node_centroids @ xi
+    proj_fine = graph_F.centroids @ xi
+    proj_coarse = graph_Fprime.centroids @ xi
     u = proj_fine + u_prime.u[merge_map] - proj_coarse[merge_map]
     return PotentialFamily(u)
 

@@ -28,6 +28,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 __all__ = [
+    "SchemaError",
     "Sphere",
     "SphereConfig",
     "ComponentSet",
@@ -43,6 +44,10 @@ __all__ = [
 _FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
 DEFAULT_CONTACT_TOL = 1e-12
+
+
+class SchemaError(ValueError):
+    """A document does not match its expected schema."""
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,6 @@ class SphereConfig:
     def n_spheres(self):
         return int(self.radii.size)
 
-    @property
-    def spheres(self):
-        """Per-ball view as Sphere objects (convenience accessor)."""
-        return [Sphere(tuple(c), float(r)) for c, r in zip(self.centers, self.radii)]
-
     def box_volume(self):
         return (2.0 * self.box_half_width) ** 3
 
@@ -118,8 +118,6 @@ class SphereConfig:
 
     @classmethod
     def from_dict(cls, data):
-        from .cli import SchemaError  # local import to avoid a cycle
-
         if not isinstance(data, dict):
             raise SchemaError("configuration document must be a JSON object")
         required = ["model", "seed", "box_half_width", "contact_tol", "spheres"]
@@ -602,15 +600,11 @@ def cluster_moment_statistic(config, graph, p, n_samples, seed,
     if config.n_spheres == 0:
         return MomentEstimate(0.0, 0.0, n_samples)
 
+    if graph.sphere_node is None:
+        raise ValueError("graph carries no sphere geometry; build it "
+                         "from the configuration before sampling")
     part = graph_clusters(graph)
-    # sphere index -> node id -> cluster value
-    sphere_to_node = np.full(config.n_spheres, -1, dtype=np.int64)
-    for node in graph.nodes:
-        if node.sphere_ids is None:
-            raise ValueError("graph carries no sphere geometry; build it "
-                             "from the configuration before sampling")
-        sphere_to_node[list(node.sphere_ids)] = node.id
-    node_to_cluster = np.asarray(part.node_cluster, dtype=np.int64)
+    sphere_cluster = part.node_cluster[graph.sphere_node]
     if quantity == "diam":
         cluster_value = np.asarray(part.diameters, dtype=float)
     else:
@@ -624,9 +618,7 @@ def cluster_moment_statistic(config, graph, p, n_samples, seed,
         for idx in cand:
             dx = points[k] - config.centers[idx]
             if dx @ dx <= config.radii[idx] ** 2:
-                node = sphere_to_node[idx]
-                if node >= 0:
-                    values[k] = cluster_value[node_to_cluster[node]] ** p
+                values[k] = cluster_value[sphere_cluster[idx]] ** p
                 break
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0

@@ -6,6 +6,13 @@ is at most the threshold ``delta``.  Parallel edges are kept (several gaps
 may join the same pair of components).  The edge weight is ``mu = |ln d|``;
 requiring ``delta < 1`` keeps all weights positive.
 
+``InclusionGraph`` stores the graph as columns: one array per node
+quantity, indexed by node id, and one per edge quantity, in edge order.
+Graphs built from a configuration also keep that configuration and the
+node of each of its balls.  ``Node`` and ``Edge`` are read-only rows
+assembled from the columns on request; the package itself reads only the
+columns.
+
 A *short* merges chosen node groups into single nodes, suppressing the
 edges that become internal; ``short_kappa`` shorts exactly the gaps
 narrower than ``kappa`` that are not in a protected edge set.
@@ -21,6 +28,7 @@ import numpy as np
 
 from .geometry import (
     ComponentSet,
+    SchemaError,
     SphereConfig,
     _connected_labels,
     _pairs_within,
@@ -40,34 +48,20 @@ __all__ = [
     "is_cycle_free",
 ]
 
-_CONTACT_ATOL = 1e-9
-
-
-@dataclass
+@dataclass(frozen=True)
 class Node:
-    """A graph node: one component with its volume, centroid and diameter.
-
-    ``sphere_ids``/``sphere_centers``/``sphere_radii`` carry the underlying
-    ball geometry when the graph was built from a configuration; they are
-    not serialized.  Deserialized graphs have them set to None, and the
-    operations that need exact ball geometry fall back to conservative
-    bounds (see ``short_at``) or refuse to run (``boundary_nodes``).
-    """
+    """One node row: a component's volume, centroid, diameter and boundary flag."""
 
     id: int
     volume: float
     centroid: np.ndarray
     diameter: float
     boundary: bool
-    component_index: int | None = None
-    sphere_ids: tuple[int, ...] | None = None
-    sphere_centers: np.ndarray | None = None
-    sphere_radii: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
-    """A gap between two nodes: contact points, width ``d``, weight ``mu``."""
+    """One edge row: a gap between two nodes, its contact points, ``d`` and ``mu``."""
 
     id: int
     a: int
@@ -78,90 +72,112 @@ class Edge:
     mu: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class InclusionGraph:
-    """The gap multigraph: nodes, multi-edges, threshold and box size.
+    """The gap multigraph as node and edge columns, threshold and box size.
 
-    Treated as immutable after construction; every operation returns a new
-    graph.  ``g2_violations`` counts spheres whose near-contact caps at the
-    threshold ``delta`` overlap (two gaps too close to separate, see
-    ``build_graph``); it is diagnostic only and never alters the edge set.
-    ``node_merge_map`` is set on graphs produced by shorts and maps the
-    source graph's node ids to this graph's node ids.
+    Node ids are positions in the node columns.  Edges are oriented
+    ``a < b`` and keep their ``edge_ids`` through shorts.  ``spheres`` is
+    the configuration the graph was built from and ``sphere_node`` maps
+    each of its balls to a node; both are None on deserialized graphs,
+    where the operations that need ball geometry fall back to
+    conservative bounds (``clusters``, ``short_at``) or refuse to run
+    (``boundary_nodes``, ``cluster_moment_statistic``).
+
+    Immutable; every operation returns a new graph.  ``g2_violations``
+    counts spheres whose near-contact caps at the threshold ``delta``
+    overlap (two gaps too close to separate, see ``build_graph``); it is
+    diagnostic only and never alters the edge set.  ``node_merge_map`` is
+    set on graphs produced by shorts and maps the source graph's node ids
+    to this graph's node ids.
     """
 
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
+    volumes: np.ndarray             # (n_nodes,)
+    centroids: np.ndarray           # (n_nodes, 3)
+    diameters: np.ndarray           # (n_nodes,)
+    boundary: np.ndarray            # (n_nodes,) bool
+    edge_ids: np.ndarray            # (n_edges,) int
+    a: np.ndarray                   # (n_edges,) lower end node
+    b: np.ndarray                   # (n_edges,) upper end node
+    xa: np.ndarray                  # (n_edges, 3) contact point on node a
+    xb: np.ndarray                  # (n_edges, 3) contact point on node b
+    d: np.ndarray                   # (n_edges,) gap width
+    mu: np.ndarray                  # (n_edges,) weight |ln d|
     delta: float
     box_half_width: float
     g2_violations: int = 0
     node_merge_map: tuple[int, ...] | None = field(default=None, repr=False)
+    spheres: SphereConfig | None = field(default=None, repr=False)
+    sphere_node: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_records(cls, nodes, edges, delta, box_half_width):
+        """A graph from ``Node`` and ``Edge`` rows, without ball geometry.
+
+        Node ids are taken to be the rows' positions.
+        """
+        def column(rows, name, dtype=float):
+            return np.array([getattr(r, name) for r in rows], dtype=dtype)
+
+        nodes, edges = tuple(nodes), tuple(edges)
+        return cls(
+            volumes=column(nodes, "volume"),
+            centroids=column(nodes, "centroid").reshape(len(nodes), 3),
+            diameters=column(nodes, "diameter"),
+            boundary=column(nodes, "boundary", bool),
+            edge_ids=column(edges, "id", np.int64),
+            a=column(edges, "a", np.int64), b=column(edges, "b", np.int64),
+            xa=column(edges, "xa").reshape(len(edges), 3),
+            xb=column(edges, "xb").reshape(len(edges), 3),
+            d=column(edges, "d"), mu=column(edges, "mu"),
+            delta=delta, box_half_width=box_half_width)
 
     @property
     def n_nodes(self):
-        return len(self.nodes)
+        return int(self.volumes.size)
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return int(self.d.size)
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        """The node rows, built on first use."""
+        return tuple(map(Node, range(self.n_nodes), self.volumes.tolist(),
+                         list(self.centroids), self.diameters.tolist(),
+                         self.boundary.tolist()))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edge rows, built on first use."""
+        return tuple(map(Edge, self.edge_ids.tolist(), self.a.tolist(),
+                         self.b.tolist(), list(self.xa), list(self.xb),
+                         self.d.tolist(), self.mu.tolist()))
 
     def box_volume(self):
         return (2.0 * self.box_half_width) ** 3
-
-    @cached_property
-    def edge_arrays(self):
-        """(a_idx, b_idx, mu, d) as arrays aligned with the edge order."""
-        m = len(self.edges)
-        return (np.fromiter((e.a for e in self.edges), np.int64, m),
-                np.fromiter((e.b for e in self.edges), np.int64, m),
-                np.fromiter((e.mu for e in self.edges), float, m),
-                np.fromiter((e.d for e in self.edges), float, m))
-
-    @cached_property
-    def node_volumes(self):
-        return np.fromiter((n.volume for n in self.nodes), float, len(self.nodes))
-
-    @cached_property
-    def node_centroids(self):
-        if not self.nodes:
-            return np.zeros((0, 3))
-        return np.stack([n.centroid for n in self.nodes])
-
-    def has_geometry(self):
-        return all(n.sphere_centers is not None for n in self.nodes)
 
     def to_dict(self):
         return {
             "delta": self.delta,
             "N": self.box_half_width,
             "nodes": [
-                {
-                    "id": n.id,
-                    "vol": float(n.volume),
-                    "x": [float(v) for v in n.centroid],
-                    "diam": float(n.diameter),
-                    "boundary": bool(n.boundary),
-                }
-                for n in self.nodes
+                {"id": k, "vol": vol, "x": x, "diam": diam, "boundary": bd}
+                for k, (vol, x, diam, bd) in enumerate(zip(
+                    self.volumes.tolist(), self.centroids.tolist(),
+                    self.diameters.tolist(), self.boundary.tolist()))
             ],
             "edges": [
-                {
-                    "id": e.id,
-                    "a": e.a,
-                    "b": e.b,
-                    "xa": [float(v) for v in e.xa],
-                    "xb": [float(v) for v in e.xb],
-                    "d": float(e.d),
-                    "mu": float(e.mu),
-                }
-                for e in self.edges
+                {"id": i, "a": a, "b": b, "xa": xa, "xb": xb, "d": d, "mu": mu}
+                for i, a, b, xa, xb, d, mu in zip(
+                    self.edge_ids.tolist(), self.a.tolist(), self.b.tolist(),
+                    self.xa.tolist(), self.xb.tolist(), self.d.tolist(),
+                    self.mu.tolist())
             ],
         }
 
     @classmethod
     def from_dict(cls, data):
-        from .cli import SchemaError
-
         if not isinstance(data, dict):
             raise SchemaError("graph document must be a JSON object")
         missing = [k for k in ("delta", "N", "nodes", "edges") if k not in data]
@@ -204,8 +220,11 @@ class InclusionGraph:
                     f"edge {e.id}: need 0 <= a < b < {len(nodes)}, d in "
                     f"(0, 1) and mu = |ln d|, got a {e.a}, b {e.b}, "
                     f"d {e.d!r}, mu {e.mu!r}")
-        return cls(nodes=nodes, edges=edges, delta=float(data["delta"]),
-                   box_half_width=float(data["N"]))
+        try:
+            return cls.from_records(nodes, edges, float(data["delta"]),
+                                    float(data["N"]))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"invalid graph document: {exc}") from None
 
     def __eq__(self, other):
         if not isinstance(other, InclusionGraph):
@@ -340,17 +359,6 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
     labels = cs.labels
     centers, radii = config.centers, config.radii
 
-    # Node fields in constructor order; per-node arrays are rows or slices
-    # of fresh arrays, so nodes share nothing with the inputs.
-    n_comp, ids = cs.n_components, cs.order.tolist()
-    spans = list(map(slice, cs.starts[:-1].tolist(), cs.starts[1:].tolist()))
-    sphere_centers, sphere_radii = centers[cs.order], radii[cs.order]
-    nodes = tuple(map(
-        Node, range(n_comp), cs.volumes.tolist(), list(cs.centroids.copy()),
-        cs.diameters.tolist(), cs.boundary.tolist(), range(n_comp),
-        (tuple(ids[s]) for s in spans), (sphere_centers[s] for s in spans),
-        (sphere_radii[s] for s in spans)))
-
     g2_violations = 0
     kept = np.empty((0, 2), dtype=np.int64)
     if config.n_spheres >= 2:
@@ -386,28 +394,30 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
     xb = np.where(swap[:, None], xi, xj)
     order = np.lexsort((xb[:, 2], xb[:, 1], xb[:, 0],
                         xa[:, 2], xa[:, 1], xa[:, 0], d, nb, na))
-    d = d[order].tolist()
-    edges = tuple(map(Edge, range(len(d)), na[order].tolist(),
-                      nb[order].tolist(), list(xa[order]), list(xb[order]),
-                      d, [abs(math.log(v)) for v in d]))
-    return InclusionGraph(nodes=nodes, edges=edges, delta=delta,
-                          box_half_width=config.box_half_width,
-                          g2_violations=g2_violations)
+    d = d[order]
+    return InclusionGraph(
+        volumes=cs.volumes, centroids=cs.centroids, diameters=cs.diameters,
+        boundary=cs.boundary, edge_ids=np.arange(d.size), a=na[order],
+        b=nb[order], xa=xa[order], xb=xb[order], d=d,
+        # math.log per value: numpy's vectorised log may round differently.
+        mu=np.array([abs(math.log(v)) for v in d.tolist()]),
+        delta=delta, box_half_width=config.box_half_width,
+        g2_violations=g2_violations, spheres=config, sphere_node=labels)
 
 
-def _union_diameter(nodes, geo):
-    """Diameter of a union of nodes.
+def _union_diameter(graph, nodes, balls):
+    """Diameter of the union of ``nodes``.
 
-    Exact over the member balls when the nodes carry them (``geo``);
-    otherwise an upper bound from node data: the max over node pairs of
-    centroid distance plus both half diameters.
+    Exact over the member ``balls`` when the graph carries them (see
+    ``_member_balls``); otherwise an upper bound from node data: the max
+    over node pairs of centroid distance plus both half diameters.
     """
-    if geo:
-        return _pairwise_extent(np.concatenate([nd.sphere_centers for nd in nodes]),
-                                np.concatenate([nd.sphere_radii for nd in nodes]))
-    centroids = np.stack([nd.centroid for nd in nodes])
-    half = 0.5 * np.array([nd.diameter for nd in nodes])
-    best = max(nd.diameter for nd in nodes)
+    if balls is not None:
+        return _pairwise_extent(graph.spheres.centers[balls],
+                                graph.spheres.radii[balls])
+    centroids, diam = graph.centroids[nodes], graph.diameters[nodes]
+    half = 0.5 * diam
+    best = float(diam.max())
     for s in range(len(nodes) - 1):
         dist = _row_norms(centroids[s] - centroids[s + 1:])
         best = max(best, float((dist + half[s] + half[s + 1:]).max()))
@@ -421,6 +431,18 @@ def _groups(labels, m):
     return np.split(order, bounds) if m else []
 
 
+def _member_balls(graph, labels, m):
+    """Ball indices of each node group, ordered by (node id, ball index).
+
+    ``labels`` maps node ids to groups 0..m-1.  Every group reads None
+    when the graph carries no ball geometry.
+    """
+    if graph.sphere_node is None:
+        return [None] * m
+    by_node = np.argsort(graph.sphere_node, kind="stable")
+    return [by_node[g] for g in _groups(labels[graph.sphere_node[by_node]], m)]
+
+
 def clusters(graph: InclusionGraph) -> ClusterPartition:
     """Connected components of the multigraph, with per-cluster stats.
 
@@ -429,19 +451,17 @@ def clusters(graph: InclusionGraph) -> ClusterPartition:
     geometry; otherwise an upper bound from node centroids and node
     diameters is used.
     """
-    a_idx, b_idx, _, _ = graph.edge_arrays
-    m, node_cluster = _connected_labels(graph.n_nodes, a_idx, b_idx)
-    members = tuple(tuple(g.tolist()) for g in _groups(node_cluster, m))
-    volumes = np.zeros(m)
-    diameters = np.zeros(m)
-    geo = graph.has_geometry()
-    for k, mem in enumerate(members):
-        nodes = [graph.nodes[i] for i in mem]
-        volumes[k] = math.fsum(nd.volume for nd in nodes)
-        diameters[k] = _union_diameter(nodes, geo)
-    return ClusterPartition(node_cluster=node_cluster, members=members,
-                            diameters=diameters, volumes=volumes,
-                            cardinalities=np.bincount(node_cluster, minlength=m))
+    m, node_cluster = _connected_labels(graph.n_nodes, graph.a, graph.b)
+    groups = _groups(node_cluster, m)
+    balls = _member_balls(graph, node_cluster, m)
+    return ClusterPartition(
+        node_cluster=node_cluster,
+        members=tuple(tuple(g.tolist()) for g in groups),
+        diameters=np.array([_union_diameter(graph, g, bl)
+                            for g, bl in zip(groups, balls)]),
+        volumes=np.array([math.fsum(graph.volumes[g].tolist())
+                          for g in groups]),
+        cardinalities=np.bincount(node_cluster, minlength=m))
 
 
 def short_at(graph: InclusionGraph, node_pairs) -> InclusionGraph:
@@ -454,53 +474,48 @@ def short_at(graph: InclusionGraph, node_pairs) -> InclusionGraph:
     is a subset of the input's.  Merged nodes are numbered by their
     smallest source node id.
     """
-    pairs = [(int(a), int(b)) for a, b in node_pairs]
+    ends = np.array(list(node_pairs), dtype=np.int64).reshape(-1, 2)
     n = graph.n_nodes
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"short references missing node: ({a}, {b})")
-    if not pairs:
+    outside = ((ends < 0) | (ends >= n)).any(axis=1)
+    if outside.any():
+        a, b = ends[outside][0].tolist()
+        raise ValueError(f"short references missing node: ({a}, {b})")
+    if not ends.size:
         return graph
 
-    ends = np.array(pairs, dtype=np.int64)
     m, merge_map = _connected_labels(n, ends[:, 0], ends[:, 1])
-    new_nodes = []
-    geo = graph.has_geometry()
-    for k, group in enumerate(_groups(merge_map, m)):
-        mem = [graph.nodes[i] for i in group]
-        if len(mem) == 1:
-            new_nodes.append(replace(mem[0], id=k))
-            continue
-        volume = math.fsum(nd.volume for nd in mem)
-        centroid = sum((nd.volume * nd.centroid for nd in mem),
-                       start=np.zeros(3)) / volume
-        sphere_ids = centers = radii = None
-        if geo:
-            sphere_ids = tuple(sorted(i for nd in mem for i in nd.sphere_ids))
-            order = np.argsort([i for nd in mem for i in nd.sphere_ids])
-            centers = np.concatenate([nd.sphere_centers for nd in mem])[order]
-            radii = np.concatenate([nd.sphere_radii for nd in mem])[order]
-        new_nodes.append(Node(
-            id=k, volume=volume, centroid=centroid,
-            diameter=float(_union_diameter(mem, geo)),
-            boundary=any(nd.boundary for nd in mem), component_index=None,
-            sphere_ids=sphere_ids, sphere_centers=centers, sphere_radii=radii))
+    # Unmerged nodes keep their values; merged ones are recomputed below.
+    volumes, diameters, centroids = np.empty(m), np.empty(m), np.empty((m, 3))
+    volumes[merge_map], diameters[merge_map] = graph.volumes, graph.diameters
+    centroids[merge_map] = graph.centroids
+    boundary = np.zeros(m, dtype=bool)
+    boundary[merge_map[graph.boundary]] = True
+    merged = np.bincount(merge_map, minlength=m) > 1
+    for k, group, balls in zip(range(m), _groups(merge_map, m),
+                               _member_balls(graph, merge_map, m)):
+        if merged[k]:
+            volumes[k] = math.fsum(graph.volumes[group].tolist())
+            diameters[k] = _union_diameter(graph, group, balls)
+    # Volume-weighted centroid sums, added in ascending node order.
+    sums = np.zeros((m, 3))
+    np.add.at(sums, merge_map, graph.volumes[:, None] * graph.centroids)
+    centroids[merged] = sums[merged] / volumes[merged, None]
 
-    new_edges = []
-    for e in graph.edges:
-        na, nb = int(merge_map[e.a]), int(merge_map[e.b])
-        if na < nb:
-            new_edges.append(replace(e, a=na, b=nb))
-        elif na > nb:
-            new_edges.append(replace(e, a=nb, b=na, xa=e.xb, xb=e.xa))
-    new_edges.sort(key=lambda e: (e.a, e.b, e.d, e.id))
-
-    return InclusionGraph(
-        nodes=tuple(new_nodes), edges=tuple(new_edges), delta=graph.delta,
-        box_half_width=graph.box_half_width,
-        g2_violations=graph.g2_violations,
-        node_merge_map=tuple(int(v) for v in merge_map),
-    )
+    a, b = merge_map[graph.a], merge_map[graph.b]
+    swap = (a > b)[:, None]
+    xa = np.where(swap, graph.xb, graph.xa)
+    xb = np.where(swap, graph.xa, graph.xb)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    keep = np.nonzero(a != b)[0]
+    order = keep[np.lexsort((graph.edge_ids[keep], graph.d[keep], b[keep],
+                             a[keep]))]
+    return replace(
+        graph, volumes=volumes, centroids=centroids, diameters=diameters,
+        boundary=boundary, edge_ids=graph.edge_ids[order], a=a[order],
+        b=b[order], xa=xa[order], xb=xb[order], d=graph.d[order],
+        mu=graph.mu[order], node_merge_map=tuple(merge_map.tolist()),
+        sphere_node=(None if graph.sphere_node is None
+                     else merge_map[graph.sphere_node]))
 
 
 def short_kappa(graph: InclusionGraph, graph_prime_edge_ids,
@@ -515,22 +530,16 @@ def short_kappa(graph: InclusionGraph, graph_prime_edge_ids,
     """
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
-    known = {e.id for e in graph.edges}
-    prime = {int(i) for i in graph_prime_edge_ids}
-    unknown = prime - known
-    if unknown:
-        raise ValueError(f"unknown edge ids in protected set: {sorted(unknown)}")
-    pairs = [(e.a, e.b) for e in graph.edges
-             if e.id not in prime and e.d < kappa]
-    if not pairs:
+    prime = np.array(sorted({int(i) for i in graph_prime_edge_ids}),
+                     dtype=np.int64)
+    unknown = np.setdiff1d(prime, graph.edge_ids)
+    if unknown.size:
+        raise ValueError(f"unknown edge ids in protected set: {unknown.tolist()}")
+    shorted = ~np.isin(graph.edge_ids, prime) & (graph.d < kappa)
+    if not shorted.any():
         # Identity short; still record the trivial merge map.
-        return InclusionGraph(
-            nodes=graph.nodes, edges=graph.edges, delta=graph.delta,
-            box_half_width=graph.box_half_width,
-            g2_violations=graph.g2_violations,
-            node_merge_map=tuple(range(graph.n_nodes)),
-        )
-    return short_at(graph, pairs)
+        return replace(graph, node_merge_map=tuple(range(graph.n_nodes)))
+    return short_at(graph, np.stack([graph.a[shorted], graph.b[shorted]], axis=1))
 
 
 def is_cycle_free(graph: InclusionGraph) -> bool:
@@ -539,6 +548,5 @@ def is_cycle_free(graph: InclusionGraph) -> bool:
     Any pair of parallel edges counts as a cycle, so this is exactly
     ``n_edges == n_nodes - n_clusters``.
     """
-    a_idx, b_idx, _, _ = graph.edge_arrays
-    n_clusters, _ = _connected_labels(graph.n_nodes, a_idx, b_idx)
+    n_clusters, _ = _connected_labels(graph.n_nodes, graph.a, graph.b)
     return graph.n_edges == graph.n_nodes - n_clusters

@@ -48,8 +48,7 @@ def make_graph(volumes, positions, edge_list, delta=0.5, N=1.0,
         Edge(id=k, a=a, b=b, xa=xa, xb=xb, d=d, mu=abs(math.log(d)))
         for k, (a, b, d, xa, xb) in enumerate(records)
     )
-    return InclusionGraph(nodes=nodes, edges=edges, delta=delta,
-                          box_half_width=N)
+    return InclusionGraph.from_records(nodes, edges, delta, N)
 
 
 def single_edge_graph(mu=2.0, volumes=(1.0, 1.0)):
@@ -179,13 +178,16 @@ def quadratic_extent(centers, radii):
     return float((dmat + radii[:, None] + radii[None, :]).max())
 
 
-def bfs_clusters(graph):
-    """Cluster membership by breadth-first search (oracle for union-find)."""
-    n = graph.n_nodes
+def bfs_labels(n, pairs):
+    """Connected-component labels of ``n`` vertices joined by ``pairs``.
+
+    Breadth-first search from each unlabelled vertex in ascending order,
+    so components are numbered by their smallest vertex.
+    """
     adjacency = [[] for _ in range(n)]
-    for e in graph.edges:
-        adjacency[e.a].append(e.b)
-        adjacency[e.b].append(e.a)
+    for a, b in pairs:
+        adjacency[int(a)].append(int(b))
+        adjacency[int(b)].append(int(a))
     label = [-1] * n
     current = 0
     for start in range(n):
@@ -201,6 +203,77 @@ def bfs_clusters(graph):
                     queue.append(w)
         current += 1
     return label
+
+
+def bfs_clusters(graph):
+    """Cluster membership by breadth-first search (oracle for union-find)."""
+    return bfs_labels(graph.n_nodes, [(e.a, e.b) for e in graph.edges])
+
+
+def node_ball_lists(comp, merge_map=None):
+    """Ball indices of each node, from the components (and a short's merge map).
+
+    A merged node holds the sorted union of its source nodes' balls.
+    """
+    lists = [comp.sphere_indices(k).tolist() for k in range(comp.n_components)]
+    if merge_map is None:
+        return lists
+    merged = [[] for _ in range(max(merge_map, default=-1) + 1)]
+    for k, target in enumerate(merge_map):
+        merged[target].extend(lists[k])
+    return [sorted(balls) for balls in merged]
+
+
+def sphere_node_oracle(n_spheres, ball_lists):
+    """Ball -> node map filled node by node; -1 marks a ball in no node."""
+    sphere_to_node = np.full(n_spheres, -1, dtype=np.int64)
+    for node_id, balls in enumerate(ball_lists):
+        sphere_to_node[balls] = node_id
+    return sphere_to_node
+
+
+def boundary_nodes_oracle(config, ball_lists, layer_width):
+    """Nodes with a ball meeting the boundary layer, one node at a time."""
+    threshold = config.box_half_width - layer_width
+    out = set()
+    for node_id, balls in enumerate(ball_lists):
+        reach = (np.max(np.abs(config.centers[balls]), axis=1)
+                 + config.radii[balls])
+        if float(reach.max()) >= threshold:
+            out.add(node_id)
+    return out
+
+
+def short_oracle(graph, node_pairs):
+    """A short by per-group and per-edge loops over the graph's rows.
+
+    Returns ``(merge_map, nodes, edges)``: node rows ``(volume, centroid,
+    boundary)`` with the merged volume an fsum and the centroid summed in
+    ascending node order, and surviving edge rows ``(id, a, b, xa, xb, d,
+    mu)`` remapped, swapped where the merged ends change order, and sorted
+    by ``(a, b, d, id)``.
+    """
+    merge_map = bfs_labels(graph.n_nodes, node_pairs)
+    nodes = []
+    for k in range(max(merge_map, default=-1) + 1):
+        mem = [nd for nd in graph.nodes if merge_map[nd.id] == k]
+        if len(mem) == 1:
+            nodes.append((mem[0].volume, tuple(mem[0].centroid),
+                          mem[0].boundary))
+            continue
+        volume = math.fsum(nd.volume for nd in mem)
+        centroid = sum((nd.volume * nd.centroid for nd in mem),
+                       start=np.zeros(3)) / volume
+        nodes.append((volume, tuple(centroid), any(nd.boundary for nd in mem)))
+    edges = []
+    for e in graph.edges:
+        na, nb = merge_map[e.a], merge_map[e.b]
+        if na < nb:
+            edges.append((e.id, na, nb, tuple(e.xa), tuple(e.xb), e.d, e.mu))
+        elif na > nb:
+            edges.append((e.id, nb, na, tuple(e.xb), tuple(e.xa), e.d, e.mu))
+    edges.sort(key=lambda r: (r[1], r[2], r[5], r[0]))
+    return merge_map, nodes, edges
 
 
 @pytest.fixture

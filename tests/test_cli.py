@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stiffnet.criteria
 from stiffnet.cli import (
     EXIT_CELL_ERRORS,
     EXIT_OK,
@@ -270,6 +271,30 @@ class TestMain:
         assert code == EXIT_PARSE_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["criteria", "--statistic", "logmoment"],
+        ["effective"],
+    ], ids=["criteria", "effective"])
+    def test_scan_subcommands_honour_threads(self, capsys, monkeypatch, argv):
+        pools = []
+        executor = stiffnet.criteria.ThreadPoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(stiffnet.criteria, "ThreadPoolExecutor",
+                            recording_pool)
+        scan = [*argv, "--model", "lattice", "--radius", "0.4",
+                "--jitter", "0.05", "--delta", "0.5", "--N-grid", "2,3,4",
+                "--n-seeds", "2"]
+        assert main(["--threads", "1", *scan]) == EXIT_OK
+        serial = capsys.readouterr().out
+        assert pools == []
+        assert main(["--threads", "2", *scan]) == EXIT_OK
+        assert pools == [2]
+        assert capsys.readouterr().out == serial
 
     def test_criteria_subcommand_csv(self, tmp_path):
         out_path = tmp_path / "series.csv"

@@ -1,5 +1,6 @@
 """Boundary layers, clamped network solves, tensor assembly and scans."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from stiffnet.geometry import (
     generate_lattice_jitter,
     restrict_box,
 )
-from stiffnet.multigraph import Edge, InclusionGraph, build_graph
+from stiffnet.multigraph import InclusionGraph, build_graph
 
 
 def lattice_graph(N, radius, delta):
@@ -71,12 +72,7 @@ class TestNetworkTensor:
     def test_weight_scaling_is_exactly_linear(self):
         graph = lattice_graph(3, 0.3, 0.5)
         t = 3.5
-        scaled_edges = tuple(
-            Edge(id=e.id, a=e.a, b=e.b, xa=e.xa, xb=e.xb, d=e.d, mu=t * e.mu)
-            for e in graph.edges)
-        scaled = InclusionGraph(nodes=graph.nodes, edges=scaled_edges,
-                                delta=graph.delta,
-                                box_half_width=graph.box_half_width)
+        scaled = dataclasses.replace(graph, mu=t * graph.mu)
         base = network_effective_tensor(graph, 0.5)
         up = network_effective_tensor(scaled, 0.5)
         for e_base, e_up in zip(base.direction_energies, up.direction_energies):

@@ -1,27 +1,36 @@
 """Array fast paths of the graph layer against independent oracles.
 
 ``build_graph``, ``clusters``, ``short_at``, ``is_cycle_free``, the cap
-overlap count and the ball-family diameter all run on arrays; the oracles
-in ``conftest.py`` and here re-derive the same quantities with per-pair
+overlap count, the ball-family diameter, the ball -> node column and
+``boundary_nodes`` all run on arrays; the oracles in ``conftest.py`` and
+here re-derive the same quantities with per-pair, per-node and per-edge
 loops, breadth-first search and full pairwise matrices.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import stiffnet.geometry as geometry
 from conftest import (
     bfs_clusters,
+    boundary_nodes_oracle,
     brute_force_gap_pairs,
     make_graph,
+    node_ball_lists,
     quadratic_extent,
     scalar_g2_violations,
+    short_oracle,
+    sphere_node_oracle,
 )
+from stiffnet.cli import dumps_17g
+from stiffnet.effective import boundary_nodes
 from stiffnet.geometry import (
     SphereConfig,
     _pairwise_extent,
@@ -31,6 +40,7 @@ from stiffnet.geometry import (
     generate_lattice_jitter,
 )
 from stiffnet.multigraph import (
+    InclusionGraph,
     build_graph,
     closest_points,
     clusters,
@@ -67,10 +77,21 @@ def multigraphs(draw, parallel=False):
         edges.append((b, a, d / 2.0))
     positions = draw(hnp.arrays(np.float64, (n, 3), elements=coords))
     diameters = draw(hnp.arrays(np.float64, n, elements=st.floats(0.1, 2.0)))
-    graph = make_graph(np.ones(n), positions, edges)
-    for nd, diam in zip(graph.nodes, diameters):
-        nd.diameter = float(diam)
-    return graph
+    return dataclasses.replace(make_graph(np.ones(n), positions, edges),
+                               diameters=diameters)
+
+
+@st.composite
+def built_graphs(draw):
+    """(config, components, graph) for a random configuration and delta."""
+    config = draw(configurations())
+    comp = components(config)
+    return config, comp, build_graph(comp, config, draw(st.floats(0.05, 0.95)))
+
+
+def node_pairs(data, n_nodes):
+    node = st.integers(0, n_nodes - 1)
+    return data.draw(st.lists(st.tuples(node, node), max_size=8))
 
 
 def closest_point_edges(config, delta):
@@ -197,6 +218,64 @@ class TestConnectivity:
     @given(multigraphs(parallel=True))
     def test_parallel_edges_are_a_cycle(self, graph):
         assert not is_cycle_free(graph)
+
+
+class TestColumnOracles:
+    """Node, edge and ball columns against per-node and per-edge loops."""
+
+    @PROPERTY
+    @given(built_graphs())
+    def test_sphere_node_matches_node_loop(self, built):
+        config, comp, graph = built
+        expected = sphere_node_oracle(config.n_spheres, node_ball_lists(comp))
+        assert graph.sphere_node.tolist() == expected.tolist()
+
+    @PROPERTY
+    @given(built_graphs(), st.floats(0.05, 4.0))
+    def test_boundary_nodes_match_node_loop(self, built, layer):
+        config, comp, graph = built
+        assert boundary_nodes(graph, layer) == boundary_nodes_oracle(
+            config, node_ball_lists(comp), layer)
+
+    @PROPERTY
+    @given(built_graphs(), st.data())
+    def test_short_at_matches_row_loops(self, built, data):
+        config, comp, graph = built
+        pairs = node_pairs(data, graph.n_nodes)
+        out = short_at(graph, pairs)
+        merge_map, nodes, edges = short_oracle(graph, pairs)
+        if pairs:
+            assert list(out.node_merge_map) == merge_map
+        assert [(nd.volume, tuple(nd.centroid), nd.boundary)
+                for nd in out.nodes] == nodes
+        assert [(e.id, e.a, e.b, tuple(e.xa), tuple(e.xb), e.d, e.mu)
+                for e in out.edges] == edges
+        balls = node_ball_lists(comp, merge_map)
+        assert out.sphere_node.tolist() == sphere_node_oracle(
+            config.n_spheres, balls).tolist()
+        assert boundary_nodes(out, 1.0) == boundary_nodes_oracle(
+            config, balls, 1.0)
+
+    def test_short_swaps_contact_points_of_reversed_edges(self):
+        graph = make_graph([1.0] * 4, [(k, 0, 0) for k in range(4)],
+                           [(1, 2, 0.1)])
+        out = short_at(graph, [(1, 3), (0, 2)])
+        assert out.node_merge_map == (0, 1, 0, 1)
+        e, src = out.edges[0], graph.edges[0]
+        assert (e.a, e.b) == (0, 1)
+        assert tuple(e.xa) == tuple(src.xb) and tuple(e.xb) == tuple(src.xa)
+
+    @PROPERTY
+    @given(built_graphs(), st.data())
+    def test_json_round_trip(self, built, data):
+        graph = built[2]
+        # Pairwise lens corrections can drive a triple overlap's volume
+        # negative, which graph documents reject.
+        assume(np.all(graph.volumes > 0.0))
+        shorted = short_at(graph, node_pairs(data, graph.n_nodes))
+        for g in (graph, shorted):
+            doc = json.loads(dumps_17g(g.to_dict()))
+            assert InclusionGraph.from_dict(doc) == g
 
 
 def _cloud(kind, n, rng):
