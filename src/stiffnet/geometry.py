@@ -19,6 +19,7 @@ seed, params) reproduce the same configuration bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -494,6 +495,9 @@ def generate_lattice_jitter(seed, N, spacing, radius, jitter,
                         contact_tol=contact_tol)
 
 
+_NEIGHBOUR_OFFSETS = list(itertools.product((-1, 0, 1), repeat=3))
+
+
 def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
                           chain_density=0.002, max_attempts=200,
                           contact_tol=DEFAULT_CONTACT_TOL) -> SphereConfig:
@@ -509,7 +513,10 @@ def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
 
     ``chain_density`` sets the target number of chains per unit volume.
     If a chain cannot be placed within ``max_attempts`` draws, placement
-    stops and the partial configuration carries a warning.
+    stops and the partial configuration carries a warning.  A grid hash
+    with cells just wider than the minimal centre distance limits each
+    clearance check to the occupied centres in the 27 cells around each
+    ball of the candidate chain.
     """
     g_min, g_max = float(gap_range[0]), float(gap_range[1])
     if chain_len_max < 1:
@@ -526,12 +533,15 @@ def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
     clearance = 2.0 * g_max
     min_center_dist = 2.0 * radius + clearance
 
-    all_centers: list[np.ndarray] = []
-    occupied = np.empty((0, 3))
+    occupied = np.empty((1024, 3))
+    n_occupied = 0
     warnings = ()
+    # Grid hash with cells a hair wider than min_center_dist, so that no
+    # rounding in ``floor`` hides a neighbour: only 27 cells per ball matter.
+    cell = min_center_dist * (1.0 + 1e-9)
+    grid: dict[tuple[int, int, int], list[int]] = {}
 
-    for _ in range(n_chains_target):
-        placed = False
+    for n_chains in range(n_chains_target):
         for _attempt in range(max_attempts):
             length = int(rng.integers(1, chain_len_max + 1))
             direction = rng.normal(size=3)
@@ -542,21 +552,29 @@ def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
             chain = start[None, :] + steps[:, None] * direction[None, :]
             if np.max(np.abs(chain)) + radius >= N:
                 continue
-            if occupied.shape[0]:
-                d2 = np.sum((chain[:, None, :] - occupied[None, :, :]) ** 2, axis=2)
+            keys = np.floor(chain / cell).astype(np.int64).tolist()
+            near = [k for c in {(x + dx, y + dy, z + dz) for x, y, z in keys
+                                for dx, dy, dz in _NEIGHBOUR_OFFSETS}
+                    for k in grid.get(c, ())]
+            if near:
+                d2 = np.sum((chain[:, None, :] - occupied[None, near, :]) ** 2,
+                            axis=2)
                 if d2.min() <= min_center_dist * min_center_dist:
                     continue
-            all_centers.append(chain)
-            occupied = np.concatenate([occupied, chain], axis=0)
-            placed = True
+            if n_occupied + length > occupied.shape[0]:
+                occupied = np.concatenate(
+                    [occupied, np.empty((max(n_occupied, length), 3))])
+            occupied[n_occupied:n_occupied + length] = chain
+            for k, key in enumerate(keys, start=n_occupied):
+                grid.setdefault(tuple(key), []).append(k)
+            n_occupied += length
             break
-        if not placed:
+        else:
             warnings = (f"placement budget exhausted after "
-                        f"{len(all_centers)} of {n_chains_target} chains",)
+                        f"{n_chains} of {n_chains_target} chains",)
             break
 
-    centers = (np.concatenate(all_centers, axis=0)
-               if all_centers else np.empty((0, 3)))
+    centers = occupied[:n_occupied].copy()
     radii = np.full(centers.shape[0], float(radius))
     return SphereConfig(centers, radii, N, model="chain_forest", seed=seed,
                         contact_tol=contact_tol, warnings=warnings)

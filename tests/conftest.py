@@ -276,6 +276,48 @@ def short_oracle(graph, node_pairs):
     return merge_map, nodes, edges
 
 
+def quadratic_chain_forest(seed, N, radius, chain_len_max, gap_range,
+                           chain_density=0.002, max_attempts=200):
+    """Chain placement checked against every placed centre, O(n^2).
+
+    Draws exactly as ``generate_chain_forest`` and rejects a chain by the
+    same distance test; returns ``(centers, warnings)``.
+    """
+    g_min, g_max = float(gap_range[0]), float(gap_range[1])
+    rng = np.random.default_rng(seed)
+    n_chains_target = max(1, int(round(chain_density * (2.0 * N) ** 3)))
+    min_center_dist = 2.0 * radius + 2.0 * g_max
+    chains = []
+    occupied = np.empty((0, 3))
+    warnings = ()
+    for _ in range(n_chains_target):
+        placed = False
+        for _attempt in range(max_attempts):
+            length = int(rng.integers(1, chain_len_max + 1))
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            gaps = rng.uniform(g_min, g_max, size=max(length - 1, 0))
+            steps = np.concatenate([[0.0], np.cumsum(2.0 * radius + gaps)])
+            start = rng.uniform(-N + radius, N - radius, size=3)
+            chain = start[None, :] + steps[:, None] * direction[None, :]
+            if np.max(np.abs(chain)) + radius >= N:
+                continue
+            if occupied.shape[0]:
+                d2 = np.sum((chain[:, None, :] - occupied[None, :, :]) ** 2,
+                            axis=2)
+                if d2.min() <= min_center_dist * min_center_dist:
+                    continue
+            chains.append(chain)
+            occupied = np.concatenate([occupied, chain], axis=0)
+            placed = True
+            break
+        if not placed:
+            warnings = (f"placement budget exhausted after "
+                        f"{len(chains)} of {n_chains_target} chains",)
+            break
+    return occupied, warnings
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

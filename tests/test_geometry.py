@@ -18,6 +18,8 @@ from stiffnet.geometry import (
 )
 from stiffnet.multigraph import build_graph, is_cycle_free
 
+from conftest import quadratic_chain_forest
+
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
 
@@ -145,6 +147,26 @@ class TestChainForest:
         reach = np.max(np.abs(config.centers), axis=1) + config.radii
         assert np.all(reach < config.box_half_width)
 
+
+    @pytest.mark.parametrize("seed, N, params", [
+        (0, 30.0, {}),
+        (1, 12.0, {"chain_len_max": 3}),
+        (7, 9.0, {"chain_density": 0.02}),
+        (11, 6.0, {"chain_density": 0.05, "max_attempts": 20}),
+        (12, 8.0, {"radius": 0.5, "gap_range": (0.2, 0.4),
+                   "chain_density": 0.01, "max_attempts": 5}),
+        (0, 30.0, {"radius": 0.01, "chain_len_max": 3000,
+                   "gap_range": (0.001, 0.002), "chain_density": 2e-5}),
+    ])
+    def test_matches_quadratic_oracle(self, seed, N, params):
+        kwargs = {"radius": 1.0, "chain_len_max": 8,
+                  "gap_range": (0.01, 0.1), **params}
+        config = generate_chain_forest(seed=seed, N=N, **kwargs)
+        centers, warnings = quadratic_chain_forest(seed, N, **kwargs)
+        assert config.centers.tobytes() == centers.tobytes()
+        assert config.warnings == warnings
+        if "max_attempts" in params:
+            assert warnings     # the run hit its placement budget
 
 class TestRestrictBox:
     def test_identity_when_all_inside(self):

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -19,7 +18,11 @@ from stiffnet.energy import (
     affine_boundary_family,
     minimize_energy,
 )
-from stiffnet.geometry import components, generate_lattice_jitter
+from stiffnet.geometry import (
+    components,
+    generate_chain_forest,
+    generate_lattice_jitter,
+)
 from stiffnet.multigraph import build_graph
 
 
@@ -85,6 +88,60 @@ class TestSPDSolver:
         assert info.value.residual > 1e-9
 
 
+    @staticmethod
+    def block_diagonal(rng, sizes, shift):
+        """Random symmetric blocks ``B B^T + shift I`` on the diagonal."""
+        blocks = []
+        for m in sizes:
+            B = rng.normal(size=(m, m))
+            blocks.append(B @ B.T + shift * m * np.eye(m))
+        return scipy.sparse.block_diag(blocks, format="csr")
+
+    def test_small_blocks_factor_directly(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        sizes = [DENSE_CUTOFF - 1, 1, 57, DENSE_CUTOFF - 1, 120]
+        assert sum(sizes) >= 2 * DENSE_CUTOFF
+        K = self.block_diagonal(rng, sizes, 1.0)
+        calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        solver = SPDSolver(K, SolverOptions(tol=1e-12))
+        for _ in range(3):
+            rhs = rng.normal(size=K.shape[0])
+            np.testing.assert_allclose(solver.solve(rhs),
+                                       np.linalg.solve(K.toarray(), rhs),
+                                       rtol=1e-9, atol=1e-12)
+        assert calls == []
+
+    def test_indefinite_small_blocks_raise_solver_error(self):
+        rng = np.random.default_rng(4)
+        sizes = [DENSE_CUTOFF - 1, 80, DENSE_CUTOFF - 1]
+        # For square Gaussian B the spectrum of B B^T - m I spans about
+        # [-m, 3m]: every block is indefinite.
+        K = self.block_diagonal(rng, sizes, -1.0)
+        with pytest.raises(SolverError) as info:
+            SPDSolver(K, SolverOptions())
+        assert math.isnan(info.value.residual)
+
+    def test_one_block_at_the_cutoff_takes_cg(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        K = self.block_diagonal(rng, [DENSE_CUTOFF, 3, 10], 1.0)
+        calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        solver = SPDSolver(K, SolverOptions(tol=1e-12))
+        rhs = rng.normal(size=K.shape[0])
+        np.testing.assert_allclose(solver.solve(rhs),
+                                   np.linalg.solve(K.toarray(), rhs),
+                                   rtol=1e-9, atol=1e-12)
+        assert calls == ["cg"]
+
+    def test_chain_forest_h2_makes_no_cg_call(self, monkeypatch):
+        config = generate_chain_forest(seed=3, N=20, radius=1,
+                                       chain_len_max=8, gap_range=(0.01, 0.1))
+        graph = build_graph(components(config), config, 0.2)
+        assert graph.n_nodes > DENSE_CUTOFF
+        calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        estimate = h2_statistic(graph, H2Options(s=4.0, n_starts=2))
+        assert math.isfinite(estimate.value) and estimate.value > 0.0
+        assert calls == []
+
 class TestCertifiedCallers:
     """Every solve of the package reports its residual when it fails."""
 
@@ -111,7 +168,7 @@ class TestClampedSystemReuse:
     def test_one_factorization_per_graph(self, monkeypatch):
         graph = jitter_lattice_graph(2)
         assert graph.n_nodes < DENSE_CUTOFF
-        calls = count_calls(monkeypatch, scipy.linalg, "cho_factor")
+        calls = count_calls(monkeypatch, scipy.sparse.linalg, "splu")
         tensor = network_effective_tensor(graph, 0.5)
-        assert calls == ["cho_factor"]
+        assert calls == ["splu"]
         assert np.all(np.diag(tensor.matrix) > 0.0)
