@@ -528,6 +528,7 @@ def _dispatch(args) -> int:
         config = load_json(args.config, kind="config")
         restricted = restrict_box(config, config.box_half_width)
         graph = build_graph(components(restricted), restricted, args.delta)
+        graph.check_volumes()
         _emit(args, dumps_17g(graph.to_dict()) + "\n")
         return EXIT_OK
 

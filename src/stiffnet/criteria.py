@@ -14,9 +14,13 @@ Two normalized quantities drive everything:
 The sup is estimated from below by projected gradient ascent over
 antisymmetric families on the unit l_s sphere (the sup is attained on
 antisymmetric families: for fixed differences beta the denominator is
-minimized by b = (beta/2, -beta/2)).  For s = 2 on small graphs the sup is
-also computed exactly as the top eigenvalue of the condensed quadratic
-form.
+minimized by b = (beta/2, -beta/2)).  The minimizing potentials are linear
+in beta, u* = G beta with G = -K^-1 A^T W; when the system matrix K factors
+directly (every cluster small) G is built once per graph from one
+multi-column solve and each ascent step is a sparse product, otherwise each
+step solves K once.  Starts that are bitwise equal ascend once.  For s = 2
+on small graphs the sup is also computed exactly as the top eigenvalue of
+the condensed quadratic form W (I + A G).
 
 ``scan_cells`` is the one loop over an (N, seed) grid: it builds each
 cell's configuration and graph once and evaluates every requested task on
@@ -47,6 +51,7 @@ from .energy import (
 )
 from .geometry import (
     SphereConfig,
+    _connected_labels,
     cluster_moment_statistic,
     components,
     generate_chain_forest,
@@ -160,22 +165,73 @@ def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float,
     return breakdown.total / (Q * (S / Q) ** (2.0 / s))
 
 
-def _condensed_quadratic_form(graph: InclusionGraph,
-                              identity_mass: bool = False) -> np.ndarray:
+# Dense right-hand-side blocks of the operator solve hold at most this many
+# entries, or four times the operator's, whichever is more.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _potential_operator(graph: InclusionGraph, solver: SPDSolver):
+    """Sparse G = -K^-1 A^T W, so that u* = G beta minimizes E(., b(beta)).
+
+    Column e of G solves K g_e = -A^T W 1_e, which lives on the cluster of
+    edge e (K is block diagonal by cluster).  Edges of different clusters
+    therefore share one right-hand side: edge e goes to column rank(e), its
+    rank within its cluster, so one ``solver.solve`` with as many columns as
+    the largest cluster has edges yields every g_e, certified by its
+    column's residual gate.  Columns are solved in blocks when one dense
+    (n, width) temporary would dwarf G.
+    """
+    n, m = graph.n_nodes, graph.n_edges
+    n_clusters, cluster = _connected_labels(n, graph.a, graph.b)
+    edge_cluster = cluster[graph.a]
+    edge_count = np.bincount(edge_cluster, minlength=n_clusters)
+    by_cluster = np.argsort(edge_cluster, kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[by_cluster] = np.arange(m) - _starts(edge_count)[
+        edge_cluster[by_cluster]]
+    # Column e of G holds the nodes of e's cluster, in ascending order.
+    node_count = np.bincount(cluster, minlength=n_clusters)
+    seg = node_count[edge_cluster]
+    indptr = np.concatenate([[0], np.cumsum(seg)])
+    within = np.arange(indptr[-1]) - np.repeat(indptr[:-1], seg)
+    rows = np.argsort(cluster, kind="stable")[
+        np.repeat(_starts(node_count)[edge_cluster], seg) + within]
+    col_rank = np.repeat(rank, seg)
+
+    width = int(edge_count.max(initial=0))
+    step = max(1, min(width, max(_BLOCK_ENTRIES, 4 * rows.size) // max(n, 1)))
+    values = np.empty(rows.size)
+    w = 2.0 * graph.mu
+    for lo in range(0, width, step):
+        hi = min(lo + step, width)
+        rhs = np.zeros((n, hi - lo))
+        sel = (rank >= lo) & (rank < hi)
+        rhs[graph.a[sel], rank[sel] - lo] = -w[sel]
+        rhs[graph.b[sel], rank[sel] - lo] = w[sel]
+        x = solver.solve(rhs)
+        take = (col_rank >= lo) & (col_rank < hi)
+        values[take] = x[rows[take], col_rank[take] - lo]
+    return scipy.sparse.csc_matrix((values, rows, indptr),
+                                   shape=(n, m)).tocsr()
+
+
+def _starts(counts):
+    """Start offset of each group in a concatenation of groups of ``counts``."""
+    return np.cumsum(counts) - counts
+
+
+def _condensed_quadratic_form(graph: InclusionGraph) -> np.ndarray:
     """Dense matrix Q with inf_u E(u, b(beta)) = beta^T Q beta.
 
     beta is the per-edge antisymmetric part; eliminating the potentials
     from the stationarity system leaves the Schur complement
-    Q = W - W A K^-1 A^T W with W = diag(2 mu), K = D + 2 L.
+    Q = W - W A K^-1 A^T W = W (I + A G), with W = diag(2 mu), K = D + 2 L
+    and G the potential operator.
     """
-    n, m = graph.n_nodes, graph.n_edges
-    W = np.diag(2.0 * graph.mu)
-    A = np.zeros((m, n))
-    A[np.arange(m), graph.a] += 1.0
-    A[np.arange(m), graph.b] -= 1.0
-    K = LaplacianAssembly(graph, identity_mass=identity_mass).system_matrix.toarray()
-    WA = W @ A
-    return W - WA @ np.linalg.solve(K, WA.T)
+    solver = SPDSolver(LaplacianAssembly(graph).system_matrix, SolverOptions())
+    G = _potential_operator(graph, solver).toarray()
+    w = 2.0 * graph.mu
+    return np.diag(w) + w[:, None] * (G[graph.a] - G[graph.b])
 
 
 def h2_exact_s2(graph: InclusionGraph) -> float:
@@ -189,8 +245,17 @@ def h2_exact_s2(graph: InclusionGraph) -> float:
 class _CachedMinimizer:
     """Minimum energy over potentials for a fixed graph, beta varying.
 
-    The system matrix does not depend on the boundary family, so one
-    ``SPDSolver`` serves every ascent iteration.
+    The system matrix does not depend on the boundary family.  On the
+    direct solver path the minimizer is the potential operator G, built
+    once from one multi-column solve, and each ``minimum`` is the sparse
+    product u = G beta, where rhs(beta) = -A^T W beta.  Each column g_e
+    of G is a solve: it is the part of a certified solution column that
+    lies on e's cluster, and the clusters sharing that column are
+    decoupled, so its absolute residual residual_e = |K g_e + A^T W 1_e|
+    is at most that column's.  By linearity every step is certified,
+    |K G beta - rhs(beta)| <= sum_e |beta_e| residual_e.  A graph with a
+    block of ``DENSE_CUTOFF`` or more nodes solves once per ``minimum``
+    instead.
     """
 
     def __init__(self, graph: InclusionGraph, opts: SolverOptions):
@@ -200,13 +265,18 @@ class _CachedMinimizer:
                         else graph.volumes)
         assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
         self.solver = SPDSolver(assembly.system_matrix, opts)
+        self.operator = (_potential_operator(graph, self.solver)
+                         if self.solver.direct else None)
 
     def minimum(self, beta):
         """(residuals, minimal energy) at the antisymmetric family beta."""
-        rhs = np.zeros(self.n)
-        np.subtract.at(rhs, self.a_idx, 2.0 * self.mu * beta)
-        np.add.at(rhs, self.b_idx, 2.0 * self.mu * beta)
-        u = self.solver.solve(rhs)
+        if self.operator is not None:
+            u = self.operator @ beta
+        else:
+            rhs = np.zeros(self.n)
+            np.subtract.at(rhs, self.a_idx, 2.0 * self.mu * beta)
+            np.add.at(rhs, self.b_idx, 2.0 * self.mu * beta)
+            u = self.solver.solve(rhs)
         r = (beta + u[self.a_idx]) - u[self.b_idx]
         num = float(np.sum(2.0 * self.mu * r * r)
                     + np.sum(self.volumes * u * u))
@@ -332,10 +402,14 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
 
     Multi-start projected gradient ascent over antisymmetric families,
     warm-started from random Gaussian families plus the affine and midpoint
-    canonical families along the coordinate axes.  The ascent value is a
-    certified lower bound of the true sup.  For s = 2 on graphs with at
-    most 20 nodes the exact top eigenvalue is computed as well and returned
-    as the value.
+    canonical families along the coordinate axes.  The ascent is
+    deterministic, so a start bitwise equal to an earlier one (the affine
+    and midpoint starts often are) reuses that start's result; ``per_start``
+    still has one entry per nonzero start.  All starts share one
+    ``_CachedMinimizer``, whose potential operator certifies every step.
+    The ascent value is a certified lower bound of the true sup.  For s = 2
+    on graphs with at most 20 nodes the exact top eigenvalue is computed as
+    well and returned as the value.
     """
     if graph.n_edges == 0:
         raise ValueError("graph has no edges; the sup statistic is undefined")
@@ -359,8 +433,12 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
     box_volume = graph.box_volume()
     per_start = []
     best = -math.inf
+    ascents = {}    # start bytes -> result: equal starts ascend identically
     for beta0 in starts:
-        out = _ascend_from(minimizer, box_volume, beta0, opts)
+        key = beta0.tobytes()
+        if key not in ascents:
+            ascents[key] = _ascend_from(minimizer, box_volume, beta0, opts)
+        out = ascents[key]
         if out is None:
             continue    # zero start (excluded from the sup)
         value, _ = out

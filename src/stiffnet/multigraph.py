@@ -209,10 +209,9 @@ class InclusionGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"invalid graph document: {exc}") from None
         for k, nd in enumerate(nodes):
-            if nd.id != k or not (0.0 < nd.volume < math.inf):
-                raise SchemaError(f"node at position {k}: need id {k} and a "
-                                  f"finite positive volume, got id {nd.id}, "
-                                  f"vol {nd.volume!r}")
+            if nd.id != k:
+                raise SchemaError(f"node at position {k}: need id {k}, got "
+                                  f"id {nd.id}")
         for e in edges:
             if not (0 <= e.a < e.b < len(nodes) and 0.0 < e.d < 1.0
                     and e.mu == abs(math.log(e.d))):
@@ -221,10 +220,25 @@ class InclusionGraph:
                     f"(0, 1) and mu = |ln d|, got a {e.a}, b {e.b}, "
                     f"d {e.d!r}, mu {e.mu!r}")
         try:
-            return cls.from_records(nodes, edges, float(data["delta"]),
-                                    float(data["N"]))
+            graph = cls.from_records(nodes, edges, float(data["delta"]),
+                                     float(data["N"]))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"invalid graph document: {exc}") from None
+        graph.check_volumes()
+        return graph
+
+    def check_volumes(self):
+        """Raise SchemaError unless every node volume is finite and positive.
+
+        ``from_dict`` reads graph documents under this rule, and
+        ``stiffnet graph`` checks a built graph by it before writing one.
+        """
+        bad = np.flatnonzero(~((self.volumes > 0.0)
+                               & (self.volumes < math.inf)))
+        if bad.size:
+            k = int(bad[0])
+            raise SchemaError(f"node {k}: need a finite positive volume, "
+                              f"got vol {float(self.volumes[k])!r}")
 
     def __eq__(self, other):
         if not isinstance(other, InclusionGraph):

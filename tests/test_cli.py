@@ -272,6 +272,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_graph_refuses_negative_component_volume(self, tmp_path, capsys):
+        # Pairwise lens corrections give four coincident balls a negative
+        # union volume; the document would fail its own reader.
+        centers = [[0.0, 0.0, 0.0]] * 4 + [[1.2, 0.0, 0.0]]
+        path = tmp_path / "config.json"
+        save_json(SphereConfig(centers, [0.5] * 5, 3.0), path)
+        out_path = tmp_path / "graph.json"
+        code = main(["--out", str(out_path), "graph", "--config", str(path),
+                     "--delta", "0.5"])
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite positive volume" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("argv", [
         ["criteria", "--statistic", "logmoment"],
         ["effective"],

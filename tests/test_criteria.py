@@ -1,13 +1,25 @@
 """Criterion statistics: affine energy, family-uniform ratio, moments, scans."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import make_graph, random_test_graph, single_edge_graph
+import stiffnet.criteria as criteria
+from conftest import (
+    ScatterSolveMinimizer,
+    make_graph,
+    random_test_graph,
+    single_edge_graph,
+)
 from stiffnet.criteria import (
     H2Options,
+    _CachedMinimizer,
     _plateau,
     density_estimate,
     derive_cell_seed,
@@ -21,11 +33,18 @@ from stiffnet.criteria import (
 from stiffnet.energy import (
     BoundaryFamily,
     PotentialFamily,
+    SolverOptions,
+    SPDSolver,
     affine_boundary_family,
     energy,
     minimize_energy,
 )
-from stiffnet.geometry import SphereConfig, components, generate_lattice_jitter
+from stiffnet.geometry import (
+    SphereConfig,
+    components,
+    generate_chain_forest,
+    generate_lattice_jitter,
+)
 from stiffnet.multigraph import build_graph
 
 
@@ -190,6 +209,113 @@ class TestH2Statistic:
     def test_s_below_two_rejected(self):
         with pytest.raises(ValueError):
             H2Options(s=1.5)
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """Random volumes, at least one parallel edge and one isolated node."""
+    n = draw(st.integers(3, 14))
+    node = st.integers(0, n - 2)        # node n - 1 stays isolated
+    edges = draw(st.lists(
+        st.tuples(node, node, st.floats(0.01, 0.9)).filter(
+            lambda e: e[0] != e[1]), min_size=1, max_size=25))
+    a, b, d = edges[draw(st.integers(0, len(edges) - 1))]
+    edges.append((b, a, d / 3.0))
+    volumes = draw(hnp.arrays(np.float64, n, elements=st.floats(0.05, 4.0)))
+    positions = draw(hnp.arrays(np.float64, (n, 3),
+                                elements=st.floats(-3.0, 3.0)))
+    return make_graph(volumes, positions, edges, N=2.0)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def chain_forest_graph():
+    config = generate_chain_forest(seed=2, N=22, radius=1.0, chain_len_max=8,
+                                   gap_range=(0.01, 0.1))
+    graph = build_graph(components(config), config, 0.2)
+    assert graph.n_nodes >= 500
+    return graph
+
+
+class TestPotentialOperator:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(graph=weighted_multigraphs(), data=st.data())
+    @pytest.mark.parametrize("identity_mass", [False, True])
+    def test_minimum_matches_scatter_solve(self, identity_mass, graph, data):
+        opts = SolverOptions(identity_mass=identity_mass)
+        fast = _CachedMinimizer(graph, opts)
+        oracle = ScatterSolveMinimizer(graph, opts)
+        assert fast.operator is not None
+        beta = data.draw(hnp.arrays(np.float64, graph.n_edges,
+                                    elements=st.floats(-5.0, 5.0)))
+        r, num = fast.minimum(beta)
+        r_ref, num_ref = oracle.minimum(beta)
+        scale = max(float(np.abs(beta).max()), 1e-300)
+        np.testing.assert_allclose(r, r_ref, rtol=1e-12, atol=1e-12 * scale)
+        assert num == pytest.approx(num_ref, rel=1e-12, abs=1e-300)
+
+    def test_column_blocks_give_the_same_operator(self, monkeypatch):
+        # Two small clusters among 30 nodes: the (30, 5) block would hold
+        # more than four times G's 22 entries, so it is solved in pieces.
+        edges = [(0, 1, d) for d in (0.1, 0.2, 0.3, 0.4, 0.5)]
+        edges += [(5, 6, 0.05), (6, 7, 0.15), (5, 7, 0.25), (6, 7, 0.35)]
+        rng = np.random.default_rng(11)
+        graph = make_graph(rng.uniform(0.5, 2.0, size=30),
+                           rng.uniform(-2.0, 2.0, size=(30, 3)), edges)
+        solver = SPDSolver(criteria.LaplacianAssembly(graph).system_matrix,
+                           SolverOptions())
+        whole = criteria._potential_operator(graph, solver)
+        monkeypatch.setattr(criteria, "_BLOCK_ENTRIES", 1)
+        solves = count_calls(monkeypatch, SPDSolver, "solve")
+        blocked = criteria._potential_operator(graph, solver)
+        assert len(solves) > 1
+        assert np.array_equal(blocked.toarray(), whole.toarray())
+
+    def test_chain_forest_h2_solves_once(self, chain_forest_graph,
+                                         monkeypatch):
+        opts = H2Options(s=4.0, n_starts=3, max_ascent_iters=40, tol=1e-6)
+        solves = count_calls(monkeypatch, SPDSolver, "solve")
+        cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        est = h2_statistic(chain_forest_graph, opts)
+        assert solves == ["solve"] and cgs == []
+        monkeypatch.setattr(criteria, "_CachedMinimizer", ScatterSolveMinimizer)
+        old = h2_statistic(chain_forest_graph, opts)
+        assert len(est.per_start) == len(old.per_start)
+        for new_value, old_value in zip(est.per_start, old.per_start):
+            assert new_value == pytest.approx(old_value, rel=1e-12)
+        assert est.value == pytest.approx(old.value, rel=1e-12)
+
+    def test_duplicate_starts_ascend_once(self, monkeypatch):
+        # Along x the affine and midpoint starts of one unit edge are both
+        # -1; along y and z both are zero.
+        graph = single_edge_graph(mu=2.0)
+        ascents = count_calls(monkeypatch, criteria, "_ascend_from")
+        est = h2_statistic(graph, H2Options(s=4.0, n_starts=4, seed=5))
+        assert len(ascents) == 4 + 1 + 1
+        assert len(est.per_start) == 4 + 2
+        assert est.per_start[4] == est.per_start[5]
+
+    def test_exact_value_on_both_solver_paths(self, monkeypatch):
+        graph = random_test_graph(np.random.default_rng(8), n_nodes_max=12,
+                                  n_edges_max=20)
+        direct = h2_exact_s2(graph)
+        assert direct == pytest.approx(eigensolve_oracle(graph), rel=1e-9)
+        monkeypatch.setattr(importlib.import_module("stiffnet.energy"),
+                            "DENSE_CUTOFF", 1)
+        cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        assert h2_exact_s2(graph) == pytest.approx(direct, rel=1e-8)
+        assert cgs
 
 
 class TestLogMoment:

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+import stiffnet.criteria as criteria
 from stiffnet.criteria import H2Options, h2_statistic
 from stiffnet.effective import network_effective_tensor
 from stiffnet.energy import (
@@ -141,6 +142,49 @@ class TestSPDSolver:
         estimate = h2_statistic(graph, H2Options(s=4.0, n_starts=2))
         assert math.isfinite(estimate.value) and estimate.value > 0.0
         assert calls == []
+
+
+class TestManyRightHandSides:
+    @pytest.mark.parametrize("sizes", [[DENSE_CUTOFF - 1, 40, 7],
+                                       [DENSE_CUTOFF, 3]],
+                             ids=["direct", "cg"])
+    def test_columns_equal_single_solves(self, sizes, monkeypatch):
+        rng = np.random.default_rng(len(sizes))
+        K = TestSPDSolver.block_diagonal(rng, sizes, 1.0)
+        solver = SPDSolver(K, SolverOptions(tol=1e-12))
+        rhs = rng.normal(size=(K.shape[0], 4))
+        rhs[:, 2] = 0.0
+        singles = [solver.solve(np.ascontiguousarray(col)) for col in rhs.T]
+        cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        x = solver.solve(rhs)
+        assert x.shape == rhs.shape
+        for j, single in enumerate(singles):
+            assert np.array_equal(x[:, j], single)
+        assert np.array_equal(x[:, 2], np.zeros(K.shape[0]))
+        assert len(cgs) == (0 if solver.direct else 3)
+
+    def test_all_zero_block_gives_zeros(self):
+        K = scipy.sparse.identity(5, format="csr")
+        x = SPDSolver(K, SolverOptions()).solve(np.zeros((5, 3)))
+        assert np.array_equal(x, np.zeros((5, 3)))
+
+    def test_failing_column_raises_with_residual(self, lattice_512):
+        K = LaplacianAssembly(lattice_512).system_matrix
+        rhs = np.zeros((lattice_512.n_nodes, 2))
+        rhs[:, 1] = 1.0
+        with pytest.raises(SolverError) as info:
+            SPDSolver(K, SolverOptions(max_iter=1)).solve(rhs)
+        assert math.isfinite(info.value.residual)
+        assert info.value.residual > 1e-9
+
+    def test_large_block_h2_solves_once_per_step(self, lattice_512,
+                                                 monkeypatch):
+        minima = count_calls(monkeypatch, criteria._CachedMinimizer, "minimum")
+        solves = count_calls(monkeypatch, SPDSolver, "solve")
+        h2_statistic(lattice_512, H2Options(s=4.0, n_starts=1,
+                                            max_ascent_iters=3))
+        assert len(minima) > 1 and len(solves) == len(minima)
+
 
 class TestCertifiedCallers:
     """Every solve of the package reports its residual when it fails."""
