@@ -178,29 +178,24 @@ def _potential_operator(graph: InclusionGraph, solver: SPDSolver):
     therefore share one right-hand side: edge e goes to column rank(e), its
     rank within its cluster, so one ``solver.solve`` with as many columns as
     the largest cluster has edges yields every g_e, certified by its
-    column's residual gate.  Columns are solved in blocks when one dense
-    (n, width) temporary would dwarf G.
+    column's residual gate.  Row i of G is then the first m_c entries of
+    row i of that solution, m_c the edge count of i's cluster.  Columns are
+    solved in blocks when one dense (n, width) temporary would dwarf G.
     """
     n, m = graph.n_nodes, graph.n_edges
     n_clusters, cluster = _connected_labels(n, graph.a, graph.b)
     edge_cluster = cluster[graph.a]
     edge_count = np.bincount(edge_cluster, minlength=n_clusters)
+    edge_start = np.cumsum(edge_count) - edge_count
     by_cluster = np.argsort(edge_cluster, kind="stable")
     rank = np.empty(m, dtype=np.int64)
-    rank[by_cluster] = np.arange(m) - _starts(edge_count)[
-        edge_cluster[by_cluster]]
-    # Column e of G holds the nodes of e's cluster, in ascending order.
-    node_count = np.bincount(cluster, minlength=n_clusters)
-    seg = node_count[edge_cluster]
-    indptr = np.concatenate([[0], np.cumsum(seg)])
-    within = np.arange(indptr[-1]) - np.repeat(indptr[:-1], seg)
-    rows = np.argsort(cluster, kind="stable")[
-        np.repeat(_starts(node_count)[edge_cluster], seg) + within]
-    col_rank = np.repeat(rank, seg)
+    rank[by_cluster] = np.arange(m) - edge_start[edge_cluster[by_cluster]]
 
     width = int(edge_count.max(initial=0))
-    step = max(1, min(width, max(_BLOCK_ENTRIES, 4 * rows.size) // max(n, 1)))
-    values = np.empty(rows.size)
+    per_row = edge_count[cluster]
+    indptr = np.concatenate([[0], np.cumsum(per_row)])
+    step = max(1, min(width, max(_BLOCK_ENTRIES, 4 * indptr[-1]) // max(n, 1)))
+    data = np.empty(indptr[-1])
     w = 2.0 * graph.mu
     for lo in range(0, width, step):
         hi = min(lo + step, width)
@@ -209,15 +204,11 @@ def _potential_operator(graph: InclusionGraph, solver: SPDSolver):
         rhs[graph.a[sel], rank[sel] - lo] = -w[sel]
         rhs[graph.b[sel], rank[sel] - lo] = w[sel]
         x = solver.solve(rhs)
-        take = (col_rank >= lo) & (col_rank < hi)
-        values[take] = x[rows[take], col_rank[take] - lo]
-    return scipy.sparse.csc_matrix((values, rows, indptr),
-                                   shape=(n, m)).tocsr()
-
-
-def _starts(counts):
-    """Start offset of each group in a concatenation of groups of ``counts``."""
-    return np.cumsum(counts) - counts
+        held = np.arange(lo, hi) < per_row[:, None]
+        data[(indptr[:-1, None] + np.arange(lo, hi))[held]] = x[held]
+    held = np.arange(width) < per_row[:, None]
+    indices = by_cluster[(edge_start[cluster][:, None] + np.arange(width))[held]]
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, m))
 
 
 def _condensed_quadratic_form(graph: InclusionGraph) -> np.ndarray:

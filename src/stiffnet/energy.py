@@ -209,29 +209,27 @@ class SPDSolver:
         """
         rhs = np.asarray(rhs, dtype=float)
         cols = rhs.reshape(self.n, -1)
+        x = np.zeros(cols.shape)
         rhs_norm = np.linalg.norm(cols, axis=0)
         live = np.flatnonzero(rhs_norm)
-        x = np.zeros(cols.shape)
         if live.size == 0:
             return x.reshape(rhs.shape)
         if live.size < cols.shape[1]:
             cols, rhs_norm = cols[:, live], rhs_norm[live]
+        info = np.zeros(live.size, dtype=int)
         if self._lu is not None:
             x[:, live] = self._lu.solve(cols)
         else:
-            for j, col in zip(live, cols.T):
-                col = np.ascontiguousarray(col)
-                x[:, j], info = scipy.sparse.linalg.cg(
-                    self.K, col, rtol=self.tol, atol=0.0,
-                    maxiter=self._max_iter, M=self._precond)
-                if info != 0:
-                    residual = float(np.linalg.norm(self.K @ x[:, j] - col)
-                                     / np.linalg.norm(col))
-                    raise SolverError(
-                        f"conjugate gradients did not converge in "
-                        f"{self._max_iter} iterations (relative residual "
-                        f"{residual:.3e})", residual=residual)
+            for k, j in enumerate(live):
+                x[:, j], info[k] = scipy.sparse.linalg.cg(
+                    self.K, np.ascontiguousarray(cols[:, k]), rtol=self.tol,
+                    atol=0.0, maxiter=self._max_iter, M=self._precond)
         residual = np.linalg.norm(self.K @ x[:, live] - cols, axis=0) / rhs_norm
+        if info.any():
+            worst = float(residual[np.flatnonzero(info)[0]])
+            raise SolverError(
+                f"conjugate gradients did not converge in {self._max_iter} "
+                f"iterations (relative residual {worst:.3e})", residual=worst)
         bad = np.flatnonzero(~(residual <= max(self.tol, 1e-12) * 10.0))
         if bad.size:
             worst = float(residual[bad[0]])

@@ -349,6 +349,19 @@ def quadratic_chain_forest(seed, N, radius, chain_len_max, gap_range,
     return occupied, warnings
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record each call of ``owner.name`` (patched for the test's duration)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

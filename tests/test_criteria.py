@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 import stiffnet.criteria as criteria
 from conftest import (
     ScatterSolveMinimizer,
+    count_calls,
     make_graph,
     random_test_graph,
     single_edge_graph,
@@ -225,18 +226,6 @@ def weighted_multigraphs(draw):
     positions = draw(hnp.arrays(np.float64, (n, 3),
                                 elements=st.floats(-3.0, 3.0)))
     return make_graph(volumes, positions, edges, N=2.0)
-
-
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
 
 
 @pytest.fixture(scope="module")

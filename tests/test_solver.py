@@ -8,6 +8,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import stiffnet.criteria as criteria
+from conftest import count_calls
 from stiffnet.criteria import H2Options, h2_statistic
 from stiffnet.effective import network_effective_tensor
 from stiffnet.energy import (
@@ -38,18 +39,6 @@ def lattice_512():
     graph = jitter_lattice_graph(4)
     assert graph.n_nodes == 512
     return graph
-
-
-def count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 class TestSPDSolver:
