@@ -14,13 +14,15 @@ Two normalized quantities drive everything:
 The sup is estimated from below by projected gradient ascent over
 antisymmetric families on the unit l_s sphere (the sup is attained on
 antisymmetric families: for fixed differences beta the denominator is
-minimized by b = (beta/2, -beta/2)).  The minimizing potentials are linear
-in beta, u* = G beta with G = -K^-1 A^T W; when the system matrix K factors
-directly (every cluster small) G is built once per graph from one
-multi-column solve and each ascent step is a sparse product, otherwise each
-step solves K once.  Starts that are bitwise equal ascend once.  For s = 2
-on small graphs the sup is also computed exactly as the top eigenvalue of
-the condensed quadratic form W (I + A G).
+minimized by b = (beta/2, -beta/2)).  The minimal energy is the condensed
+quadratic form beta^T Q beta, Q = W (I + A G) with G = -K^-1 A^T W the
+potential operator, and its gradient is 2 Q beta = 4 mu r, r the gap
+residuals at the minimizer.  When the system matrix K factors directly
+(every cluster small) the sparse, cluster-block-diagonal Q is built once
+per graph from one multi-column solve and each ascent step is one product
+Q beta and one dot, otherwise each step solves K once.  Starts that are
+bitwise equal ascend once.  For s = 2 on small graphs the sup is also
+computed exactly as the top eigenvalue of Q.
 
 ``scan_cells`` is the one loop over an (N, seed) grid: it builds each
 cell's configuration and graph once and evaluates every requested task on
@@ -165,22 +167,27 @@ def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float,
     return breakdown.total / (Q * (S / Q) ** (2.0 / s))
 
 
-# Dense right-hand-side blocks of the operator solve hold at most this many
-# entries, or four times the operator's, whichever is more.
+# The dense temporaries of the operator build, one row per node or edge,
+# hold at most this many entries, or four times Q's, whichever is more.
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _potential_operator(graph: InclusionGraph, solver: SPDSolver):
-    """Sparse G = -K^-1 A^T W, so that u* = G beta minimizes E(., b(beta)).
+def _condensed_operator(graph: InclusionGraph, solver: SPDSolver):
+    """Sparse Q = W (I + A G) with inf_u E(u, b(beta)) = beta^T Q beta.
 
-    Column e of G solves K g_e = -A^T W 1_e, which lives on the cluster of
-    edge e (K is block diagonal by cluster).  Edges of different clusters
-    therefore share one right-hand side: edge e goes to column rank(e), its
-    rank within its cluster, so one ``solver.solve`` with as many columns as
-    the largest cluster has edges yields every g_e, certified by its
-    column's residual gate.  Row i of G is then the first m_c entries of
-    row i of that solution, m_c the edge count of i's cluster.  Columns are
-    solved in blocks when one dense (n, width) temporary would dwarf G.
+    W = diag(2 mu), row e of the incidence A is +1 at a_e and -1 at b_e,
+    and G = -K^-1 A^T W is the potential operator: u* = G beta minimizes
+    E(., b(beta)), and Q beta = W (beta + A u*) = 2 mu r, r the gap
+    residuals at the minimizer.  Column g_e of G solves
+    K g_e = -A^T W 1_e, which lives on the cluster of edge e (K is block
+    diagonal by cluster), so Q is block diagonal with one m_c x m_c block
+    per cluster of m_c edges.  Edges of different clusters therefore share
+    one right-hand side: edge e goes to column rank(e), its rank within its
+    cluster, so one ``solver.solve`` with as many columns as the largest
+    cluster has edges yields every g_e, certified by its column's residual
+    gate.  Row e of Q is w_e (1_e + x[a_e] - x[b_e]) over the first m_c
+    columns of that solution x.  Columns are solved in blocks when the
+    dense temporaries would dwarf Q.
     """
     n, m = graph.n_nodes, graph.n_edges
     n_clusters, cluster = _connected_labels(n, graph.a, graph.b)
@@ -192,9 +199,10 @@ def _potential_operator(graph: InclusionGraph, solver: SPDSolver):
     rank[by_cluster] = np.arange(m) - edge_start[edge_cluster[by_cluster]]
 
     width = int(edge_count.max(initial=0))
-    per_row = edge_count[cluster]
+    per_row = edge_count[edge_cluster]
     indptr = np.concatenate([[0], np.cumsum(per_row)])
-    step = max(1, min(width, max(_BLOCK_ENTRIES, 4 * indptr[-1]) // max(n, 1)))
+    step = max(1, min(width,
+                      max(_BLOCK_ENTRIES, 4 * indptr[-1]) // max(n, m, 1)))
     data = np.empty(indptr[-1])
     w = 2.0 * graph.mu
     for lo in range(0, width, step):
@@ -204,32 +212,23 @@ def _potential_operator(graph: InclusionGraph, solver: SPDSolver):
         rhs[graph.a[sel], rank[sel] - lo] = -w[sel]
         rhs[graph.b[sel], rank[sel] - lo] = w[sel]
         x = solver.solve(rhs)
+        rows = x[graph.a]
+        rows[sel, rank[sel] - lo] += 1.0
+        rows = w[:, None] * (rows - x[graph.b])
         held = np.arange(lo, hi) < per_row[:, None]
-        data[(indptr[:-1, None] + np.arange(lo, hi))[held]] = x[held]
+        data[(indptr[:-1, None] + np.arange(lo, hi))[held]] = rows[held]
     held = np.arange(width) < per_row[:, None]
-    indices = by_cluster[(edge_start[cluster][:, None] + np.arange(width))[held]]
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, m))
-
-
-def _condensed_quadratic_form(graph: InclusionGraph) -> np.ndarray:
-    """Dense matrix Q with inf_u E(u, b(beta)) = beta^T Q beta.
-
-    beta is the per-edge antisymmetric part; eliminating the potentials
-    from the stationarity system leaves the Schur complement
-    Q = W - W A K^-1 A^T W = W (I + A G), with W = diag(2 mu), K = D + 2 L
-    and G the potential operator.
-    """
-    solver = SPDSolver(LaplacianAssembly(graph).system_matrix, SolverOptions())
-    G = _potential_operator(graph, solver).toarray()
-    w = 2.0 * graph.mu
-    return np.diag(w) + w[:, None] * (G[graph.a] - G[graph.b])
+    columns = edge_start[edge_cluster][:, None] + np.arange(width)
+    return scipy.sparse.csr_matrix((data, by_cluster[columns[held]], indptr),
+                                   shape=(m, m))
 
 
 def h2_exact_s2(graph: InclusionGraph) -> float:
     """Exact sup of the s = 2 ratio: top eigenvalue of the condensed form."""
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
-    Q = _condensed_quadratic_form(graph)
+    solver = SPDSolver(LaplacianAssembly(graph).system_matrix, SolverOptions())
+    Q = _condensed_operator(graph, solver).toarray()
     return float(scipy.linalg.eigvalsh(Q)[-1])
 
 
@@ -237,16 +236,18 @@ class _CachedMinimizer:
     """Minimum energy over potentials for a fixed graph, beta varying.
 
     The system matrix does not depend on the boundary family.  On the
-    direct solver path the minimizer is the potential operator G, built
+    direct solver path the minimizer is the condensed operator Q, built
     once from one multi-column solve, and each ``minimum`` is the sparse
-    product u = G beta, where rhs(beta) = -A^T W beta.  Each column g_e
-    of G is a solve: it is the part of a certified solution column that
-    lies on e's cluster, and the clusters sharing that column are
+    product Q beta = 2 mu r and the dot beta^T Q beta, the minimal energy
+    (stationarity gives A^T W r = -D u*, so beta^T W r = r^T W r +
+    u*^T D u*).  Q beta is W (beta + A u) for the potentials u = G beta,
+    and each column g_e of G is the part of a certified solution column
+    that lies on e's cluster; the clusters sharing that column are
     decoupled, so its absolute residual residual_e = |K g_e + A^T W 1_e|
-    is at most that column's.  By linearity every step is certified,
-    |K G beta - rhs(beta)| <= sum_e |beta_e| residual_e.  A graph with a
-    block of ``DENSE_CUTOFF`` or more nodes solves once per ``minimum``
-    instead.
+    is at most that column's.  By linearity every step is certified:
+    those potentials satisfy |K u + A^T W beta| <= sum_e |beta_e|
+    residual_e.  A graph with a block of ``DENSE_CUTOFF`` or more nodes
+    solves once per ``minimum`` instead and sums the energy from u.
     """
 
     def __init__(self, graph: InclusionGraph, opts: SolverOptions):
@@ -256,65 +257,59 @@ class _CachedMinimizer:
                         else graph.volumes)
         assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
         self.solver = SPDSolver(assembly.system_matrix, opts)
-        self.operator = (_potential_operator(graph, self.solver)
-                         if self.solver.direct else None)
+        self.condensed = (_condensed_operator(graph, self.solver)
+                          if self.solver.direct else None)
 
     def minimum(self, beta):
-        """(residuals, minimal energy) at the antisymmetric family beta."""
-        if self.operator is not None:
-            u = self.operator @ beta
-        else:
-            rhs = np.zeros(self.n)
-            np.subtract.at(rhs, self.a_idx, 2.0 * self.mu * beta)
-            np.add.at(rhs, self.b_idx, 2.0 * self.mu * beta)
-            u = self.solver.solve(rhs)
+        """(Q beta, minimal energy) at the antisymmetric family beta."""
+        if self.condensed is not None:
+            q_beta = self.condensed @ beta
+            return q_beta, float(beta @ q_beta)
+        rhs = np.zeros(self.n)
+        np.subtract.at(rhs, self.a_idx, 2.0 * self.mu * beta)
+        np.add.at(rhs, self.b_idx, 2.0 * self.mu * beta)
+        u = self.solver.solve(rhs)
         r = (beta + u[self.a_idx]) - u[self.b_idx]
         num = float(np.sum(2.0 * self.mu * r * r)
                     + np.sum(self.volumes * u * u))
-        return r, num
+        return 2.0 * self.mu * r, num
 
 
 def _ratio_pieces(minimizer, box_volume, beta, s):
-    """(ratio value, ratio gradient, Q beta) for the antisymmetric family.
+    """beta scaled onto the unit l_s sphere, and the ratio there.
 
-    The numerator gradient is 4 mu r by the envelope theorem (r the gap
-    residuals at the minimizer), hence Q beta = 2 mu r; the denominator is
-    smooth away from 0.
+    Returns (unit beta, ratio value, ratio gradient, Q beta), or None for
+    the zero family.  One power p = |beta|^(s-2) serves the whole
+    evaluation: sum |beta|^s = sum p beta^2, and sign(beta) |beta|^(s-1)
+    = p beta.  On the unit sphere S_s = 2^(2-s) for the family
+    (beta/2, -beta/2), so the denominator is the constant
+    |Q_N|^(1-2/s) 2^(4/s-2) and its gradient is 2 denom p beta; the
+    numerator gradient is 2 Q beta by the envelope theorem.
     """
-    r, num = minimizer.minimum(beta)
-    q_beta = 2.0 * minimizer.mu * r
-    grad_num = 2.0 * q_beta
-
-    S = (2.0 ** (2.0 - s)) * float(np.sum(np.abs(beta) ** s))
-    denom = box_volume * (S / box_volume) ** (2.0 / s)
-    grad_S = (2.0 ** (2.0 - s)) * s * np.abs(beta) ** (s - 1.0) * np.sign(beta)
-    grad_denom = (box_volume ** (1.0 - 2.0 / s) * (2.0 / s)
-                  * S ** (2.0 / s - 1.0) * grad_S)
-    value = num / denom
-    grad = (grad_num - value * grad_denom) / denom
-    return value, grad, q_beta
-
-
-def _normalize_ls(beta, s):
-    norm = float(np.sum(np.abs(beta) ** s)) ** (1.0 / s)
+    p = np.abs(beta) ** (s - 2.0)
+    norm = float(p @ (beta * beta)) ** (1.0 / s)
     if norm == 0.0:
         return None
-    return beta / norm
+    beta = beta / norm
+    q_beta, num = minimizer.minimum(beta)
+    denom = box_volume ** (1.0 - 2.0 / s) * 2.0 ** (4.0 / s - 2.0)
+    grad = (2.0 / denom) * (q_beta - (num * norm ** (2.0 - s)) * (p * beta))
+    return beta, num / denom, grad, q_beta
 
 
 def _subspace_max_s2(minimizer, beta, q_beta):
     """Maximize beta^T Q beta / |beta|^2 over span{beta, Q beta} (s = 2).
 
     Steepest ascent with exact line search for the Rayleigh quotient; one
-    extra inner solve for the orthogonalized direction.
+    extra product with Q (an inner solve on the CG path) for the
+    orthogonalized direction.
     """
     q_orth = q_beta - (q_beta @ beta) / (beta @ beta) * beta
     nq = float(np.linalg.norm(q_orth))
     if nq <= 1e-14 * max(1.0, float(np.linalg.norm(q_beta))):
         return None
     v = q_orth / nq
-    r_v, _ = minimizer.minimum(v)
-    q_v = 2.0 * minimizer.mu * r_v
+    q_v, _ = minimizer.minimum(v)
     Amat = np.array([[beta @ q_beta, beta @ q_v],
                      [v @ q_beta, v @ q_v]])
     Amat = 0.5 * (Amat + Amat.T)
@@ -333,51 +328,44 @@ def _ascend_from(minimizer, box_volume, beta0, opts: H2Options):
 
     For s = 2 every step maximizes over span{beta, gradient} exactly (a
     2x2 eigenproblem), which converges much faster near the top
-    eigenvector than a fixed-step ascent.
+    eigenvector than a fixed-step ascent.  Returns (value, unit beta), or
+    None for a zero start.
     """
     s = opts.s
-    beta = _normalize_ls(beta0, s)
-    if beta is None:
+    start = _ratio_pieces(minimizer, box_volume, beta0, s)
+    if start is None:
         return None
-    value, grad, q_beta = _ratio_pieces(minimizer, box_volume, beta, s)
+    beta, value, grad, q_beta = start
     step = 1.0
     stall = 0
     for _ in range(opts.max_ascent_iters):
         improved = False
         if s == 2.0:
             cand = _subspace_max_s2(minimizer, beta, q_beta)
-            if cand is not None:
-                new_beta, predicted = cand
-                if predicted > value * (1.0 + 1e-16):
-                    new_value, new_grad, new_q = _ratio_pieces(
-                        minimizer, box_volume, new_beta, s)
-                    if new_value >= value:
-                        if new_value - value <= opts.tol * max(abs(value), 1e-30):
-                            stall += 1
-                        else:
-                            stall = 0
-                        beta, value, grad, q_beta = (new_beta, new_value,
-                                                     new_grad, new_q)
-                        improved = True
+            if cand is not None and cand[1] > value * (1.0 + 1e-16):
+                new = _ratio_pieces(minimizer, box_volume, cand[0], s)
+                if new is not None and new[1] >= value:
+                    if new[1] - value <= opts.tol * max(abs(value), 1e-30):
+                        stall += 1
+                    else:
+                        stall = 0
+                    beta, value, grad, q_beta = new
+                    improved = True
         if not improved:
             gnorm = float(np.linalg.norm(grad))
             if gnorm == 0.0:
                 break
             trial_step = step
-            accepted = None
             for _bt in range(30):
-                cand = _normalize_ls(beta + trial_step * grad / gnorm, s)
-                if cand is not None:
-                    cand_value, cand_grad, cand_q = _ratio_pieces(
-                        minimizer, box_volume, cand, s)
-                    if cand_value > value:
-                        accepted = (cand, cand_value, cand_grad, cand_q)
-                        break
+                cand = _ratio_pieces(minimizer, box_volume,
+                                     beta + trial_step * grad / gnorm, s)
+                if cand is not None and cand[1] > value:
+                    break
                 trial_step *= 0.5
-            if accepted is None:
+            else:
                 break
-            gain = accepted[1] - value
-            beta, value, grad, q_beta = accepted
+            gain = cand[1] - value
+            beta, value, grad, q_beta = cand
             step = min(trial_step * 2.0, 1e6)
             if gain <= opts.tol * max(abs(value), 1e-30):
                 stall += 1
@@ -397,7 +385,8 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
     deterministic, so a start bitwise equal to an earlier one (the affine
     and midpoint starts often are) reuses that start's result; ``per_start``
     still has one entry per nonzero start.  All starts share one
-    ``_CachedMinimizer``, whose potential operator certifies every step.
+    ``_CachedMinimizer``, whose condensed operator Q (built from certified
+    solve columns) or per-step solve certifies every step.
     The ascent value is a certified lower bound of the true sup.  For s = 2
     on graphs with at most 20 nodes the exact top eigenvalue is computed as
     well and returned as the value.

@@ -205,17 +205,22 @@ class SPDSolver:
         all columns in one call to the factor (each column bitwise equal
         to its own solve); CG runs once per column.  A zero column gives
         zeros; a column whose relative residual fails the gate raises
-        ``SolverError`` carrying that residual.
+        ``SolverError`` carrying that residual.  Each column is solved
+        divided by the smallest power of two above its largest entry, so
+        its norms neither underflow nor overflow; the scaling is exact,
+        and the solution bitwise that of the unscaled column wherever
+        nothing underflows.
         """
         rhs = np.asarray(rhs, dtype=float)
         cols = rhs.reshape(self.n, -1)
         x = np.zeros(cols.shape)
-        rhs_norm = np.linalg.norm(cols, axis=0)
-        live = np.flatnonzero(rhs_norm)
+        peak = np.abs(cols).max(axis=0, initial=0.0)
+        live = np.flatnonzero(peak)
         if live.size == 0:
             return x.reshape(rhs.shape)
-        if live.size < cols.shape[1]:
-            cols, rhs_norm = cols[:, live], rhs_norm[live]
+        scale = np.ldexp(1.0, np.frexp(peak[live])[1])
+        cols = cols[:, live] / scale
+        rhs_norm = np.linalg.norm(cols, axis=0)
         info = np.zeros(live.size, dtype=int)
         if self._lu is not None:
             x[:, live] = self._lu.solve(cols)
@@ -236,6 +241,7 @@ class SPDSolver:
             raise SolverError(
                 f"solution rejected: relative residual {worst:.3e} exceeds "
                 f"tolerance {self.tol:.1e}", residual=worst)
+        x[:, live] *= scale
         return x.reshape(rhs.shape)
 
 

@@ -113,7 +113,7 @@ class ScatterSolveMinimizer:
 
     Each ``minimum`` scatters the right-hand side -A^T W beta with
     ``np.add.at`` and solves the system once; it shares only ``SPDSolver``
-    with the package's potential operator and stands in for
+    with the package's condensed operator and stands in for
     ``criteria._CachedMinimizer`` as its oracle.
     """
 
@@ -128,7 +128,11 @@ class ScatterSolveMinimizer:
         self.solver = SPDSolver(assembly.system_matrix, opts)
 
     def minimum(self, beta):
-        """(residuals, minimal energy) at the antisymmetric family beta."""
+        """(2 mu r, minimal energy) at the antisymmetric family beta.
+
+        r are the gap residuals at the minimizer, so 2 mu r = Q beta for
+        the condensed form Q; the energy is summed from the potentials.
+        """
         rhs = np.zeros(self.n)
         np.subtract.at(rhs, self.a_idx, 2.0 * self.mu * beta)
         np.add.at(rhs, self.b_idx, 2.0 * self.mu * beta)
@@ -136,7 +140,7 @@ class ScatterSolveMinimizer:
         r = (beta + u[self.a_idx]) - u[self.b_idx]
         num = float(np.sum(2.0 * self.mu * r * r)
                     + np.sum(self.volumes * u * u))
-        return r, num
+        return 2.0 * self.mu * r, num
 
 
 def _edge_pos(graph, e):

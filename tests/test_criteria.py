@@ -245,29 +245,31 @@ class TestPotentialOperator:
         opts = SolverOptions(identity_mass=identity_mass)
         fast = _CachedMinimizer(graph, opts)
         oracle = ScatterSolveMinimizer(graph, opts)
-        assert fast.operator is not None
+        assert fast.condensed is not None
         beta = data.draw(hnp.arrays(np.float64, graph.n_edges,
                                     elements=st.floats(-5.0, 5.0)))
-        r, num = fast.minimum(beta)
-        r_ref, num_ref = oracle.minimum(beta)
-        scale = max(float(np.abs(beta).max()), 1e-300)
-        np.testing.assert_allclose(r, r_ref, rtol=1e-12, atol=1e-12 * scale)
+        q_beta, num = fast.minimum(beta)
+        q_ref, num_ref = oracle.minimum(beta)
+        scale = max(float(np.abs(2.0 * graph.mu * beta).max()), 1e-300)
+        np.testing.assert_allclose(q_beta, q_ref, rtol=1e-12,
+                                   atol=1e-12 * scale)
         assert num == pytest.approx(num_ref, rel=1e-12, abs=1e-300)
 
     def test_column_blocks_give_the_same_operator(self, monkeypatch):
-        # Two small clusters among 30 nodes: the (30, 5) block would hold
-        # more than four times G's 22 entries, so it is solved in pieces.
+        # Two small clusters among 60 nodes: the (60, 5) block would hold
+        # more than four times Q's 5^2 + 4^2 = 41 entries, so it is solved
+        # in pieces.
         edges = [(0, 1, d) for d in (0.1, 0.2, 0.3, 0.4, 0.5)]
         edges += [(5, 6, 0.05), (6, 7, 0.15), (5, 7, 0.25), (6, 7, 0.35)]
         rng = np.random.default_rng(11)
-        graph = make_graph(rng.uniform(0.5, 2.0, size=30),
-                           rng.uniform(-2.0, 2.0, size=(30, 3)), edges)
+        graph = make_graph(rng.uniform(0.5, 2.0, size=60),
+                           rng.uniform(-2.0, 2.0, size=(60, 3)), edges)
         solver = SPDSolver(criteria.LaplacianAssembly(graph).system_matrix,
                            SolverOptions())
-        whole = criteria._potential_operator(graph, solver)
+        whole = criteria._condensed_operator(graph, solver)
         monkeypatch.setattr(criteria, "_BLOCK_ENTRIES", 1)
         solves = count_calls(monkeypatch, SPDSolver, "solve")
-        blocked = criteria._potential_operator(graph, solver)
+        blocked = criteria._condensed_operator(graph, solver)
         assert len(solves) > 1
         assert np.array_equal(blocked.toarray(), whole.toarray())
 
@@ -294,6 +296,56 @@ class TestPotentialOperator:
         assert len(ascents) == 4 + 1 + 1
         assert len(est.per_start) == 4 + 2
         assert est.per_start[4] == est.per_start[5]
+
+    def test_chain_forest_ascent_values_are_attained(self, chain_forest_graph,
+                                                     monkeypatch):
+        # h2_ratio sums the energy of minimize_energy's potentials, so this
+        # checks the beta^T Q beta numerator independently.
+        results = []
+        ascend = criteria._ascend_from
+
+        def recording(*args):
+            results.append(ascend(*args))
+            return results[-1]
+
+        monkeypatch.setattr(criteria, "_ascend_from", recording)
+        opts = H2Options(s=4.0, n_starts=3, max_ascent_iters=40, tol=1e-6)
+        h2_statistic(chain_forest_graph, opts)
+        assert len(results) >= 3 and None not in results
+        for value, beta in results:
+            family = BoundaryFamily.from_antisymmetric(beta)
+            assert value == pytest.approx(
+                h2_ratio(chain_forest_graph, family, opts.s), rel=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(graph=weighted_multigraphs(), s=st.sampled_from([2.0, 3.5, 4.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ascent_values_are_attained(self, graph, s, seed):
+        opts = H2Options(s=s, max_ascent_iters=60)
+        minimizer = _CachedMinimizer(graph, opts.solver)
+        beta0 = np.random.default_rng(seed).normal(size=graph.n_edges)
+        value, beta = criteria._ascend_from(minimizer, graph.box_volume(),
+                                            beta0, opts)
+        family = BoundaryFamily.from_antisymmetric(beta)
+        assert value == pytest.approx(h2_ratio(graph, family, s), rel=1e-10)
+
+    @pytest.mark.parametrize("s", [2.0, 3.5, 4.0])
+    def test_ratio_gradient_matches_finite_differences(self, s):
+        rng = np.random.default_rng(21)
+        graph = random_test_graph(rng, n_nodes_max=12, n_edges_max=20)
+        minimizer = _CachedMinimizer(graph, SolverOptions())
+        volume = graph.box_volume()
+
+        def ratio(beta):
+            return criteria._ratio_pieces(minimizer, volume, beta, s)[1]
+
+        beta, _, grad, _ = criteria._ratio_pieces(
+            minimizer, volume, rng.normal(size=graph.n_edges), s)
+        h = 1e-6
+        central = np.array([(ratio(beta + h * e) - ratio(beta - h * e))
+                            / (2 * h) for e in np.eye(graph.n_edges)])
+        np.testing.assert_allclose(grad, central, rtol=1e-6,
+                                   atol=1e-6 * float(np.abs(grad).max()))
 
     def test_exact_value_on_both_solver_paths(self, monkeypatch):
         graph = random_test_graph(np.random.default_rng(8), n_nodes_max=12,

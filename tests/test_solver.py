@@ -1,5 +1,6 @@
 """The shared SPD solve layer: both paths, certification, reuse per graph."""
 
+import importlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import stiffnet.criteria as criteria
-from conftest import count_calls
+from conftest import count_calls, make_graph
 from stiffnet.criteria import H2Options, h2_statistic
 from stiffnet.effective import network_effective_tensor
 from stiffnet.energy import (
@@ -77,6 +78,25 @@ class TestSPDSolver:
         assert math.isfinite(info.value.residual)
         assert info.value.residual > 1e-9
 
+    @pytest.mark.parametrize("tiny", [1e-200, 5.75e-264])
+    @pytest.mark.parametrize("cutoff", [DENSE_CUTOFF, 1], ids=["direct", "cg"])
+    def test_tiny_rhs_gives_the_scaled_solution(self, cutoff, tiny,
+                                                monkeypatch):
+        # Below ~1e-154 the squares in a column's 2-norm underflow to 0;
+        # such a column is still nonzero and must be solved.
+        monkeypatch.setattr(importlib.import_module("stiffnet.energy"),
+                            "DENSE_CUTOFF", cutoff)
+        graph = make_graph([1.0, 1.0, 1.0],
+                           [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (3.0, 0.0, 0.0)],
+                           [(0, 1, 0.5), (0, 1, 1.0 / 6.0)])
+        solver = SPDSolver(LaplacianAssembly(graph, identity_mass=True)
+                           .system_matrix, SolverOptions(identity_mass=True))
+        assert solver.direct == (cutoff == DENSE_CUTOFF)
+        rhs = np.array([-1.0, 1.0, 0.0])
+        x = solver.solve(tiny * rhs)
+        assert np.all(x[:2] != 0.0)
+        np.testing.assert_allclose(x, tiny * solver.solve(rhs), rtol=1e-12,
+                                   atol=0.0)
 
     @staticmethod
     def block_diagonal(rng, sizes, shift):
