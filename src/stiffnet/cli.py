@@ -195,18 +195,22 @@ class ExperimentSpec:
         missing = [k for k in required if k not in data]
         if missing:
             raise SchemaError(f"experiment spec missing fields: {missing}")
-        spec = cls(
-            version=int(data["version"]),
-            model=str(data["model"]),
-            model_params=dict(data.get("model_params", {})),
-            delta=float(data["delta"]),
-            N_grid=tuple(float(v) for v in data["N_grid"]),
-            n_seeds=int(data["n_seeds"]),
-            base_seed=int(data["base_seed"]),
-            tasks=tuple(str(t) for t in data["tasks"]),
-            task_params=dict(data.get("task_params", {})),
-            out_dir=str(data.get("out_dir", "results")),
-        )
+        try:
+            spec = cls(
+                version=int(data["version"]),
+                model=str(data["model"]),
+                model_params=dict(data.get("model_params", {})),
+                delta=float(data["delta"]),
+                N_grid=tuple(float(v) for v in data["N_grid"]),
+                n_seeds=int(data["n_seeds"]),
+                base_seed=int(data["base_seed"]),
+                tasks=tuple(str(t) for t in data["tasks"]),
+                task_params=dict(data.get("task_params", {})),
+                out_dir=str(data.get("out_dir", "results")),
+            )
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"invalid experiment spec values: {exc}") from None
         spec.validate()
         return spec
 

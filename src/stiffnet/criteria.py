@@ -252,10 +252,9 @@ class _CachedMinimizer:
 
     def __init__(self, graph: InclusionGraph, opts: SolverOptions):
         self.a_idx, self.b_idx, self.mu = graph.a, graph.b, graph.mu
-        self.n = graph.n_nodes
-        self.volumes = (np.ones(self.n) if opts.identity_mass
-                        else graph.volumes)
         assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
+        self.rhs = assembly.rhs
+        self.volumes = assembly.mass.diagonal()
         self.solver = SPDSolver(assembly.system_matrix, opts)
         self.condensed = (_condensed_operator(graph, self.solver)
                           if self.solver.direct else None)
@@ -265,10 +264,7 @@ class _CachedMinimizer:
         if self.condensed is not None:
             q_beta = self.condensed @ beta
             return q_beta, float(beta @ q_beta)
-        rhs = np.zeros(self.n)
-        np.subtract.at(rhs, self.a_idx, 2.0 * self.mu * beta)
-        np.add.at(rhs, self.b_idx, 2.0 * self.mu * beta)
-        u = self.solver.solve(rhs)
+        u = self.solver.solve(self.rhs(beta))
         r = (beta + u[self.a_idx]) - u[self.b_idx]
         num = float(np.sum(2.0 * self.mu * r * r)
                     + np.sum(self.volumes * u * u))

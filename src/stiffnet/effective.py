@@ -4,10 +4,11 @@ The inclusion network alone (gap conductances 2 mu_e, no ambient medium)
 is driven by clamping the potential to the affine field xi . x on every
 node touching a boundary layer of the box, and minimizing the pure gap
 energy sum_e 2 mu_e (u_a - u_b)^2 over the interior nodes.  The map
-xi -> min-energy / |Q_N| is a quadratic form; its matrix A_net is
-recovered from six directions by polarization.  The clamped system
-matrix does not depend on xi: it is assembled and factored once per
-graph, and the six directions differ only in the right-hand side.
+xi -> min-energy / |Q_N| is a quadratic form with matrix A_net.  The
+minimizer is linear in xi, so the three axis fields x_1, x_2, x_3 give
+all of it: their clamped minimizers U = (u_1, u_2, u_3) come from one
+three-column solve of the free block of the graph Laplacian, and A_net
+is the Gram matrix dU^T diag(2 mu) dU / |Q_N| of their edge differences.
 
 A_net measures the inclusion-network contribution only: no ambient-medium
 conductance is added in parallel, and no claim is made that A_net
@@ -20,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .criteria import CellScan, scan_cells
-from .energy import SolverOptions, SPDSolver
+from .energy import LaplacianAssembly, SolverOptions, SPDSolver
 from .geometry import _connected_labels
 from .multigraph import InclusionGraph
 
@@ -33,28 +33,14 @@ __all__ = [
     "boundary_nodes",
     "network_effective_tensor",
     "effective_scan",
-    "TENSOR_DIRECTIONS",
 ]
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-
-# Three axes plus three face diagonals: enough to polarize a symmetric form.
-TENSOR_DIRECTIONS = (
-    (1.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0),
-    (0.0, 0.0, 1.0),
-    (_SQ2, _SQ2, 0.0),
-    (_SQ2, 0.0, _SQ2),
-    (0.0, _SQ2, _SQ2),
-)
 
 
 @dataclass(frozen=True)
 class EffectiveTensor:
-    """Symmetric 3x3 network tensor with its per-direction energy densities."""
+    """Symmetric 3x3 network tensor; xi^T A xi is the energy density at xi."""
 
     matrix: np.ndarray                  # (3, 3)
-    direction_energies: tuple[float, ...]
     box_half_width: float
     delta: float
     layer_width: float
@@ -86,64 +72,35 @@ def network_effective_tensor(graph: InclusionGraph, layer_width: float,
                              ) -> EffectiveTensor:
     """Network tensor by clamping affine data on the boundary layer.
 
-    For each probe direction xi the boundary nodes carry u = xi . x_I and
-    the interior minimizes the pure gap energy; e(xi) = E_min / |Q_N|.
-    Axes give the diagonal of A_net, the face diagonals give the
-    off-diagonal entries by polarization.  Interior clusters with no path
-    to a clamped node are free up to a constant; they are set to zero
-    (their edges contribute nothing).
+    The boundary nodes carry U = x_I, one column per axis, and the
+    interior nodes minimize the pure gap energy of each column: with L the
+    graph Laplacian, U_free solves L_ff U_free = -L_fc U_clamped, all three
+    columns in one certified solve.  Then A = dU^T diag(2 mu) dU / |Q_N|
+    with dU = U_a - U_b per edge, so xi^T A xi = E_min(xi) / |Q_N|.
+    Interior clusters with no path to a clamped node are free up to a
+    constant; they are set to zero (their edges contribute nothing).
     """
     n = graph.n_nodes
-    a_idx, b_idx, mu = graph.a, graph.b, graph.mu
-    clamped = sorted(boundary_nodes(graph, layer_width))
+    clamped = np.array(sorted(boundary_nodes(graph, layer_width)),
+                       dtype=np.int64)
     solvable = np.zeros(n, dtype=bool)
     if graph.n_edges:
         # Keep only free nodes connected to the clamped set through edges.
-        m, cluster = _connected_labels(n, a_idx, b_idx)
+        m, cluster = _connected_labels(n, graph.a, graph.b)
         anchored = np.zeros(m, dtype=bool)
         anchored[cluster[clamped]] = True
         solvable = anchored[cluster]
         solvable[clamped] = False
-    solve_ids = np.nonzero(solvable)[0]
-    idx_of = -np.ones(n, dtype=np.int64)
-    idx_of[solve_ids] = np.arange(solve_ids.size)
-    ia, ib = idx_of[a_idx], idx_of[b_idx]
-    if solve_ids.size:
-        # Per edge, in edge order: (ia, ia, w), (ib, ib, w) for each
-        # solvable end and (ia, ib, -w), (ib, ia, -w) when both are;
-        # the CSR duplicate sums then add in a fixed order.
-        both = (ia >= 0) & (ib >= 0)
-        entry = np.stack([ia >= 0, ib >= 0, both, both], axis=1)
-        rows = np.stack([ia, ib, ia, ib], axis=1)[entry]
-        cols = np.stack([ia, ib, ib, ia], axis=1)[entry]
-        vals = np.stack([mu, mu, -mu, -mu], axis=1)[entry]
-        solver = SPDSolver(scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(solve_ids.size, solve_ids.size)),
-            solver_opts or SolverOptions())
-    # An edge with one solvable end feeds the clamped end's value.
-    one_end = (ia >= 0) != (ib >= 0)
-
-    energies = []
-    for direction in TENSOR_DIRECTIONS:
-        xi = np.asarray(direction, dtype=float)
-        u = np.zeros(n)
-        # Row-by-row dot products, rounded as ``centroid @ xi`` on one row.
-        u[clamped] = (graph.centroids[clamped, None, :] @ xi[:, None])[:, 0, 0]
-        if solve_ids.size:
-            rhs = np.zeros(solve_ids.size)
-            far = np.where(ia >= 0, u[b_idx], u[a_idx])
-            np.add.at(rhs, np.maximum(ia, ib)[one_end], (mu * far)[one_end])
-            u[solve_ids] = solver.solve(rhs)
-        diff = u[a_idx] - u[b_idx]
-        energies.append(float(np.sum(2.0 * mu * diff * diff))
-                        / graph.box_volume())
-
-    A = np.zeros((3, 3))
-    A[0, 0], A[1, 1], A[2, 2] = energies[0], energies[1], energies[2]
-    pairs = ((0, 1), (0, 2), (1, 2))
-    for (i, j), e_diag in zip(pairs, energies[3:]):
-        A[i, j] = A[j, i] = e_diag - 0.5 * (A[i, i] + A[j, j])
-    return EffectiveTensor(A, tuple(energies), graph.box_half_width,
+    free = np.flatnonzero(solvable)
+    U = np.zeros((n, 3))
+    U[clamped] = graph.centroids[clamped]
+    if free.size:
+        rows = LaplacianAssembly(graph).laplacian[free]
+        solver = SPDSolver(rows[:, free], solver_opts or SolverOptions())
+        U[free] = solver.solve(-(rows[:, clamped] @ U[clamped]))
+    dU = U[graph.a] - U[graph.b]
+    A = dU.T @ (2.0 * graph.mu[:, None] * dU) / graph.box_volume()
+    return EffectiveTensor(0.5 * (A + A.T), graph.box_half_width,
                            graph.delta, layer_width)
 
 
@@ -169,9 +126,8 @@ class EffectiveSeries:
         """
         tensors, means, stderrs = [], [], []
         for N, row in zip(scan.N_grid, scan.values[task]):
-            row = tuple(EffectiveTensor(np.full((3, 3), np.nan), (math.nan,) * 6,
-                                        N, delta, layer) if t is None else t
-                        for t in row)
+            row = tuple(t if t is not None else EffectiveTensor(
+                np.full((3, 3), np.nan), N, delta, layer) for t in row)
             tensors.append(row)
             mats = [t.matrix for t in row if np.all(np.isfinite(t.matrix))]
             if mats:

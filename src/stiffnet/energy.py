@@ -308,11 +308,9 @@ class LaplacianAssembly:
         self.system_matrix = (self.mass + 2.0 * self.laplacian).tocsr()
         self._graph = graph
 
-    def rhs(self, b: BoundaryFamily):
-        """Right-hand side induced by the antisymmetric parts of ``b``."""
+    def rhs(self, beta):
+        """Right-hand side -2 A^T diag(mu) beta of the antisymmetric part."""
         graph = self._graph
-        _check_indexing(graph, b=b)
-        beta = b.antisymmetric_part()
         rhs = np.zeros(graph.n_nodes)
         np.add.at(rhs, graph.a, -2.0 * graph.mu * beta)
         np.add.at(rhs, graph.b, 2.0 * graph.mu * beta)
@@ -333,7 +331,8 @@ def minimize_energy(graph: InclusionGraph, b: BoundaryFamily,
         return PotentialFamily.zeros(0), EnergyBreakdown(0.0, 0.0, 0.0)
     assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
     u = PotentialFamily(
-        SPDSolver(assembly.system_matrix, opts).solve(assembly.rhs(b)))
+        SPDSolver(assembly.system_matrix, opts).solve(
+            assembly.rhs(b.antisymmetric_part())))
     return u, energy(graph, u, b, identity_mass=opts.identity_mass)
 
 

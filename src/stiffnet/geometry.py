@@ -128,16 +128,15 @@ class SphereConfig:
         spheres = data["spheres"]
         if not isinstance(spheres, list):
             raise SchemaError("'spheres' must be a list")
-        centers, radii = [], []
         for entry in spheres:
             if not isinstance(entry, dict) or "c" not in entry or "r" not in entry:
                 raise SchemaError("sphere entries must be objects with 'c' and 'r'")
             c = entry["c"]
             if not isinstance(c, list) or len(c) != 3:
                 raise SchemaError("sphere center must be a 3-element list")
-            centers.append([float(v) for v in c])
-            radii.append(float(entry["r"]))
         try:
+            centers = [[float(v) for v in entry["c"]] for entry in spheres]
+            radii = [float(entry["r"]) for entry in spheres]
             return cls(
                 np.array(centers, dtype=float).reshape(-1, 3),
                 np.array(radii, dtype=float),

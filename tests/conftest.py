@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from stiffnet.multigraph import Edge, InclusionGraph, Node
 
@@ -351,6 +352,72 @@ def quadratic_chain_forest(seed, N, radius, chain_len_max, gap_range,
                         f"{len(chains)} of {n_chains_target} chains",)
             break
     return occupied, warnings
+
+
+def polarised_tensor(graph, layer_width):
+    """Network tensor from six clamped solves and polarisation.
+
+    One solve per probe direction (three axes, three face diagonals) of
+    the clamped system, assembled entry by entry; the axes give the
+    diagonal, e(x_i + x_j) - (A_ii + A_jj)/2 the off-diagonal entries.
+    """
+    from stiffnet.effective import boundary_nodes
+    from stiffnet.energy import SolverOptions, SPDSolver
+    from stiffnet.geometry import _connected_labels
+
+    n = graph.n_nodes
+    a_idx, b_idx, mu = graph.a, graph.b, graph.mu
+    clamped = sorted(boundary_nodes(graph, layer_width))
+    solvable = np.zeros(n, dtype=bool)
+    if graph.n_edges:
+        m, cluster = _connected_labels(n, a_idx, b_idx)
+        anchored = np.zeros(m, dtype=bool)
+        anchored[cluster[clamped]] = True
+        solvable = anchored[cluster]
+        solvable[clamped] = False
+    solve_ids = np.nonzero(solvable)[0]
+    idx_of = -np.ones(n, dtype=np.int64)
+    idx_of[solve_ids] = np.arange(solve_ids.size)
+    ia, ib = idx_of[a_idx], idx_of[b_idx]
+    if solve_ids.size:
+        both = (ia >= 0) & (ib >= 0)
+        entry = np.stack([ia >= 0, ib >= 0, both, both], axis=1)
+        rows = np.stack([ia, ib, ia, ib], axis=1)[entry]
+        cols = np.stack([ia, ib, ib, ia], axis=1)[entry]
+        vals = np.stack([mu, mu, -mu, -mu], axis=1)[entry]
+        solver = SPDSolver(scipy.sparse.csr_matrix(
+            (vals, (rows, cols)), shape=(solve_ids.size, solve_ids.size)),
+            SolverOptions())
+    one_end = (ia >= 0) != (ib >= 0)
+
+    sq2 = 1.0 / math.sqrt(2.0)
+    directions = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                  (sq2, sq2, 0.0), (sq2, 0.0, sq2), (0.0, sq2, sq2))
+    energies = []
+    for direction in directions:
+        xi = np.asarray(direction)
+        u = np.zeros(n)
+        u[clamped] = graph.centroids[clamped] @ xi
+        if solve_ids.size:
+            rhs = np.zeros(solve_ids.size)
+            far = np.where(ia >= 0, u[b_idx], u[a_idx])
+            np.add.at(rhs, np.maximum(ia, ib)[one_end], (mu * far)[one_end])
+            u[solve_ids] = solver.solve(rhs)
+        diff = u[a_idx] - u[b_idx]
+        energies.append(float(np.sum(2.0 * mu * diff * diff))
+                        / graph.box_volume())
+
+    A = np.diag(energies[:3])
+    for (i, j), e_diag in zip(((0, 1), (0, 2), (1, 2)), energies[3:]):
+        A[i, j] = A[j, i] = e_diag - 0.5 * (A[i, i] + A[j, j])
+    return A
+
+
+def affine_extension_energy(graph):
+    """sum_e 2 mu_e |x_a - x_b|^2 / |Q_N|, the scale of the tensor entries."""
+    dx = graph.centroids[graph.a] - graph.centroids[graph.b]
+    return float(np.sum(2.0 * graph.mu * np.sum(dx * dx, axis=1))
+                 / graph.box_volume())
 
 
 def count_calls(monkeypatch, owner, name):

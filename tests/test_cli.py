@@ -272,6 +272,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, corrupt", [
+        ("config", lambda doc: doc["spheres"][0].update(c=[None, 0, 0])),
+        ("config", lambda doc: doc["spheres"][0].update(r="x")),
+        ("spec", lambda doc: doc.update(N_grid=5)),
+        ("spec", lambda doc: doc.update(n_seeds=None)),
+        ("spec", lambda doc: doc.update(task_params=[1])),
+    ], ids=["null-center", "string-radius", "scalar-grid", "null-seeds",
+            "list-task-params"])
+    def test_mistyped_document_exits_2(self, tmp_path, capsys, kind,
+                                       corrupt):
+        if kind == "config":
+            doc = generate_hardcore(seed=3, N=4, intensity=0.05, radius=0.9,
+                                    min_gap=0.05).to_dict()
+            argv = ["graph", "--config", "{}", "--delta", "0.45"]
+        else:
+            doc = spec_dict(out_dir=str(tmp_path / "results"))
+            argv = ["run", "--spec", "{}"]
+        corrupt(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = main([arg.format(path) for arg in argv])
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_graph_refuses_negative_component_volume(self, tmp_path, capsys):
         # Pairwise lens corrections give four coincident balls a negative
         # union volume; the document would fail its own reader.

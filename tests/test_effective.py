@@ -5,19 +5,36 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from conftest import affine_extension_energy, count_calls, polarised_tensor
 from stiffnet.effective import (
     boundary_nodes,
     effective_scan,
     network_effective_tensor,
 )
+from stiffnet.energy import SPDSolver
 from stiffnet.geometry import (
     SphereConfig,
     components,
+    generate_chain_forest,
+    generate_hardcore,
     generate_lattice_jitter,
     restrict_box,
 )
-from stiffnet.multigraph import InclusionGraph, build_graph
+from stiffnet.multigraph import InclusionGraph, build_graph, is_cycle_free
+
+
+# Three axes plus three face diagonals.
+_SQ2 = 1.0 / math.sqrt(2.0)
+DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+              (_SQ2, _SQ2, 0.0), (_SQ2, 0.0, _SQ2), (0.0, _SQ2, _SQ2))
+
+
+def direction_energies(tensor):
+    """Energy densities xi^T A xi over the six directions."""
+    return [float(np.asarray(xi) @ tensor.matrix @ np.asarray(xi))
+            for xi in DIRECTIONS]
 
 
 def lattice_graph(N, radius, delta):
@@ -75,14 +92,16 @@ class TestNetworkTensor:
         scaled = dataclasses.replace(graph, mu=t * graph.mu)
         base = network_effective_tensor(graph, 0.5)
         up = network_effective_tensor(scaled, 0.5)
-        for e_base, e_up in zip(base.direction_energies, up.direction_energies):
+        for e_base, e_up in zip(direction_energies(base),
+                                direction_energies(up)):
             assert e_up == pytest.approx(t * e_base, rel=1e-12)
 
     def test_clamping_more_nodes_never_decreases(self):
         graph = lattice_graph(3, 0.3, 0.5)
         narrow = network_effective_tensor(graph, 0.6)
         wide = network_effective_tensor(graph, 2.2)
-        for e_n, e_w in zip(narrow.direction_energies, wide.direction_energies):
+        for e_n, e_w in zip(direction_energies(narrow),
+                            direction_energies(wide)):
             assert e_w >= e_n - 1e-12
 
     def test_cubic_rotation_covariance(self):
@@ -119,6 +138,49 @@ class TestNetworkTensor:
         tensor = network_effective_tensor(graph, 0.5)
         eigs = tensor.eigenvalues()
         assert float(eigs.min()) >= -1e-10 * float(np.trace(tensor.matrix))
+
+
+def tensor_test_graphs():
+    """(id, graph, layer, CG runs): direct path, CG path and a forest."""
+    hardcore = generate_hardcore(seed=13, N=5, intensity=0.05, radius=0.9,
+                                 min_gap=0.02)
+    lattice = generate_lattice_jitter(seed=0, N=4, spacing=1, radius=0.4,
+                                      jitter=0.05)
+    chains = generate_chain_forest(seed=1, N=12, radius=1.0, chain_len_max=8,
+                                   gap_range=[0.01, 0.1])
+    return [("hardcore", build_graph(components(hardcore), hardcore, 0.45),
+             0.45, 0),
+            ("lattice-512", build_graph(components(lattice), lattice, 0.5),
+             0.5, 3),
+            ("chain-forest", build_graph(components(chains), chains, 0.2),
+             0.2, 0)]
+
+
+class TestAgainstPolarisation:
+    @pytest.mark.parametrize("case", tensor_test_graphs(),
+                             ids=lambda case: case[0])
+    def test_one_solve_matches_six_direction_polarisation(self, case,
+                                                          monkeypatch):
+        _, graph, layer, cg_runs = case
+        cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        solves = count_calls(monkeypatch, SPDSolver, "solve")
+        tensor = network_effective_tensor(graph, layer)
+        assert cgs == ["cg"] * cg_runs
+        assert solves == ["solve"]
+        monkeypatch.undo()
+        scale = affine_extension_energy(graph)
+        assert scale > 0.0
+        np.testing.assert_allclose(tensor.matrix,
+                                   polarised_tensor(graph, layer),
+                                   rtol=0.0, atol=1e-12 * scale)
+        assert np.array_equal(tensor.matrix, tensor.matrix.T)
+
+    def test_chain_forest_tensor_vanishes(self):
+        _, graph, layer, _ = tensor_test_graphs()[2]
+        assert is_cycle_free(graph) and boundary_nodes(graph, layer)
+        tensor = network_effective_tensor(graph, layer)
+        scale = affine_extension_energy(graph)
+        assert np.max(np.abs(tensor.matrix)) <= 1e-12 * scale
 
 
 class TestEffectiveScan:
