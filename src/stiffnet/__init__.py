@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .geometry import (            # noqa: F401
     ComponentSet,
-    Sphere,
     SphereConfig,
     cluster_moment_statistic,
     components,
@@ -36,7 +35,6 @@ from .energy import (              # noqa: F401
     LaplacianAssembly,
     PotentialFamily,
     SolverError,
-    SolverOptions,
     affine_boundary_family,
     cycle_free_potentials,
     energy,

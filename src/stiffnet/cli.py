@@ -18,7 +18,6 @@ Subcommands: generate, graph, energy, criteria, effective, keller, run.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -30,15 +29,15 @@ import numpy as np
 
 from . import __version__
 from .criteria import (
+    STATISTICS,
     CriterionSeries,
-    H2Options,
     check_scan_grid,
-    evaluate_statistic,
     generate_model,
     scan_cells,
     scan_limsup,
+    task_evaluator,
 )
-from .effective import EffectiveSeries, effective_scan, network_effective_tensor
+from .effective import EffectiveSeries, effective_scan
 from .energy import (
     KellerParams,
     affine_boundary_family,
@@ -62,7 +61,7 @@ __all__ = [
     "main",
 ]
 
-TASKS = ("h1", "h2", "logmoment", "clustermoment", "effective", "keller")
+TASKS = (*STATISTICS, "effective", "keller")
 
 EXIT_OK = 0
 EXIT_CELL_ERRORS = 1
@@ -195,6 +194,12 @@ class ExperimentSpec:
         missing = [k for k in required if k not in data]
         if missing:
             raise SchemaError(f"experiment spec missing fields: {missing}")
+        for key, kind in (("N_grid", list), ("tasks", list),
+                          ("model_params", dict), ("task_params", dict)):
+            if not isinstance(data.get(key, kind()), kind):
+                raise SchemaError(
+                    f"experiment spec field {key!r} must be a JSON "
+                    f"{'list' if kind is list else 'object'}")
         try:
             spec = cls(
                 version=int(data["version"]),
@@ -301,33 +306,6 @@ def _keller_table(params: dict):
     return {"rows": rows, "slope": slope}
 
 
-def _scan_statistic_params(spec: ExperimentSpec, task: str) -> dict:
-    tp = spec.task_params
-    params: dict = {}
-    if task == "h1":
-        params["xi"] = tuple(tp.get("xi", (1.0, 0.0, 0.0)))
-    elif task == "h2":
-        opts = H2Options(
-            s=float(tp.get("s", 4.0)),
-            n_starts=int(tp.get("n_starts", 16)),
-            max_ascent_iters=int(tp.get("max_ascent_iters", 500)),
-            tol=float(tp.get("tol", 1e-8)),
-            seed=spec.base_seed,
-        )
-        params["opts"] = opts
-        if tp.get("kappa") is not None:
-            params["kappa"] = float(tp["kappa"])
-    elif task == "logmoment":
-        params["k"] = float(tp.get("k", 2.0))
-        if tp.get("kappa") is not None:
-            params["kappa"] = float(tp["kappa"])
-    elif task == "clustermoment":
-        params["p"] = float(tp.get("p", 2.0))
-        params["n_samples"] = int(tp.get("n_samples", 2000))
-        params["quantity"] = str(tp.get("quantity", "diam"))
-    return params
-
-
 def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
     """Execute every task of a spec; write CSVs and a JSON summary.
 
@@ -345,16 +323,8 @@ def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    layer_width = spec.task_params.get("layer_width")
-    layer = float(layer_width) if layer_width is not None else spec.delta
-    evaluators = {}
-    for task in spec.tasks:
-        if task == "effective":
-            evaluators[task] = lambda cell: network_effective_tensor(
-                cell.graph, layer)
-        elif task != "keller":
-            evaluators[task] = functools.partial(
-                evaluate_statistic, task, _scan_statistic_params(spec, task))
+    evaluators = {task: task_evaluator(task, spec.task_params, spec.base_seed)
+                  for task in spec.tasks if task != "keller"}
     scan = None
     if evaluators:
         scan = scan_cells({"model": spec.model, **spec.model_params},
@@ -371,11 +341,8 @@ def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
                       "full_quadrature", "weighted_quadrature")
             task_outputs[task], rows = table, table["rows"]
         else:
-            if task == "effective":
-                series = EffectiveSeries.from_scan(scan, task, spec.delta,
-                                                   layer)
-            else:
-                series = CriterionSeries.from_scan(scan, task)
+            series = (EffectiveSeries if task == "effective"
+                      else CriterionSeries).from_scan(scan, task)
             header, rows = series.CSV_HEADER, series.to_rows()
             task_outputs[task] = series.to_summary_dict()
             seeds_used[task] = [list(s) for s in series.seeds]
@@ -465,9 +432,7 @@ def main(argv=None) -> int:
 
     p_crit = sub.add_parser("criteria", help="scan a criterion statistic")
     _add_model_arguments(p_crit, require_N=False)
-    p_crit.add_argument("--statistic", required=True,
-                        choices=("h1", "h2", "logmoment", "clustermoment",
-                                 "density"))
+    p_crit.add_argument("--statistic", required=True, choices=STATISTICS)
     p_crit.add_argument("--delta", type=float, required=True)
     p_crit.add_argument("--N-grid", type=str, required=True,
                         help="comma-separated box half-widths")
@@ -552,8 +517,6 @@ def _dispatch(args) -> int:
         if args.command == "criteria":
             statistic_params = {"xi": args.xi, "s": args.s, "k": args.k,
                                 "p": args.p}
-            if args.statistic == "h2":
-                statistic_params["opts"] = H2Options(s=args.s, seed=args.seed)
             series = scan_limsup(model_params, args.delta, N_grid,
                                  args.n_seeds, args.statistic,
                                  statistic_params, base_seed=args.seed,

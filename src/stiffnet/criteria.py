@@ -26,8 +26,9 @@ computed exactly as the top eigenvalue of Q.
 
 ``scan_cells`` is the one loop over an (N, seed) grid: it builds each
 cell's configuration and graph once and evaluates every requested task on
-it.  ``scan_limsup`` runs it for one statistic and reports a plateau
-estimate, the empirical surrogate for an almost-sure limsup.
+it, each task made by ``task_evaluator`` from the flat task parameters.
+``scan_limsup`` runs one statistic and reports a plateau estimate, the
+empirical surrogate for an almost-sure limsup.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import hashlib
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +46,6 @@ import scipy.linalg
 from .energy import (
     BoundaryFamily,
     LaplacianAssembly,
-    SolverOptions,
     SPDSolver,
     affine_boundary_family,
     midpoint_boundary_family,
@@ -75,7 +75,8 @@ __all__ = [
     "density_estimate",
     "scan_limsup",
     "scan_cells",
-    "evaluate_statistic",
+    "STATISTICS",
+    "task_evaluator",
     "ScanCell",
     "CellScan",
     "derive_cell_seed",
@@ -97,7 +98,6 @@ class H2Options:
     max_ascent_iters: int = 500
     tol: float = 1e-8
     seed: int = 0
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         if not (self.s >= 2.0):
@@ -127,19 +127,17 @@ def _ordered_pair_power_sum(b: BoundaryFamily, s: float) -> float:
     return float(2.0 * (np.sum(np.abs(b.ab) ** s) + np.sum(np.abs(b.ba) ** s)))
 
 
-def _affine_energy_density(graph: InclusionGraph, xi,
-                           solver_opts: SolverOptions | None = None) -> float:
+def _affine_energy_density(graph: InclusionGraph, xi) -> float:
     """inf_u E(u, affine family of a nonzero xi) / |Q_N| on a built graph."""
     xi = np.asarray(xi, dtype=float).reshape(3)
     if not (np.linalg.norm(xi) > 0.0):
         raise ValueError("xi must be nonzero")
     b = affine_boundary_family(graph, xi)
-    _, breakdown = minimize_energy(graph, b, solver_opts)
+    _, breakdown = minimize_energy(graph, b)
     return breakdown.total / graph.box_volume()
 
 
-def h1_statistic(config: SphereConfig, delta: float, xi,
-                 solver_opts: SolverOptions | None = None) -> float:
+def h1_statistic(config: SphereConfig, delta: float, xi) -> float:
     """Normalized minimal energy with the affine boundary family.
 
     Builds the box-restricted configuration, its gap multigraph at
@@ -147,11 +145,10 @@ def h1_statistic(config: SphereConfig, delta: float, xi,
     """
     restricted = restrict_box(config, config.box_half_width)
     graph = build_graph(components(restricted), restricted, delta)
-    return _affine_energy_density(graph, xi, solver_opts)
+    return _affine_energy_density(graph, xi)
 
 
-def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float,
-             solver_opts: SolverOptions | None = None) -> float:
+def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float) -> float:
     """Normalized ratio of minimal energy to the l_s size of the family.
 
     inf_u E(u, b) / ( |Q_N| ((1/|Q_N|) S_s(b))^(2/s) ); invariant under
@@ -161,7 +158,7 @@ def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float,
         raise ValueError("s must be >= 2")
     if not (np.any(b.ab != 0.0) or np.any(b.ba != 0.0)):
         raise ValueError("the zero family is excluded from the ratio")
-    _, breakdown = minimize_energy(graph, b, solver_opts)
+    _, breakdown = minimize_energy(graph, b)
     S = _ordered_pair_power_sum(b, s)
     Q = graph.box_volume()
     return breakdown.total / (Q * (S / Q) ** (2.0 / s))
@@ -227,7 +224,7 @@ def h2_exact_s2(graph: InclusionGraph) -> float:
     """Exact sup of the s = 2 ratio: top eigenvalue of the condensed form."""
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
-    solver = SPDSolver(LaplacianAssembly(graph).system_matrix, SolverOptions())
+    solver = SPDSolver(LaplacianAssembly(graph).system_matrix)
     Q = _condensed_operator(graph, solver).toarray()
     return float(scipy.linalg.eigvalsh(Q)[-1])
 
@@ -250,12 +247,12 @@ class _CachedMinimizer:
     solves once per ``minimum`` instead and sums the energy from u.
     """
 
-    def __init__(self, graph: InclusionGraph, opts: SolverOptions):
+    def __init__(self, graph: InclusionGraph):
         self.a_idx, self.b_idx, self.mu = graph.a, graph.b, graph.mu
-        assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
+        self.volumes = graph.volumes
+        assembly = LaplacianAssembly(graph)
         self.rhs = assembly.rhs
-        self.volumes = assembly.mass.diagonal()
-        self.solver = SPDSolver(assembly.system_matrix, opts)
+        self.solver = SPDSolver(assembly.system_matrix)
         self.condensed = (_condensed_operator(graph, self.solver)
                           if self.solver.direct else None)
 
@@ -405,7 +402,7 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
         except RuntimeError:
             pass    # graph lacks consistent contact geometry; start skipped
 
-    minimizer = _CachedMinimizer(graph, opts.solver)
+    minimizer = _CachedMinimizer(graph)
     box_volume = graph.box_volume()
     per_start = []
     best = -math.inf
@@ -587,31 +584,59 @@ class ScanCell:
         return build_graph(self.comp, self.restricted, self.delta)
 
 
-def evaluate_statistic(statistic: str, params: dict, cell: ScanCell) -> float:
-    """One cell's value of ``statistic``; a scan task once ``params`` is bound."""
-    if statistic == "density":
-        return float(np.sum(cell.comp.volumes)) / cell.restricted.box_volume()
-    graph = cell.graph
-    if statistic == "h1":
-        return _affine_energy_density(graph, params.get("xi", (1.0, 0.0, 0.0)))
-    kappa = params.get("kappa")
-    if kappa is not None and statistic in ("h2", "logmoment"):
-        graph = short_kappa(graph, (), kappa)
-    if statistic == "h2":
-        opts = params.get("opts")
-        if opts is None:
-            opts = H2Options(s=params.get("s", 4.0))
-        return h2_statistic(graph, opts).value
-    if statistic == "logmoment":
-        return log_moment_statistic(graph, params.get("k", 2.0))
-    if statistic == "clustermoment":
-        est = cluster_moment_statistic(
-            config=cell.restricted, graph=graph, p=params.get("p", 2.0),
-            n_samples=params.get("n_samples", 2000),
-            seed=params.get("sample_seed", cell.sample_seed),
-            quantity=params.get("quantity", "diam"))
-        return est.mean
-    raise ValueError(f"unknown statistic {statistic!r}")
+# Every scan task but "effective" yields one number per cell.
+STATISTICS = ("h1", "h2", "logmoment", "clustermoment", "density")
+
+# The H2Options fields a spec may set, with their casts.
+_H2_PARAMS = {"s": float, "n_starts": int, "max_ascent_iters": int,
+              "tol": float}
+
+
+def task_evaluator(task: str, params: dict, base_seed: int):
+    """The ScanCell -> value evaluator of a scan task: the task table.
+
+    ``params`` are a spec's flat task parameters, cast here.  h1 reads
+    ``xi`` (default (1, 0, 0)); h2 the ``_H2_PARAMS`` fields, seeded by
+    ``base_seed``; logmoment ``k`` (2); h2 and logmoment ``kappa``, which
+    shorts the graph first; clustermoment ``p`` (2), ``n_samples`` (2000)
+    and ``quantity`` ("diam"), sampled at the cell's ``sample_seed``;
+    effective ``layer_width`` (the cell's delta); density nothing.
+    """
+    get = params.get
+    if task == "density":
+        return lambda cell: (float(np.sum(cell.comp.volumes))
+                             / cell.restricted.box_volume())
+    if task == "h1":
+        xi = tuple(get("xi", (1.0, 0.0, 0.0)))
+        return lambda cell: _affine_energy_density(cell.graph, xi)
+    if task == "clustermoment":
+        kwargs = {"p": float(get("p", 2.0)),
+                  "n_samples": int(get("n_samples", 2000)),
+                  "quantity": str(get("quantity", "diam"))}
+        return lambda cell: cluster_moment_statistic(
+            config=cell.restricted, graph=cell.graph, seed=cell.sample_seed,
+            **kwargs).mean
+    if task == "effective":
+        from .effective import network_effective_tensor   # imports criteria
+        layer = None if get("layer_width") is None else float(
+            params["layer_width"])
+        return lambda cell: network_effective_tensor(
+            cell.graph, cell.delta if layer is None else layer)
+    if task not in ("h2", "logmoment"):
+        raise ValueError(f"unknown statistic {task!r}")
+    kappa = None if get("kappa") is None else float(params["kappa"])
+
+    def graph(cell):
+        return cell.graph if kappa is None else short_kappa(cell.graph, (),
+                                                            kappa)
+
+    if task == "logmoment":
+        k = float(get("k", 2.0))
+        return lambda cell: log_moment_statistic(graph(cell), k)
+    opts = H2Options(seed=base_seed, **{
+        key: cast(params[key]) for key, cast in _H2_PARAMS.items()
+        if key in params})
+    return lambda cell: h2_statistic(graph(cell), opts).value
 
 
 def check_scan_grid(N_grid, n_seeds: int) -> list[float]:
@@ -696,12 +721,14 @@ def scan_limsup(model_params: dict, delta: float, N_grid, n_seeds: int,
                 base_seed: int = 0, threads: int = 1) -> CriterionSeries:
     """Evaluate a statistic over an (N, seed) grid of fresh configurations.
 
-    Each cell draws an independent configuration from the model at its own
-    derived seed; failures are recorded per cell (value NaN) without
-    aborting the scan.  ``threads`` cells run at a time (see ``scan_cells``).
+    ``statistic_params`` are the flat task parameters that
+    ``task_evaluator`` reads.  Each cell draws an independent configuration
+    from the model at its own derived seed; failures are recorded per cell
+    (value NaN) without aborting the scan.  ``threads`` cells run at a time
+    (see ``scan_cells``).
     """
-    task = functools.partial(evaluate_statistic, statistic_selector,
-                             dict(statistic_params or {}))
+    task = task_evaluator(statistic_selector, statistic_params or {},
+                          base_seed)
     scan = scan_cells(model_params, delta, N_grid, n_seeds,
                       {statistic_selector: task}, base_seed, threads)
     return CriterionSeries.from_scan(scan, statistic_selector)

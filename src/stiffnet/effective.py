@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CellScan, scan_cells
-from .energy import LaplacianAssembly, SolverOptions, SPDSolver
+from .criteria import CellScan, scan_cells, task_evaluator
+from .energy import LaplacianAssembly, SPDSolver
 from .geometry import _connected_labels
 from .multigraph import InclusionGraph
 
@@ -67,9 +67,8 @@ def boundary_nodes(graph: InclusionGraph, layer_width: float) -> set[int]:
         graph.sphere_node[reach >= graph.box_half_width - layer_width]).tolist())
 
 
-def network_effective_tensor(graph: InclusionGraph, layer_width: float,
-                             solver_opts: SolverOptions | None = None
-                             ) -> EffectiveTensor:
+def network_effective_tensor(graph: InclusionGraph,
+                             layer_width: float) -> EffectiveTensor:
     """Network tensor by clamping affine data on the boundary layer.
 
     The boundary nodes carry U = x_I, one column per axis, and the
@@ -96,8 +95,8 @@ def network_effective_tensor(graph: InclusionGraph, layer_width: float,
     U[clamped] = graph.centroids[clamped]
     if free.size:
         rows = LaplacianAssembly(graph).laplacian[free]
-        solver = SPDSolver(rows[:, free], solver_opts or SolverOptions())
-        U[free] = solver.solve(-(rows[:, clamped] @ U[clamped]))
+        U[free] = SPDSolver(rows[:, free]).solve(
+            -(rows[:, clamped] @ U[clamped]))
     dU = U[graph.a] - U[graph.b]
     A = dU.T @ (2.0 * graph.mu[:, None] * dU) / graph.box_volume()
     return EffectiveTensor(0.5 * (A + A.T), graph.box_half_width,
@@ -118,16 +117,16 @@ class EffectiveSeries:
     CSV_HEADER = ("N", "seed", "a11", "a22", "a33", "a12", "a13", "a23")
 
     @classmethod
-    def from_scan(cls, scan: CellScan, task: str, delta: float,
-                  layer: float) -> "EffectiveSeries":
+    def from_scan(cls, scan: CellScan, task: str) -> "EffectiveSeries":
         """Series of one tensor task; failed cells read an all-NaN tensor.
 
-        Means and spreads skip every tensor with a non-finite entry.
+        Only its N is kept.  Means and spreads skip every tensor with a
+        non-finite entry.
         """
         tensors, means, stderrs = [], [], []
         for N, row in zip(scan.N_grid, scan.values[task]):
             row = tuple(t if t is not None else EffectiveTensor(
-                np.full((3, 3), np.nan), N, delta, layer) for t in row)
+                np.full((3, 3), np.nan), N, math.nan, math.nan) for t in row)
             tensors.append(row)
             mats = [t.matrix for t in row if np.all(np.isfinite(t.matrix))]
             if mats:
@@ -173,14 +172,13 @@ class EffectiveSeries:
 
 def effective_scan(model_params: dict, delta: float, N_grid, n_seeds: int,
                    layer_width: float | None = None, base_seed: int = 0,
-                   solver_opts: SolverOptions | None = None,
                    threads: int = 1) -> EffectiveSeries:
     """Tensors over an (N, seed) grid, ``threads`` cells at a time.
 
     The clamping layer defaults to delta.
     """
-    layer = float(layer_width) if layer_width is not None else float(delta)
-    scan = scan_cells(model_params, delta, N_grid, n_seeds, {
-        "effective": lambda cell: network_effective_tensor(
-            cell.graph, layer, solver_opts)}, base_seed, threads)
-    return EffectiveSeries.from_scan(scan, "effective", delta, layer)
+    evaluate = task_evaluator("effective", {"layer_width": layer_width},
+                              base_seed)
+    scan = scan_cells(model_params, delta, N_grid, n_seeds,
+                      {"effective": evaluate}, base_seed, threads)
+    return EffectiveSeries.from_scan(scan, "effective")

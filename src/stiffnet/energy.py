@@ -14,13 +14,13 @@ Minimizing over u is a symmetric positive definite linear system
 
     (D + 2 L) u = -2 A^T diag(mu) beta,      beta_e = b_ab - b_ba,
 
-with L the weighted graph Laplacian and D = diag(|I|) (optionally the
-identity, for comparison runs).  ``SPDSolver`` is the single solve path
-of the package (this minimization, the h2 ascent, the clamped network):
-one sparse direct factorization when every coupled block of the matrix
-(a connected component of its off-diagonal pattern, a cluster for these
-systems) is small, Jacobi-preconditioned conjugate gradients otherwise,
-and every solution certified by its residual.
+with L the weighted graph Laplacian and D = diag(|I|).  ``SPDSolver`` is
+the single solve path of the package (this minimization, the h2 ascent,
+the clamped network): one sparse direct factorization when every coupled
+block of the matrix (a connected component of its off-diagonal pattern, a
+cluster for these systems) is small, Jacobi-preconditioned conjugate
+gradients otherwise, and every solution certified by its residual against
+the fixed tolerance ``SOLVE_TOL``.
 
 The module also evaluates the explicit gap profile
 
@@ -46,7 +46,6 @@ __all__ = [
     "BoundaryFamily",
     "PotentialFamily",
     "EnergyBreakdown",
-    "SolverOptions",
     "SolverError",
     "SPDSolver",
     "LaplacianAssembly",
@@ -139,12 +138,9 @@ class EnergyBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-10
-    max_iter: int | None = None       # default 10 * n_unknowns
-    identity_mass: bool = False
-
+# Relative residual every solve aims for; CG stops there, and the gate
+# rejects a solution 10 times above it.
+SOLVE_TOL = 1e-10
 
 # Matrices whose coupled blocks all have fewer unknowns are factored
 # directly; a larger block sends the whole system to CG.
@@ -159,16 +155,16 @@ class SPDSolver:
     symmetric fill-reducing ordering and diagonal pivots (fill stays
     inside the blocks), and positive definiteness is certified by the
     pivots; otherwise K gets its Jacobi preconditioner once and conjugate
-    gradients run per right-hand side.  ``solve`` takes one right-hand
+    gradients run per right-hand side, at most 10 n iterations each, to
+    the relative residual ``SOLVE_TOL``.  ``solve`` takes one right-hand
     side or an (n, k) block of them.  Every solution column is certified:
-    a relative residual |K x - rhs| / |rhs| above 10 max(tol, 1e-12), or
-    NaN, raises ``SolverError`` carrying that residual.
+    a relative residual |K x - rhs| / |rhs| above 10 max(SOLVE_TOL, 1e-12),
+    or NaN, raises ``SolverError`` carrying that residual.
     """
 
-    def __init__(self, K, opts: SolverOptions):
+    def __init__(self, K):
         self.K = K
         self.n = K.shape[0]
-        self.tol = opts.tol
         self._lu = None
         coo = K.tocoo()
         off = coo.row != coo.col
@@ -189,8 +185,7 @@ class SPDSolver:
                                   residual=math.nan)
         else:
             self._precond = scipy.sparse.diags(1.0 / K.diagonal())
-            self._max_iter = (opts.max_iter if opts.max_iter is not None
-                              else 10 * self.n)
+            self._max_iter = 10 * self.n
 
     @property
     def direct(self):
@@ -227,7 +222,7 @@ class SPDSolver:
         else:
             for k, j in enumerate(live):
                 x[:, j], info[k] = scipy.sparse.linalg.cg(
-                    self.K, np.ascontiguousarray(cols[:, k]), rtol=self.tol,
+                    self.K, np.ascontiguousarray(cols[:, k]), rtol=SOLVE_TOL,
                     atol=0.0, maxiter=self._max_iter, M=self._precond)
         residual = np.linalg.norm(self.K @ x[:, live] - cols, axis=0) / rhs_norm
         if info.any():
@@ -235,12 +230,12 @@ class SPDSolver:
             raise SolverError(
                 f"conjugate gradients did not converge in {self._max_iter} "
                 f"iterations (relative residual {worst:.3e})", residual=worst)
-        bad = np.flatnonzero(~(residual <= max(self.tol, 1e-12) * 10.0))
+        bad = np.flatnonzero(~(residual <= max(SOLVE_TOL, 1e-12) * 10.0))
         if bad.size:
             worst = float(residual[bad[0]])
             raise SolverError(
                 f"solution rejected: relative residual {worst:.3e} exceeds "
-                f"tolerance {self.tol:.1e}", residual=worst)
+                f"tolerance {SOLVE_TOL:.1e}", residual=worst)
         x[:, live] *= scale
         return x.reshape(rhs.shape)
 
@@ -264,23 +259,21 @@ def _gap_residuals(graph, u, b):
     return (b.antisymmetric_part() + u.u[graph.a]) - u.u[graph.b]
 
 
-def energy(graph: InclusionGraph, u: PotentialFamily, b: BoundaryFamily,
-           identity_mass: bool = False) -> EnergyBreakdown:
+def energy(graph: InclusionGraph, u: PotentialFamily,
+           b: BoundaryFamily) -> EnergyBreakdown:
     """Evaluate the energy; each undirected edge contributes twice."""
     _check_indexing(graph, u, b)
     r = _gap_residuals(graph, u, b)
     gap = float(np.sum(2.0 * graph.mu * r * r))
-    weights = np.ones_like(u.u) if identity_mass else graph.volumes
-    mass = float(np.sum(weights * u.u * u.u))
+    mass = float(np.sum(graph.volumes * u.u * u.u))
     return EnergyBreakdown(gap=gap, mass=mass, total=gap + mass)
 
 
-def energy_gradient(graph, u, b, identity_mass=False):
+def energy_gradient(graph, u, b):
     """Gradient of the energy with respect to the node potentials."""
     _check_indexing(graph, u, b)
     r = _gap_residuals(graph, u, b)
-    weights = np.ones_like(u.u) if identity_mass else graph.volumes
-    g = 2.0 * weights * u.u
+    g = 2.0 * graph.volumes * u.u
     np.add.at(g, graph.a, 4.0 * graph.mu * r)
     np.add.at(g, graph.b, -4.0 * graph.mu * r)
     return g
@@ -290,12 +283,12 @@ class LaplacianAssembly:
     """Sparse assembly of the minimization system for a fixed graph.
 
     ``laplacian`` sums parallel-edge weights into node-pair entries
-    (positive semidefinite, annihilates constants), ``mass`` is the
-    diagonal of node volumes, and ``system_matrix = mass + 2 laplacian``
-    is the SPD matrix of the stationarity equations.
+    (positive semidefinite, annihilates constants), and ``system_matrix
+    = diag(|I|) + 2 laplacian`` is the SPD matrix of the stationarity
+    equations.
     """
 
-    def __init__(self, graph: InclusionGraph, identity_mass: bool = False):
+    def __init__(self, graph: InclusionGraph):
         n = graph.n_nodes
         a_idx, b_idx, mu = graph.a, graph.b, graph.mu
         rows = np.concatenate([a_idx, b_idx, a_idx, b_idx])
@@ -303,9 +296,8 @@ class LaplacianAssembly:
         vals = np.concatenate([mu, mu, -mu, -mu])
         self.laplacian = scipy.sparse.csr_matrix(
             (vals, (rows, cols)), shape=(n, n))
-        diag = np.ones(n) if identity_mass else graph.volumes.copy()
-        self.mass = scipy.sparse.diags(diag, format="csr")
-        self.system_matrix = (self.mass + 2.0 * self.laplacian).tocsr()
+        self.system_matrix = (scipy.sparse.diags(graph.volumes, format="csr")
+                              + 2.0 * self.laplacian).tocsr()
         self._graph = graph
 
     def rhs(self, beta):
@@ -317,23 +309,20 @@ class LaplacianAssembly:
         return rhs
 
 
-def minimize_energy(graph: InclusionGraph, b: BoundaryFamily,
-                    solver_opts: SolverOptions | None = None):
+def minimize_energy(graph: InclusionGraph, b: BoundaryFamily):
     """Minimize the energy over the node potentials.
 
     Returns ``(u_star, breakdown)``.  The minimizer is unique (the mass
     diagonal is positive definite, so the system matrix is SPD) and is
-    certified by an explicit residual check at the requested tolerance.
+    certified by ``SPDSolver``'s residual gate.
     """
-    opts = solver_opts or SolverOptions()
     _check_indexing(graph, b=b)
     if graph.n_nodes == 0:
         return PotentialFamily.zeros(0), EnergyBreakdown(0.0, 0.0, 0.0)
-    assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
-    u = PotentialFamily(
-        SPDSolver(assembly.system_matrix, opts).solve(
-            assembly.rhs(b.antisymmetric_part())))
-    return u, energy(graph, u, b, identity_mass=opts.identity_mass)
+    assembly = LaplacianAssembly(graph)
+    u = PotentialFamily(SPDSolver(assembly.system_matrix).solve(
+        assembly.rhs(b.antisymmetric_part())))
+    return u, energy(graph, u, b)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 __all__ = [
     "SchemaError",
-    "Sphere",
     "SphereConfig",
     "ComponentSet",
     "generate_hardcore",
@@ -49,20 +48,6 @@ DEFAULT_CONTACT_TOL = 1e-12
 
 class SchemaError(ValueError):
     """A document does not match its expected schema."""
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """A single ball: center (3-vector) and positive radius."""
-
-    center: tuple[float, float, float]
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ValueError(f"sphere radius must be positive, got {self.radius}")
-        if not all(math.isfinite(c) for c in self.center):
-            raise ValueError("sphere center must be finite")
 
 
 class SphereConfig:
@@ -198,7 +183,7 @@ class ComponentSet:
         return int(self.volumes.size)
 
     def sphere_indices(self, i):
-        """Sphere indices of component ``i`` (ascending)."""
+        """Ball indices of component ``i`` (ascending)."""
         return self.order[self.starts[i]:self.starts[i + 1]]
 
 
@@ -278,7 +263,7 @@ def _lens_volume(r1, r2, dist):
 
 
 def _contact_pairs(config: SphereConfig):
-    """Sphere pairs in contact: center distance d <= r_i + r_j + contact_tol.
+    """Ball pairs in contact: center distance d <= r_i + r_j + contact_tol.
 
     Returns ``(pairs, d, r_sum)``, pairs in lexicographic order with their
     center distances and radius sums; overlapping pairs are those with

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from stiffnet.multigraph import Edge, InclusionGraph, Node
 
@@ -77,7 +78,7 @@ def random_test_graph(rng, n_nodes_max=20, n_edges_max=40, connected=False):
     return make_graph(volumes, positions, edges, N=2.0)
 
 
-def dense_minimum_oracle(graph, b_ab, b_ba, identity_mass=False):
+def dense_minimum_oracle(graph, b_ab, b_ba):
     """Independent dense solve of the energy minimization.
 
     Assembles K = D + 2 L and the right-hand side entry by entry with
@@ -88,7 +89,7 @@ def dense_minimum_oracle(graph, b_ab, b_ba, identity_mass=False):
     K = np.zeros((n, n))
     rhs = np.zeros(n)
     for i, node in enumerate(graph.nodes):
-        K[i, i] += 1.0 if identity_mass else node.volume
+        K[i, i] += node.volume
     for e in graph.edges:
         beta = b_ab[_edge_pos(graph, e)] - b_ba[_edge_pos(graph, e)]
         K[e.a, e.a] += 2.0 * e.mu
@@ -104,8 +105,7 @@ def dense_minimum_oracle(graph, b_ab, b_ba, identity_mass=False):
         r = b_ab[k] - b_ba[k] + u[e.a] - u[e.b]
         total += 2.0 * e.mu * r * r
     for i, node in enumerate(graph.nodes):
-        w = 1.0 if identity_mass else node.volume
-        total += w * u[i] * u[i]
+        total += node.volume * u[i] * u[i]
     return u, total
 
 
@@ -118,15 +118,13 @@ class ScatterSolveMinimizer:
     ``criteria._CachedMinimizer`` as its oracle.
     """
 
-    def __init__(self, graph, opts):
+    def __init__(self, graph):
         from stiffnet.energy import LaplacianAssembly, SPDSolver
 
         self.a_idx, self.b_idx, self.mu = graph.a, graph.b, graph.mu
         self.n = graph.n_nodes
-        self.volumes = (np.ones(self.n) if opts.identity_mass
-                        else graph.volumes)
-        assembly = LaplacianAssembly(graph, identity_mass=opts.identity_mass)
-        self.solver = SPDSolver(assembly.system_matrix, opts)
+        self.volumes = graph.volumes
+        self.solver = SPDSolver(LaplacianAssembly(graph).system_matrix)
 
     def minimum(self, beta):
         """(2 mu r, minimal energy) at the antisymmetric family beta.
@@ -362,7 +360,7 @@ def polarised_tensor(graph, layer_width):
     diagonal, e(x_i + x_j) - (A_ii + A_jj)/2 the off-diagonal entries.
     """
     from stiffnet.effective import boundary_nodes
-    from stiffnet.energy import SolverOptions, SPDSolver
+    from stiffnet.energy import SPDSolver
     from stiffnet.geometry import _connected_labels
 
     n = graph.n_nodes
@@ -386,8 +384,7 @@ def polarised_tensor(graph, layer_width):
         cols = np.stack([ia, ib, ib, ia], axis=1)[entry]
         vals = np.stack([mu, mu, -mu, -mu], axis=1)[entry]
         solver = SPDSolver(scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(solve_ids.size, solve_ids.size)),
-            SolverOptions())
+            (vals, (rows, cols)), shape=(solve_ids.size, solve_ids.size)))
     one_end = (ia >= 0) != (ib >= 0)
 
     sq2 = 1.0 / math.sqrt(2.0)
@@ -431,6 +428,16 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def cap_cg_iterations(monkeypatch, cap):
+    """Make every ``scipy.sparse.linalg.cg`` call stop after ``cap`` steps."""
+    cg = scipy.sparse.linalg.cg
+
+    def capped(*args, **kwargs):
+        return cg(*args, **{**kwargs, "maxiter": cap})
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", capped)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ pass/fail listing; every tolerance below is fixed, nothing is calibrated
 at run time.
 """
 
+import importlib
 import math
 import time
 from fractions import Fraction
@@ -26,7 +27,6 @@ from stiffnet.criteria import (
 from stiffnet.energy import (
     BoundaryFamily,
     PotentialFamily,
-    SolverOptions,
     affine_boundary_family,
     cycle_free_potentials,
     energy,
@@ -259,10 +259,10 @@ def test_criterion_08_cycle_free_pipeline():
             _, best = minimize_energy(graph, b)
             assert out.total >= best.total - 1e-12 * max(1.0, out.total)
 
-    opts = H2Options(s=4.0, n_starts=4, max_ascent_iters=120, tol=1e-6,
-                     seed=base_seed)
+    h2_params = {"s": 4.0, "n_starts": 4, "max_ascent_iters": 120,
+                 "tol": 1e-6}
     series = scan_limsup({"model": "chains", **model}, delta, N_grid, n_seeds,
-                         "h2", {"opts": opts}, base_seed=base_seed)
+                         "h2", h2_params, base_seed=base_seed)
     assert not series.errors
     assert series.plateau_ok
     elapsed = time.perf_counter() - t0
@@ -272,7 +272,9 @@ def test_criterion_08_cycle_free_pipeline():
               f"{elapsed:.1f}s")
 
 
-def test_criterion_09_cubic_symmetry_isotropy():
+def test_criterion_09_cubic_symmetry_isotropy(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("stiffnet.energy"),
+                        "SOLVE_TOL", 1e-12)
     t0 = time.perf_counter()
     diagonals = []
     for radius in (0.3, 0.4, 0.45):
@@ -280,8 +282,7 @@ def test_criterion_09_cubic_symmetry_isotropy():
                                          radius=radius, jitter=0.0)
         config = restrict_box(config, 10.0)
         graph = build_graph(components(config), config, 0.5)
-        tensor = network_effective_tensor(graph, 0.5,
-                                          SolverOptions(tol=1e-12))
+        tensor = network_effective_tensor(graph, 0.5)
         diag = np.diag(tensor.matrix)
         trace = float(np.trace(tensor.matrix))
         off = tensor.matrix - np.diag(diag)

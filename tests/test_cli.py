@@ -23,7 +23,19 @@ from stiffnet.cli import (
     run_experiment,
     save_json,
 )
-from stiffnet.geometry import SphereConfig, components, generate_hardcore
+from stiffnet.criteria import (
+    H2Options,
+    derive_cell_seed,
+    generate_model,
+    h2_statistic,
+    log_moment_statistic,
+)
+from stiffnet.geometry import (
+    SphereConfig,
+    components,
+    generate_hardcore,
+    restrict_box,
+)
 from stiffnet.multigraph import build_graph, short_kappa
 
 
@@ -161,6 +173,28 @@ class TestRunExperiment:
                   (tmp_path / "logmoment.csv").read_text().splitlines()[1:]]
         assert len(values) == 3
 
+    def test_kappa_shorts_h2_and_logmoment(self, tmp_path):
+        model = {"intensity": 0.06, "radius": 0.9, "min_gap": 0.02}
+        kappa, h2 = 0.15, {"s": 4.0, "n_starts": 2, "max_ascent_iters": 20}
+        spec = ExperimentSpec.from_dict(spec_dict(
+            model="hardcore", model_params=model, delta=0.45,
+            N_grid=[4, 5, 6], tasks=["h2", "logmoment"],
+            task_params={"kappa": kappa, "k": 2.0, **h2}))
+        record = run_experiment(spec, out_dir=tmp_path)
+        assert record.ok
+        outputs = record.task_outputs
+        for i, N in enumerate(spec.N_grid):
+            config = generate_model("hardcore", model, N,
+                                    derive_cell_seed(spec.base_seed, N, 0))
+            config = restrict_box(config, N)
+            graph = build_graph(components(config), config, spec.delta)
+            shorted = short_kappa(graph, (), kappa)
+            assert 0 < shorted.n_nodes < graph.n_nodes
+            assert outputs["h2"]["values"][i] == [h2_statistic(
+                shorted, H2Options(seed=spec.base_seed, **h2)).value]
+            assert outputs["logmoment"]["values"][i] == [
+                log_moment_statistic(shorted, 2.0)]
+
     def test_spec_file_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -278,8 +312,14 @@ class TestMain:
         ("spec", lambda doc: doc.update(N_grid=5)),
         ("spec", lambda doc: doc.update(n_seeds=None)),
         ("spec", lambda doc: doc.update(task_params=[1])),
+        ("spec", lambda doc: doc.update(N_grid="345")),
+        ("spec", lambda doc: doc.update(tasks="logmoment")),
+        ("spec", lambda doc: doc.update(
+            model_params=[["spacing", 1.0], ["radius", 0.3]])),
+        ("spec", lambda doc: doc.update(task_params=[["k", 2.0]])),
     ], ids=["null-center", "string-radius", "scalar-grid", "null-seeds",
-            "list-task-params"])
+            "list-task-params", "string-grid", "string-tasks",
+            "pair-list-model-params", "pair-list-task-params"])
     def test_mistyped_document_exits_2(self, tmp_path, capsys, kind,
                                        corrupt):
         if kind == "config":

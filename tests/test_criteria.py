@@ -34,7 +34,6 @@ from stiffnet.criteria import (
 from stiffnet.energy import (
     BoundaryFamily,
     PotentialFamily,
-    SolverOptions,
     SPDSolver,
     affine_boundary_family,
     energy,
@@ -240,11 +239,9 @@ def chain_forest_graph():
 class TestPotentialOperator:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(graph=weighted_multigraphs(), data=st.data())
-    @pytest.mark.parametrize("identity_mass", [False, True])
-    def test_minimum_matches_scatter_solve(self, identity_mass, graph, data):
-        opts = SolverOptions(identity_mass=identity_mass)
-        fast = _CachedMinimizer(graph, opts)
-        oracle = ScatterSolveMinimizer(graph, opts)
+    def test_minimum_matches_scatter_solve(self, graph, data):
+        fast = _CachedMinimizer(graph)
+        oracle = ScatterSolveMinimizer(graph)
         assert fast.condensed is not None
         beta = data.draw(hnp.arrays(np.float64, graph.n_edges,
                                     elements=st.floats(-5.0, 5.0)))
@@ -264,8 +261,7 @@ class TestPotentialOperator:
         rng = np.random.default_rng(11)
         graph = make_graph(rng.uniform(0.5, 2.0, size=60),
                            rng.uniform(-2.0, 2.0, size=(60, 3)), edges)
-        solver = SPDSolver(criteria.LaplacianAssembly(graph).system_matrix,
-                           SolverOptions())
+        solver = SPDSolver(criteria.LaplacianAssembly(graph).system_matrix)
         whole = criteria._condensed_operator(graph, solver)
         monkeypatch.setattr(criteria, "_BLOCK_ENTRIES", 1)
         solves = count_calls(monkeypatch, SPDSolver, "solve")
@@ -322,7 +318,7 @@ class TestPotentialOperator:
            seed=st.integers(0, 2**32 - 1))
     def test_ascent_values_are_attained(self, graph, s, seed):
         opts = H2Options(s=s, max_ascent_iters=60)
-        minimizer = _CachedMinimizer(graph, opts.solver)
+        minimizer = _CachedMinimizer(graph)
         beta0 = np.random.default_rng(seed).normal(size=graph.n_edges)
         value, beta = criteria._ascend_from(minimizer, graph.box_volume(),
                                             beta0, opts)
@@ -333,7 +329,7 @@ class TestPotentialOperator:
     def test_ratio_gradient_matches_finite_differences(self, s):
         rng = np.random.default_rng(21)
         graph = random_test_graph(rng, n_nodes_max=12, n_edges_max=20)
-        minimizer = _CachedMinimizer(graph, SolverOptions())
+        minimizer = _CachedMinimizer(graph)
         volume = graph.box_volume()
 
         def ratio(beta):

@@ -14,7 +14,6 @@ from conftest import (
 from stiffnet.energy import (
     BoundaryFamily,
     PotentialFamily,
-    SolverOptions,
     affine_boundary_family,
     cycle_free_potentials,
     energy,
@@ -102,15 +101,6 @@ class TestMinimizeEnergy:
             _, out = minimize_energy(graph, b)
             _, oracle = dense_minimum_oracle(graph, b.ab, b.ba)
             assert out.total == pytest.approx(oracle, rel=1e-8)
-
-    def test_identity_mass_flag(self, rng):
-        graph = random_test_graph(rng)
-        b = BoundaryFamily(rng.normal(size=graph.n_edges),
-                           rng.normal(size=graph.n_edges))
-        opts = SolverOptions(identity_mass=True)
-        _, out = minimize_energy(graph, b, opts)
-        _, oracle = dense_minimum_oracle(graph, b.ab, b.ba, identity_mass=True)
-        assert out.total == pytest.approx(oracle, rel=1e-8)
 
     def test_large_graph_uses_cg(self, rng):
         # ~300 nodes exceeds the dense cutoff; answer must match the oracle.

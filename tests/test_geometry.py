@@ -7,7 +7,6 @@ import pytest
 
 from stiffnet.cli import dumps_17g
 from stiffnet.geometry import (
-    Sphere,
     SphereConfig,
     cluster_moment_statistic,
     components,
@@ -39,14 +38,14 @@ def lens_volume_oracle(r1, r2, d):
             * (d * d + 2 * d * (r1 + r2) - 3 * (r1 - r2) ** 2) / (12 * d))
 
 
-class TestSphere:
+class TestSphereConfig:
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValueError):
-            Sphere((0.0, 0.0, 0.0), -1.0)
+            SphereConfig([(0.0, 0.0, 0.0)], [-1.0], 2.0)
 
     def test_non_finite_center_rejected(self):
         with pytest.raises(ValueError):
-            Sphere((math.inf, 0.0, 0.0), 1.0)
+            SphereConfig([(math.inf, 0.0, 0.0)], [1.0], 2.0)
 
 
 class TestHardcore:

@@ -44,17 +44,23 @@ def spec(**overrides):
 
 
 def test_each_cell_generated_and_built_once(tmp_path, monkeypatch):
+    h2 = {"s": 4.0, "n_starts": 1, "max_ascent_iters": 5}
     generated = count_calls(monkeypatch, "generate_model")
     built = count_calls(monkeypatch, "build_graph")
-    record = run_experiment(spec(), out_dir=tmp_path)
+    record = run_experiment(spec(
+        tasks=["h1", "h2", "logmoment", "clustermoment", "density",
+               "effective"],
+        task_params={"p": 2.0, "n_samples": 200, **h2}), out_dir=tmp_path)
     assert record.ok
     assert len(generated) == 3
     assert len(built) == 3
     assert set(record.wall_clock) == {(3.0, 0), (4.0, 0), (5.0, 0)}
 
     model = {"model": "lattice", **MODEL}
-    task_params = {"h1": {"xi": (1.0, 0.0, 0.0)}, "logmoment": {"k": 2.0},
-                   "clustermoment": {"p": 2.0, "n_samples": 200}}
+    task_params = {"h1": {"xi": (1.0, 0.0, 0.0)}, "h2": h2,
+                   "logmoment": {"k": 2.0},
+                   "clustermoment": {"p": 2.0, "n_samples": 200},
+                   "density": {}}
     for task, params in task_params.items():
         series = scan_limsup(model, 0.5, [3, 4, 5], 1, task, params,
                              base_seed=11)

@@ -9,14 +9,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import stiffnet.criteria as criteria
-from conftest import count_calls, make_graph
+from conftest import cap_cg_iterations, count_calls, make_graph
 from stiffnet.criteria import H2Options, h2_statistic
 from stiffnet.effective import network_effective_tensor
 from stiffnet.energy import (
     DENSE_CUTOFF,
     LaplacianAssembly,
     SolverError,
-    SolverOptions,
     SPDSolver,
     affine_boundary_family,
     minimize_energy,
@@ -27,6 +26,14 @@ from stiffnet.geometry import (
     generate_lattice_jitter,
 )
 from stiffnet.multigraph import build_graph
+
+ENERGY = importlib.import_module("stiffnet.energy")
+
+
+@pytest.fixture
+def tight_tol(monkeypatch):
+    """Solve to a relative residual of 1e-12 instead of ``SOLVE_TOL``."""
+    monkeypatch.setattr(ENERGY, "SOLVE_TOL", 1e-12)
 
 
 def jitter_lattice_graph(N):
@@ -44,13 +51,13 @@ def lattice_512():
 
 class TestSPDSolver:
     @pytest.mark.parametrize("n", [DENSE_CUTOFF - 1, DENSE_CUTOFF])
-    def test_both_paths_match_dense_solve(self, n):
+    def test_both_paths_match_dense_solve(self, n, tight_tol):
         rng = np.random.default_rng(n)
         # Diagonally dominant tridiagonal matrix: SPD, well conditioned.
         off = -rng.uniform(0.1, 1.0, size=n - 1)
         diag = 2.5 + rng.uniform(0.0, 1.0, size=n)
         K = scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
-        solver = SPDSolver(K, SolverOptions(tol=1e-12))
+        solver = SPDSolver(K)
         for _ in range(3):
             rhs = rng.normal(size=n)
             x = solver.solve(rhs)
@@ -60,21 +67,23 @@ class TestSPDSolver:
     def test_zero_rhs_returns_zeros_without_iterating(self, monkeypatch):
         K = scipy.sparse.identity(DENSE_CUTOFF, format="csr")
         calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
-        x = SPDSolver(K, SolverOptions()).solve(np.zeros(DENSE_CUTOFF))
+        x = SPDSolver(K).solve(np.zeros(DENSE_CUTOFF))
         assert np.array_equal(x, np.zeros(DENSE_CUTOFF))
         assert calls == []
 
     def test_indefinite_dense_matrix_raises_solver_error(self):
         K = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(SolverError) as info:
-            SPDSolver(K, SolverOptions())
+            SPDSolver(K)
         assert math.isnan(info.value.residual)
 
-    def test_iteration_cap_raises_with_residual(self, lattice_512):
+    def test_iteration_cap_raises_with_residual(self, lattice_512,
+                                                monkeypatch):
         K = LaplacianAssembly(lattice_512).system_matrix
         rhs = np.ones(lattice_512.n_nodes)
+        cap_cg_iterations(monkeypatch, 1)
         with pytest.raises(SolverError) as info:
-            SPDSolver(K, SolverOptions(max_iter=1)).solve(rhs)
+            SPDSolver(K).solve(rhs)
         assert math.isfinite(info.value.residual)
         assert info.value.residual > 1e-9
 
@@ -84,13 +93,11 @@ class TestSPDSolver:
                                                 monkeypatch):
         # Below ~1e-154 the squares in a column's 2-norm underflow to 0;
         # such a column is still nonzero and must be solved.
-        monkeypatch.setattr(importlib.import_module("stiffnet.energy"),
-                            "DENSE_CUTOFF", cutoff)
+        monkeypatch.setattr(ENERGY, "DENSE_CUTOFF", cutoff)
         graph = make_graph([1.0, 1.0, 1.0],
                            [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (3.0, 0.0, 0.0)],
                            [(0, 1, 0.5), (0, 1, 1.0 / 6.0)])
-        solver = SPDSolver(LaplacianAssembly(graph, identity_mass=True)
-                           .system_matrix, SolverOptions(identity_mass=True))
+        solver = SPDSolver(LaplacianAssembly(graph).system_matrix)
         assert solver.direct == (cutoff == DENSE_CUTOFF)
         rhs = np.array([-1.0, 1.0, 0.0])
         x = solver.solve(tiny * rhs)
@@ -107,13 +114,13 @@ class TestSPDSolver:
             blocks.append(B @ B.T + shift * m * np.eye(m))
         return scipy.sparse.block_diag(blocks, format="csr")
 
-    def test_small_blocks_factor_directly(self, monkeypatch):
+    def test_small_blocks_factor_directly(self, monkeypatch, tight_tol):
         rng = np.random.default_rng(3)
         sizes = [DENSE_CUTOFF - 1, 1, 57, DENSE_CUTOFF - 1, 120]
         assert sum(sizes) >= 2 * DENSE_CUTOFF
         K = self.block_diagonal(rng, sizes, 1.0)
         calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
-        solver = SPDSolver(K, SolverOptions(tol=1e-12))
+        solver = SPDSolver(K)
         for _ in range(3):
             rhs = rng.normal(size=K.shape[0])
             np.testing.assert_allclose(solver.solve(rhs),
@@ -128,14 +135,15 @@ class TestSPDSolver:
         # [-m, 3m]: every block is indefinite.
         K = self.block_diagonal(rng, sizes, -1.0)
         with pytest.raises(SolverError) as info:
-            SPDSolver(K, SolverOptions())
+            SPDSolver(K)
         assert math.isnan(info.value.residual)
 
-    def test_one_block_at_the_cutoff_takes_cg(self, monkeypatch):
+    def test_one_block_at_the_cutoff_takes_cg(self, monkeypatch,
+                                              tight_tol):
         rng = np.random.default_rng(5)
         K = self.block_diagonal(rng, [DENSE_CUTOFF, 3, 10], 1.0)
         calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
-        solver = SPDSolver(K, SolverOptions(tol=1e-12))
+        solver = SPDSolver(K)
         rhs = rng.normal(size=K.shape[0])
         np.testing.assert_allclose(solver.solve(rhs),
                                    np.linalg.solve(K.toarray(), rhs),
@@ -157,10 +165,11 @@ class TestManyRightHandSides:
     @pytest.mark.parametrize("sizes", [[DENSE_CUTOFF - 1, 40, 7],
                                        [DENSE_CUTOFF, 3]],
                              ids=["direct", "cg"])
-    def test_columns_equal_single_solves(self, sizes, monkeypatch):
+    def test_columns_equal_single_solves(self, sizes, monkeypatch,
+                                         tight_tol):
         rng = np.random.default_rng(len(sizes))
         K = TestSPDSolver.block_diagonal(rng, sizes, 1.0)
-        solver = SPDSolver(K, SolverOptions(tol=1e-12))
+        solver = SPDSolver(K)
         rhs = rng.normal(size=(K.shape[0], 4))
         rhs[:, 2] = 0.0
         singles = [solver.solve(np.ascontiguousarray(col)) for col in rhs.T]
@@ -174,15 +183,17 @@ class TestManyRightHandSides:
 
     def test_all_zero_block_gives_zeros(self):
         K = scipy.sparse.identity(5, format="csr")
-        x = SPDSolver(K, SolverOptions()).solve(np.zeros((5, 3)))
+        x = SPDSolver(K).solve(np.zeros((5, 3)))
         assert np.array_equal(x, np.zeros((5, 3)))
 
-    def test_failing_column_raises_with_residual(self, lattice_512):
+    def test_failing_column_raises_with_residual(self, lattice_512,
+                                                 monkeypatch):
         K = LaplacianAssembly(lattice_512).system_matrix
         rhs = np.zeros((lattice_512.n_nodes, 2))
         rhs[:, 1] = 1.0
+        cap_cg_iterations(monkeypatch, 1)
         with pytest.raises(SolverError) as info:
-            SPDSolver(K, SolverOptions(max_iter=1)).solve(rhs)
+            SPDSolver(K).solve(rhs)
         assert math.isfinite(info.value.residual)
         assert info.value.residual > 1e-9
 
@@ -198,22 +209,24 @@ class TestManyRightHandSides:
 class TestCertifiedCallers:
     """Every solve of the package reports its residual when it fails."""
 
+    @pytest.fixture(autouse=True)
+    def one_cg_step(self, monkeypatch):
+        cap_cg_iterations(monkeypatch, 1)
+
     def test_minimize_energy(self, lattice_512):
         b = affine_boundary_family(lattice_512, (1.0, 0.0, 0.0))
         with pytest.raises(SolverError) as info:
-            minimize_energy(lattice_512, b, SolverOptions(max_iter=1))
+            minimize_energy(lattice_512, b)
         assert math.isfinite(info.value.residual)
 
     def test_h2_inner_solve(self, lattice_512):
-        opts = H2Options(s=4.0, n_starts=1, solver=SolverOptions(max_iter=1))
         with pytest.raises(SolverError) as info:
-            h2_statistic(lattice_512, opts)
+            h2_statistic(lattice_512, H2Options(s=4.0, n_starts=1))
         assert math.isfinite(info.value.residual)
 
     def test_clamped_network_solve(self, lattice_512):
         with pytest.raises(SolverError) as info:
-            network_effective_tensor(lattice_512, 0.5,
-                                     SolverOptions(max_iter=1))
+            network_effective_tensor(lattice_512, 0.5)
         assert math.isfinite(info.value.residual)
 
 
