@@ -18,11 +18,8 @@ from .geometry import (            # noqa: F401
     restrict_box,
 )
 from .multigraph import (          # noqa: F401
-    Edge,
     InclusionGraph,
-    Node,
     build_graph,
-    closest_points,
     clusters,
     is_cycle_free,
     short_at,
@@ -38,7 +35,6 @@ from .energy import (              # noqa: F401
     affine_boundary_family,
     cycle_free_potentials,
     energy,
-    energy_gradient,
     keller_energy,
     lift_short_potentials,
     midpoint_boundary_family,
@@ -48,9 +44,7 @@ from .criteria import (            # noqa: F401
     CriterionSeries,
     H2Estimate,
     H2Options,
-    density_estimate,
     derive_cell_seed,
-    h1_statistic,
     h2_exact_s2,
     h2_ratio,
     h2_statistic,

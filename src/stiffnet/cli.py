@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .criteria import (
     STATISTICS,
+    TASK_PARAMS,
     CriterionSeries,
     check_scan_grid,
     generate_model,
@@ -54,14 +55,13 @@ __all__ = [
     "ExperimentSpec",
     "ResultRecord",
     "run_experiment",
-    "roundtrip",
     "save_json",
     "load_json",
     "dumps_17g",
     "main",
 ]
 
-TASKS = (*STATISTICS, "effective", "keller")
+TASKS = tuple(TASK_PARAMS)
 
 EXIT_OK = 0
 EXIT_CELL_ERRORS = 1
@@ -155,16 +155,6 @@ def load_json(path, kind=None):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def roundtrip(obj, path):
-    """Save then load; the result must equal the input exactly."""
-    save_json(obj, path)
-    kind = "config" if isinstance(obj, SphereConfig) else "graph"
-    loaded = load_json(path, kind=kind)
-    if loaded != obj:
-        raise SchemaError(f"roundtrip through {path} did not reproduce the object")
-    return loaded
-
-
 # ---------------------------------------------------------------------------
 # Experiment spec and result record
 # ---------------------------------------------------------------------------
@@ -200,6 +190,14 @@ class ExperimentSpec:
                 raise SchemaError(
                     f"experiment spec field {key!r} must be a JSON "
                     f"{'list' if kind is list else 'object'}")
+        if not isinstance(data.get("task_params", {}).get("keller", {}), dict):
+            raise SchemaError("experiment spec field 'task_params.keller' "
+                              "must be a JSON object")
+        n_seeds = data["n_seeds"]
+        if not ((isinstance(n_seeds, int) and not isinstance(n_seeds, bool))
+                or (isinstance(n_seeds, float) and n_seeds.is_integer())):
+            raise SchemaError(f"experiment spec field 'n_seeds' must be an "
+                              f"integer, got {n_seeds!r}")
         try:
             spec = cls(
                 version=int(data["version"]),
@@ -228,6 +226,11 @@ class ExperimentSpec:
         unknown = [t for t in self.tasks if t not in TASKS]
         if unknown:
             raise ValidationError(f"unknown tasks: {unknown}")
+        read = {key for task in self.tasks for key in TASK_PARAMS[task]}
+        unread = sorted(set(self.task_params) - read)
+        if unread:
+            raise ValidationError(f"task_params keys that no task of "
+                                  f"{list(self.tasks)} reads: {unread}")
         if self.model not in ("hardcore", "lattice", "chains") and \
                 set(self.tasks) != {"keller"}:
             raise ValidationError(f"unknown model {self.model!r}")

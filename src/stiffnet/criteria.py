@@ -67,15 +67,14 @@ __all__ = [
     "H2Options",
     "H2Estimate",
     "CriterionSeries",
-    "h1_statistic",
     "h2_ratio",
     "h2_statistic",
     "h2_exact_s2",
     "log_moment_statistic",
-    "density_estimate",
     "scan_limsup",
     "scan_cells",
     "STATISTICS",
+    "TASK_PARAMS",
     "task_evaluator",
     "ScanCell",
     "CellScan",
@@ -135,17 +134,6 @@ def _affine_energy_density(graph: InclusionGraph, xi) -> float:
     b = affine_boundary_family(graph, xi)
     _, breakdown = minimize_energy(graph, b)
     return breakdown.total / graph.box_volume()
-
-
-def h1_statistic(config: SphereConfig, delta: float, xi) -> float:
-    """Normalized minimal energy with the affine boundary family.
-
-    Builds the box-restricted configuration, its gap multigraph at
-    threshold ``delta``, and returns inf_u E / |Q_N|.
-    """
-    restricted = restrict_box(config, config.box_half_width)
-    graph = build_graph(components(restricted), restricted, delta)
-    return _affine_energy_density(graph, xi)
 
 
 def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float) -> float:
@@ -435,12 +423,6 @@ def log_moment_statistic(graph: InclusionGraph, k: float) -> float:
     return float(np.sum(graph.mu ** k)) / graph.box_volume()
 
 
-def density_estimate(config: SphereConfig) -> float:
-    """Volume fraction of the configuration: component volume / |Q_N|."""
-    comp = components(config)
-    return float(np.sum(comp.volumes)) / config.box_volume()
-
-
 # ---------------------------------------------------------------------------
 # Scans over (N, seed) grids
 # ---------------------------------------------------------------------------
@@ -590,6 +572,18 @@ STATISTICS = ("h1", "h2", "logmoment", "clustermoment", "density")
 # The H2Options fields a spec may set, with their casts.
 _H2_PARAMS = {"s": float, "n_starts": int, "max_ascent_iters": int,
               "tol": float}
+
+# The task_params keys each task reads: the scan tasks through
+# ``task_evaluator``, and keller its own object of table parameters.
+TASK_PARAMS = {
+    "h1": ("xi",),
+    "h2": (*_H2_PARAMS, "kappa"),
+    "logmoment": ("k", "kappa"),
+    "clustermoment": ("p", "n_samples", "quantity"),
+    "density": (),
+    "effective": ("layer_width",),
+    "keller": ("keller",),
+}
 
 
 def task_evaluator(task: str, params: dict, base_seed: int):

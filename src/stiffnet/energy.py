@@ -50,7 +50,6 @@ __all__ = [
     "SPDSolver",
     "LaplacianAssembly",
     "energy",
-    "energy_gradient",
     "minimize_energy",
     "affine_boundary_family",
     "midpoint_boundary_family",
@@ -267,16 +266,6 @@ def energy(graph: InclusionGraph, u: PotentialFamily,
     gap = float(np.sum(2.0 * graph.mu * r * r))
     mass = float(np.sum(graph.volumes * u.u * u.u))
     return EnergyBreakdown(gap=gap, mass=mass, total=gap + mass)
-
-
-def energy_gradient(graph, u, b):
-    """Gradient of the energy with respect to the node potentials."""
-    _check_indexing(graph, u, b)
-    r = _gap_residuals(graph, u, b)
-    g = 2.0 * graph.volumes * u.u
-    np.add.at(g, graph.a, 4.0 * graph.mu * r)
-    np.add.at(g, graph.b, -4.0 * graph.mu * r)
-    return g
 
 
 class LaplacianAssembly:

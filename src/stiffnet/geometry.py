@@ -157,8 +157,7 @@ class ComponentSet:
 
     Two spheres share a component when their surface distance is at most
     ``contact_tol``.  Components are numbered by their smallest sphere
-    index.  Stored CSR-style: ``order`` lists sphere indices grouped by
-    component, ``starts`` delimits the groups.  Per-component
+    index; ``labels`` maps each sphere to its component.  Per-component
     statistics:
 
     * ``volumes``   -- ball volumes minus pairwise lens overlaps,
@@ -169,22 +168,15 @@ class ComponentSet:
     """
 
     labels: np.ndarray          # (n,) sphere index -> component index
-    order: np.ndarray           # (n,) sphere indices grouped by component
-    starts: np.ndarray          # (m+1,) group offsets into ``order``
     volumes: np.ndarray         # (m,)
     centroids: np.ndarray       # (m, 3)
     diameters: np.ndarray       # (m,)
     boundary: np.ndarray        # (m,) bool
-    box_half_width: float
     triple_overlap_possible: bool = field(default=False)
 
     @property
     def n_components(self):
         return int(self.volumes.size)
-
-    def sphere_indices(self, i):
-        """Ball indices of component ``i`` (ascending)."""
-        return self.order[self.starts[i]:self.starts[i + 1]]
 
 
 def _connected_labels(n, a, b):
@@ -325,13 +317,10 @@ def components(config: SphereConfig) -> ComponentSet:
 
     return ComponentSet(
         labels=labels,
-        order=order,
-        starts=starts,
         volumes=volumes,
         centroids=centroids,
         diameters=diameters,
         boundary=boundary,
-        box_half_width=config.box_half_width,
         triple_overlap_possible=triple_possible,
     )
 

@@ -9,9 +9,7 @@ requiring ``delta < 1`` keeps all weights positive.
 ``InclusionGraph`` stores the graph as columns: one array per node
 quantity, indexed by node id, and one per edge quantity, in edge order.
 Graphs built from a configuration also keep that configuration and the
-node of each of its balls.  ``Node`` and ``Edge`` are read-only rows
-assembled from the columns on request; the package itself reads only the
-columns.
+node of each of its balls.
 
 A *short* merges chosen node groups into single nodes, suppressing the
 edges that become internal; ``short_kappa`` shorts exactly the gaps
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +33,8 @@ from .geometry import (
 )
 
 __all__ = [
-    "Node",
-    "Edge",
     "InclusionGraph",
     "ClusterPartition",
-    "closest_points",
     "build_graph",
     "clusters",
     "short_at",
@@ -48,35 +42,12 @@ __all__ = [
     "is_cycle_free",
 ]
 
-@dataclass(frozen=True)
-class Node:
-    """One node row: a component's volume, centroid, diameter and boundary flag."""
-
-    id: int
-    volume: float
-    centroid: np.ndarray
-    diameter: float
-    boundary: bool
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One edge row: a gap between two nodes, its contact points, ``d`` and ``mu``."""
-
-    id: int
-    a: int
-    b: int
-    xa: np.ndarray
-    xb: np.ndarray
-    d: float
-    mu: float
-
 
 @dataclass(frozen=True)
 class InclusionGraph:
     """The gap multigraph as node and edge columns, threshold and box size.
 
-    Node ids are positions in the node columns.  Edges are oriented
+    A node's id is its position in the node columns.  Edges are oriented
     ``a < b`` and keep their ``edge_ids`` through shorts.  ``spheres`` is
     the configuration the graph was built from and ``sphere_node`` maps
     each of its balls to a node; both are None on deserialized graphs,
@@ -110,28 +81,6 @@ class InclusionGraph:
     spheres: SphereConfig | None = field(default=None, repr=False)
     sphere_node: np.ndarray | None = field(default=None, repr=False)
 
-    @classmethod
-    def from_records(cls, nodes, edges, delta, box_half_width):
-        """A graph from ``Node`` and ``Edge`` rows, without ball geometry.
-
-        Node ids are taken to be the rows' positions.
-        """
-        def column(rows, name, dtype=float):
-            return np.array([getattr(r, name) for r in rows], dtype=dtype)
-
-        nodes, edges = tuple(nodes), tuple(edges)
-        return cls(
-            volumes=column(nodes, "volume"),
-            centroids=column(nodes, "centroid").reshape(len(nodes), 3),
-            diameters=column(nodes, "diameter"),
-            boundary=column(nodes, "boundary", bool),
-            edge_ids=column(edges, "id", np.int64),
-            a=column(edges, "a", np.int64), b=column(edges, "b", np.int64),
-            xa=column(edges, "xa").reshape(len(edges), 3),
-            xb=column(edges, "xb").reshape(len(edges), 3),
-            d=column(edges, "d"), mu=column(edges, "mu"),
-            delta=delta, box_half_width=box_half_width)
-
     @property
     def n_nodes(self):
         return int(self.volumes.size)
@@ -139,20 +88,6 @@ class InclusionGraph:
     @property
     def n_edges(self):
         return int(self.d.size)
-
-    @cached_property
-    def nodes(self) -> tuple[Node, ...]:
-        """The node rows, built on first use."""
-        return tuple(map(Node, range(self.n_nodes), self.volumes.tolist(),
-                         list(self.centroids), self.diameters.tolist(),
-                         self.boundary.tolist()))
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edge rows, built on first use."""
-        return tuple(map(Edge, self.edge_ids.tolist(), self.a.tolist(),
-                         self.b.tolist(), list(self.xa), list(self.xb),
-                         self.d.tolist(), self.mu.tolist()))
 
     def box_volume(self):
         return (2.0 * self.box_half_width) ** 3
@@ -178,51 +113,61 @@ class InclusionGraph:
 
     @classmethod
     def from_dict(cls, data):
+        """Read a graph document into the columns; SchemaError if malformed.
+
+        Each node's id must equal its position, and every edge needs
+        ``0 <= a < b < n``, ``d`` in (0, 1) and ``mu == |ln d|``; ``N`` must
+        be finite and positive and ``delta`` in (0, 1).  ``check_volumes``
+        then runs.
+        """
         if not isinstance(data, dict):
             raise SchemaError("graph document must be a JSON object")
         missing = [k for k in ("delta", "N", "nodes", "edges") if k not in data]
         if missing:
             raise SchemaError(f"graph document missing fields: {missing}")
         try:
-            nodes = tuple(
-                Node(
-                    id=int(n["id"]),
-                    volume=float(n["vol"]),
-                    centroid=np.array([float(v) for v in n["x"]], dtype=float),
-                    diameter=float(n["diam"]),
-                    boundary=bool(n["boundary"]),
-                )
-                for n in data["nodes"]
-            )
-            edges = tuple(
-                Edge(
-                    id=int(e["id"]),
-                    a=int(e["a"]),
-                    b=int(e["b"]),
-                    xa=np.array([float(v) for v in e["xa"]], dtype=float),
-                    xb=np.array([float(v) for v in e["xb"]], dtype=float),
-                    d=float(e["d"]),
-                    mu=float(e["mu"]),
-                )
-                for e in data["edges"]
-            )
+            delta, N = float(data["delta"]), float(data["N"])
+            nodes = [(int(n["id"]), float(n["vol"]),
+                      [float(v) for v in n["x"]], float(n["diam"]),
+                      bool(n["boundary"])) for n in data["nodes"]]
+            edges = [(int(e["id"]), int(e["a"]), int(e["b"]),
+                      [float(v) for v in e["xa"]], [float(v) for v in e["xb"]],
+                      float(e["d"]), float(e["mu"])) for e in data["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"invalid graph document: {exc}") from None
-        for k, nd in enumerate(nodes):
-            if nd.id != k:
+        n = len(nodes)
+        for k, (node_id, *_) in enumerate(nodes):
+            if node_id != k:
                 raise SchemaError(f"node at position {k}: need id {k}, got "
-                                  f"id {nd.id}")
-        for e in edges:
-            if not (0 <= e.a < e.b < len(nodes) and 0.0 < e.d < 1.0
-                    and e.mu == abs(math.log(e.d))):
+                                  f"id {node_id}")
+        for edge_id, a, b, _, _, d, mu in edges:
+            if not (0 <= a < b < n and 0.0 < d < 1.0
+                    and mu == abs(math.log(d))):
                 raise SchemaError(
-                    f"edge {e.id}: need 0 <= a < b < {len(nodes)}, d in "
-                    f"(0, 1) and mu = |ln d|, got a {e.a}, b {e.b}, "
-                    f"d {e.d!r}, mu {e.mu!r}")
+                    f"edge {edge_id}: need 0 <= a < b < {n}, d in "
+                    f"(0, 1) and mu = |ln d|, got a {a}, b {b}, "
+                    f"d {d!r}, mu {mu!r}")
+        if not (0.0 < N < math.inf):
+            raise SchemaError(f"graph box size N must be finite and "
+                              f"positive, got {N!r}")
+        if not (0.0 < delta < 1.0):
+            raise SchemaError(f"graph threshold delta must lie in (0, 1), "
+                              f"got {delta!r}")
+        _, vol, x, diam, bd = list(zip(*nodes)) or [()] * 5
+        ids, a, b, xa, xb, d, mu = list(zip(*edges)) or [()] * 7
         try:
-            graph = cls.from_records(nodes, edges, float(data["delta"]),
-                                     float(data["N"]))
-        except (TypeError, ValueError) as exc:
+            graph = cls(
+                volumes=np.array(vol, dtype=float),
+                centroids=np.array(x, dtype=float).reshape(n, 3),
+                diameters=np.array(diam, dtype=float),
+                boundary=np.array(bd, dtype=bool),
+                edge_ids=np.array(ids, dtype=np.int64),
+                a=np.array(a, dtype=np.int64), b=np.array(b, dtype=np.int64),
+                xa=np.array(xa, dtype=float).reshape(len(edges), 3),
+                xb=np.array(xb, dtype=float).reshape(len(edges), 3),
+                d=np.array(d, dtype=float), mu=np.array(mu, dtype=float),
+                delta=delta, box_half_width=N)
+        except (OverflowError, ValueError) as exc:
             raise SchemaError(f"invalid graph document: {exc}") from None
         graph.check_volumes()
         return graph
@@ -256,30 +201,11 @@ class ClusterPartition:
     node_cluster: np.ndarray        # (n_nodes,) node -> cluster index
     members: tuple[tuple[int, ...], ...]
     diameters: np.ndarray           # union diameter per cluster
-    volumes: np.ndarray             # total node volume per cluster
     cardinalities: np.ndarray       # number of nodes per cluster
 
     @property
     def n_clusters(self):
         return len(self.members)
-
-
-def closest_points(sphere_a, sphere_b):
-    """Closest surface points of two disjoint spheres and their gap.
-
-    Spheres are (center, radius) pairs.
-    The points lie on the center line; rejects overlapping spheres.
-    """
-    ca, ra = np.asarray(sphere_a[0], dtype=float), float(sphere_a[1])
-    cb, rb = np.asarray(sphere_b[0], dtype=float), float(sphere_b[1])
-    dist = float(np.linalg.norm(cb - ca))
-    if dist <= ra + rb:
-        raise ValueError("spheres overlap or touch; merge them into one "
-                         "component instead of building a gap")
-    u = (cb - ca) / dist
-    xa = ca + ra * u
-    xb = cb - rb * u
-    return xa, xb, dist - ra - rb
 
 
 def _row_norms(v):
@@ -363,8 +289,9 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
     ``delta``; candidate pairs come from a KD-tree query at radius
     ``2*max_radius + delta`` so no pair can be missed.  Edges are sorted by
     (node_a, node_b, d, xa, xb) and the edge count matches brute-force pair
-    enumeration exactly.  Contact points and gaps are bit-identical to
-    ``closest_points`` on each pair.
+    enumeration exactly.  Each contact point is a ball centre moved by its
+    radius along the unit centre line, and the gap is the centre distance
+    minus both radii, rounded as one pair at a time would round them.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1): weights |ln d| must "
@@ -389,7 +316,7 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
                 config, cand[near], dist[near], delta)
             kept = cand[cross & (gap <= delta)]
 
-    # closest_points on every kept pair at once, in its operation order.
+    # Contact points of every kept pair at once, in per-pair operation order.
     i, j = kept[:, 0], kept[:, 1]
     ri, rj = radii[i], radii[j]
     between = centers[j] - centers[i]
@@ -473,8 +400,6 @@ def clusters(graph: InclusionGraph) -> ClusterPartition:
         members=tuple(tuple(g.tolist()) for g in groups),
         diameters=np.array([_union_diameter(graph, g, bl)
                             for g, bl in zip(groups, balls)]),
-        volumes=np.array([math.fsum(graph.volumes[g].tolist())
-                          for g in groups]),
         cardinalities=np.bincount(node_cluster, minlength=m))
 
 

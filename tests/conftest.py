@@ -8,13 +8,51 @@ they share no code path with the package internals they check.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from stiffnet.multigraph import Edge, InclusionGraph, Node
+from stiffnet.criteria import ScanCell, task_evaluator
+from stiffnet.multigraph import InclusionGraph
+
+
+class NodeRow(NamedTuple):
+    """One node of a graph: volume, centroid, diameter and boundary flag."""
+
+    id: int
+    volume: float
+    centroid: np.ndarray
+    diameter: float
+    boundary: bool
+
+
+class EdgeRow(NamedTuple):
+    """One edge of a graph: its ends, contact points, gap ``d`` and ``mu``."""
+
+    id: int
+    a: int
+    b: int
+    xa: np.ndarray
+    xb: np.ndarray
+    d: float
+    mu: float
+
+
+def node_rows(graph):
+    """The graph's node columns as rows, in node order."""
+    return [NodeRow(k, vol, x, diam, bd) for k, (vol, x, diam, bd) in
+            enumerate(zip(graph.volumes.tolist(), list(graph.centroids),
+                          graph.diameters.tolist(), graph.boundary.tolist()))]
+
+
+def edge_rows(graph):
+    """The graph's edge columns as rows, in edge order."""
+    return [EdgeRow(*row) for row in zip(
+        graph.edge_ids.tolist(), graph.a.tolist(), graph.b.tolist(),
+        list(graph.xa), list(graph.xb), graph.d.tolist(), graph.mu.tolist())]
 
 
 def make_graph(volumes, positions, edge_list, delta=0.5, N=1.0,
@@ -28,11 +66,6 @@ def make_graph(volumes, positions, edge_list, delta=0.5, N=1.0,
     positions = [np.asarray(p, dtype=float) for p in positions]
     n = len(volumes)
     boundary = boundary or [False] * n
-    nodes = tuple(
-        Node(id=i, volume=volumes[i], centroid=positions[i],
-             diameter=1.0, boundary=bool(boundary[i]))
-        for i in range(n)
-    )
     records = []
     for (a, b, d) in edge_list:
         a, b = int(a), int(b)
@@ -46,11 +79,24 @@ def make_graph(volumes, positions, edge_list, delta=0.5, N=1.0,
         records.append((a, b, float(d),
                         mid - 0.5 * d * direction, mid + 0.5 * d * direction))
     records.sort(key=lambda r: (r[0], r[1], r[2]))
-    edges = tuple(
-        Edge(id=k, a=a, b=b, xa=xa, xb=xb, d=d, mu=abs(math.log(d)))
-        for k, (a, b, d, xa, xb) in enumerate(records)
-    )
-    return InclusionGraph.from_records(nodes, edges, delta, N)
+    m = len(records)
+    a, b, d, xa, xb = (list(col) for col in zip(*records)) if m else [[]] * 5
+    return InclusionGraph(
+        volumes=np.array(volumes), centroids=np.array(positions).reshape(n, 3),
+        diameters=np.ones(n), boundary=np.array(boundary, dtype=bool),
+        edge_ids=np.arange(m), a=np.array(a, dtype=np.int64),
+        b=np.array(b, dtype=np.int64), xa=np.array(xa).reshape(m, 3),
+        xb=np.array(xb).reshape(m, 3), d=np.array(d, dtype=float),
+        mu=np.array([abs(math.log(v)) for v in d]), delta=delta,
+        box_half_width=N)
+
+
+def evaluate_task(task, config, delta=0.5, **params):
+    """A scan task's value on one ScanCell holding ``config``."""
+    cell = ScanCell(config.model, {}, delta, config.box_half_width,
+                    config.seed, 0)
+    cell.config = config    # fills the cached stage ahead of its first use
+    return task_evaluator(task, params, 0)(cell)
 
 
 def single_edge_graph(mu=2.0, volumes=(1.0, 1.0)):
@@ -86,12 +132,13 @@ def dense_minimum_oracle(graph, b_ab, b_ba):
     textbook formula.  Returns (u, total energy).
     """
     n = graph.n_nodes
+    nodes, edges = node_rows(graph), edge_rows(graph)
     K = np.zeros((n, n))
     rhs = np.zeros(n)
-    for i, node in enumerate(graph.nodes):
+    for i, node in enumerate(nodes):
         K[i, i] += node.volume
-    for e in graph.edges:
-        beta = b_ab[_edge_pos(graph, e)] - b_ba[_edge_pos(graph, e)]
+    for k, e in enumerate(edges):
+        beta = b_ab[k] - b_ba[k]
         K[e.a, e.a] += 2.0 * e.mu
         K[e.b, e.b] += 2.0 * e.mu
         K[e.a, e.b] -= 2.0 * e.mu
@@ -100,13 +147,39 @@ def dense_minimum_oracle(graph, b_ab, b_ba):
         rhs[e.b] += 2.0 * e.mu * beta
     u = np.linalg.solve(K, rhs) if n else np.zeros(0)
     total = 0.0
-    for e in graph.edges:
-        k = _edge_pos(graph, e)
+    for k, e in enumerate(edges):
         r = b_ab[k] - b_ba[k] + u[e.a] - u[e.b]
         total += 2.0 * e.mu * r * r
-    for i, node in enumerate(graph.nodes):
+    for i, node in enumerate(nodes):
         total += node.volume * u[i] * u[i]
     return u, total
+
+
+def energy_gradient(graph, u, b):
+    """Gradient of the energy with respect to the node potentials."""
+    r = (b.antisymmetric_part() + u.u[graph.a]) - u.u[graph.b]
+    g = 2.0 * graph.volumes * u.u
+    np.add.at(g, graph.a, 4.0 * graph.mu * r)
+    np.add.at(g, graph.b, -4.0 * graph.mu * r)
+    return g
+
+
+def closest_points(sphere_a, sphere_b):
+    """Closest surface points of two disjoint spheres and their gap.
+
+    Spheres are (center, radius) pairs.
+    The points lie on the center line; rejects overlapping spheres.
+    """
+    ca, ra = np.asarray(sphere_a[0], dtype=float), float(sphere_a[1])
+    cb, rb = np.asarray(sphere_b[0], dtype=float), float(sphere_b[1])
+    dist = float(np.linalg.norm(cb - ca))
+    if dist <= ra + rb:
+        raise ValueError("spheres overlap or touch; merge them into one "
+                         "component instead of building a gap")
+    u = (cb - ca) / dist
+    xa = ca + ra * u
+    xb = cb - rb * u
+    return xa, xb, dist - ra - rb
 
 
 class ScatterSolveMinimizer:
@@ -140,14 +213,6 @@ class ScatterSolveMinimizer:
         num = float(np.sum(2.0 * self.mu * r * r)
                     + np.sum(self.volumes * u * u))
         return 2.0 * self.mu * r, num
-
-
-def _edge_pos(graph, e):
-    # Edge ids equal positions on freshly built graphs; stay safe anyway.
-    for k, other in enumerate(graph.edges):
-        if other is e:
-            return k
-    raise AssertionError("edge not in graph")
 
 
 def brute_force_gap_pairs(config, delta):
@@ -241,7 +306,7 @@ def bfs_labels(n, pairs):
 
 def bfs_clusters(graph):
     """Cluster membership by breadth-first search (oracle for union-find)."""
-    return bfs_labels(graph.n_nodes, [(e.a, e.b) for e in graph.edges])
+    return bfs_labels(graph.n_nodes, zip(graph.a.tolist(), graph.b.tolist()))
 
 
 def node_ball_lists(comp, merge_map=None):
@@ -249,7 +314,8 @@ def node_ball_lists(comp, merge_map=None):
 
     A merged node holds the sorted union of its source nodes' balls.
     """
-    lists = [comp.sphere_indices(k).tolist() for k in range(comp.n_components)]
+    lists = [np.flatnonzero(comp.labels == k).tolist()
+             for k in range(comp.n_components)]
     if merge_map is None:
         return lists
     merged = [[] for _ in range(max(merge_map, default=-1) + 1)]
@@ -288,9 +354,10 @@ def short_oracle(graph, node_pairs):
     by ``(a, b, d, id)``.
     """
     merge_map = bfs_labels(graph.n_nodes, node_pairs)
+    rows = node_rows(graph)
     nodes = []
     for k in range(max(merge_map, default=-1) + 1):
-        mem = [nd for nd in graph.nodes if merge_map[nd.id] == k]
+        mem = [nd for nd in rows if merge_map[nd.id] == k]
         if len(mem) == 1:
             nodes.append((mem[0].volume, tuple(mem[0].centroid),
                           mem[0].boundary))
@@ -300,7 +367,7 @@ def short_oracle(graph, node_pairs):
                        start=np.zeros(3)) / volume
         nodes.append((volume, tuple(centroid), any(nd.boundary for nd in mem)))
     edges = []
-    for e in graph.edges:
+    for e in edge_rows(graph):
         na, nb = merge_map[e.a], merge_map[e.b]
         if na < nb:
             edges.append((e.id, na, nb, tuple(e.xa), tuple(e.xb), e.d, e.mu))

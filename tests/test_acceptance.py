@@ -13,10 +13,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dense_minimum_oracle, make_graph, random_test_graph, single_edge_graph
+from conftest import (
+    dense_minimum_oracle,
+    edge_rows,
+    energy_gradient,
+    evaluate_task,
+    make_graph,
+    node_rows,
+    random_test_graph,
+    single_edge_graph,
+)
 from stiffnet.criteria import (
     H2Options,
-    density_estimate,
     derive_cell_seed,
     h2_exact_s2,
     h2_ratio,
@@ -30,7 +38,6 @@ from stiffnet.energy import (
     affine_boundary_family,
     cycle_free_potentials,
     energy,
-    energy_gradient,
     keller_energy,
     KellerParams,
     minimize_energy,
@@ -143,7 +150,7 @@ def _component_side_split(config, axis, offset):
     comp = components(config)
     lows, highs = [], []
     for k in range(comp.n_components):
-        idx = comp.sphere_indices(k)
+        idx = np.flatnonzero(comp.labels == k)
         upper = np.max(config.centers[idx, axis] + config.radii[idx])
         lower = np.min(config.centers[idx, axis] - config.radii[idx])
         if upper < offset:
@@ -197,9 +204,9 @@ def test_criterion_07_monotonicity_under_extension():
     for _ in range(100):
         graph = random_test_graph(rng, n_nodes_max=12, n_edges_max=20)
         n, m = graph.n_nodes, graph.n_edges
-        volumes = [nd.volume for nd in graph.nodes]
-        positions = [nd.centroid for nd in graph.nodes]
-        edges = [(e.a, e.b, e.d) for e in graph.edges]
+        volumes = [nd.volume for nd in node_rows(graph)]
+        positions = [nd.centroid for nd in node_rows(graph)]
+        edges = [(e.a, e.b, e.d) for e in edge_rows(graph)]
         extra = int(rng.integers(1, 5))
         volumes += list(rng.uniform(0.2, 2.0, size=extra))
         positions += list(rng.uniform(-2, 2, size=(extra, 3)))
@@ -216,11 +223,11 @@ def test_criterion_07_monotonicity_under_extension():
                          BoundaryFamily(b_ab, b_ba)).total
 
         key_to_old = {}
-        for k, e in enumerate(graph.edges):
+        for k, e in enumerate(edge_rows(graph)):
             key_to_old.setdefault((e.a, e.b, e.d), []).append(k)
         used = {k: 0 for k in key_to_old}
         ab_ext, ba_ext = [], []
-        for e in extended.edges:
+        for e in edge_rows(extended):
             key = (e.a, e.b, e.d)
             if key in key_to_old and used[key] < len(key_to_old[key]):
                 old = key_to_old[key][used[key]]
@@ -301,7 +308,7 @@ def test_criterion_10_density():
     config = generate_lattice_jitter(seed=0, N=40, spacing=1.0, radius=0.3,
                                      jitter=0.0)
     config = restrict_box(config, 40.0)
-    density = density_estimate(config)
+    density = evaluate_task("density", config)
     expected = (4.0 / 3.0) * math.pi * 0.3 ** 3
     assert density == pytest.approx(expected, rel=1e-2)
 
@@ -310,7 +317,7 @@ def test_criterion_10_density():
         seed = derive_cell_seed(1010, 20.0, k)
         hc = generate_hardcore(seed=seed, N=20.0, intensity=0.015,
                                radius=1.0, min_gap=0.2)
-        values.append(density_estimate(restrict_box(hc, 20.0)))
+        values.append(evaluate_task("density", restrict_box(hc, 20.0)))
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
     assert stderr / mean < 0.10
@@ -336,7 +343,7 @@ def test_criterion_12_short_consistency():
     config = restrict_box(config, 8.0)
     graph = build_graph(components(config), config, 0.45)
     assert graph.n_edges > 0
-    gaps = [e.d for e in graph.edges]
+    gaps = [e.d for e in edge_rows(graph)]
 
     below = short_kappa(graph, [], min(gaps) / 2.0)
     assert below.n_nodes == graph.n_nodes and below.n_edges == graph.n_edges
@@ -345,10 +352,12 @@ def test_criterion_12_short_consistency():
     assert top.n_edges == 0
 
     previous = None
-    total_before = sum(Fraction(n.volume) for n in graph.nodes)
+    nodes = node_rows(graph)
+    total_before = sum(Fraction(n.volume) for n in nodes)
     for kappa in (0.01, 0.05, 0.1, 0.2, 0.45, 0.9):
         shorted = short_kappa(graph, [], kappa)
-        ids = {e.id for e in shorted.edges}
+        shorted_nodes = node_rows(shorted)
+        ids = {e.id for e in edge_rows(shorted)}
         if previous is not None:
             assert ids <= previous
         previous = ids
@@ -358,9 +367,9 @@ def test_criterion_12_short_consistency():
         for old_id, new_id in enumerate(shorted.node_merge_map):
             groups.setdefault(new_id, []).append(old_id)
         for new_id, group in groups.items():
-            assert shorted.nodes[new_id].volume == \
-                math.fsum(graph.nodes[i].volume for i in group)
-        total_after = sum(Fraction(n.volume) for n in shorted.nodes)
+            assert shorted_nodes[new_id].volume == \
+                math.fsum(nodes[i].volume for i in group)
+        total_after = sum(Fraction(n.volume) for n in shorted_nodes)
         assert abs(total_after - total_before) \
             <= Fraction(1, 10 ** 9) * total_before
     report(12, f"shorts over kappa grid on {graph.n_edges} edges: identity, "

@@ -19,7 +19,6 @@ from stiffnet.cli import (
     dumps_17g,
     load_json,
     main,
-    roundtrip,
     run_experiment,
     save_json,
 )
@@ -69,7 +68,8 @@ class TestSerialization:
     def test_config_roundtrip(self, tmp_path):
         config = generate_hardcore(seed=7, N=4, intensity=0.03, radius=1,
                                    min_gap=0.1)
-        back = roundtrip(config, tmp_path / "config.json")
+        save_json(config, tmp_path / "config.json")
+        back = load_json(tmp_path / "config.json", kind="config")
         assert back == config
 
     def test_graph_roundtrip(self, tmp_path):
@@ -77,14 +77,16 @@ class TestSerialization:
                                    min_gap=0.02)
         graph = build_graph(components(config), config, 0.45)
         assert graph.n_edges > 0
-        back = roundtrip(graph, tmp_path / "graph.json")
+        save_json(graph, tmp_path / "graph.json")
+        back = load_json(tmp_path / "graph.json", kind="graph")
         assert back == graph
 
     def test_shorted_graph_roundtrip(self, tmp_path):
         graph = hardcore_graph()
-        shorted = short_kappa(graph, (), sorted(e.d for e in graph.edges)[2])
+        shorted = short_kappa(graph, (), sorted(graph.d.tolist())[2])
         assert shorted.n_nodes < graph.n_nodes
-        assert roundtrip(shorted, tmp_path / "shorted.json") == shorted
+        save_json(shorted, tmp_path / "shorted.json")
+        assert load_json(tmp_path / "shorted.json", kind="graph") == shorted
 
     def test_corrupted_file_raises_schema_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -127,6 +129,12 @@ class TestExperimentSpec:
             ExperimentSpec.from_dict(spec_dict(N_grid=[3, 4]))
         with pytest.raises(ValidationError):
             ExperimentSpec.from_dict(spec_dict(N_grid=[3, 5, 4]))
+
+    def test_integral_float_seed_count_keeps_the_hash(self):
+        spec = ExperimentSpec.from_dict(spec_dict(n_seeds=2.0))
+        assert spec.n_seeds == 2
+        assert spec.hash() == ExperimentSpec.from_dict(
+            spec_dict(n_seeds=2)).hash()
 
 
 class TestRunExperiment:
@@ -251,6 +259,19 @@ class TestMain:
         code = main(["run", "--spec", str(spec_path)])
         assert code == EXIT_VALIDATION_ERROR
 
+    @pytest.mark.parametrize("task_params", [{"kk": 3}, {"s": 4}],
+                             ids=["misspelt-k", "h2-key"])
+    def test_run_with_unread_task_param_exits_3(self, tmp_path, capsys,
+                                                task_params):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict(
+            task_params=task_params, out_dir=str(tmp_path / "results"))))
+        code = main(["run", "--spec", str(spec_path)])
+        assert code == EXIT_VALIDATION_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "results").exists()
+
     def test_run_with_broken_spec_exits_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{broken")
@@ -317,15 +338,26 @@ class TestMain:
         ("spec", lambda doc: doc.update(
             model_params=[["spacing", 1.0], ["radius", 0.3]])),
         ("spec", lambda doc: doc.update(task_params=[["k", 2.0]])),
+        ("spec", lambda doc: doc.update(n_seeds=1.5)),
+        ("spec", lambda doc: doc.update(tasks=["keller"],
+                                        task_params={"keller": "x"})),
+        ("graph", lambda doc: doc.update(N=-2.0)),
+        ("graph", lambda doc: doc.update(N=0.0)),
+        ("graph", lambda doc: doc.update(delta=1.5)),
     ], ids=["null-center", "string-radius", "scalar-grid", "null-seeds",
             "list-task-params", "string-grid", "string-tasks",
-            "pair-list-model-params", "pair-list-task-params"])
+            "pair-list-model-params", "pair-list-task-params",
+            "fractional-seeds", "string-keller-params", "negative-box",
+            "zero-box", "threshold-above-one"])
     def test_mistyped_document_exits_2(self, tmp_path, capsys, kind,
                                        corrupt):
         if kind == "config":
             doc = generate_hardcore(seed=3, N=4, intensity=0.05, radius=0.9,
                                     min_gap=0.05).to_dict()
             argv = ["graph", "--config", "{}", "--delta", "0.45"]
+        elif kind == "graph":
+            doc = hardcore_graph().to_dict()
+            argv = ["energy", "--graph", "{}"]
         else:
             doc = spec_dict(out_dir=str(tmp_path / "results"))
             argv = ["run", "--spec", "{}"]

@@ -14,22 +14,25 @@ import stiffnet.criteria as criteria
 from conftest import (
     ScatterSolveMinimizer,
     count_calls,
+    edge_rows,
+    evaluate_task,
     make_graph,
     random_test_graph,
     single_edge_graph,
 )
 from stiffnet.criteria import (
+    STATISTICS,
+    TASK_PARAMS,
     H2Options,
     _CachedMinimizer,
     _plateau,
-    density_estimate,
     derive_cell_seed,
-    h1_statistic,
     h2_exact_s2,
     h2_ratio,
     h2_statistic,
     log_moment_statistic,
     scan_limsup,
+    task_evaluator,
 )
 from stiffnet.energy import (
     BoundaryFamily,
@@ -80,7 +83,7 @@ def eigensolve_oracle(graph):
 class TestH1Statistic:
     def test_edgeless_configuration_zero(self):
         config = SphereConfig([[0, 0, 0], [3, 0, 0]], [1.0, 1.0], 4.0)
-        assert h1_statistic(config, 0.3, (1, 0, 0)) == 0.0
+        assert evaluate_task("h1", config, 0.3, xi=(1, 0, 0)) == 0.0
 
     def test_single_edge_matches_two_variable_oracle(self):
         # gap exp(-2) so mu = 2; centroids differ by 2 + d along x.
@@ -89,12 +92,13 @@ class TestH1Statistic:
         d = math.exp(-2.0)
         config = SphereConfig([[0, 0, 0], [2 + d, 0, 0]], [1.0, 1.0], 4.0)
         graph = build_graph(components(config), config, 0.5)
-        assert graph.n_edges == 1 and graph.edges[0].mu == pytest.approx(2.0)
+        assert graph.n_edges == 1
+        assert edge_rows(graph)[0].mu == pytest.approx(2.0)
         beta = -(2 + d)     # xi . (x_I - x_J) for xi = e1
         V = 4.0 * math.pi / 3.0
         expected = 2 * 2.0 * beta ** 2 * V / (4 * 2.0 + V) / config.box_volume()
-        assert h1_statistic(config, 0.5, (1, 0, 0)) == pytest.approx(
-            expected, rel=1e-10)
+        assert evaluate_task("h1", config, 0.5, xi=(1, 0, 0)) == \
+            pytest.approx(expected, rel=1e-10)
 
     def test_upper_bounded_by_zero_potential_energy(self, rng):
         config = SphereConfig(rng.uniform(-2.5, 2.5, size=(30, 3)),
@@ -102,20 +106,20 @@ class TestH1Statistic:
         graph = build_graph(components(config), config, 0.4)
         b = affine_boundary_family(graph, (1, 0, 0))
         at_zero = energy(graph, PotentialFamily.zeros(graph.n_nodes), b)
-        stat = h1_statistic(config, 0.4, (1, 0, 0))
+        stat = evaluate_task("h1", config, 0.4, xi=(1, 0, 0))
         assert stat <= at_zero.total / config.box_volume() + 1e-12
 
     def test_zero_direction_rejected(self):
         config = SphereConfig([[0, 0, 0]], [1.0], 2.0)
         with pytest.raises(ValueError):
-            h1_statistic(config, 0.3, (0, 0, 0))
+            evaluate_task("h1", config, 0.3, xi=(0, 0, 0))
 
     def test_quadratic_form_parallelogram_identity(self, rng):
         config = SphereConfig(rng.uniform(-2.5, 2.5, size=(40, 3)),
                               np.full(40, 0.7), 4.0)
         xi = rng.normal(size=3)
         eta = rng.normal(size=3)
-        h = {key: h1_statistic(config, 0.5, v) for key, v in
+        h = {key: evaluate_task("h1", config, 0.5, xi=v) for key, v in
              (("x", xi), ("e", eta), ("p", xi + eta), ("m", xi - eta))}
         lhs = h["p"] + h["m"]
         rhs = 2 * h["x"] + 2 * h["e"]
@@ -393,7 +397,7 @@ class TestLogMoment:
             gap = energy(graph, u0, b).gap
             s = 4.0
             k = s / (s - 2.0)
-            mu = np.array([e.mu for e in graph.edges])
+            mu = np.array([e.mu for e in edge_rows(graph)])
             beta = b.antisymmetric_part()
             bound = 2.0 * (np.sum(mu ** k)) ** (1 / k) \
                 * (np.sum(np.abs(beta) ** s)) ** (2 / s)
@@ -408,18 +412,54 @@ class TestLogMoment:
 class TestDensity:
     def test_empty_config(self):
         config = SphereConfig(np.empty((0, 3)), np.empty(0), 2.0)
-        assert density_estimate(config) == 0.0
+        assert evaluate_task("density", config) == 0.0
 
     def test_two_unit_balls_in_q2(self):
-        config = SphereConfig([[0, 0, 0], [0, 0, 2.5]], [1.0, 1.0], 2.0)
+        config = SphereConfig([[-0.9, -0.9, -0.9], [0.9, 0.9, 0.9]],
+                              [1.0, 1.0], 2.0)
         expected = 2 * (4 * math.pi / 3) / 64
-        assert density_estimate(config) == pytest.approx(expected, rel=1e-12)
+        assert evaluate_task("density", config) == pytest.approx(
+            expected, rel=1e-12)
+
+    def test_ball_crossing_the_box_is_not_counted(self):
+        config = SphereConfig([[0, 0, 0], [0, 0, 2.5]], [1.0, 1.0], 2.0)
+        expected = (4 * math.pi / 3) / 64
+        assert evaluate_task("density", config) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_lattice_matches_cell_volume(self):
         config = generate_lattice_jitter(seed=0, N=8, spacing=1, radius=0.3,
                                          jitter=0)
         expected = (4.0 / 3.0) * math.pi * 0.3 ** 3
-        assert density_estimate(config) == pytest.approx(expected, rel=1e-12)
+        assert evaluate_task("density", config) == pytest.approx(
+            expected, rel=1e-12)
+
+
+class TestTaskTable:
+    class RecordingParams(dict):
+        """Task parameters that record every key looked up."""
+
+        def __init__(self):
+            super().__init__()
+            self.read = set()
+
+        def get(self, key, default=None):
+            self.read.add(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            self.read.add(key)
+            return super().__contains__(key)
+
+    @pytest.mark.parametrize("task", [*STATISTICS, "effective"])
+    def test_evaluator_reads_exactly_the_listed_keys(self, task):
+        params = self.RecordingParams()
+        task_evaluator(task, params, 0)
+        assert params.read == set(TASK_PARAMS[task])
 
 
 class TestScan:

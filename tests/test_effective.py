@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import affine_extension_energy, count_calls, polarised_tensor
+from conftest import (
+    affine_extension_energy,
+    count_calls,
+    edge_rows,
+    node_rows,
+    polarised_tensor,
+)
 from stiffnet.effective import (
     boundary_nodes,
     effective_scan,
@@ -47,7 +53,8 @@ def lattice_graph(N, radius, delta):
 class TestBoundaryNodes:
     def test_wide_layer_selects_everything(self):
         graph = lattice_graph(3, 0.3, 0.5)
-        assert boundary_nodes(graph, 2 * 3.0) == {n.id for n in graph.nodes}
+        assert boundary_nodes(graph, 2 * 3.0) == {
+            n.id for n in node_rows(graph)}
 
     def test_centered_ball_far_from_boundary_excluded(self):
         config = SphereConfig([[0, 0, 0]], [1.0], 10.0)
@@ -80,7 +87,7 @@ class TestNetworkTensor:
         config = SphereConfig([[-1.05, 0, 0], [1.05, 0, 0]], [1.0, 1.0], 2.0)
         graph = build_graph(components(config), config, 0.5)
         assert graph.n_edges == 1
-        mu = graph.edges[0].mu
+        mu = edge_rows(graph)[0].mu
         tensor = network_effective_tensor(graph, 1.9)
         expected = 2 * mu * 2.1 ** 2 / 4.0 ** 3
         assert tensor.matrix[0, 0] == pytest.approx(expected, rel=1e-12)

@@ -7,7 +7,10 @@ import pytest
 
 from conftest import (
     dense_minimum_oracle,
+    edge_rows,
+    energy_gradient,
     make_graph,
+    node_rows,
     random_test_graph,
     single_edge_graph,
 )
@@ -17,7 +20,6 @@ from stiffnet.energy import (
     affine_boundary_family,
     cycle_free_potentials,
     energy,
-    energy_gradient,
     lift_short_potentials,
     midpoint_boundary_family,
     minimize_energy,
@@ -171,9 +173,9 @@ class TestMonotonicity:
             graph = random_test_graph(rng, n_nodes_max=12, n_edges_max=20)
             n, m = graph.n_nodes, graph.n_edges
             extra_nodes = int(rng.integers(1, 5))
-            volumes = [nd.volume for nd in graph.nodes]
-            positions = [nd.centroid for nd in graph.nodes]
-            edges = [(e.a, e.b, e.d) for e in graph.edges]
+            volumes = [nd.volume for nd in node_rows(graph)]
+            positions = [nd.centroid for nd in node_rows(graph)]
+            edges = [(e.a, e.b, e.d) for e in edge_rows(graph)]
             volumes += list(rng.uniform(0.2, 2.0, size=extra_nodes))
             positions += list(rng.uniform(-2, 2, size=(extra_nodes, 3)))
             for _ in range(int(rng.integers(1, 6))):
@@ -193,11 +195,11 @@ class TestMonotonicity:
             # extend the families: old edges of the extension correspond to
             # the first m sorted edges only up to reordering; map by key.
             key_to_old = {}
-            for k, e in enumerate(graph.edges):
+            for k, e in enumerate(edge_rows(graph)):
                 key_to_old.setdefault((e.a, e.b, e.d), []).append(k)
             ab_ext, ba_ext = [], []
             used = {k: 0 for k in key_to_old}
-            for e in extended.edges:
+            for e in edge_rows(extended):
                 key = (e.a, e.b, e.d)
                 if key in key_to_old and used[key] < len(key_to_old[key]):
                     old = key_to_old[key][used[key]]
@@ -338,7 +340,7 @@ class TestLiftShortPotentials:
 
     def test_zero_direction_constant_on_groups(self, rng):
         graph = random_test_graph(rng, n_nodes_max=8)
-        e = graph.edges[0]
+        e = edge_rows(graph)[0]
         shorted = short_at(graph, [(e.a, e.b)])
         u_prime = PotentialFamily(rng.normal(size=shorted.n_nodes))
         u = lift_short_potentials(graph, shorted, u_prime, (0, 0, 0))
@@ -349,7 +351,7 @@ class TestLiftShortPotentials:
         graph = make_graph([1.0, 3.0], [(0, 0, 0), (2, 0, 0)], [(0, 1, 0.1)])
         shorted = short_at(graph, [(0, 1)])
         # merged centroid: volume weighted = (1*0 + 3*2)/4 = 1.5
-        assert shorted.nodes[0].centroid[0] == pytest.approx(1.5)
+        assert node_rows(shorted)[0].centroid[0] == pytest.approx(1.5)
         u = lift_short_potentials(graph, shorted, PotentialFamily([5.0]),
                                   (1.0, 0.0, 0.0))
         assert u.u[0] == pytest.approx(0.0 + 5.0 - 1.5)

@@ -17,7 +17,7 @@ from stiffnet.geometry import (
 )
 from stiffnet.multigraph import build_graph, is_cycle_free
 
-from conftest import quadratic_chain_forest
+from conftest import node_rows, quadratic_chain_forest
 
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
@@ -242,7 +242,7 @@ class TestComponents:
         comp = components(config)
         seen = np.zeros(config.n_spheres, dtype=int)
         for k in range(comp.n_components):
-            seen[comp.sphere_indices(k)] += 1
+            seen[np.flatnonzero(comp.labels == k)] += 1
         assert np.all(seen == 1)
 
     def test_chain_diameter_exceeds_ball_diameter(self):
@@ -288,8 +288,9 @@ class TestClusterMoment:
         # Exact spatial average: balls are disjoint here, so the average of
         # diam(C_y)^2 over the box is sum_C diam(C)^2 vol(C) / |Q_N|.
         exact = 0.0
+        nodes = node_rows(graph)
         for k, mem in enumerate(part.members):
-            vol = sum(graph.nodes[i].volume for i in mem)
+            vol = sum(nodes[i].volume for i in mem)
             exact += part.diameters[k] ** 2 * vol
         exact /= config.box_volume()
         est = cluster_moment_statistic(config, graph, p=2, n_samples=60000,

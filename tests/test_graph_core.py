@@ -22,8 +22,11 @@ from conftest import (
     bfs_clusters,
     boundary_nodes_oracle,
     brute_force_gap_pairs,
+    closest_points,
+    edge_rows,
     make_graph,
     node_ball_lists,
+    node_rows,
     quadratic_extent,
     scalar_g2_violations,
     short_oracle,
@@ -42,7 +45,6 @@ from stiffnet.geometry import (
 from stiffnet.multigraph import (
     InclusionGraph,
     build_graph,
-    closest_points,
     clusters,
     is_cycle_free,
     short_at,
@@ -121,12 +123,13 @@ def scalar_g2_count(config, delta):
 
 def node_bound_oracle(graph, members):
     """Node-data diameter bound of each cluster by explicit pair loops."""
+    nodes = node_rows(graph)
     out = []
     for mem in members:
-        best = max(graph.nodes[i].diameter for i in mem)
+        best = max(nodes[i].diameter for i in mem)
         for ii in range(len(mem)):
             for jj in range(ii + 1, len(mem)):
-                na, nb = graph.nodes[mem[ii]], graph.nodes[mem[jj]]
+                na, nb = nodes[mem[ii]], nodes[mem[jj]]
                 best = max(best, float(np.linalg.norm(na.centroid - nb.centroid))
                            + 0.5 * na.diameter + 0.5 * nb.diameter)
         out.append(best)
@@ -169,14 +172,16 @@ class TestBuildGraphOracle:
     @given(configurations(), st.floats(0.05, 0.95))
     def test_edges_are_per_pair_closest_points(self, config, delta):
         graph = build_graph(components(config), config, delta)
-        got = [(e.a, e.b, e.d, tuple(e.xa), tuple(e.xb)) for e in graph.edges]
+        got = [(e.a, e.b, e.d, tuple(e.xa), tuple(e.xb))
+               for e in edge_rows(graph)]
         assert got == closest_point_edges(config, delta)
-        assert all(e.mu == abs(math.log(e.d)) for e in graph.edges)
+        assert all(e.mu == abs(math.log(e.d)) for e in edge_rows(graph))
 
     @pytest.mark.parametrize("config,delta", GENERATED)
     def test_generated_edges_are_per_pair_closest_points(self, config, delta):
         graph = build_graph(components(config), config, delta)
-        got = [(e.a, e.b, e.d, tuple(e.xa), tuple(e.xb)) for e in graph.edges]
+        got = [(e.a, e.b, e.d, tuple(e.xa), tuple(e.xb))
+               for e in edge_rows(graph)]
         assert got == closest_point_edges(config, delta)
 
     @PROPERTY
@@ -247,9 +252,9 @@ class TestColumnOracles:
         if pairs:
             assert list(out.node_merge_map) == merge_map
         assert [(nd.volume, tuple(nd.centroid), nd.boundary)
-                for nd in out.nodes] == nodes
+                for nd in node_rows(out)] == nodes
         assert [(e.id, e.a, e.b, tuple(e.xa), tuple(e.xb), e.d, e.mu)
-                for e in out.edges] == edges
+                for e in edge_rows(out)] == edges
         balls = node_ball_lists(comp, merge_map)
         assert out.sphere_node.tolist() == sphere_node_oracle(
             config.n_spheres, balls).tolist()
@@ -261,7 +266,7 @@ class TestColumnOracles:
                            [(1, 2, 0.1)])
         out = short_at(graph, [(1, 3), (0, 2)])
         assert out.node_merge_map == (0, 1, 0, 1)
-        e, src = out.edges[0], graph.edges[0]
+        e, src = edge_rows(out)[0], edge_rows(graph)[0]
         assert (e.a, e.b) == (0, 1)
         assert tuple(e.xa) == tuple(src.xb) and tuple(e.xb) == tuple(src.xa)
 

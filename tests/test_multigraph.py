@@ -6,11 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import bfs_clusters, brute_force_gap_pairs, make_graph
+from conftest import (
+    bfs_clusters,
+    brute_force_gap_pairs,
+    closest_points,
+    edge_rows,
+    make_graph,
+    node_rows,
+)
 from stiffnet.geometry import SphereConfig, components, generate_hardcore
 from stiffnet.multigraph import (
     build_graph,
-    closest_points,
     clusters,
     is_cycle_free,
     short_at,
@@ -47,7 +53,7 @@ class TestBuildGraph:
         config = SphereConfig([[0, 0, 0], [2.1, 0, 0]], [1.0, 1.0], 4.0)
         graph = build_graph(components(config), config, 0.3)
         assert graph.n_edges == 1
-        e = graph.edges[0]
+        e = edge_rows(graph)[0]
         assert e.d == pytest.approx(0.1)
         assert e.mu == pytest.approx(abs(math.log(0.1)))
         assert np.allclose(e.xa, [1, 0, 0]) and np.allclose(e.xb, [1.1, 0, 0])
@@ -70,8 +76,8 @@ class TestBuildGraph:
         graph = build_graph(comp, config, 0.5)
         oracle = brute_force_gap_pairs(config, 0.5)
         assert graph.n_edges == len(oracle) == 2
-        assert graph.edges[0].a == graph.edges[0].b - 1
-        assert {(e.a, e.b) for e in graph.edges} == {(0, 1)}
+        assert edge_rows(graph)[0].a == edge_rows(graph)[0].b - 1
+        assert {(e.a, e.b) for e in edge_rows(graph)} == {(0, 1)}
 
     def test_edge_count_matches_brute_force(self):
         config = generate_hardcore(seed=31, N=5, intensity=0.05, radius=0.9,
@@ -79,7 +85,7 @@ class TestBuildGraph:
         graph = build_graph(components(config), config, 0.45)
         oracle = brute_force_gap_pairs(config, 0.45)
         assert graph.n_edges == len(oracle)
-        got = sorted(round(e.d, 12) for e in graph.edges)
+        got = sorted(round(e.d, 12) for e in edge_rows(graph))
         want = sorted(round(g, 12) for _, _, g in oracle)
         assert got == want
 
@@ -88,7 +94,7 @@ class TestBuildGraph:
                                    min_gap=0.02)
         graph = build_graph(components(config), config, 0.4)
         assert graph.n_edges > 0
-        for e in graph.edges:
+        for e in edge_rows(graph):
             assert math.exp(-e.mu) == pytest.approx(e.d, rel=1e-12)
             assert 0.0 < e.d <= graph.delta
             # contact points sit on sphere surfaces, |xa - xb| = d
@@ -98,7 +104,7 @@ class TestBuildGraph:
         config = generate_hardcore(seed=41, N=4, intensity=0.05, radius=0.8,
                                    min_gap=0.05)
         graph = build_graph(components(config), config, 0.4)
-        for e in graph.edges:
+        for e in edge_rows(graph):
             hit_a = min(abs(np.linalg.norm(e.xa - c) - r)
                         for c, r in zip(config.centers, config.radii))
             hit_b = min(abs(np.linalg.norm(e.xb - c) - r)
@@ -118,7 +124,7 @@ class TestBuildGraph:
         g1 = build_graph(components(config), config, 0.45)
         g2 = build_graph(components(config), config, 0.45)
         assert g1 == g2
-        keys = [(e.a, e.b, e.d) for e in g1.edges]
+        keys = [(e.a, e.b, e.d) for e in edge_rows(g1)]
         assert keys == sorted(keys)
 
 
@@ -153,7 +159,8 @@ class TestClusters:
         config = SphereConfig([[0, 0, 0], [2.1, 0, 0]], [1.0, 1.0], 6.0)
         graph = build_graph(components(config), config, 0.3)
         part = clusters(graph)
-        assert part.volumes[0] == pytest.approx(2 * 4 * math.pi / 3)
+        assert math.fsum(graph.volumes[part.node_cluster == 0]) == \
+            pytest.approx(2 * 4 * math.pi / 3)
         assert part.diameters[0] == pytest.approx(4.1)  # 2.1 + 1 + 1
 
 
@@ -168,11 +175,11 @@ class TestShortAt:
         out = short_at(graph, [(0, 1)])
         assert out.n_nodes == 2
         assert out.n_edges == 1
-        e = out.edges[0]
+        e = edge_rows(out)[0]
         assert (e.a, e.b) == (0, 1)
         assert e.d == pytest.approx(0.2)
         assert out.node_merge_map == (0, 0, 1)
-        assert out.nodes[0].volume == pytest.approx(3.0)
+        assert node_rows(out)[0].volume == pytest.approx(3.0)
 
     def test_empty_pairs_identity(self):
         graph = self.path_graph()
@@ -183,7 +190,7 @@ class TestShortAt:
         out = short_at(graph, [(0, 1), (1, 2)])
         assert out.n_nodes == 1
         assert out.n_edges == 0
-        assert out.nodes[0].volume == pytest.approx(6.0)
+        assert node_rows(out)[0].volume == pytest.approx(6.0)
 
     def test_exhaustive_contraction_oracle(self, rng):
         # contract every adjacent pair of one cluster: the survivor keeps
@@ -194,16 +201,16 @@ class TestShortAt:
         part = clusters(graph)
         sizes = [len(m) for m in part.members]
         big = int(np.argmax(sizes))
-        pairs = [(e.a, e.b) for e in graph.edges
+        pairs = [(e.a, e.b) for e in edge_rows(graph)
                  if part.node_cluster[e.a] == big]
         if not pairs:
             pytest.skip("no multi-node cluster in this draw")
         out = short_at(graph, pairs)
-        expected_edges = [e for e in graph.edges
+        expected_edges = [e for e in edge_rows(graph)
                           if not (part.node_cluster[e.a] == big
                                   and part.node_cluster[e.b] == big)]
         assert out.n_edges == len(expected_edges)
-        assert {e.id for e in out.edges} == {e.id for e in expected_edges}
+        assert {e.id for e in edge_rows(out)} == {e.id for e in expected_edges}
 
     def test_never_increases_counts_and_conserves_volume(self):
         config = generate_hardcore(seed=59, N=6, intensity=0.05, radius=0.9,
@@ -211,20 +218,21 @@ class TestShortAt:
         graph = build_graph(components(config), config, 0.45)
         if graph.n_edges == 0:
             pytest.skip("edgeless draw")
-        pairs = [(graph.edges[0].a, graph.edges[0].b),
-                 (graph.edges[-1].a, graph.edges[-1].b)]
+        edges = edge_rows(graph)
+        pairs = [(edges[0].a, edges[0].b), (edges[-1].a, edges[-1].b)]
         out = short_at(graph, pairs)
         assert out.n_nodes <= graph.n_nodes
         assert out.n_edges <= graph.n_edges
         # exact conservation at rational level
-        total_before = sum(Fraction(n.volume) for n in graph.nodes)
+        nodes, out_nodes = node_rows(graph), node_rows(out)
+        total_before = sum(Fraction(n.volume) for n in nodes)
         merged_groups = {}
         for old_id, new_id in enumerate(out.node_merge_map):
             merged_groups.setdefault(new_id, []).append(old_id)
         for new_id, group in merged_groups.items():
-            expected = math.fsum(graph.nodes[i].volume for i in group)
-            assert out.nodes[new_id].volume == expected
-        total_after = sum(Fraction(n.volume) for n in out.nodes)
+            expected = math.fsum(nodes[i].volume for i in group)
+            assert out_nodes[new_id].volume == expected
+        total_after = sum(Fraction(n.volume) for n in out_nodes)
         assert abs(total_after - total_before) <= Fraction(1, 10**12)
 
     def test_missing_node_rejected(self):
@@ -239,11 +247,11 @@ class TestShortAt:
         if graph.n_edges == 0:
             pytest.skip("edgeless draw")
         part = clusters(graph)
-        e = graph.edges[0]
+        e = edge_rows(graph)[0]
         out = short_at(graph, [(e.a, e.b)])
         part_out = clusters(out)
         # nodes sharing a cluster before still share one after
-        for edge in graph.edges:
+        for edge in edge_rows(graph):
             ca = part_out.node_cluster[out.node_merge_map[edge.a]]
             cb = part_out.node_cluster[out.node_merge_map[edge.b]]
             assert ca == cb or part.node_cluster[edge.a] != part.node_cluster[edge.b]
@@ -273,14 +281,14 @@ class TestShortKappa:
         out = short_kappa(graph, [], 0.1)
         assert out.n_nodes == 2
         assert out.n_edges == 1
-        assert out.edges[0].d == pytest.approx(0.2)
+        assert edge_rows(out)[0].d == pytest.approx(0.2)
 
     def test_protected_edges_survive(self):
         graph = self.path_with_gaps(0.01, 0.02)
-        protected = [graph.edges[0].id]
+        protected = [edge_rows(graph)[0].id]
         out = short_kappa(graph, protected, 0.1)
         # unprotected 0.02 edge shorted; protected 0.01 edge kept
-        assert {e.id for e in out.edges} == set(protected)
+        assert {e.id for e in edge_rows(out)} == set(protected)
 
     def test_edge_sets_monotone_in_kappa(self):
         config = generate_hardcore(seed=67, N=6, intensity=0.05, radius=0.9,
@@ -290,7 +298,7 @@ class TestShortKappa:
             pytest.skip("edgeless draw")
         previous = None
         for kappa in (0.05, 0.15, 0.3, 0.6):
-            ids = {e.id for e in short_kappa(graph, [], kappa).edges}
+            ids = {e.id for e in edge_rows(short_kappa(graph, [], kappa))}
             if previous is not None:
                 assert ids <= previous
             previous = ids

@@ -73,7 +73,7 @@ def test_each_cell_generated_and_built_once(tmp_path, monkeypatch):
 
 def test_build_failure_recorded_by_every_task(tmp_path):
     bad = spec(model_params={**MODEL, "spacing": -1.0},
-               tasks=["logmoment", "effective", "h1"])
+               tasks=["logmoment", "effective", "h1"], task_params={})
     record = run_experiment(bad, out_dir=tmp_path, threads=2)
     messages = [f"N={N} seed_index=0: spacing must be positive"
                 for N in (3.0, 4.0, 5.0)]
