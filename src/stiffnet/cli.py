@@ -46,7 +46,8 @@ from .energy import (
     midpoint_boundary_family,
     minimize_energy,
 )
-from .geometry import SchemaError, SphereConfig, components, restrict_box
+from .geometry import (SchemaError, SphereConfig, _json_int, components,
+                       restrict_box)
 from .multigraph import InclusionGraph, build_graph
 
 __all__ = [
@@ -193,20 +194,18 @@ class ExperimentSpec:
         if not isinstance(data.get("task_params", {}).get("keller", {}), dict):
             raise SchemaError("experiment spec field 'task_params.keller' "
                               "must be a JSON object")
-        n_seeds = data["n_seeds"]
-        if not ((isinstance(n_seeds, int) and not isinstance(n_seeds, bool))
-                or (isinstance(n_seeds, float) and n_seeds.is_integer())):
-            raise SchemaError(f"experiment spec field 'n_seeds' must be an "
-                              f"integer, got {n_seeds!r}")
+        version, n_seeds, base_seed = (
+            _json_int(data[key], f"experiment spec field {key!r}")
+            for key in ("version", "n_seeds", "base_seed"))
         try:
             spec = cls(
-                version=int(data["version"]),
+                version=version,
                 model=str(data["model"]),
                 model_params=dict(data.get("model_params", {})),
                 delta=float(data["delta"]),
                 N_grid=tuple(float(v) for v in data["N_grid"]),
-                n_seeds=int(data["n_seeds"]),
-                base_seed=int(data["base_seed"]),
+                n_seeds=n_seeds,
+                base_seed=base_seed,
                 tasks=tuple(str(t) for t in data["tasks"]),
                 task_params=dict(data.get("task_params", {})),
                 out_dir=str(data.get("out_dir", "results")),
@@ -493,6 +492,8 @@ def _dispatch(args) -> int:
     if args.command == "generate":
         config = generate_model(args.model, _model_params_from_args(args),
                                 args.N, args.seed)
+        for message in config.warnings:
+            print(f"warning: {message}", file=sys.stderr)
         _emit(args, dumps_17g(config.to_dict()) + "\n")
         return EXIT_OK
 

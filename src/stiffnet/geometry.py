@@ -19,7 +19,6 @@ seed, params) reproduce the same configuration bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +47,14 @@ DEFAULT_CONTACT_TOL = 1e-12
 
 class SchemaError(ValueError):
     """A document does not match its expected schema."""
+
+
+def _json_int(value, what):
+    """``value`` as an int: a JSON integer or integral float, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or value % 1):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class SphereConfig:
@@ -127,7 +134,7 @@ class SphereConfig:
                 np.array(radii, dtype=float),
                 float(data["box_half_width"]),
                 model=data["model"],
-                seed=int(data["seed"]),
+                seed=_json_int(data["seed"], "configuration field 'seed'"),
                 contact_tol=float(data["contact_tol"]),
             )
         except (TypeError, ValueError) as exc:
@@ -354,6 +361,79 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
 # Generators
 # ---------------------------------------------------------------------------
 
+# Most attempts a placement block draws ahead (a chain block also stops at
+# this many balls): bounds its arrays and pairs when a run saturates.
+_BLOCK_BALLS = 2048
+
+
+def _row_norms(v):
+    """Euclidean norms of the rows of ``v``.
+
+    Rounded exactly as ``np.linalg.norm`` rounds one vector (a BLAS dot
+    product, then a square root); ``norm(axis=1)`` sums in another order
+    and can differ in the last bit.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _place_in_blocks(draw, n_target, max_attempts, reach, conflict, warning):
+    """Place ``n_target`` items in order, each within ``max_attempts`` tries.
+
+    ``draw(k)`` makes the next ``k`` attempts and returns ``(n, owner,
+    balls)``: the number of attempts made, and the balls of the attempts
+    still in the running, each with its attempt's index in the block.  An
+    attempt is accepted when ``conflict(diff)``, the exact test on centre
+    differences, holds between none of its balls and a placed ball; balls
+    ``reach`` or more apart never conflict.
+
+    An attempt's outcome never changes what later attempts draw, so a block
+    drawn ahead places what one attempt at a time would.  One KD-tree of
+    the block's balls, queried a hair past ``reach``, finds their candidate
+    pairs with placed balls and among themselves; ``conflict`` decides
+    each, and one in-order pass accepts, never an attempt that a placed
+    ball blocks.  Returns ``(centers, warnings)``, with
+    ``warning`` formatted with the counts if an item ran out of attempts.
+    """
+    r_query = reach * (1.0 + 1e-9)
+    placed = np.empty((0, 3))
+    n_placed = tries = 0
+    k = n_target
+    while n_placed < n_target and tries < max_attempts:
+        n, owner, balls = draw(min(k, _BLOCK_BALLS))
+        blocked = np.bincount(owner, minlength=n) == 0
+        tree = cKDTree(balls)
+        near = tree.sparse_distance_matrix(cKDTree(placed), r_query,
+                                           output_type="ndarray")
+        hit = conflict(balls[near["i"]] - placed[near["j"]])
+        blocked[owner[near["i"][hit]]] = True
+        i, j = tree.query_pairs(r_query, output_type="ndarray").T
+        hit = (owner[i] != owner[j]) & conflict(balls[i] - balls[j])
+        # Conflicting attempt pairs (earlier, later), grouped by the later.
+        key = np.unique(owner[j[hit]] * n + owner[i[hit]])
+        earlier = (key % n).tolist()
+        start = np.searchsorted(key // n, np.arange(n + 1)).tolist()
+        accepted = [False] * n
+        blocked = blocked.tolist()
+        for a in range(n):
+            tries += 1
+            if not (blocked[a] or any(accepted[e] for e in
+                                      earlier[start[a]:start[a + 1]])):
+                accepted[a] = True
+                n_placed += 1
+                tries = 0
+                if n_placed == n_target:
+                    break
+            elif tries == max_attempts:
+                break
+        placed = np.concatenate([placed, balls[np.array(accepted)[owner]]])
+        # Size the next block by this one's attempts per placed item.
+        made = sum(accepted)
+        k = -(-(n_target - n_placed) * n // made) if made else 2 * n
+    if n_placed < n_target:
+        return placed, (warning.format(n_placed, n_target),)
+    return placed, ()
+
+
 def generate_hardcore(seed, N, intensity, radius, min_gap,
                       contact_tol=DEFAULT_CONTACT_TOL,
                       max_attempts=200) -> SphereConfig:
@@ -364,6 +444,10 @@ def generate_hardcore(seed, N, intensity, radius, min_gap,
     ``2 * radius + min_gap``.  If a target ball cannot be placed within
     ``max_attempts`` draws, placement stops and the partial configuration
     is returned with a ``"saturated"`` warning.
+
+    Centres are drawn in blocks by ``_place_in_blocks``: ``k`` attempts
+    are one ``rng.uniform(-N, N, size=(k, 3))``, the same doubles as ``k``
+    draws of size 3, so the balls are those of one draw at a time.
     """
     if not (intensity >= 0.0):
         raise ValueError("intensity must be >= 0")
@@ -377,53 +461,18 @@ def generate_hardcore(seed, N, intensity, radius, min_gap,
     rng = np.random.default_rng(seed)
     n_target = int(round(intensity * (2.0 * N) ** 3))
     min_dist = 2.0 * radius + min_gap
-    min_dist2 = min_dist * min_dist
 
-    accepted = np.empty((n_target, 3))
-    n_placed = 0
-    warnings = ()
-    # Grid hash with cell size >= min_dist: only 27 neighboring cells matter.
-    cell = max(min_dist, 1e-9)
-    grid: dict[tuple[int, int, int], list[int]] = {}
+    def conflict(diff):
+        # float_power squares by C pow, as a scalar ``x ** 2`` does; the
+        # array ``diff ** 2`` multiplies and can differ in the last bit.
+        sq = np.float_power(diff, 2)
+        return (sq[:, 0] + sq[:, 1]) + sq[:, 2] < min_dist * min_dist
 
-    def _cell_of(p):
-        return (int(math.floor(p[0] / cell)),
-                int(math.floor(p[1] / cell)),
-                int(math.floor(p[2] / cell)))
-
-    for _ in range(n_target):
-        placed = False
-        for _attempt in range(max_attempts):
-            p = rng.uniform(-N, N, size=3)
-            cx, cy, cz = _cell_of(p)
-            ok = True
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        for k in grid.get((cx + dx, cy + dy, cz + dz), ()):
-                            q = accepted[k]
-                            if ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-                                    + (p[2] - q[2]) ** 2) < min_dist2:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                accepted[n_placed] = p
-                grid.setdefault((cx, cy, cz), []).append(n_placed)
-                n_placed += 1
-                placed = True
-                break
-        if not placed:
-            warnings = (f"saturated: placed {n_placed} of {n_target} balls",)
-            break
-
-    centers = accepted[:n_placed]
-    radii = np.full(n_placed, float(radius))
+    centers, warnings = _place_in_blocks(
+        lambda k: (k, np.arange(k), rng.uniform(-N, N, size=(k, 3))),
+        n_target, max_attempts, min_dist, conflict,
+        "saturated: placed {} of {} balls")
+    radii = np.full(centers.shape[0], float(radius))
     return SphereConfig(centers, radii, N, model="hardcore", seed=seed,
                         contact_tol=contact_tol, warnings=warnings)
 
@@ -468,9 +517,6 @@ def generate_lattice_jitter(seed, N, spacing, radius, jitter,
                         contact_tol=contact_tol)
 
 
-_NEIGHBOUR_OFFSETS = list(itertools.product((-1, 0, 1), repeat=3))
-
-
 def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
                           chain_density=0.002, max_attempts=200,
                           contact_tol=DEFAULT_CONTACT_TOL) -> SphereConfig:
@@ -486,10 +532,12 @@ def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
 
     ``chain_density`` sets the target number of chains per unit volume.
     If a chain cannot be placed within ``max_attempts`` draws, placement
-    stops and the partial configuration carries a warning.  A grid hash
-    with cells just wider than the minimal centre distance limits each
-    clearance check to the occupied centres in the 27 cells around each
-    ball of the candidate chain.
+    stops and the partial configuration carries a warning.
+
+    Chains are placed in blocks by ``_place_in_blocks``.  Each attempt
+    makes the same four ``rng`` calls in the same order as one at a time;
+    balls and box test are then computed per block, rounding as per chain,
+    so the chains are those of one attempt at a time.
     """
     g_min, g_max = float(gap_range[0]), float(gap_range[1])
     if chain_len_max < 1:
@@ -503,51 +551,38 @@ def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
 
     rng = np.random.default_rng(seed)
     n_chains_target = max(1, int(round(chain_density * (2.0 * N) ** 3)))
-    clearance = 2.0 * g_max
-    min_center_dist = 2.0 * radius + clearance
+    min_center_dist = 2.0 * radius + 2.0 * g_max
 
-    occupied = np.empty((1024, 3))
-    n_occupied = 0
-    warnings = ()
-    # Grid hash with cells a hair wider than min_center_dist, so that no
-    # rounding in ``floor`` hides a neighbour: only 27 cells per ball matter.
-    cell = min_center_dist * (1.0 + 1e-9)
-    grid: dict[tuple[int, int, int], list[int]] = {}
+    def draw(k):
+        lengths, directions, gaps, starts = [], [], [], []
+        n_balls = 0
+        while len(lengths) < k and n_balls < _BLOCK_BALLS:
+            lengths.append(int(rng.integers(1, chain_len_max + 1)))
+            directions.append(rng.normal(size=3))
+            gaps.append(rng.uniform(g_min, g_max, size=lengths[-1] - 1))
+            starts.append(rng.uniform(-N + radius, N - radius, size=3))
+            n_balls += lengths[-1]
+        lengths, directions = np.array(lengths), np.array(directions)
+        owner = np.repeat(np.arange(len(lengths)), lengths)
+        first = np.cumsum(lengths) - lengths
+        # Each ball's distance from its chain's start: the cumsum of 2r + gap
+        # along the chain's row, zero-padded to the block's longest chain.
+        pad = np.arange(lengths.max()) < lengths[:, None]
+        rows = np.zeros(pad.shape)
+        rows[:, 1:][pad[:, 1:]] = 2.0 * radius + np.concatenate(gaps)
+        step = np.cumsum(rows, axis=1)[pad]
+        directions /= _row_norms(directions)[:, None]
+        balls = np.array(starts)[owner] + step[:, None] * directions[owner]
+        reach = np.maximum.reduceat(np.abs(balls).max(axis=1), first)
+        inside = (reach + radius < N)[owner]
+        return len(lengths), owner[inside], balls[inside]
 
-    for n_chains in range(n_chains_target):
-        for _attempt in range(max_attempts):
-            length = int(rng.integers(1, chain_len_max + 1))
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            gaps = rng.uniform(g_min, g_max, size=max(length - 1, 0))
-            steps = np.concatenate([[0.0], np.cumsum(2.0 * radius + gaps)])
-            start = rng.uniform(-N + radius, N - radius, size=3)
-            chain = start[None, :] + steps[:, None] * direction[None, :]
-            if np.max(np.abs(chain)) + radius >= N:
-                continue
-            keys = np.floor(chain / cell).astype(np.int64).tolist()
-            near = [k for c in {(x + dx, y + dy, z + dz) for x, y, z in keys
-                                for dx, dy, dz in _NEIGHBOUR_OFFSETS}
-                    for k in grid.get(c, ())]
-            if near:
-                d2 = np.sum((chain[:, None, :] - occupied[None, near, :]) ** 2,
-                            axis=2)
-                if d2.min() <= min_center_dist * min_center_dist:
-                    continue
-            if n_occupied + length > occupied.shape[0]:
-                occupied = np.concatenate(
-                    [occupied, np.empty((max(n_occupied, length), 3))])
-            occupied[n_occupied:n_occupied + length] = chain
-            for k, key in enumerate(keys, start=n_occupied):
-                grid.setdefault(tuple(key), []).append(k)
-            n_occupied += length
-            break
-        else:
-            warnings = (f"placement budget exhausted after "
-                        f"{n_chains} of {n_chains_target} chains",)
-            break
+    def conflict(diff):
+        return np.sum(diff ** 2, axis=1) <= min_center_dist * min_center_dist
 
-    centers = occupied[:n_occupied].copy()
+    centers, warnings = _place_in_blocks(
+        draw, n_chains_target, max_attempts, min_center_dist, conflict,
+        "placement budget exhausted after {} of {} chains")
     radii = np.full(centers.shape[0], float(radius))
     return SphereConfig(centers, radii, N, model="chain_forest", seed=seed,
                         contact_tol=contact_tol, warnings=warnings)

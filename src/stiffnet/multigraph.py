@@ -28,8 +28,10 @@ from .geometry import (
     SchemaError,
     SphereConfig,
     _connected_labels,
+    _json_int,
     _pairs_within,
     _pairwise_extent,
+    _row_norms,
 )
 
 __all__ = [
@@ -115,6 +117,7 @@ class InclusionGraph:
     def from_dict(cls, data):
         """Read a graph document into the columns; SchemaError if malformed.
 
+        Ids and edge ends must be integers and ``boundary`` a boolean.
         Each node's id must equal its position, and every edge needs
         ``0 <= a < b < n``, ``d`` in (0, 1) and ``mu == |ln d|``; ``N`` must
         be finite and positive and ``delta`` in (0, 1).  ``check_volumes``
@@ -127,19 +130,21 @@ class InclusionGraph:
             raise SchemaError(f"graph document missing fields: {missing}")
         try:
             delta, N = float(data["delta"]), float(data["N"])
-            nodes = [(int(n["id"]), float(n["vol"]),
+            nodes = [(_json_int(n["id"], "node id"), float(n["vol"]),
                       [float(v) for v in n["x"]], float(n["diam"]),
-                      bool(n["boundary"])) for n in data["nodes"]]
-            edges = [(int(e["id"]), int(e["a"]), int(e["b"]),
+                      n["boundary"]) for n in data["nodes"]]
+            edges = [(*(_json_int(e[key], f"edge {key}")
+                        for key in ("id", "a", "b")),
                       [float(v) for v in e["xa"]], [float(v) for v in e["xb"]],
                       float(e["d"]), float(e["mu"])) for e in data["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"invalid graph document: {exc}") from None
         n = len(nodes)
-        for k, (node_id, *_) in enumerate(nodes):
-            if node_id != k:
-                raise SchemaError(f"node at position {k}: need id {k}, got "
-                                  f"id {node_id}")
+        for k, (node_id, *_, boundary) in enumerate(nodes):
+            if node_id != k or not isinstance(boundary, bool):
+                raise SchemaError(f"node at position {k}: need id {k} and a "
+                                  f"boolean boundary, got id {node_id}, "
+                                  f"boundary {boundary!r}")
         for edge_id, a, b, _, _, d, mu in edges:
             if not (0 <= a < b < n and 0.0 < d < 1.0
                     and mu == abs(math.log(d))):
@@ -206,16 +211,6 @@ class ClusterPartition:
     @property
     def n_clusters(self):
         return len(self.members)
-
-
-def _row_norms(v):
-    """Euclidean norms of the rows of ``v``.
-
-    Rounded exactly as ``np.linalg.norm`` rounds one vector (a BLAS dot
-    product, then a square root); ``norm(axis=1)`` sums in another order
-    and can differ in the last bit.
-    """
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _cap_cos_angle(r_self, r_other, center_dist, delta):

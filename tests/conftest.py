@@ -377,6 +377,55 @@ def short_oracle(graph, node_pairs):
     return merge_map, nodes, edges
 
 
+def sequential_hardcore(seed, N, intensity, radius, min_gap,
+                        max_attempts=200):
+    """Hard-core placement one draw at a time, through a grid hash.
+
+    Each attempt draws one ``rng.uniform(-N, N, size=3)`` centre and tests
+    it by the scalar formula against the accepted centres in the 27 grid
+    cells around it (cells at least the minimum distance wide); returns
+    ``(centers, warnings)`` as ``generate_hardcore`` does.
+    """
+    rng = np.random.default_rng(seed)
+    n_target = int(round(intensity * (2.0 * N) ** 3))
+    min_dist = 2.0 * radius + min_gap
+    min_dist2 = min_dist * min_dist
+    accepted = np.empty((n_target, 3))
+    n_placed = 0
+    warnings = ()
+    cell = max(min_dist, 1e-9)
+    grid = {}
+
+    def cell_of(p):
+        return (int(math.floor(p[0] / cell)), int(math.floor(p[1] / cell)),
+                int(math.floor(p[2] / cell)))
+
+    def conflicts(p):
+        cx, cy, cz = cell_of(p)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    for k in grid.get((cx + dx, cy + dy, cz + dz), ()):
+                        q = accepted[k]
+                        if ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+                                + (p[2] - q[2]) ** 2) < min_dist2:
+                            return True
+        return False
+
+    for _ in range(n_target):
+        for _attempt in range(max_attempts):
+            p = rng.uniform(-N, N, size=3)
+            if not conflicts(p):
+                accepted[n_placed] = p
+                grid.setdefault(cell_of(p), []).append(n_placed)
+                n_placed += 1
+                break
+        else:
+            warnings = (f"saturated: placed {n_placed} of {n_target} balls",)
+            break
+    return accepted[:n_placed], warnings
+
+
 def quadratic_chain_forest(seed, N, radius, chain_len_max, gap_range,
                            chain_density=0.002, max_attempts=200):
     """Chain placement checked against every placed centre, O(n^2).

@@ -136,6 +136,20 @@ class TestExperimentSpec:
         assert spec.hash() == ExperimentSpec.from_dict(
             spec_dict(n_seeds=2)).hash()
 
+    def test_integral_float_seed_and_version_keep_the_hash(self):
+        spec = ExperimentSpec.from_dict(spec_dict(base_seed=7.0, version=1.0))
+        assert (spec.base_seed, spec.version) == (7, 1)
+        assert spec.hash() == ExperimentSpec.from_dict(spec_dict()).hash()
+
+    @pytest.mark.parametrize("key, value", [
+        ("base_seed", 7.5), ("base_seed", "7"), ("base_seed", True),
+        ("version", 1.5), ("version", True), ("version", "1"),
+        ("n_seeds", False),
+    ])
+    def test_non_integer_field_rejected(self, key, value):
+        with pytest.raises(SchemaError, match=key):
+            ExperimentSpec.from_dict(spec_dict(**{key: value}))
+
 
 class TestRunExperiment:
     def test_logmoment_run_writes_outputs(self, tmp_path):
@@ -226,6 +240,27 @@ class TestMain:
         assert code == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["total"] >= 0.0
+
+    def test_generate_reports_saturation(self, tmp_path, capsys):
+        argv = ["generate", "--model", "hardcore", "--N", "5",
+                "--intensity", "0.5", "--radius", "1.0", "--min-gap", "0.2"]
+        config = generate_hardcore(seed=0, N=5, intensity=0.5, radius=1.0,
+                                   min_gap=0.2)
+        assert config.n_spheres == 70
+        assert main(["--seed", "0", *argv]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == dumps_17g(config.to_dict()) + "\n"
+        assert captured.err == "warning: saturated: placed 70 of 500 balls\n"
+        path = tmp_path / "config.json"
+        assert main(["--seed", "0", "--out", str(path), *argv]) == EXIT_OK
+        assert path.read_text() == captured.out
+        assert capsys.readouterr().err == captured.err
+
+    def test_generate_without_saturation_is_silent(self, capsys):
+        assert main(["--seed", "3", "generate", "--model", "hardcore",
+                     "--N", "5", "--intensity", "0.05", "--radius", "0.9",
+                     "--min-gap", "0.05"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc["edges"][0].update(b=10 ** 6),
@@ -344,11 +379,32 @@ class TestMain:
         ("graph", lambda doc: doc.update(N=-2.0)),
         ("graph", lambda doc: doc.update(N=0.0)),
         ("graph", lambda doc: doc.update(delta=1.5)),
+        ("spec", lambda doc: doc.update(base_seed=7.5)),
+        ("spec", lambda doc: doc.update(base_seed="7")),
+        ("spec", lambda doc: doc.update(base_seed=True)),
+        ("spec", lambda doc: doc.update(version=1.5)),
+        ("spec", lambda doc: doc.update(version=True)),
+        ("spec", lambda doc: doc.update(version="1")),
+        ("graph", lambda doc: doc["nodes"][0].update(boundary="no")),
+        ("graph", lambda doc: doc["nodes"][0].update(boundary=0)),
+        ("graph", lambda doc: doc["nodes"][1].update(id=True)),
+        ("graph", lambda doc: doc["edges"][0].update(id=2.9)),
+        ("graph", lambda doc: doc["edges"][0].update(b=doc["edges"][0]["b"]
+                                                     + 0.5)),
+        ("graph", lambda doc: doc["edges"][0].update(a="0")),
+        ("config", lambda doc: doc.update(seed=7.5)),
+        ("config", lambda doc: doc.update(seed=True)),
+        ("config", lambda doc: doc.update(seed="3")),
     ], ids=["null-center", "string-radius", "scalar-grid", "null-seeds",
             "list-task-params", "string-grid", "string-tasks",
             "pair-list-model-params", "pair-list-task-params",
             "fractional-seeds", "string-keller-params", "negative-box",
-            "zero-box", "threshold-above-one"])
+            "zero-box", "threshold-above-one", "fractional-base-seed",
+            "string-base-seed", "bool-base-seed", "fractional-version",
+            "bool-version", "string-version", "string-boundary",
+            "integer-boundary", "bool-node-id", "fractional-edge-id",
+            "fractional-edge-end", "string-edge-end", "fractional-config-seed",
+            "bool-config-seed", "string-config-seed"])
     def test_mistyped_document_exits_2(self, tmp_path, capsys, kind,
                                        corrupt):
         if kind == "config":

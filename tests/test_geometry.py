@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stiffnet import geometry
 from stiffnet.cli import dumps_17g
 from stiffnet.geometry import (
     SphereConfig,
@@ -17,7 +18,12 @@ from stiffnet.geometry import (
 )
 from stiffnet.multigraph import build_graph, is_cycle_free
 
-from conftest import node_rows, quadratic_chain_forest
+from conftest import (
+    count_calls,
+    node_rows,
+    quadratic_chain_forest,
+    sequential_hardcore,
+)
 
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
@@ -76,6 +82,32 @@ class TestHardcore:
         assert "saturated" in config.warnings[0]
         assert 0 < config.n_spheres < round(2.0 * 4 ** 3)
         assert min_pairwise_gap(config) >= 0.5
+
+    @pytest.mark.parametrize("block", [None, 1, 5, 64])
+    @pytest.mark.parametrize("seed, N, params, saturates", [
+        (7, 10.0, {}, False),
+        (7, 1.0, {"intensity": 0.0}, False),
+        (0, 5.0, {"intensity": 0.5}, True),
+        (3, 2.0, {"intensity": 2.0, "min_gap": 0.5}, True),
+        (9, 6.0, {"intensity": 0.2, "max_attempts": 7}, True),
+        (0, 6.0, {"intensity": 0.2, "max_attempts": 1}, True),
+    ], ids=["target", "empty", "saturated", "saturated-small", "budget",
+            "one-attempt"])
+    def test_matches_sequential_oracle(self, monkeypatch, seed, N, params,
+                                       saturates, block):
+        """Byte-identical to one draw at a time for any block size.
+
+        With blocks of 1 or 5 attempts, the last ball's attempts in the
+        saturated and budget cases run out across block boundaries.
+        """
+        if block is not None:
+            monkeypatch.setattr(geometry, "_BLOCK_BALLS", block)
+        kwargs = {"intensity": 0.03, "radius": 1.0, "min_gap": 0.2, **params}
+        config = generate_hardcore(seed=seed, N=N, **kwargs)
+        centers, warnings = sequential_hardcore(seed, N, **kwargs)
+        assert config.centers.tobytes() == centers.tobytes()
+        assert config.warnings == warnings
+        assert bool(warnings) == saturates
 
 
 class TestLatticeJitter:
@@ -166,6 +198,36 @@ class TestChainForest:
         assert config.warnings == warnings
         if "max_attempts" in params:
             assert warnings     # the run hit its placement budget
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    @pytest.mark.parametrize("seed, N, params", [
+        (0, 16.0, {}),
+        (11, 6.0, {"chain_density": 0.05, "max_attempts": 20}),
+        (5, 6.0, {"chain_density": 0.05, "max_attempts": 3}),
+        (12, 8.0, {"radius": 0.5, "gap_range": (0.2, 0.4),
+                   "chain_density": 0.01, "max_attempts": 5}),
+        (0, 30.0, {"radius": 0.01, "chain_len_max": 3000,
+                   "gap_range": (0.001, 0.002), "chain_density": 2e-5}),
+    ])
+    def test_small_blocks_match_quadratic_oracle(self, monkeypatch, seed, N,
+                                                 params, block):
+        monkeypatch.setattr(geometry, "_BLOCK_BALLS", block)
+        kwargs = {"radius": 1.0, "chain_len_max": 8,
+                  "gap_range": (0.01, 0.1), **params}
+        config = generate_chain_forest(seed=seed, N=N, **kwargs)
+        centers, warnings = quadratic_chain_forest(seed, N, **kwargs)
+        assert config.centers.tobytes() == centers.tobytes()
+        assert config.warnings == warnings
+
+    def test_default_blocks_check_placed_balls(self, monkeypatch):
+        trees = count_calls(monkeypatch, geometry, "cKDTree")
+        kwargs = {"radius": 1.0, "chain_len_max": 8, "gap_range": (0.01, 0.1)}
+        config = generate_chain_forest(seed=3, N=40.0, **kwargs)
+        centers, warnings = quadratic_chain_forest(3, 40.0, **kwargs)
+        assert config.centers.tobytes() == centers.tobytes()
+        assert config.warnings == warnings == ()
+        assert len(trees) >= 6      # two trees a block, at least 3 blocks
+
 
 class TestRestrictBox:
     def test_identity_when_all_inside(self):
