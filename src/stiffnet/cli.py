@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import (
+    MODELS,
     STATISTICS,
     TASK_PARAMS,
     CriterionSeries,
@@ -160,6 +162,12 @@ def load_json(path, kind=None):
 # Experiment spec and result record
 # ---------------------------------------------------------------------------
 
+def _model_parameters(model):
+    """The keyword parameters of a model's generator, less seed and N."""
+    params = inspect.signature(MODELS[model]).parameters
+    return {k: p for k, p in params.items() if k not in ("seed", "N")}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A validated experiment: model, grid, tasks and their parameters."""
@@ -230,11 +238,18 @@ class ExperimentSpec:
         if unread:
             raise ValidationError(f"task_params keys that no task of "
                                   f"{list(self.tasks)} reads: {unread}")
-        if self.model not in ("hardcore", "lattice", "chains") and \
-                set(self.tasks) != {"keller"}:
-            raise ValidationError(f"unknown model {self.model!r}")
         needs_grid = [t for t in self.tasks if t != "keller"]
         if needs_grid:
+            if self.model not in MODELS:
+                raise ValidationError(f"unknown model {self.model!r}")
+            params = _model_parameters(self.model)
+            unknown = sorted(set(self.model_params) - set(params))
+            missing = [k for k, p in params.items()
+                       if p.default is p.empty and k not in self.model_params]
+            if unknown or missing:
+                raise ValidationError(
+                    f"{self.model} model_params: unknown {unknown}, missing "
+                    f"{missing}; the generator takes {list(params)}")
             try:
                 check_scan_grid(self.N_grid, self.n_seeds)
             except ValueError as exc:
@@ -322,11 +337,11 @@ def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
             raise SchemaError(f"cannot parse spec: {exc}") from None
         spec = ExperimentSpec.from_dict(data)
 
+    evaluators = {task: task_evaluator(task, spec.task_params, spec.base_seed)
+                  for task in spec.tasks if task != "keller"}
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    evaluators = {task: task_evaluator(task, spec.task_params, spec.base_seed)
-                  for task in spec.tasks if task != "keller"}
     scan = None
     if evaluators:
         scan = scan_cells({"model": spec.model, **spec.model_params},
@@ -384,8 +399,7 @@ def _parse_xi(text):
 
 
 def _add_model_arguments(p, require_N=True):
-    p.add_argument("--model", required=True,
-                   choices=("hardcore", "lattice", "chains"))
+    p.add_argument("--model", required=True, choices=tuple(MODELS))
     p.add_argument("--N", type=float, required=require_N)
     p.add_argument("--intensity", type=float, default=0.02)
     p.add_argument("--radius", type=float, default=1.0)
@@ -398,14 +412,8 @@ def _add_model_arguments(p, require_N=True):
 
 
 def _model_params_from_args(args):
-    if args.model == "hardcore":
-        return {"intensity": args.intensity, "radius": args.radius,
-                "min_gap": args.min_gap}
-    if args.model == "lattice":
-        return {"spacing": args.spacing, "radius": args.radius,
-                "jitter": args.jitter}
-    return {"radius": args.radius, "chain_len_max": args.chain_len_max,
-            "gap_range": (args.gap_min, args.gap_max)}
+    given = {**vars(args), "gap_range": (args.gap_min, args.gap_max)}
+    return {k: given[k] for k in _model_parameters(args.model) if k in given}
 
 
 def main(argv=None) -> int:

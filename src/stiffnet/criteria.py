@@ -11,18 +11,18 @@ Two normalized quantities drive everything:
   oriented values of every edge under the same ordered-pair convention as
   the energy: S_s(b) = 2 sum_e (|b_ab|^s + |b_ba|^s).
 
-The sup is estimated from below by projected gradient ascent over
-antisymmetric families on the unit l_s sphere (the sup is attained on
-antisymmetric families: for fixed differences beta the denominator is
-minimized by b = (beta/2, -beta/2)).  The minimal energy is the condensed
-quadratic form beta^T Q beta, Q = W (I + A G) with G = -K^-1 A^T W the
-potential operator, and its gradient is 2 Q beta = 4 mu r, r the gap
-residuals at the minimizer.  When the system matrix K factors directly
-(every cluster small) the sparse, cluster-block-diagonal Q is built once
-per graph from one multi-column solve and each ascent step is one product
-Q beta and one dot, otherwise each step solves K once.  Starts that are
-bitwise equal ascend once.  For s = 2 on small graphs the sup is also
-computed exactly as the top eigenvalue of Q.
+At s = 2 the sup is exactly the top eigenvalue of the condensed form
+Q = W (I + A G), G = -K^-1 A^T W the potential operator, with
+inf_u E(u, b(beta)) = beta^T Q beta.  Q is block diagonal by cluster, so
+when the system matrix K factors directly its blocks go through batched
+dense eigensolves; otherwise Lanczos iterates on products Q beta.
+
+For s > 2 the sup is estimated from below by projected gradient ascent
+over antisymmetric families on the unit l_s sphere (the sup is attained
+on antisymmetric families: for fixed differences beta the denominator is
+minimized by b = (beta/2, -beta/2)).  The energy's gradient 2 Q beta =
+4 mu r, r the gap residuals at the minimizer, costs one sparse product
+when K factors directly, else one solve.  Equal starts ascend once.
 
 ``scan_cells`` is the one loop over an (N, seed) grid: it builds each
 cell's configuration and graph once and evaluates every requested task on
@@ -41,9 +41,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
+from . import geometry
 from .energy import (
+    SOLVE_TOL,
     BoundaryFamily,
     LaplacianAssembly,
     SPDSolver,
@@ -79,17 +82,19 @@ __all__ = [
     "ScanCell",
     "CellScan",
     "derive_cell_seed",
+    "MODELS",
     "generate_model",
 ]
 
 
 @dataclass(frozen=True)
 class H2Options:
-    """Controls for the sup-over-families ascent.
+    """The exponent s of the ratio and controls of its sup ascent.
 
     The zero family is always excluded from the sup.  ``s = 2`` is allowed
-    (it is the exactly solvable case used as an oracle); the conjugate
-    exponent s/(s-2) is finite only for s > 2.
+    and solved exactly, as an eigenvalue, so the ascent fields
+    (``n_starts``, ``max_ascent_iters``, ``tol``, ``seed``) apply only
+    when s > 2; the conjugate exponent s/(s-2) is finite only for s > 2.
     """
 
     s: float = 4.0
@@ -109,16 +114,14 @@ class H2Options:
 class H2Estimate:
     """Result of the sup estimation.
 
-    ``value`` is the exact eigensolve when available (s = 2, small graph),
-    otherwise the best ascent value.  ``ascent_value`` is always the best
-    over starts; ``per_start`` records every start's final ratio.
+    At s = 2 ``value`` is the exact sup (``h2_exact_s2``) and
+    ``per_start`` is empty.  For s > 2 ``value`` is the best ascent value,
+    a lower bound of the sup, and ``per_start`` records every nonzero
+    start's final ratio.
     """
 
     value: float
-    ascent_value: float
     per_start: tuple[float, ...]
-    exact: float | None
-    s: float
 
 
 def _ordered_pair_power_sum(b: BoundaryFamily, s: float) -> float:
@@ -127,13 +130,22 @@ def _ordered_pair_power_sum(b: BoundaryFamily, s: float) -> float:
 
 
 def _affine_energy_density(graph: InclusionGraph, xi) -> float:
-    """inf_u E(u, affine family of a nonzero xi) / |Q_N| on a built graph."""
-    xi = np.asarray(xi, dtype=float).reshape(3)
-    if not (np.linalg.norm(xi) > 0.0):
-        raise ValueError("xi must be nonzero")
-    b = affine_boundary_family(graph, xi)
-    _, breakdown = minimize_energy(graph, b)
+    """inf_u E(u, affine family of xi) / |Q_N| on a built graph."""
+    _, breakdown = minimize_energy(graph, affine_boundary_family(graph, xi))
     return breakdown.total / graph.box_volume()
+
+
+def _direction(xi) -> np.ndarray:
+    """``xi`` as a float 3-vector: three finite numbers, not all zero."""
+    try:
+        arr = np.asarray(xi)
+        ok = arr.dtype.kind in "iuf" and arr.shape == (3,)
+    except ValueError:      # ragged nesting
+        ok = False
+    if not (ok and np.all(np.isfinite(arr)) and np.any(arr)):
+        raise ValueError("task parameter 'xi' must be three finite numbers, "
+                         "not all zero")
+    return arr.astype(float)
 
 
 def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float) -> float:
@@ -171,8 +183,8 @@ def _condensed_operator(graph: InclusionGraph, solver: SPDSolver):
     cluster, so one ``solver.solve`` with as many columns as the largest
     cluster has edges yields every g_e, certified by its column's residual
     gate.  Row e of Q is w_e (1_e + x[a_e] - x[b_e]) over the first m_c
-    columns of that solution x.  Columns are solved in blocks when the
-    dense temporaries would dwarf Q.
+    columns of that solution x, stored in rank order.  Columns are solved
+    in blocks when the dense temporaries would dwarf Q.
     """
     n, m = graph.n_nodes, graph.n_edges
     n_clusters, cluster = _connected_labels(n, graph.a, graph.b)
@@ -206,15 +218,6 @@ def _condensed_operator(graph: InclusionGraph, solver: SPDSolver):
     columns = edge_start[edge_cluster][:, None] + np.arange(width)
     return scipy.sparse.csr_matrix((data, by_cluster[columns[held]], indptr),
                                    shape=(m, m))
-
-
-def h2_exact_s2(graph: InclusionGraph) -> float:
-    """Exact sup of the s = 2 ratio: top eigenvalue of the condensed form."""
-    if graph.n_edges == 0:
-        raise ValueError("graph has no edges")
-    solver = SPDSolver(LaplacianAssembly(graph).system_matrix)
-    Q = _condensed_operator(graph, solver).toarray()
-    return float(scipy.linalg.eigvalsh(Q)[-1])
 
 
 class _CachedMinimizer:
@@ -256,6 +259,46 @@ class _CachedMinimizer:
         return 2.0 * self.mu * r, num
 
 
+def _condensed_blocks(Q):
+    """The diagonal blocks of ``_condensed_operator``'s Q, stacked by size.
+
+    Each row of a cluster lists the cluster's edges in rank order, so the
+    rank-0 edge is the row whose first column is itself.  Yields one
+    (k, m, m) array per block size m, k the clusters of m edges.
+    """
+    counts = np.diff(Q.indptr)
+    heads = np.flatnonzero(Q.indices[Q.indptr[:-1]] == np.arange(Q.shape[0]))
+    for m in np.unique(counts[heads]):
+        rows = heads[counts[heads] == m]
+        edges = Q.indices[Q.indptr[rows][:, None] + np.arange(m)]
+        yield Q.data[Q.indptr[edges][..., None] + np.arange(m)]
+
+
+def h2_exact_s2(graph: InclusionGraph) -> float:
+    """Exact sup of the s = 2 ratio: the top eigenvalue of the condensed form.
+
+    The ratio of the family (beta/2, -beta/2) is the Rayleigh quotient
+    beta^T Q beta / beta^T beta.  On the direct path: the largest batched
+    ``eigvalsh`` of Q's symmetrised cluster blocks.  Otherwise: the
+    quotient, attained, at the vector of one ``eigsh`` Lanczos run (fixed
+    start) on Q beta products, each one certified solve.
+    """
+    if graph.n_edges == 0:
+        raise ValueError("graph has no edges")
+    minimizer = _CachedMinimizer(graph)
+    if minimizer.condensed is not None:
+        return max(float(np.linalg.eigvalsh(
+            0.5 * (blocks + blocks.transpose(0, 2, 1)))[:, -1].max())
+            for blocks in _condensed_blocks(minimizer.condensed))
+    m = graph.n_edges
+    operator = scipy.sparse.linalg.LinearOperator(
+        (m, m), matvec=lambda beta: minimizer.minimum(beta)[0], dtype=float)
+    _, vectors = scipy.sparse.linalg.eigsh(
+        operator, k=1, which="LA", tol=SOLVE_TOL,
+        v0=np.random.default_rng(0).standard_normal(m))
+    return minimizer.minimum(vectors[:, 0] / np.linalg.norm(vectors[:, 0]))[1]
+
+
 def _ratio_pieces(minimizer, box_volume, beta, s):
     """beta scaled onto the unit l_s sphere, and the ratio there.
 
@@ -278,108 +321,60 @@ def _ratio_pieces(minimizer, box_volume, beta, s):
     return beta, num / denom, grad, q_beta
 
 
-def _subspace_max_s2(minimizer, beta, q_beta):
-    """Maximize beta^T Q beta / |beta|^2 over span{beta, Q beta} (s = 2).
-
-    Steepest ascent with exact line search for the Rayleigh quotient; one
-    extra product with Q (an inner solve on the CG path) for the
-    orthogonalized direction.
-    """
-    q_orth = q_beta - (q_beta @ beta) / (beta @ beta) * beta
-    nq = float(np.linalg.norm(q_orth))
-    if nq <= 1e-14 * max(1.0, float(np.linalg.norm(q_beta))):
-        return None
-    v = q_orth / nq
-    q_v, _ = minimizer.minimum(v)
-    Amat = np.array([[beta @ q_beta, beta @ q_v],
-                     [v @ q_beta, v @ q_v]])
-    Amat = 0.5 * (Amat + Amat.T)
-    Bmat = np.array([[beta @ beta, beta @ v], [beta @ v, v @ v]])
-    vals, vecs = scipy.linalg.eigh(Amat, Bmat)
-    c = vecs[:, -1]
-    new_beta = c[0] * beta + c[1] * v
-    norm = float(np.linalg.norm(new_beta))
-    if norm == 0.0:
-        return None
-    return new_beta / norm, float(vals[-1])
-
-
 def _ascend_from(minimizer, box_volume, beta0, opts: H2Options):
     """Projected gradient ascent on the unit l_s sphere, backtracking steps.
 
-    For s = 2 every step maximizes over span{beta, gradient} exactly (a
-    2x2 eigenproblem), which converges much faster near the top
-    eigenvector than a fixed-step ascent.  Returns (value, unit beta), or
-    None for a zero start.
+    Returns (value, unit beta), or None for a zero start.
     """
-    s = opts.s
-    start = _ratio_pieces(minimizer, box_volume, beta0, s)
+    start = _ratio_pieces(minimizer, box_volume, beta0, opts.s)
     if start is None:
         return None
-    beta, value, grad, q_beta = start
+    beta, value, grad, _ = start
     step = 1.0
     stall = 0
     for _ in range(opts.max_ascent_iters):
-        improved = False
-        if s == 2.0:
-            cand = _subspace_max_s2(minimizer, beta, q_beta)
-            if cand is not None and cand[1] > value * (1.0 + 1e-16):
-                new = _ratio_pieces(minimizer, box_volume, cand[0], s)
-                if new is not None and new[1] >= value:
-                    if new[1] - value <= opts.tol * max(abs(value), 1e-30):
-                        stall += 1
-                    else:
-                        stall = 0
-                    beta, value, grad, q_beta = new
-                    improved = True
-        if not improved:
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm == 0.0:
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm == 0.0:
+            break
+        trial_step = step
+        for _bt in range(30):
+            cand = _ratio_pieces(minimizer, box_volume,
+                                 beta + trial_step * grad / gnorm, opts.s)
+            if cand is not None and cand[1] > value:
                 break
-            trial_step = step
-            for _bt in range(30):
-                cand = _ratio_pieces(minimizer, box_volume,
-                                     beta + trial_step * grad / gnorm, s)
-                if cand is not None and cand[1] > value:
-                    break
-                trial_step *= 0.5
-            else:
-                break
-            gain = cand[1] - value
-            beta, value, grad, q_beta = cand
-            step = min(trial_step * 2.0, 1e6)
-            if gain <= opts.tol * max(abs(value), 1e-30):
-                stall += 1
-            else:
-                stall = 0
+            trial_step *= 0.5
+        else:
+            break
+        gain = cand[1] - value
+        beta, value, grad, _ = cand
+        step = min(trial_step * 2.0, 1e6)
+        stall = stall + 1 if gain <= opts.tol * max(abs(value), 1e-30) else 0
         if stall >= 3:
             break
     return value, beta
 
 
 def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
-    """Estimate the sup of the ratio over nonzero boundary families.
+    """The sup of the ratio over nonzero boundary families.
 
-    Multi-start projected gradient ascent over antisymmetric families,
-    warm-started from random Gaussian families plus the affine and midpoint
-    canonical families along the coordinate axes.  The ascent is
-    deterministic, so a start bitwise equal to an earlier one (the affine
-    and midpoint starts often are) reuses that start's result; ``per_start``
-    still has one entry per nonzero start.  All starts share one
-    ``_CachedMinimizer``, whose condensed operator Q (built from certified
-    solve columns) or per-step solve certifies every step.
-    The ascent value is a certified lower bound of the true sup.  For s = 2
-    on graphs with at most 20 nodes the exact top eigenvalue is computed as
-    well and returned as the value.
+    At s = 2 it is exact: ``h2_exact_s2``, with no ascent and an empty
+    ``per_start``.  For s > 2 it is a multi-start projected gradient
+    ascent over antisymmetric families, warm-started from random Gaussian
+    families plus the affine and midpoint canonical families along the
+    coordinate axes.  The ascent is deterministic, so a start bitwise
+    equal to an earlier one (the affine and midpoint starts often are)
+    reuses that start's result; ``per_start`` still has one entry per
+    nonzero start.  All starts share one ``_CachedMinimizer``, whose
+    condensed operator Q (built from certified solve columns) or per-step
+    solve certifies every step.  The ascent value is a certified lower
+    bound of the true sup.
     """
     if graph.n_edges == 0:
         raise ValueError("graph has no edges; the sup statistic is undefined")
+    if opts.s == 2.0:
+        return H2Estimate(value=h2_exact_s2(graph), per_start=())
     rng = np.random.default_rng(opts.seed)
-    m = graph.n_edges
-
-    starts = []
-    for _ in range(opts.n_starts):
-        starts.append(rng.normal(size=m))
+    starts = [rng.normal(size=graph.n_edges) for _ in range(opts.n_starts)]
     for axis in range(3):
         xi = np.zeros(3)
         xi[axis] = 1.0
@@ -393,7 +388,6 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
     minimizer = _CachedMinimizer(graph)
     box_volume = graph.box_volume()
     per_start = []
-    best = -math.inf
     ascents = {}    # start bytes -> result: equal starts ascend identically
     for beta0 in starts:
         key = beta0.tobytes()
@@ -402,18 +396,10 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
         out = ascents[key]
         if out is None:
             continue    # zero start (excluded from the sup)
-        value, _ = out
-        per_start.append(value)
-        best = max(best, value)
+        per_start.append(out[0])
     if not per_start:
         raise ValueError("all ascent starts degenerate to the zero family")
-
-    exact = None
-    if opts.s == 2.0 and graph.n_nodes <= 20:
-        exact = h2_exact_s2(graph)
-    value = exact if exact is not None else best
-    return H2Estimate(value=value, ascent_value=best,
-                      per_start=tuple(per_start), exact=exact, s=opts.s)
+    return H2Estimate(value=max(per_start), per_start=tuple(per_start))
 
 
 def log_moment_statistic(graph: InclusionGraph, k: float) -> float:
@@ -433,15 +419,19 @@ def derive_cell_seed(base_seed: int, N: float, seed_index: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
+# Model name -> generator; each takes ``seed`` and ``N`` plus its model
+# parameters as keywords.
+MODELS = {"hardcore": generate_hardcore, "lattice": generate_lattice_jitter,
+          "chains": generate_chain_forest}
+
+
 def generate_model(model: str, params: dict, N: float, seed: int) -> SphereConfig:
-    """Dispatch a generator by model name with keyword params."""
-    if model == "hardcore":
-        return generate_hardcore(seed=seed, N=N, **params)
-    if model == "lattice":
-        return generate_lattice_jitter(seed=seed, N=N, **params)
-    if model == "chains":
-        return generate_chain_forest(seed=seed, N=N, **params)
-    raise ValueError(f"unknown model {model!r}; expected hardcore, lattice or chains")
+    """Draw a configuration from the named model with keyword params."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of "
+                         f"{sorted(MODELS)}")
+    # Called by name, so that a wrapper bound in ``geometry`` sees the call.
+    return getattr(geometry, MODELS[model].__name__)(seed=seed, N=N, **params)
 
 
 @dataclass(frozen=True)
@@ -589,19 +579,20 @@ TASK_PARAMS = {
 def task_evaluator(task: str, params: dict, base_seed: int):
     """The ScanCell -> value evaluator of a scan task: the task table.
 
-    ``params`` are a spec's flat task parameters, cast here.  h1 reads
-    ``xi`` (default (1, 0, 0)); h2 the ``_H2_PARAMS`` fields, seeded by
-    ``base_seed``; logmoment ``k`` (2); h2 and logmoment ``kappa``, which
-    shorts the graph first; clustermoment ``p`` (2), ``n_samples`` (2000)
-    and ``quantity`` ("diam"), sampled at the cell's ``sample_seed``;
-    effective ``layer_width`` (the cell's delta); density nothing.
+    ``params`` are a spec's flat task parameters, cast and checked here.
+    h1 reads ``xi`` (default (1, 0, 0)); h2 the ``_H2_PARAMS`` fields,
+    seeded by ``base_seed``; logmoment ``k`` (2); h2 and logmoment
+    ``kappa``, which shorts the graph first; clustermoment ``p`` (2),
+    ``n_samples`` (2000) and ``quantity`` ("diam"), sampled at the cell's
+    ``sample_seed``; effective ``layer_width`` (the cell's delta); density
+    nothing.
     """
     get = params.get
     if task == "density":
         return lambda cell: (float(np.sum(cell.comp.volumes))
                              / cell.restricted.box_volume())
     if task == "h1":
-        xi = tuple(get("xi", (1.0, 0.0, 0.0)))
+        xi = _direction(get("xi", (1.0, 0.0, 0.0)))
         return lambda cell: _affine_energy_density(cell.graph, xi)
     if task == "clustermoment":
         kwargs = {"p": float(get("p", 2.0)),

@@ -359,7 +359,6 @@ def cycle_free_potentials(graph: InclusionGraph, b: BoundaryFamily,
     if not is_cycle_free(graph):
         raise ValueError("graph has a cycle; telescoped potentials need a forest")
     _check_indexing(graph, b=b)
-    from .multigraph import clusters as graph_clusters
 
     n = graph.n_nodes
     u = np.zeros(n)
@@ -370,14 +369,15 @@ def cycle_free_potentials(graph: InclusionGraph, b: BoundaryFamily,
         adjacency[lo].append((hi, k, True))    # traversal along storage
         adjacency[hi].append((lo, k, False))   # traversal against storage
 
-    part = graph_clusters(graph)
-    root_by_cluster = {k: min(mem) for k, mem in enumerate(part.members)}
+    _, cluster = _connected_labels(n, graph.a, graph.b)
+    # Labels are ordered by smallest node, so first occurrences are roots.
+    root_by_cluster = np.unique(cluster, return_index=True)[1].tolist()
     if roots is not None:
         for r in roots:
-            root_by_cluster[int(part.node_cluster[int(r)])] = int(r)
+            root_by_cluster[cluster[int(r)]] = int(r)
 
     visited = np.zeros(n, dtype=bool)
-    for root in root_by_cluster.values():
+    for root in root_by_cluster:
         u[root] = 0.0
         visited[root] = True
         stack = [root]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import stiffnet.criteria
+from conftest import count_calls
 from stiffnet.cli import (
     EXIT_CELL_ERRORS,
     EXIT_OK,
@@ -306,6 +307,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"model_params": {"spacing": 1.0, "radius": 0.3, "jitter": 0.0,
+                          "foo": 1}},
+        {"model_params": {"spacing": 1.0, "radius": 0.3}},
+        {"tasks": ["h1"], "task_params": {"xi": [1, 0]}},
+        {"tasks": ["h1"], "task_params": {"xi": [0, 0, 0]}},
+        {"tasks": ["h1"], "task_params": {"xi": ["1", "0", "0"]}},
+    ], ids=["unknown-model-key", "missing-model-key", "short-xi", "zero-xi",
+            "string-xi"])
+    def test_run_with_bad_parameters_exits_3_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, overrides):
+        cells = count_calls(monkeypatch, stiffnet.criteria, "ScanCell")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict(
+            out_dir=str(tmp_path / "results"), **overrides)))
+        code = main(["run", "--spec", str(spec_path)])
+        assert code == EXIT_VALIDATION_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert cells == [] and not (tmp_path / "results").exists()
 
     def test_run_with_broken_spec_exits_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"

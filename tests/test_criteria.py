@@ -15,6 +15,7 @@ from conftest import (
     ScatterSolveMinimizer,
     count_calls,
     edge_rows,
+    eigensolve_oracle,
     evaluate_task,
     make_graph,
     random_test_graph,
@@ -40,7 +41,6 @@ from stiffnet.energy import (
     SPDSolver,
     affine_boundary_family,
     energy,
-    minimize_energy,
 )
 from stiffnet.geometry import (
     SphereConfig,
@@ -49,35 +49,6 @@ from stiffnet.geometry import (
     generate_lattice_jitter,
 )
 from stiffnet.multigraph import build_graph
-
-
-def eigensolve_oracle(graph):
-    """Top generalized eigenvalue via polarization of the minimum energy.
-
-    Assembles the condensed quadratic form entry by entry from minimum
-    energies of basis families (independent of the package's Schur-
-    complement assembly), then takes the largest eigenvalue.
-    """
-    m = graph.n_edges
-
-    def N_of(beta):
-        b = BoundaryFamily.from_antisymmetric(beta)
-        _, out = minimize_energy(graph, b)
-        return out.total
-
-    Q = np.zeros((m, m))
-    singles = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        singles.append(N_of(e))
-        Q[i, i] = singles[i]
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros(m)
-            e[i] = e[j] = 1.0
-            Q[i, j] = Q[j, i] = 0.5 * (N_of(e) - singles[i] - singles[j])
-    return float(np.linalg.eigvalsh(Q)[-1])
 
 
 class TestH1Statistic:
@@ -160,17 +131,15 @@ class TestH2Statistic:
     def test_single_edge_exact_value(self):
         graph = single_edge_graph(mu=2.0)
         est = h2_statistic(graph, H2Options(s=2.0, n_starts=4))
-        assert est.exact == pytest.approx(4.0 / 9.0, abs=1e-12)
         assert est.value == pytest.approx(4.0 / 9.0, abs=1e-12)
-        assert est.ascent_value == pytest.approx(4.0 / 9.0, rel=1e-10)
+        assert est.per_start == ()
 
-    def test_ascent_matches_eigensolve_oracle(self, rng):
+    def test_value_matches_eigensolve_oracle(self, rng):
         for _ in range(5):
             graph = random_test_graph(rng, n_nodes_max=10, n_edges_max=15)
             est = h2_statistic(graph, H2Options(s=2.0, n_starts=8, seed=1))
-            oracle = eigensolve_oracle(graph)
-            assert est.ascent_value == pytest.approx(oracle, rel=1e-6)
-            assert est.exact == pytest.approx(oracle, rel=1e-9)
+            assert est.value == pytest.approx(eigensolve_oracle(graph),
+                                              rel=1e-9)
 
     def test_lower_bounds_any_supplied_family(self, rng):
         graph = random_test_graph(rng, n_nodes_max=8, n_edges_max=12)
@@ -346,6 +315,17 @@ class TestPotentialOperator:
                             / (2 * h) for e in np.eye(graph.n_edges)])
         np.testing.assert_allclose(grad, central, rtol=1e-6,
                                    atol=1e-6 * float(np.abs(grad).max()))
+
+    def test_chain_forest_s2_value_is_the_dense_eigenvalue(
+            self, chain_forest_graph):
+        # Q column by column from the scatter-and-solve oracle, whose
+        # columns Q e_i = 2 mu r share only SPDSolver with the package.
+        oracle = ScatterSolveMinimizer(chain_forest_graph)
+        Q = np.column_stack([oracle.minimum(e)[0]
+                             for e in np.eye(chain_forest_graph.n_edges)])
+        dense = float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1])
+        est = h2_statistic(chain_forest_graph, H2Options(s=2.0))
+        assert est.value == pytest.approx(dense, rel=1e-10)
 
     def test_exact_value_on_both_solver_paths(self, monkeypatch):
         graph = random_test_graph(np.random.default_rng(8), n_nodes_max=12,

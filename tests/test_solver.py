@@ -205,6 +205,15 @@ class TestManyRightHandSides:
                                             max_ascent_iters=3))
         assert len(minima) > 1 and len(solves) == len(minima)
 
+    def test_large_block_s2_value_matches_the_direct_one(self, lattice_512,
+                                                         monkeypatch):
+        cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        lanczos = h2_statistic(lattice_512, H2Options(s=2.0)).value
+        assert cgs
+        monkeypatch.setattr(ENERGY, "DENSE_CUTOFF", lattice_512.n_nodes + 1)
+        assert lanczos == pytest.approx(criteria.h2_exact_s2(lattice_512),
+                                        rel=1e-8)
+
 
 class TestCertifiedCallers:
     """Every solve of the package reports its residual when it fails."""
