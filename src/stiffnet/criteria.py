@@ -11,18 +11,20 @@ Two normalized quantities drive everything:
   oriented values of every edge under the same ordered-pair convention as
   the energy: S_s(b) = 2 sum_e (|b_ab|^s + |b_ba|^s).
 
-At s = 2 the sup is exactly the top eigenvalue of the condensed form
+The ratio reads only Q beta and beta^T Q beta of the condensed form
 Q = W (I + A G), G = -K^-1 A^T W the potential operator, with
-inf_u E(u, b(beta)) = beta^T Q beta.  Q is block diagonal by cluster, so
-when the system matrix K factors directly its blocks go through batched
-dense eigensolves; otherwise Lanczos iterates on products Q beta.
+inf_u E(u, b(beta)) = beta^T Q beta.  ``_h2_operator`` builds Q once per
+graph: sparse and block diagonal by cluster when the system matrix K
+factors directly, else a ``LinearOperator`` with one solve per product.
+At s = 2 the sup is exactly Q's top eigenvalue: batched dense
+eigensolves of the blocks, or Lanczos on the operator.
 
 For s > 2 the sup is estimated from below by projected gradient ascent
 over antisymmetric families on the unit l_s sphere (the sup is attained
 on antisymmetric families: for fixed differences beta the denominator is
-minimized by b = (beta/2, -beta/2)).  The energy's gradient 2 Q beta =
-4 mu r, r the gap residuals at the minimizer, costs one sparse product
-when K factors directly, else one solve.  Equal starts ascend once.
+minimized by b = (beta/2, -beta/2)).  The energy's gradient is
+2 Q beta = 4 mu r, r the gap residuals at the minimizer.  Equal starts
+ascend once.
 
 ``scan_cells`` is the one loop over an (N, seed) grid: it builds each
 cell's configuration and graph once and evaluates every requested task on
@@ -220,43 +222,35 @@ def _condensed_operator(graph: InclusionGraph, solver: SPDSolver):
                                    shape=(m, m))
 
 
-class _CachedMinimizer:
-    """Minimum energy over potentials for a fixed graph, beta varying.
+def _h2_operator(graph: InclusionGraph):
+    """The condensed form Q of h2: inf_u E(u, b(beta)) = beta^T Q beta.
 
-    The system matrix does not depend on the boundary family.  On the
-    direct solver path the minimizer is the condensed operator Q, built
-    once from one multi-column solve, and each ``minimum`` is the sparse
-    product Q beta = 2 mu r and the dot beta^T Q beta, the minimal energy
-    (stationarity gives A^T W r = -D u*, so beta^T W r = r^T W r +
-    u*^T D u*).  Q beta is W (beta + A u) for the potentials u = G beta,
-    and each column g_e of G is the part of a certified solution column
-    that lies on e's cluster; the clusters sharing that column are
-    decoupled, so its absolute residual residual_e = |K g_e + A^T W 1_e|
-    is at most that column's.  By linearity every step is certified:
-    those potentials satisfy |K u + A^T W beta| <= sum_e |beta_e|
-    residual_e.  A graph with a block of ``DENSE_CUTOFF`` or more nodes
-    solves once per ``minimum`` instead and sums the energy from u.
+    The system matrix K does not depend on beta, so Q is built once per
+    graph.  When K factors directly, Q is ``_condensed_operator``'s sparse
+    block-diagonal matrix, and each product Q beta is certified: Q beta =
+    W (beta + A u) for the potentials u = G beta, and each column g_e of G
+    is the part of a certified solution column that lies on e's cluster.
+    The clusters sharing that column are decoupled, so the absolute
+    residual residual_e = |K g_e + A^T W 1_e| is at most that column's,
+    and by linearity |K u + A^T W beta| <= sum_e |beta_e| residual_e.
+    Otherwise (a block of ``DENSE_CUTOFF`` or more nodes) Q is a
+    ``LinearOperator`` whose product is W ((beta + u[a]) - u[b]), u from
+    one certified ``solver.solve``.  beta^T Q beta is the minimal energy:
+    stationarity gives A^T W r = -D u, so beta^T W r = r^T W r + u^T D u.
     """
+    assembly = LaplacianAssembly(graph)
+    solver = SPDSolver(assembly.system_matrix)
+    if solver.direct:
+        return _condensed_operator(graph, solver)
+    w = 2.0 * graph.mu
 
-    def __init__(self, graph: InclusionGraph):
-        self.a_idx, self.b_idx, self.mu = graph.a, graph.b, graph.mu
-        self.volumes = graph.volumes
-        assembly = LaplacianAssembly(graph)
-        self.rhs = assembly.rhs
-        self.solver = SPDSolver(assembly.system_matrix)
-        self.condensed = (_condensed_operator(graph, self.solver)
-                          if self.solver.direct else None)
+    def product(beta):
+        beta = np.ravel(beta)
+        u = solver.solve(assembly.rhs(beta))
+        return w * ((beta + u[graph.a]) - u[graph.b])
 
-    def minimum(self, beta):
-        """(Q beta, minimal energy) at the antisymmetric family beta."""
-        if self.condensed is not None:
-            q_beta = self.condensed @ beta
-            return q_beta, float(beta @ q_beta)
-        u = self.solver.solve(self.rhs(beta))
-        r = (beta + u[self.a_idx]) - u[self.b_idx]
-        num = float(np.sum(2.0 * self.mu * r * r)
-                    + np.sum(self.volumes * u * u))
-        return 2.0 * self.mu * r, num
+    return scipy.sparse.linalg.LinearOperator(
+        (graph.n_edges, graph.n_edges), matvec=product, dtype=float)
 
 
 def _condensed_blocks(Q):
@@ -278,31 +272,29 @@ def h2_exact_s2(graph: InclusionGraph) -> float:
     """Exact sup of the s = 2 ratio: the top eigenvalue of the condensed form.
 
     The ratio of the family (beta/2, -beta/2) is the Rayleigh quotient
-    beta^T Q beta / beta^T beta.  On the direct path: the largest batched
-    ``eigvalsh`` of Q's symmetrised cluster blocks.  Otherwise: the
+    beta^T Q beta / beta^T beta.  For a sparse Q: the largest batched
+    ``eigvalsh`` of its symmetrised cluster blocks.  Otherwise: the
     quotient, attained, at the vector of one ``eigsh`` Lanczos run (fixed
-    start) on Q beta products, each one certified solve.
+    start) on Q, each product one certified solve.
     """
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
-    minimizer = _CachedMinimizer(graph)
-    if minimizer.condensed is not None:
+    Q = _h2_operator(graph)
+    if scipy.sparse.issparse(Q):
         return max(float(np.linalg.eigvalsh(
             0.5 * (blocks + blocks.transpose(0, 2, 1)))[:, -1].max())
-            for blocks in _condensed_blocks(minimizer.condensed))
-    m = graph.n_edges
-    operator = scipy.sparse.linalg.LinearOperator(
-        (m, m), matvec=lambda beta: minimizer.minimum(beta)[0], dtype=float)
+            for blocks in _condensed_blocks(Q))
     _, vectors = scipy.sparse.linalg.eigsh(
-        operator, k=1, which="LA", tol=SOLVE_TOL,
-        v0=np.random.default_rng(0).standard_normal(m))
-    return minimizer.minimum(vectors[:, 0] / np.linalg.norm(vectors[:, 0]))[1]
+        Q, k=1, which="LA", tol=SOLVE_TOL,
+        v0=np.random.default_rng(0).standard_normal(graph.n_edges))
+    beta = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+    return float(beta @ (Q @ beta))
 
 
-def _ratio_pieces(minimizer, box_volume, beta, s):
+def _ratio_pieces(Q, box_volume, beta, s):
     """beta scaled onto the unit l_s sphere, and the ratio there.
 
-    Returns (unit beta, ratio value, ratio gradient, Q beta), or None for
+    Returns (unit beta, ratio value, ratio gradient), or None for
     the zero family.  One power p = |beta|^(s-2) serves the whole
     evaluation: sum |beta|^s = sum p beta^2, and sign(beta) |beta|^(s-1)
     = p beta.  On the unit sphere S_s = 2^(2-s) for the family
@@ -315,21 +307,22 @@ def _ratio_pieces(minimizer, box_volume, beta, s):
     if norm == 0.0:
         return None
     beta = beta / norm
-    q_beta, num = minimizer.minimum(beta)
+    q_beta = Q @ beta
+    num = float(beta @ q_beta)
     denom = box_volume ** (1.0 - 2.0 / s) * 2.0 ** (4.0 / s - 2.0)
     grad = (2.0 / denom) * (q_beta - (num * norm ** (2.0 - s)) * (p * beta))
-    return beta, num / denom, grad, q_beta
+    return beta, num / denom, grad
 
 
-def _ascend_from(minimizer, box_volume, beta0, opts: H2Options):
+def _ascend_from(Q, box_volume, beta0, opts: H2Options):
     """Projected gradient ascent on the unit l_s sphere, backtracking steps.
 
     Returns (value, unit beta), or None for a zero start.
     """
-    start = _ratio_pieces(minimizer, box_volume, beta0, opts.s)
+    start = _ratio_pieces(Q, box_volume, beta0, opts.s)
     if start is None:
         return None
-    beta, value, grad, _ = start
+    beta, value, grad = start
     step = 1.0
     stall = 0
     for _ in range(opts.max_ascent_iters):
@@ -338,7 +331,7 @@ def _ascend_from(minimizer, box_volume, beta0, opts: H2Options):
             break
         trial_step = step
         for _bt in range(30):
-            cand = _ratio_pieces(minimizer, box_volume,
+            cand = _ratio_pieces(Q, box_volume,
                                  beta + trial_step * grad / gnorm, opts.s)
             if cand is not None and cand[1] > value:
                 break
@@ -346,7 +339,7 @@ def _ascend_from(minimizer, box_volume, beta0, opts: H2Options):
         else:
             break
         gain = cand[1] - value
-        beta, value, grad, _ = cand
+        beta, value, grad = cand
         step = min(trial_step * 2.0, 1e6)
         stall = stall + 1 if gain <= opts.tol * max(abs(value), 1e-30) else 0
         if stall >= 3:
@@ -364,9 +357,8 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
     coordinate axes.  The ascent is deterministic, so a start bitwise
     equal to an earlier one (the affine and midpoint starts often are)
     reuses that start's result; ``per_start`` still has one entry per
-    nonzero start.  All starts share one ``_CachedMinimizer``, whose
-    condensed operator Q (built from certified solve columns) or per-step
-    solve certifies every step.  The ascent value is a certified lower
+    nonzero start.  All starts share one Q from ``_h2_operator``, whose
+    every product is certified, so the ascent value is a certified lower
     bound of the true sup.
     """
     if graph.n_edges == 0:
@@ -385,14 +377,14 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
         except RuntimeError:
             pass    # graph lacks consistent contact geometry; start skipped
 
-    minimizer = _CachedMinimizer(graph)
+    Q = _h2_operator(graph)
     box_volume = graph.box_volume()
     per_start = []
     ascents = {}    # start bytes -> result: equal starts ascend identically
     for beta0 in starts:
         key = beta0.tobytes()
         if key not in ascents:
-            ascents[key] = _ascend_from(minimizer, box_volume, beta0, opts)
+            ascents[key] = _ascend_from(Q, box_volume, beta0, opts)
         out = ascents[key]
         if out is None:
             continue    # zero start (excluded from the sup)

@@ -213,12 +213,12 @@ def closest_points(sphere_a, sphere_b):
 
 
 class ScatterSolveMinimizer:
-    """The h2 ascent's minimizer with one certified solve per call.
+    """The h2 energy minimum with one certified solve per call.
 
     Each ``minimum`` scatters the right-hand side -A^T W beta with
     ``np.add.at`` and solves the system once; it shares only ``SPDSolver``
-    with the package's condensed operator and stands in for
-    ``criteria._CachedMinimizer`` as its oracle.
+    with the package's operator ``criteria._h2_operator``, and
+    ``scatter_solve_operator`` stands in for that operator as its oracle.
     """
 
     def __init__(self, graph):
@@ -243,6 +243,14 @@ class ScatterSolveMinimizer:
         num = float(np.sum(2.0 * self.mu * r * r)
                     + np.sum(self.volumes * u * u))
         return 2.0 * self.mu * r, num
+
+
+def scatter_solve_operator(graph):
+    """The h2 operator Q as products Q beta of ``ScatterSolveMinimizer``."""
+    oracle = ScatterSolveMinimizer(graph)
+    return scipy.sparse.linalg.LinearOperator(
+        (graph.n_edges, graph.n_edges), dtype=float,
+        matvec=lambda beta: oracle.minimum(np.ravel(beta))[0])
 
 
 def brute_force_gap_pairs(config, delta):

@@ -10,10 +10,11 @@ import scipy.sparse.linalg
 
 import stiffnet.criteria as criteria
 from conftest import cap_cg_iterations, count_calls, make_graph
-from stiffnet.criteria import H2Options, h2_statistic
+from stiffnet.criteria import H2Options, h2_ratio, h2_statistic
 from stiffnet.effective import network_effective_tensor
 from stiffnet.energy import (
     DENSE_CUTOFF,
+    BoundaryFamily,
     LaplacianAssembly,
     SolverError,
     SPDSolver,
@@ -199,11 +200,45 @@ class TestManyRightHandSides:
 
     def test_large_block_h2_solves_once_per_step(self, lattice_512,
                                                  monkeypatch):
-        minima = count_calls(monkeypatch, criteria._CachedMinimizer, "minimum")
+        products = []
+        build = criteria._h2_operator
+
+        def counting(graph):
+            Q = build(graph)
+            assert not scipy.sparse.issparse(Q)
+
+            def product(beta):
+                products.append(1)
+                return Q @ beta
+
+            return scipy.sparse.linalg.LinearOperator(Q.shape, matvec=product,
+                                                      dtype=float)
+
+        monkeypatch.setattr(criteria, "_h2_operator", counting)
         solves = count_calls(monkeypatch, SPDSolver, "solve")
         h2_statistic(lattice_512, H2Options(s=4.0, n_starts=1,
                                             max_ascent_iters=3))
-        assert len(minima) > 1 and len(solves) == len(minima)
+        assert len(products) > 1 and len(solves) == len(products)
+
+    def test_large_block_ascent_values_are_attained(self, lattice_512,
+                                                    monkeypatch):
+        # h2_ratio sums the energy of minimize_energy's potentials; the
+        # ascent reads beta^T Q beta from the operator's solves.
+        results = []
+        ascend = criteria._ascend_from
+
+        def recording(*args):
+            results.append(ascend(*args))
+            return results[-1]
+
+        monkeypatch.setattr(criteria, "_ascend_from", recording)
+        opts = H2Options(s=4.0, n_starts=2, max_ascent_iters=5)
+        h2_statistic(lattice_512, opts)
+        assert len(results) >= 2 and None not in results
+        for value, beta in results:
+            family = BoundaryFamily.from_antisymmetric(beta)
+            assert value == pytest.approx(
+                h2_ratio(lattice_512, family, opts.s), rel=1e-8)
 
     def test_large_block_s2_value_matches_the_direct_one(self, lattice_512,
                                                          monkeypatch):
