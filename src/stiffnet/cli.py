@@ -168,6 +168,29 @@ def _model_parameters(model):
     return {k: p for k, p in params.items() if k not in ("seed", "N")}
 
 
+def _finite_number(value):
+    """True for a JSON number (not a bool) that is finite as a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _check_model_value(key, value):
+    """SchemaError unless a ``model_params`` value has its key's JSON type."""
+    what = f"model_params field {key!r}"
+    if key in ("chain_len_max", "max_attempts"):
+        _json_int(value, what)
+    elif key == "gap_range":
+        if not (isinstance(value, list) and len(value) == 2
+                and all(map(_finite_number, value))):
+            raise SchemaError(f"{what} must be a list of two finite "
+                              f"numbers, got {value!r}")
+    elif key == "allow_overlap":
+        if not isinstance(value, bool):
+            raise SchemaError(f"{what} must be a boolean, got {value!r}")
+    elif not _finite_number(value):
+        raise SchemaError(f"{what} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A validated experiment: model, grid, tasks and their parameters."""
@@ -202,6 +225,8 @@ class ExperimentSpec:
         if not isinstance(data.get("task_params", {}).get("keller", {}), dict):
             raise SchemaError("experiment spec field 'task_params.keller' "
                               "must be a JSON object")
+        for key, value in data.get("model_params", {}).items():
+            _check_model_value(key, value)
         version, n_seeds, base_seed = (
             _json_int(data[key], f"experiment spec field {key!r}")
             for key in ("version", "n_seeds", "base_seed"))

@@ -57,8 +57,10 @@ from .energy import (
     minimize_energy,
 )
 from .geometry import (
+    SchemaError,
     SphereConfig,
     _connected_labels,
+    _json_int,
     cluster_moment_statistic,
     components,
     generate_chain_forest,
@@ -106,8 +108,8 @@ class H2Options:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.s >= 2.0):
-            raise ValueError("s must be >= 2")
+        if not (2.0 <= self.s < math.inf):
+            raise ValueError("s must be finite and >= 2")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
 
@@ -374,7 +376,7 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
         try:
             starts.append(
                 midpoint_boundary_family(graph, xi).antisymmetric_part())
-        except RuntimeError:
+        except ValueError:
             pass    # graph lacks consistent contact geometry; start skipped
 
     Q = _h2_operator(graph)
@@ -422,6 +424,9 @@ def generate_model(model: str, params: dict, N: float, seed: int) -> SphereConfi
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of "
                          f"{sorted(MODELS)}")
+    if not (0.0 < N < math.inf):
+        raise ValueError(f"box half-width N must be finite and positive, "
+                         f"got {N!r}")
     # Called by name, so that a wrapper bound in ``geometry`` sees the call.
     return getattr(geometry, MODELS[model].__name__)(seed=seed, N=N, **params)
 
@@ -551,9 +556,8 @@ class ScanCell:
 # Every scan task but "effective" yields one number per cell.
 STATISTICS = ("h1", "h2", "logmoment", "clustermoment", "density")
 
-# The H2Options fields a spec may set, with their casts.
-_H2_PARAMS = {"s": float, "n_starts": int, "max_ascent_iters": int,
-              "tol": float}
+# The H2Options fields a spec may set.
+_H2_PARAMS = ("s", "n_starts", "max_ascent_iters", "tol")
 
 # The task_params keys each task reads: the scan tasks through
 # ``task_evaluator``, and keller its own object of table parameters.
@@ -568,10 +572,54 @@ TASK_PARAMS = {
 }
 
 
+# Each task value's JSON type: float (a number, not a bool), int (the
+# ``_json_int`` rule) or str; and its range, a test and the rule it states
+# (None where H2Options checks the field itself).
+_TASK_VALUES = {
+    "s": (float, None),
+    "n_starts": (int, None),
+    "max_ascent_iters": (int, None),
+    "tol": (float, None),
+    "kappa": (float, (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "k": (float, (lambda v: 1.0 <= v < math.inf, "a finite number >= 1")),
+    "p": (float, (lambda v: 0.0 < v < math.inf, "a finite number > 0")),
+    "n_samples": (int, (lambda v: v >= 1, ">= 1")),
+    "quantity": (str, (lambda v: v in ("diam", "count"), "diam or count")),
+    # The tensor refuses a finite layer_width <= 0 in each cell.
+    "layer_width": (float, (math.isfinite, "finite")),
+}
+
+
+def _task_value(params: dict, key: str, default):
+    """Task value ``key``, or ``default`` when absent, by ``_TASK_VALUES``.
+
+    A wrong JSON type raises SchemaError, a value out of range ValueError.
+    A key with a None default (kappa, layer_width) is unset when absent or
+    null.
+    """
+    value = params.get(key, default)
+    if value is None and default is None:
+        return None
+    kind, check = _TASK_VALUES[key]
+    what = f"task parameter {key!r}"
+    if kind is int:
+        value = _json_int(value, what)
+    elif isinstance(value, bool) or not isinstance(
+            value, str if kind is str else (int, float)):
+        raise SchemaError(f"{what} must be a "
+                          f"{'string' if kind is str else 'number'}, "
+                          f"got {value!r}")
+    value = kind(value)
+    if check is not None and not check[0](value):
+        raise ValueError(f"{what} must be {check[1]}, got {value!r}")
+    return value
+
+
 def task_evaluator(task: str, params: dict, base_seed: int):
     """The ScanCell -> value evaluator of a scan task: the task table.
 
-    ``params`` are a spec's flat task parameters, cast and checked here.
+    ``params`` are a spec's flat task parameters, read and checked here
+    (``_task_value``) before any cell runs.
     h1 reads ``xi`` (default (1, 0, 0)); h2 the ``_H2_PARAMS`` fields,
     seeded by ``base_seed``; logmoment ``k`` (2); h2 and logmoment
     ``kappa``, which shorts the graph first; clustermoment ``p`` (2),
@@ -579,40 +627,38 @@ def task_evaluator(task: str, params: dict, base_seed: int):
     ``sample_seed``; effective ``layer_width`` (the cell's delta); density
     nothing.
     """
-    get = params.get
     if task == "density":
         return lambda cell: (float(np.sum(cell.comp.volumes))
                              / cell.restricted.box_volume())
     if task == "h1":
-        xi = _direction(get("xi", (1.0, 0.0, 0.0)))
+        xi = _direction(params.get("xi", (1.0, 0.0, 0.0)))
         return lambda cell: _affine_energy_density(cell.graph, xi)
     if task == "clustermoment":
-        kwargs = {"p": float(get("p", 2.0)),
-                  "n_samples": int(get("n_samples", 2000)),
-                  "quantity": str(get("quantity", "diam"))}
+        kwargs = {"p": _task_value(params, "p", 2.0),
+                  "n_samples": _task_value(params, "n_samples", 2000),
+                  "quantity": _task_value(params, "quantity", "diam")}
         return lambda cell: cluster_moment_statistic(
             config=cell.restricted, graph=cell.graph, seed=cell.sample_seed,
             **kwargs).mean
     if task == "effective":
         from .effective import network_effective_tensor   # imports criteria
-        layer = None if get("layer_width") is None else float(
-            params["layer_width"])
+        layer = _task_value(params, "layer_width", None)
         return lambda cell: network_effective_tensor(
             cell.graph, cell.delta if layer is None else layer)
     if task not in ("h2", "logmoment"):
         raise ValueError(f"unknown statistic {task!r}")
-    kappa = None if get("kappa") is None else float(params["kappa"])
+    kappa = _task_value(params, "kappa", None)
 
     def graph(cell):
         return cell.graph if kappa is None else short_kappa(cell.graph, (),
                                                             kappa)
 
     if task == "logmoment":
-        k = float(get("k", 2.0))
+        k = _task_value(params, "k", 2.0)
         return lambda cell: log_moment_statistic(graph(cell), k)
     opts = H2Options(seed=base_seed, **{
-        key: cast(params[key]) for key, cast in _H2_PARAMS.items()
-        if key in params})
+        key: _task_value(params, key, getattr(H2Options, key))
+        for key in _H2_PARAMS})
     return lambda cell: h2_statistic(graph(cell), opts).value
 
 
@@ -623,6 +669,8 @@ def check_scan_grid(N_grid, n_seeds: int) -> list[float]:
     estimate reads the larger half) and at least one seed per size.
     """
     N_grid = [float(N) for N in N_grid]
+    if not all(0.0 < N < math.inf for N in N_grid):
+        raise ValueError("N_grid entries must be finite and positive")
     if len(N_grid) < 3:
         raise ValueError("N_grid needs at least 3 entries")
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):

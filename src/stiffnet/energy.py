@@ -342,7 +342,7 @@ def midpoint_boundary_family(graph: InclusionGraph, xi) -> BoundaryFamily:
     bound = (np.linalg.norm(xi) * (np.maximum(diam[graph.a], diam[graph.b])
                                    + graph.delta)) * (1.0 + 1e-9) + 1e-12
     if np.any(np.abs(ab) > bound) or np.any(np.abs(ba) > bound):
-        raise RuntimeError("midpoint family out of its guaranteed bound; "
+        raise ValueError("midpoint family out of its guaranteed bound; "
                            "graph data is inconsistent")
     return BoundaryFamily(ab, ba)
 

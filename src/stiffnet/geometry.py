@@ -453,7 +453,7 @@ def generate_hardcore(seed, N, intensity, radius, min_gap,
         raise ValueError("intensity must be >= 0")
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
-    if min_gap < 0.0:
+    if not (min_gap >= 0.0):
         raise ValueError("min_gap must be >= 0")
     if not (N >= radius):
         raise ValueError("box half-width must be at least the radius")
@@ -491,7 +491,7 @@ def generate_lattice_jitter(seed, N, spacing, radius, jitter,
         raise ValueError("spacing must be positive")
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
-    if jitter < 0.0:
+    if not (jitter >= 0.0):
         raise ValueError("jitter must be >= 0")
     if not allow_overlap:
         if radius >= spacing / 2.0:

@@ -120,8 +120,8 @@ class InclusionGraph:
         Ids and edge ends must be integers and ``boundary`` a boolean.
         Each node's id must equal its position, and every edge needs
         ``0 <= a < b < n``, ``d`` in (0, 1) and ``mu == |ln d|``; ``N`` must
-        be finite and positive and ``delta`` in (0, 1).  ``check_volumes``
-        then runs.
+        be finite and positive, ``delta`` in (0, 1), and every centroid,
+        diameter and contact point finite.  ``check_volumes`` then runs.
         """
         if not isinstance(data, dict):
             raise SchemaError("graph document must be a JSON object")
@@ -174,6 +174,10 @@ class InclusionGraph:
                 delta=delta, box_half_width=N)
         except (OverflowError, ValueError) as exc:
             raise SchemaError(f"invalid graph document: {exc}") from None
+        for name in ("centroids", "diameters", "xa", "xb"):
+            if not np.all(np.isfinite(getattr(graph, name))):
+                raise SchemaError(f"graph document: every {name} entry "
+                                  f"must be finite")
         graph.check_volumes()
         return graph
 

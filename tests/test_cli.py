@@ -1,11 +1,17 @@
 """Serialization, experiment specs, the runner, and the console interface."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stiffnet.criteria
 from conftest import count_calls
@@ -24,6 +30,8 @@ from stiffnet.cli import (
     save_json,
 )
 from stiffnet.criteria import (
+    STATISTICS,
+    TASK_PARAMS,
     H2Options,
     derive_cell_seed,
     generate_model,
@@ -34,6 +42,7 @@ from stiffnet.geometry import (
     SphereConfig,
     components,
     generate_hardcore,
+    generate_lattice_jitter,
     restrict_box,
 )
 from stiffnet.multigraph import build_graph, short_kappa
@@ -53,6 +62,10 @@ def spec_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def _value_id(value):
+    return json.dumps(value).strip('"')
 
 
 def hardcore_graph():
@@ -257,6 +270,22 @@ class TestMain:
         assert path.read_text() == captured.out
         assert capsys.readouterr().err == captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "lattice", "--N", "2", "--radius", "0.4",
+         "--jitter", "nan"],
+        ["--model", "hardcore", "--N", "4", "--intensity", "0.05",
+         "--radius", "0.9", "--min-gap", "nan"],
+        ["--model", "lattice", "--N", "inf", "--radius", "0.4"],
+        ["--model", "chains", "--N", "inf", "--radius", "0.4"],
+    ], ids=["nan-jitter", "nan-min-gap", "infinite-lattice-box",
+            "infinite-chains-box"])
+    def test_generate_refuses_non_finite_arguments(self, capsys, argv):
+        assert main(["generate", *argv]) == EXIT_VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("error: ")
+                and captured.err.count("\n") == 1)
+
     def test_generate_without_saturation_is_silent(self, capsys):
         assert main(["--seed", "3", "generate", "--model", "hardcore",
                      "--N", "5", "--intensity", "0.05", "--radius", "0.9",
@@ -282,6 +311,39 @@ class TestMain:
         assert code == EXIT_PARSE_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["edges"][0]["xa"].__setitem__(0, math.nan),
+        lambda doc: doc["edges"][0]["xb"].__setitem__(1, math.inf),
+        lambda doc: doc["nodes"][0]["x"].__setitem__(2, -math.inf),
+        lambda doc: doc["nodes"][0].update(diam=math.nan),
+    ], ids=["nan-contact-point", "infinite-contact-point",
+            "infinite-centroid", "nan-diameter"])
+    def test_energy_rejects_non_finite_geometry(self, tmp_path, capsys,
+                                                corrupt):
+        doc = hardcore_graph().to_dict()
+        corrupt(doc)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))   # NaN and Infinity literals
+        code = main(["energy", "--graph", str(path)])
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_energy_refuses_inconsistent_midpoint_geometry(self, tmp_path,
+                                                          capsys):
+        # A centroid moved far from its contact points breaks the midpoint
+        # family's bound |xi| (diam + delta).
+        doc = hardcore_graph().to_dict()
+        doc["nodes"][doc["edges"][0]["a"]]["x"][0] += 3.0
+        path = tmp_path / "graph.json"
+        path.write_text(dumps_17g(doc))
+        assert main(["energy", "--graph", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["energy", "--graph", str(path), "--family", "midpoint"])
+        assert code == EXIT_VALIDATION_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: midpoint family") and err.count("\n") == 1
 
     def test_effective_with_decreasing_grid_exits_3(self, capsys):
         code = main(["effective", "--model", "lattice", "--radius", "0.3",
@@ -315,8 +377,30 @@ class TestMain:
         {"tasks": ["h1"], "task_params": {"xi": [1, 0]}},
         {"tasks": ["h1"], "task_params": {"xi": [0, 0, 0]}},
         {"tasks": ["h1"], "task_params": {"xi": ["1", "0", "0"]}},
+        {"task_params": {"k": 0.5}},
+        {"task_params": {"k": math.nan}},
+        {"task_params": {"k": math.inf}},
+        {"tasks": ["clustermoment"], "task_params": {"p": 0.0}},
+        {"tasks": ["clustermoment"], "task_params": {"p": math.nan}},
+        {"tasks": ["clustermoment"], "task_params": {"n_samples": 0}},
+        {"tasks": ["clustermoment"], "task_params": {"quantity": "radius"}},
+        {"task_params": {"kappa": 0.0}},
+        {"task_params": {"kappa": 1.5}},
+        {"task_params": {"kappa": math.nan}},
+        {"tasks": ["h2"], "task_params": {"s": 1.5}},
+        {"tasks": ["h2"], "task_params": {"s": math.inf}},
+        {"tasks": ["h2"], "task_params": {"n_starts": 0}},
+        {"tasks": ["effective"], "task_params": {"layer_width": math.nan}},
+        {"tasks": ["effective"], "task_params": {"layer_width": -math.inf}},
+        {"N_grid": [math.nan, 3, 4]},
+        {"N_grid": [3, 4, math.inf]},
+        {"N_grid": [-1, 3, 4]},
     ], ids=["unknown-model-key", "missing-model-key", "short-xi", "zero-xi",
-            "string-xi"])
+            "string-xi", "k-below-one", "nan-k", "infinite-k", "zero-p",
+            "nan-p", "zero-samples", "unknown-quantity", "zero-kappa",
+            "kappa-above-one", "nan-kappa", "s-below-two", "infinite-s",
+            "zero-starts", "nan-layer", "negative-infinite-layer",
+            "nan-grid-entry", "infinite-grid-entry", "negative-grid-entry"])
     def test_run_with_bad_parameters_exits_3_before_any_cell(
             self, tmp_path, capsys, monkeypatch, overrides):
         cells = count_calls(monkeypatch, stiffnet.criteria, "ScanCell")
@@ -328,6 +412,93 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert cells == [] and not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("task, key, value", [
+        (task, key, value)
+        for task, key in [("logmoment", "k"), ("clustermoment", "p"),
+                          ("clustermoment", "n_samples"),
+                          ("logmoment", "kappa"), ("effective", "layer_width")]
+        for value in ([], {}, [[1]], *([None] if key in ("k", "p",
+                                                         "n_samples")
+                                       else []))
+    ] + [
+        ("clustermoment", "n_samples", math.inf),
+        ("clustermoment", "n_samples", -math.inf),
+        ("clustermoment", "n_samples", 2.5),
+        ("clustermoment", "quantity", 5),
+        ("h2", "s", "4"),
+        ("h2", "s", True),
+        ("h2", "n_starts", 2.5),
+        ("h2", "n_starts", None),
+        ("h2", "max_ascent_iters", [5]),
+        ("h2", "tol", "x"),
+    ], ids=_value_id)
+    def test_run_with_mistyped_task_value_exits_2_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, task, key, value):
+        cells = count_calls(monkeypatch, stiffnet.criteria, "ScanCell")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict(
+            tasks=[task], task_params={key: value},
+            out_dir=str(tmp_path / "results"))))
+        code = main(["run", "--spec", str(spec_path)])
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        assert cells == [] and not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("model, key, value", [
+        ("lattice", "radius", "a"),
+        ("lattice", "jitter", math.nan),
+        ("lattice", "spacing", math.inf),
+        ("lattice", "radius", True),
+        ("lattice", "jitter", None),
+        ("lattice", "allow_overlap", "no"),
+        ("lattice", "allow_overlap", 0),
+        ("lattice", "contact_tol", [1e-12]),
+        ("chains", "chain_len_max", 2.5),
+        ("chains", "max_attempts", "200"),
+        ("chains", "gap_range", [0.01, 0.1, 0.2]),
+        ("chains", "gap_range", [0.01, math.nan]),
+        ("chains", "gap_range", 0.1),
+        ("hardcore", "min_gap", -math.inf),
+    ], ids=_value_id)
+    def test_run_with_mistyped_model_value_exits_2(self, tmp_path, capsys,
+                                                   model, key, value):
+        model_params = {
+            "lattice": {"spacing": 1.0, "radius": 0.3, "jitter": 0.0},
+            "chains": {"radius": 1.0, "chain_len_max": 8,
+                       "gap_range": [0.01, 0.1]},
+            "hardcore": {"intensity": 0.05, "radius": 0.9, "min_gap": 0.05},
+        }[model]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict(
+            model=model, model_params={**model_params, key: value},
+            out_dir=str(tmp_path / "results"))))
+        code = main(["run", "--spec", str(spec_path)])
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("model, model_params, spec_hash", [
+        ("chains", {"radius": 1, "chain_len_max": 8.0,
+                    "gap_range": [0.01, 0.1], "chain_density": 0.002,
+                    "max_attempts": 200},
+         "2f3e254f40015fd720f1106cae69e731fbfe7eae08d99aa9237fdb94d8f1ef2f"),
+        ("lattice", {"spacing": 1, "radius": 0.3, "jitter": 0.0,
+                     "allow_overlap": False, "contact_tol": 1e-12},
+         "4ec0cca94f940bbd6943c308cbc99ca42284ae0ce88491fc7c103c6347d1a8a8"),
+    ], ids=["chains", "lattice"])
+    def test_model_value_checks_keep_the_spec_hash(self, model, model_params,
+                                                   spec_hash):
+        doc = spec_dict(model=model, model_params=model_params)
+        if model == "chains":
+            doc.update(delta=0.2, N_grid=[30, 40, 50])
+        spec = ExperimentSpec.from_dict(doc)
+        assert spec.model_params == model_params
+        assert spec.hash() == spec_hash
 
     def test_run_with_broken_spec_exits_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -496,3 +667,126 @@ class TestMain:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "N,seed,value"
         assert len(lines) == 4
+
+
+# A small lattice spec that sets every key of every scan task.
+EVERY_SCAN_KEY_SPEC = {
+    "version": 1, "model": "lattice",
+    "model_params": {"spacing": 1.0, "radius": 0.4, "jitter": 0.05},
+    "delta": 0.5, "N_grid": [1, 1.5, 2], "n_seeds": 1, "base_seed": 0,
+    "tasks": ["h1", "h2", "logmoment", "clustermoment", "density",
+              "effective"],
+    "task_params": {"xi": [1, 0, 0], "s": 4.0, "n_starts": 1,
+                    "max_ascent_iters": 5, "tol": 1e-6, "kappa": 0.05,
+                    "k": 2.0, "p": 2.0, "n_samples": 50, "quantity": "diam",
+                    "layer_width": 0.5},
+}
+
+# One value of each JSON type: string, boolean, null, list, object, number.
+JSON_TYPES = ("x", True, None, [], {}, 1)
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _paths(doc, path=()):
+    """The path of every value inside a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` after one mutation that never changes a magnitude.
+
+    Drop a key or list entry, add a key to an object, change a value's
+    JSON type, put NaN or an infinity in its place, or nest it in a list.
+    """
+    doc = copy.deepcopy(doc)
+    paths = list(_paths(doc))
+    kind = draw(st.sampled_from(["drop", "add", "retype", "non-finite",
+                                 "nest"]))
+    if kind == "add":
+        objects = [()] + [p for p in paths if isinstance(_at(doc, p), dict)]
+        _at(doc, draw(st.sampled_from(objects)))["extra"] = 1
+        return doc
+    *head, key = draw(st.sampled_from(paths))
+    parent = _at(doc, head)
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = copy.deepcopy(draw(st.sampled_from(
+            [v for v in JSON_TYPES
+             if _json_type(v) != _json_type(parent[key])])))
+    elif kind == "non-finite":
+        parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    else:
+        parent[key] = [parent[key]]
+    return doc
+
+
+def assert_documented_exit(doc, argv):
+    """Run ``main`` on ``doc`` written to a file: exit 0, or 2 or 3 with
+    exactly one ``error:`` line on stderr."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "doc.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--out", str(Path(work) / "out"),
+                         *(arg.format(path) for arg in argv)])
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR), err
+    if code != EXIT_OK:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def lattice_config_doc():
+    return generate_lattice_jitter(seed=0, N=1, spacing=1.0, radius=0.4,
+                                   jitter=0.05).to_dict()
+
+
+def lattice_graph_doc():
+    config = SphereConfig.from_dict(lattice_config_doc())
+    return build_graph(components(config), config, 0.5).to_dict()
+
+
+class TestMalformedDocuments:
+    """Each reader answers a mutated document with a documented exit."""
+
+    def test_unmutated_documents_run(self):
+        config = lattice_config_doc()
+        assert_documented_exit(EVERY_SCAN_KEY_SPEC, ["run", "--spec", "{}"])
+        assert set(EVERY_SCAN_KEY_SPEC["task_params"]) == {
+            key for task in (*STATISTICS, "effective")
+            for key in TASK_PARAMS[task]}
+        assert len(config["spheres"]) == 8
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(doc=mutated(EVERY_SCAN_KEY_SPEC))
+    def test_run_spec(self, doc):
+        assert_documented_exit(doc, ["run", "--spec", "{}"])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(doc=mutated(lattice_config_doc()))
+    def test_graph_config(self, doc):
+        assert_documented_exit(doc, ["graph", "--config", "{}",
+                                     "--delta", "0.5"])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(doc=mutated(lattice_graph_doc()),
+           family=st.sampled_from(["affine", "midpoint"]))
+    def test_energy_graph(self, doc, family):
+        assert_documented_exit(doc, ["energy", "--graph", "{}",
+                                     "--family", family])

@@ -75,6 +75,11 @@ class TestHardcore:
         assert a == b
         assert dumps_17g(a.to_dict()) == dumps_17g(b.to_dict())
 
+    def test_nan_min_gap_rejected(self):
+        with pytest.raises(ValueError, match="min_gap"):
+            generate_hardcore(seed=0, N=4, intensity=0.05, radius=1.0,
+                              min_gap=math.nan)
+
     def test_saturation_reports_partial(self):
         config = generate_hardcore(seed=3, N=2, intensity=2.0, radius=1,
                                    min_gap=0.5)
@@ -138,6 +143,11 @@ class TestLatticeJitter:
         with pytest.raises(ValueError):
             generate_lattice_jitter(seed=0, N=2, spacing=1, radius=0.3,
                                     jitter=0.25)
+
+    def test_nan_jitter_rejected(self):
+        with pytest.raises(ValueError, match="jitter"):
+            generate_lattice_jitter(seed=0, N=2, spacing=1, radius=0.4,
+                                    jitter=math.nan)
 
     def test_component_count_equals_sphere_count(self):
         config = generate_lattice_jitter(seed=0, N=3, spacing=1, radius=0.3,
