@@ -48,8 +48,8 @@ from .energy import (
     midpoint_boundary_family,
     minimize_energy,
 )
-from .geometry import (SchemaError, SphereConfig, _json_int, components,
-                       restrict_box)
+from .geometry import (SchemaError, SphereConfig, _is_json_number,
+                       _json_int, components, restrict_box)
 from .multigraph import InclusionGraph, build_graph
 
 __all__ = [
@@ -170,8 +170,7 @@ def _model_parameters(model):
 
 def _finite_number(value):
     """True for a JSON number (not a bool) that is finite as a float."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+    return _is_json_number(value) and abs(value) <= sys.float_info.max
 
 
 def _check_model_value(key, value):
@@ -222,7 +221,8 @@ class ExperimentSpec:
                 raise SchemaError(
                     f"experiment spec field {key!r} must be a JSON "
                     f"{'list' if kind is list else 'object'}")
-        if not isinstance(data.get("task_params", {}).get("keller", {}), dict):
+        keller = data.get("task_params", {}).get("keller", {})
+        if not isinstance(keller, dict):
             raise SchemaError("experiment spec field 'task_params.keller' "
                               "must be a JSON object")
         for key, value in data.get("model_params", {}).items():
@@ -230,22 +230,25 @@ class ExperimentSpec:
         version, n_seeds, base_seed = (
             _json_int(data[key], f"experiment spec field {key!r}")
             for key in ("version", "n_seeds", "base_seed"))
-        try:
-            spec = cls(
-                version=version,
-                model=str(data["model"]),
-                model_params=dict(data.get("model_params", {})),
-                delta=float(data["delta"]),
-                N_grid=tuple(float(v) for v in data["N_grid"]),
-                n_seeds=n_seeds,
-                base_seed=base_seed,
-                tasks=tuple(str(t) for t in data["tasks"]),
-                task_params=dict(data.get("task_params", {})),
-                out_dir=str(data.get("out_dir", "results")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(
-                f"invalid experiment spec values: {exc}") from None
+        numbers = [("delta", data["delta"]), *(
+            (f"N_grid[{i}]", v) for i, v in enumerate(data["N_grid"]))]
+        for key, value in numbers:
+            if not _is_json_number(value):
+                raise SchemaError(f"experiment spec field {key!r} must be a "
+                                  f"number, got {value!r}")
+        _keller_params(keller)
+        spec = cls(
+            version=version,
+            model=str(data["model"]),
+            model_params=dict(data.get("model_params", {})),
+            delta=float(data["delta"]),
+            N_grid=tuple(float(v) for v in data["N_grid"]),
+            n_seeds=n_seeds,
+            base_seed=base_seed,
+            tasks=tuple(str(t) for t in data["tasks"]),
+            task_params=dict(data.get("task_params", {})),
+            out_dir=str(data.get("out_dir", "results")),
+        )
         spec.validate()
         return spec
 
@@ -330,19 +333,49 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The keller table's parameters and their defaults.
+_KELLER_DEFAULTS = {"a": 1.0, "d": 1.0, "gamma": 1.0,
+                    "nu_grid": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]}
+
+
+def _keller_params(params: dict) -> list:
+    """One ``KellerParams`` per nu of the keller table's parameters.
+
+    SchemaError unless a, d and gamma are JSON numbers and nu_grid is a
+    nonempty list of them; ValidationError for an unknown key, a value
+    that is not finite, or one outside ``KellerParams``' ranges.
+    """
+    values = {**_KELLER_DEFAULTS, **params}
+    a, d, gamma, nu_grid = (values[k] for k in _KELLER_DEFAULTS)
+    if not (all(map(_is_json_number, (a, d, gamma)))
+            and isinstance(nu_grid, list) and nu_grid
+            and all(map(_is_json_number, nu_grid))):
+        raise SchemaError(f"keller parameters a, d and gamma must be numbers "
+                          f"and nu_grid a nonempty list of numbers, got "
+                          f"{params!r}")
+    unknown = sorted(set(params) - set(_KELLER_DEFAULTS))
+    if unknown:
+        raise ValidationError(f"unknown keller parameters {unknown}; the "
+                              f"table takes {list(_KELLER_DEFAULTS)}")
+    if not all(map(_finite_number, (a, d, gamma, *nu_grid))):
+        raise ValidationError(f"keller parameters must be finite, got "
+                              f"{params!r}")
+    try:
+        return [KellerParams(a=float(a), nu=float(nu), d=float(d),
+                             gamma=float(gamma)) for nu in nu_grid]
+    except ValueError as exc:
+        raise ValidationError(f"keller parameters: {exc}") from None
+
+
 def _keller_table(params: dict):
     """Rows over the nu grid and the slope of the closed form vs ln(1/nu)."""
-    a = float(params.get("a", 1.0))
-    d = float(params.get("d", 1.0))
-    gamma = float(params.get("gamma", 1.0))
-    nu_grid = [float(v) for v in params.get(
-        "nu_grid", (1e-2, 1e-3, 1e-4, 1e-5, 1e-6))]
     rows = []
-    for nu in nu_grid:
-        out = keller_energy(KellerParams(a=a, nu=nu, d=d, gamma=gamma))
-        rows.append([nu, out["z_closed_form"], out["z_quadrature"],
-                     out["full_quadrature"], out["weighted_quadrature"]])
-    x = np.log(1.0 / np.array(nu_grid))
+    for table_params in _keller_params(params):
+        out = keller_energy(table_params)
+        rows.append([table_params.nu, out["z_closed_form"],
+                     out["z_quadrature"], out["full_quadrature"],
+                     out["weighted_quadrature"]])
+    x = np.log(1.0 / np.array([row[0] for row in rows]))
     y = np.array([r[1] for r in rows])
     slope = float(np.polyfit(x, y, 1)[0]) if len(rows) > 1 else math.nan
     return {"rows": rows, "slope": slope}

@@ -12,12 +12,17 @@ Two normalized quantities drive everything:
   the energy: S_s(b) = 2 sum_e (|b_ab|^s + |b_ba|^s).
 
 The ratio reads only Q beta and beta^T Q beta of the condensed form
-Q = W (I + A G), G = -K^-1 A^T W the potential operator, with
-inf_u E(u, b(beta)) = beta^T Q beta.  ``_h2_operator`` builds Q once per
-graph: sparse and block diagonal by cluster when the system matrix K
-factors directly, else a ``LinearOperator`` with one solve per product.
-At s = 2 the sup is exactly Q's top eigenvalue: batched dense
-eigensolves of the blocks, or Lanczos on the operator.
+Q = W - W A K^-1 A^T W, with inf_u E(u, b(beta)) = beta^T Q beta: K =
+D + A^T W A is the system matrix, W = diag(2 mu), D = diag(|I|) and A
+the edge-node incidence.  By the Woodbury identity Q = P^-1 for the
+explicit edge matrix P = W^-1 + A D^-1 A^T, each gap conductance in
+series with the mass terms of its two inclusions; P is block diagonal
+by cluster.  ``_h2_operator`` builds Q once per graph: from the batched
+inverses of P's cluster blocks, with no solve, when every cluster has
+fewer than ``DENSE_CUTOFF`` nodes, else as a ``LinearOperator`` with one
+solve of K per product.  At s = 2 the sup is exactly Q's top
+eigenvalue: batched dense eigensolves of the blocks, or Lanczos on the
+operator.
 
 For s > 2 the sup is estimated from below by projected gradient ascent
 over antisymmetric families on the unit l_s sphere (the sup is attained
@@ -48,10 +53,13 @@ import scipy.sparse.linalg
 
 from . import geometry
 from .energy import (
+    SOLVE_GATE,
     SOLVE_TOL,
     BoundaryFamily,
     LaplacianAssembly,
+    SolverError,
     SPDSolver,
+    _small_blocks,
     affine_boundary_family,
     midpoint_boundary_family,
     minimize_energy,
@@ -60,6 +68,7 @@ from .geometry import (
     SchemaError,
     SphereConfig,
     _connected_labels,
+    _is_json_number,
     _json_int,
     cluster_moment_statistic,
     components,
@@ -168,82 +177,70 @@ def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float) -> float:
     return breakdown.total / (Q * (S / Q) ** (2.0 / s))
 
 
-# The dense temporaries of the operator build, one row per node or edge,
-# hold at most this many entries, or four times Q's, whichever is more.
-_BLOCK_ENTRIES = 1 << 20
+def _edge_blocks(graph: InclusionGraph):
+    """Q's cluster blocks as inverses of the edge matrix P, or None.
 
-
-def _condensed_operator(graph: InclusionGraph, solver: SPDSolver):
-    """Sparse Q = W (I + A G) with inf_u E(u, b(beta)) = beta^T Q beta.
-
-    W = diag(2 mu), row e of the incidence A is +1 at a_e and -1 at b_e,
-    and G = -K^-1 A^T W is the potential operator: u* = G beta minimizes
-    E(., b(beta)), and Q beta = W (beta + A u*) = 2 mu r, r the gap
-    residuals at the minimizer.  Column g_e of G solves
-    K g_e = -A^T W 1_e, which lives on the cluster of edge e (K is block
-    diagonal by cluster), so Q is block diagonal with one m_c x m_c block
-    per cluster of m_c edges.  Edges of different clusters therefore share
-    one right-hand side: edge e goes to column rank(e), its rank within its
-    cluster, so one ``solver.solve`` with as many columns as the largest
-    cluster has edges yields every g_e, certified by its column's residual
-    gate.  Row e of Q is w_e (1_e + x[a_e] - x[b_e]) over the first m_c
-    columns of that solution x, stored in rank order.  Columns are solved
-    in blocks when the dense temporaries would dwarf Q.
+    P = W^-1 + A D^-1 A^T, D = diag(|I|), is explicit and block diagonal
+    by cluster: P_ee = 1/w_e + 1/|I_a| + 1/|I_b|, and P_ef = +-1/|I_v|
+    for edges e, f that share node v (+ when v is the same end of both).
+    When every cluster has fewer than ``DENSE_CUTOFF`` nodes, returns one
+    pair per edge count m: the (k, m) edge ids, ascending, of the k
+    clusters with m edges, and their (k, m, m) blocks Q_c = P_c^-1,
+    inverted batched.  Otherwise None: the CG path.  A node volume that
+    is not finite and positive raises SchemaError.
     """
-    n, m = graph.n_nodes, graph.n_edges
-    n_clusters, cluster = _connected_labels(n, graph.a, graph.b)
+    _, cluster = _connected_labels(graph.n_nodes, graph.a, graph.b)
+    if not _small_blocks(cluster):
+        return None
+    graph.check_volumes()
     edge_cluster = cluster[graph.a]
-    edge_count = np.bincount(edge_cluster, minlength=n_clusters)
-    edge_start = np.cumsum(edge_count) - edge_count
     by_cluster = np.argsort(edge_cluster, kind="stable")
-    rank = np.empty(m, dtype=np.int64)
-    rank[by_cluster] = np.arange(m) - edge_start[edge_cluster[by_cluster]]
-
-    width = int(edge_count.max(initial=0))
-    per_row = edge_count[edge_cluster]
-    indptr = np.concatenate([[0], np.cumsum(per_row)])
-    step = max(1, min(width,
-                      max(_BLOCK_ENTRIES, 4 * indptr[-1]) // max(n, m, 1)))
-    data = np.empty(indptr[-1])
-    w = 2.0 * graph.mu
-    for lo in range(0, width, step):
-        hi = min(lo + step, width)
-        rhs = np.zeros((n, hi - lo))
-        sel = (rank >= lo) & (rank < hi)
-        rhs[graph.a[sel], rank[sel] - lo] = -w[sel]
-        rhs[graph.b[sel], rank[sel] - lo] = w[sel]
-        x = solver.solve(rhs)
-        rows = x[graph.a]
-        rows[sel, rank[sel] - lo] += 1.0
-        rows = w[:, None] * (rows - x[graph.b])
-        held = np.arange(lo, hi) < per_row[:, None]
-        data[(indptr[:-1, None] + np.arange(lo, hi))[held]] = rows[held]
-    held = np.arange(width) < per_row[:, None]
-    columns = edge_start[edge_cluster][:, None] + np.arange(width)
-    return scipy.sparse.csr_matrix((data, by_cluster[columns[held]], indptr),
-                                   shape=(m, m))
+    count = np.bincount(edge_cluster)
+    start = np.cumsum(count) - count
+    inv_w, inv_vol = 1.0 / (2.0 * graph.mu), 1.0 / graph.volumes
+    blocks = []
+    for m in np.unique(count[count > 0]):
+        ids = by_cluster[start[count == m][:, None] + np.arange(m)]
+        a, b = graph.a[ids], graph.b[ids]
+        P = inv_w[ids][:, :, None] * np.eye(m)
+        for x, y, sign in ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0),
+                           (b, a, -1.0)):
+            P += np.where(x[:, :, None] == y[:, None, :],
+                          sign * inv_vol[x][:, :, None], 0.0)
+        Q = np.linalg.inv(P)
+        residual = float(np.abs(P @ Q - np.eye(m)).max())
+        if not residual <= SOLVE_GATE:
+            raise SolverError(
+                f"edge block inverse rejected: max |P Q - I| {residual:.3e} "
+                f"exceeds {SOLVE_GATE:.1e}", residual=residual)
+        blocks.append((ids, Q))
+    return blocks
 
 
 def _h2_operator(graph: InclusionGraph):
     """The condensed form Q of h2: inf_u E(u, b(beta)) = beta^T Q beta.
 
-    The system matrix K does not depend on beta, so Q is built once per
-    graph.  When K factors directly, Q is ``_condensed_operator``'s sparse
-    block-diagonal matrix, and each product Q beta is certified: Q beta =
-    W (beta + A u) for the potentials u = G beta, and each column g_e of G
-    is the part of a certified solution column that lies on e's cluster.
-    The clusters sharing that column are decoupled, so the absolute
-    residual residual_e = |K g_e + A^T W 1_e| is at most that column's,
-    and by linearity |K u + A^T W beta| <= sum_e |beta_e| residual_e.
-    Otherwise (a block of ``DENSE_CUTOFF`` or more nodes) Q is a
-    ``LinearOperator`` whose product is W ((beta + u[a]) - u[b]), u from
-    one certified ``solver.solve``.  beta^T Q beta is the minimal energy:
+    The system matrix K = D + A^T W A does not depend on beta, so Q is
+    built once per graph.  When every cluster is small, Q is the sparse
+    matrix of ``_edge_blocks``, built with no solve.  Otherwise (a cluster
+    of ``DENSE_CUTOFF`` or more nodes) Q is a ``LinearOperator`` whose
+    product is W ((beta + u[a]) - u[b]), u = G beta from one certified
+    ``SPDSolver.solve``.  beta^T Q beta is the minimal energy:
     stationarity gives A^T W r = -D u, so beta^T W r = r^T W r + u^T D u.
     """
+    blocks = _edge_blocks(graph)
+    if blocks is not None:
+        # Woodbury: Q = W - W A K^-1 A^T W = (W^-1 + A D^-1 A^T)^-1 = P^-1.
+        # check_volumes certifies D > 0, which makes K and P positive
+        # definite, and each block's |P_c Q_c - I| gate certifies Q_c.
+        entries = [(Q.ravel(), np.repeat(ids, ids.shape[1]),
+                    np.tile(ids, ids.shape[1]).ravel()) for ids, Q in blocks]
+        data, rows, cols = ((np.concatenate(column) for column in
+                             zip(*entries)) if entries else ((), (), ()))
+        return scipy.sparse.csr_matrix((data, (rows, cols)),
+                                       shape=(graph.n_edges, graph.n_edges))
     assembly = LaplacianAssembly(graph)
     solver = SPDSolver(assembly.system_matrix)
-    if solver.direct:
-        return _condensed_operator(graph, solver)
     w = 2.0 * graph.mu
 
     def product(beta):
@@ -255,37 +252,23 @@ def _h2_operator(graph: InclusionGraph):
         (graph.n_edges, graph.n_edges), matvec=product, dtype=float)
 
 
-def _condensed_blocks(Q):
-    """The diagonal blocks of ``_condensed_operator``'s Q, stacked by size.
-
-    Each row of a cluster lists the cluster's edges in rank order, so the
-    rank-0 edge is the row whose first column is itself.  Yields one
-    (k, m, m) array per block size m, k the clusters of m edges.
-    """
-    counts = np.diff(Q.indptr)
-    heads = np.flatnonzero(Q.indices[Q.indptr[:-1]] == np.arange(Q.shape[0]))
-    for m in np.unique(counts[heads]):
-        rows = heads[counts[heads] == m]
-        edges = Q.indices[Q.indptr[rows][:, None] + np.arange(m)]
-        yield Q.data[Q.indptr[edges][..., None] + np.arange(m)]
-
-
 def h2_exact_s2(graph: InclusionGraph) -> float:
     """Exact sup of the s = 2 ratio: the top eigenvalue of the condensed form.
 
     The ratio of the family (beta/2, -beta/2) is the Rayleigh quotient
-    beta^T Q beta / beta^T beta.  For a sparse Q: the largest batched
-    ``eigvalsh`` of its symmetrised cluster blocks.  Otherwise: the
+    beta^T Q beta / beta^T beta.  With ``_edge_blocks``: the largest
+    batched ``eigvalsh`` of the symmetrised blocks.  Otherwise: the
     quotient, attained, at the vector of one ``eigsh`` Lanczos run (fixed
     start) on Q, each product one certified solve.
     """
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
-    Q = _h2_operator(graph)
-    if scipy.sparse.issparse(Q):
+    blocks = _edge_blocks(graph)
+    if blocks is not None:
         return max(float(np.linalg.eigvalsh(
-            0.5 * (blocks + blocks.transpose(0, 2, 1)))[:, -1].max())
-            for blocks in _condensed_blocks(Q))
+            0.5 * (Q + Q.transpose(0, 2, 1)))[:, -1].max())
+            for _, Q in blocks)
+    Q = _h2_operator(graph)
     _, vectors = scipy.sparse.linalg.eigsh(
         Q, k=1, which="LA", tol=SOLVE_TOL,
         v0=np.random.default_rng(0).standard_normal(graph.n_edges))
@@ -604,8 +587,8 @@ def _task_value(params: dict, key: str, default):
     what = f"task parameter {key!r}"
     if kind is int:
         value = _json_int(value, what)
-    elif isinstance(value, bool) or not isinstance(
-            value, str if kind is str else (int, float)):
+    elif not (isinstance(value, str) if kind is str
+              else _is_json_number(value)):
         raise SchemaError(f"{what} must be a "
                           f"{'string' if kind is str else 'number'}, "
                           f"got {value!r}")

@@ -15,12 +15,13 @@ Minimizing over u is a symmetric positive definite linear system
     (D + 2 L) u = -2 A^T diag(mu) beta,      beta_e = b_ab - b_ba,
 
 with L the weighted graph Laplacian and D = diag(|I|).  ``SPDSolver`` is
-the single solve path of the package (this minimization, the h2 ascent,
-the clamped network): one sparse direct factorization when every coupled
-block of the matrix (a connected component of its off-diagonal pattern, a
-cluster for these systems) is small, Jacobi-preconditioned conjugate
-gradients otherwise, and every solution certified by its residual against
-the fixed tolerance ``SOLVE_TOL``.
+the single solve path of the package (this minimization, the h2 operator
+of a large cluster, the clamped network): one sparse direct
+factorization when every coupled block of the matrix (a connected
+component of its off-diagonal pattern, a cluster for these systems) is
+small, Jacobi-preconditioned conjugate gradients otherwise, and every
+solution certified by its residual against the fixed tolerance
+``SOLVE_TOL``.
 
 The module also evaluates the explicit gap profile
 
@@ -140,10 +141,17 @@ class EnergyBreakdown:
 # Relative residual every solve aims for; CG stops there, and the gate
 # rejects a solution 10 times above it.
 SOLVE_TOL = 1e-10
+SOLVE_GATE = 10.0 * SOLVE_TOL
 
 # Matrices whose coupled blocks all have fewer unknowns are factored
 # directly; a larger block sends the whole system to CG.
 DENSE_CUTOFF = 200
+
+
+def _small_blocks(labels):
+    """True when every block of ``labels`` has fewer than ``DENSE_CUTOFF``
+    members: the rule that picks the direct path."""
+    return np.bincount(labels, minlength=1).max() < DENSE_CUTOFF
 
 
 class SPDSolver:
@@ -157,8 +165,8 @@ class SPDSolver:
     gradients run per right-hand side, at most 10 n iterations each, to
     the relative residual ``SOLVE_TOL``.  ``solve`` takes one right-hand
     side or an (n, k) block of them.  Every solution column is certified:
-    a relative residual |K x - rhs| / |rhs| above 10 max(SOLVE_TOL, 1e-12),
-    or NaN, raises ``SolverError`` carrying that residual.
+    a relative residual |K x - rhs| / |rhs| above ``SOLVE_GATE``, or NaN,
+    raises ``SolverError`` carrying that residual.
     """
 
     def __init__(self, K):
@@ -168,7 +176,7 @@ class SPDSolver:
         coo = K.tocoo()
         off = coo.row != coo.col
         _, block = _connected_labels(self.n, coo.row[off], coo.col[off])
-        if np.bincount(block, minlength=1).max() < DENSE_CUTOFF:
+        if _small_blocks(block):
             try:
                 self._lu = scipy.sparse.linalg.splu(
                     K.tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -229,7 +237,7 @@ class SPDSolver:
             raise SolverError(
                 f"conjugate gradients did not converge in {self._max_iter} "
                 f"iterations (relative residual {worst:.3e})", residual=worst)
-        bad = np.flatnonzero(~(residual <= max(SOLVE_TOL, 1e-12) * 10.0))
+        bad = np.flatnonzero(~(residual <= SOLVE_GATE))
         if bad.size:
             worst = float(residual[bad[0]])
             raise SolverError(

@@ -49,10 +49,14 @@ class SchemaError(ValueError):
     """A document does not match its expected schema."""
 
 
+def _is_json_number(value):
+    """True for a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _json_int(value, what):
     """``value`` as an int: a JSON integer or integral float, not a bool."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or value % 1):
+    if not _is_json_number(value) or value % 1:
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

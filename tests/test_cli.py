@@ -155,6 +155,19 @@ class TestExperimentSpec:
         assert (spec.base_seed, spec.version) == (7, 1)
         assert spec.hash() == ExperimentSpec.from_dict(spec_dict()).hash()
 
+    @pytest.mark.parametrize("overrides, spec_hash", [
+        ({}, "d6cb5413e55ae134528b8cd8ea8ea18c1ce0bbcd7c4ed87d15ec49db5f686bd4"),
+        ({"delta": 0.25, "N_grid": [2, 3.5, 4]},
+         "2f75243ca2f6bd296fb852c590503d697028cfe3b66c343a2dfb3c11ed307d3d"),
+        ({"tasks": ["keller"],
+          "task_params": {"keller": {"a": 1, "d": 1.0, "gamma": 0,
+                                     "nu_grid": [1e-2, 1e-3]}}},
+         "6cbb99570187d5102b0963389131719ca007717a86943f5affdaa7ad8ae0eae6"),
+    ], ids=["logmoment", "integer-grid", "keller"])
+    def test_number_checks_keep_the_spec_hash(self, overrides, spec_hash):
+        assert ExperimentSpec.from_dict(spec_dict(**overrides)).hash() == \
+            spec_hash
+
     @pytest.mark.parametrize("key, value", [
         ("base_seed", 7.5), ("base_seed", "7"), ("base_seed", True),
         ("version", 1.5), ("version", True), ("version", "1"),
@@ -447,6 +460,51 @@ class TestMain:
         assert key in err
         assert cells == [] and not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"delta": "0.5"},
+        {"delta": True},
+        {"delta": None},
+        {"N_grid": ["2", "3", "4"]},
+        {"N_grid": [3, 4, False]},
+        {"tasks": ["keller"], "task_params": {"keller": {"a": None}}},
+        {"tasks": ["keller"], "task_params": {"keller": {"d": "1"}}},
+        {"tasks": ["keller"], "task_params": {"keller": {"gamma": True}}},
+        {"tasks": ["keller"], "task_params": {"keller": {"nu_grid": 5}}},
+        {"tasks": ["keller"], "task_params": {"keller": {"nu_grid": []}}},
+        {"tasks": ["keller"],
+         "task_params": {"keller": {"nu_grid": [1e-2, "1e-3"]}}},
+    ], ids=["string-delta", "bool-delta", "null-delta", "string-grid-entries",
+            "bool-grid-entry", "null-keller-a", "string-keller-d",
+            "bool-keller-gamma", "scalar-nu-grid", "empty-nu-grid",
+            "string-nu"])
+    def test_run_with_non_number_exits_2_before_writing(self, tmp_path, capsys,
+                                                        overrides):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict(
+            out_dir=str(tmp_path / "results"), **overrides)))
+        code = main(["run", "--spec", str(spec_path)])
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("keller", [
+        {"gamma": math.inf}, {"zzz": 1}, {"a": -1.0}, {"d": math.nan},
+        {"nu_grid": [1e-2, 2.0]}, {"nu_grid": [1e-2, -math.inf]},
+    ], ids=["infinite-gamma", "unknown-key", "negative-a", "nan-d",
+            "nu-above-one", "infinite-nu"])
+    def test_run_with_bad_keller_value_exits_3_before_writing(
+            self, tmp_path, capsys, keller):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict(
+            tasks=["keller"], task_params={"keller": keller},
+            out_dir=str(tmp_path / "results"))))
+        code = main(["run", "--spec", str(spec_path)])
+        assert code == EXIT_VALIDATION_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("model, key, value", [
         ("lattice", "radius", "a"),
         ("lattice", "jitter", math.nan),
@@ -520,6 +578,11 @@ class TestMain:
         assert code == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["slope"] == pytest.approx(math.pi / 2, rel=0.02)
+
+    def test_keller_subcommand_refuses_infinite_gamma(self, capsys):
+        assert main(["keller", "--gamma", "inf"]) == EXIT_VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, message", [
         (["criteria", "--model", "lattice", "--radius", "0.3",
@@ -762,12 +825,22 @@ def lattice_graph_doc():
     return build_graph(components(config), config, 0.5).to_dict()
 
 
+# A keller-only spec that sets every keller key.
+KELLER_SPEC = {
+    "version": 1, "model": "lattice", "model_params": {}, "delta": 0.5,
+    "N_grid": [1, 2, 3], "n_seeds": 1, "base_seed": 0, "tasks": ["keller"],
+    "task_params": {"keller": {"a": 1.0, "d": 1.0, "gamma": 1.0,
+                               "nu_grid": [1e-2, 1e-3]}},
+}
+
+
 class TestMalformedDocuments:
     """Each reader answers a mutated document with a documented exit."""
 
     def test_unmutated_documents_run(self):
         config = lattice_config_doc()
         assert_documented_exit(EVERY_SCAN_KEY_SPEC, ["run", "--spec", "{}"])
+        assert_documented_exit(KELLER_SPEC, ["run", "--spec", "{}"])
         assert set(EVERY_SCAN_KEY_SPEC["task_params"]) == {
             key for task in (*STATISTICS, "effective")
             for key in TASK_PARAMS[task]}
@@ -776,6 +849,11 @@ class TestMalformedDocuments:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(doc=mutated(EVERY_SCAN_KEY_SPEC))
     def test_run_spec(self, doc):
+        assert_documented_exit(doc, ["run", "--spec", "{}"])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(doc=mutated(KELLER_SPEC))
+    def test_run_keller_spec(self, doc):
         assert_documented_exit(doc, ["run", "--spec", "{}"])
 
     @settings(max_examples=120, deadline=None, derandomize=True)

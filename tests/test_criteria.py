@@ -39,11 +39,13 @@ from stiffnet.criteria import (
 from stiffnet.energy import (
     BoundaryFamily,
     PotentialFamily,
+    SolverError,
     SPDSolver,
     affine_boundary_family,
     energy,
 )
 from stiffnet.geometry import (
+    SchemaError,
     SphereConfig,
     components,
     generate_chain_forest,
@@ -227,36 +229,39 @@ class TestPotentialOperator:
                                    atol=1e-12 * scale)
         assert num == pytest.approx(num_ref, rel=1e-12, abs=1e-300)
 
-    def test_column_blocks_give_the_same_operator(self, monkeypatch):
-        # Two small clusters among 60 nodes: the (60, 5) block would hold
-        # more than four times Q's 5^2 + 4^2 = 41 entries, so it is solved
-        # in pieces.
-        edges = [(0, 1, d) for d in (0.1, 0.2, 0.3, 0.4, 0.5)]
-        edges += [(5, 6, 0.05), (6, 7, 0.15), (5, 7, 0.25), (6, 7, 0.35)]
-        rng = np.random.default_rng(11)
-        graph = make_graph(rng.uniform(0.5, 2.0, size=60),
-                           rng.uniform(-2.0, 2.0, size=(60, 3)), edges)
-        solver = SPDSolver(criteria.LaplacianAssembly(graph).system_matrix)
-        whole = criteria._condensed_operator(graph, solver)
-        monkeypatch.setattr(criteria, "_BLOCK_ENTRIES", 1)
-        solves = count_calls(monkeypatch, SPDSolver, "solve")
-        blocked = criteria._condensed_operator(graph, solver)
-        assert len(solves) > 1
-        assert np.array_equal(blocked.toarray(), whole.toarray())
-
-    def test_chain_forest_h2_solves_once(self, chain_forest_graph,
-                                         monkeypatch):
+    def test_chain_forest_h2_makes_no_solve(self, chain_forest_graph,
+                                            monkeypatch):
         opts = H2Options(s=4.0, n_starts=3, max_ascent_iters=40, tol=1e-6)
+        solvers = count_calls(monkeypatch, SPDSolver, "__init__")
         solves = count_calls(monkeypatch, SPDSolver, "solve")
         cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
         est = h2_statistic(chain_forest_graph, opts)
-        assert solves == ["solve"] and cgs == []
+        h2_exact_s2(chain_forest_graph)
+        assert solvers == [] and solves == [] and cgs == []
         monkeypatch.setattr(criteria, "_h2_operator", scatter_solve_operator)
         old = h2_statistic(chain_forest_graph, opts)
         assert len(est.per_start) == len(old.per_start)
         for new_value, old_value in zip(est.per_start, old.per_start):
             assert new_value == pytest.approx(old_value, rel=1e-12)
         assert est.value == pytest.approx(old.value, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [2.0, 4.0])
+    def test_non_positive_volume_raises(self, s):
+        # The isolated node makes K indefinite: the energy has no minimum.
+        graph = make_graph([1.0, 2.0, -0.5],
+                           [(0, 0, 0), (1, 0, 0), (5, 0, 0)],
+                           [(0, 1, 0.1), (0, 1, 0.2)])
+        with pytest.raises(SchemaError, match="finite positive volume"):
+            h2_statistic(graph, H2Options(s=s))
+
+    def test_corrupted_block_inverse_is_rejected(self, monkeypatch):
+        graph = random_test_graph(np.random.default_rng(8), n_nodes_max=12,
+                                  n_edges_max=20)
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda P: inv(P) + 1e-6)
+        with pytest.raises(SolverError, match=r"\|P Q - I\|") as info:
+            h2_statistic(graph, H2Options(s=2.0))
+        assert info.value.residual > 1e-9
 
     def test_duplicate_starts_ascend_once(self, monkeypatch):
         # Along x the affine and midpoint starts of one unit edge are both
