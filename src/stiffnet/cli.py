@@ -49,7 +49,7 @@ from .energy import (
     minimize_energy,
 )
 from .geometry import (SchemaError, SphereConfig, _is_json_number,
-                       _json_int, components, restrict_box)
+                       _json_int, _json_number, components, restrict_box)
 from .multigraph import InclusionGraph, build_graph
 
 __all__ = [
@@ -225,29 +225,33 @@ class ExperimentSpec:
         if not isinstance(keller, dict):
             raise SchemaError("experiment spec field 'task_params.keller' "
                               "must be a JSON object")
+        strings = [("model", data["model"]),
+                   ("out_dir", data.get("out_dir", "results")),
+                   *((f"tasks[{i}]", t) for i, t in enumerate(data["tasks"]))]
+        for key, value in strings:
+            if not isinstance(value, str):
+                raise SchemaError(f"experiment spec field {key!r} must be a "
+                                  f"string, got {value!r}")
         for key, value in data.get("model_params", {}).items():
             _check_model_value(key, value)
         version, n_seeds, base_seed = (
             _json_int(data[key], f"experiment spec field {key!r}")
             for key in ("version", "n_seeds", "base_seed"))
-        numbers = [("delta", data["delta"]), *(
-            (f"N_grid[{i}]", v) for i, v in enumerate(data["N_grid"]))]
-        for key, value in numbers:
-            if not _is_json_number(value):
-                raise SchemaError(f"experiment spec field {key!r} must be a "
-                                  f"number, got {value!r}")
+        delta = _json_number(data["delta"], "experiment spec field 'delta'")
+        N_grid = tuple(_json_number(v, f"experiment spec field 'N_grid[{i}]'")
+                       for i, v in enumerate(data["N_grid"]))
         _keller_params(keller)
         spec = cls(
             version=version,
-            model=str(data["model"]),
+            model=data["model"],
             model_params=dict(data.get("model_params", {})),
-            delta=float(data["delta"]),
-            N_grid=tuple(float(v) for v in data["N_grid"]),
+            delta=delta,
+            N_grid=N_grid,
             n_seeds=n_seeds,
             base_seed=base_seed,
-            tasks=tuple(str(t) for t in data["tasks"]),
+            tasks=tuple(data["tasks"]),
             task_params=dict(data.get("task_params", {})),
-            out_dir=str(data.get("out_dir", "results")),
+            out_dir=data.get("out_dir", "results"),
         )
         spec.validate()
         return spec
@@ -346,23 +350,22 @@ def _keller_params(params: dict) -> list:
     that is not finite, or one outside ``KellerParams``' ranges.
     """
     values = {**_KELLER_DEFAULTS, **params}
-    a, d, gamma, nu_grid = (values[k] for k in _KELLER_DEFAULTS)
-    if not (all(map(_is_json_number, (a, d, gamma)))
-            and isinstance(nu_grid, list) and nu_grid
-            and all(map(_is_json_number, nu_grid))):
-        raise SchemaError(f"keller parameters a, d and gamma must be numbers "
-                          f"and nu_grid a nonempty list of numbers, got "
-                          f"{params!r}")
+    nu_grid = values["nu_grid"]
+    if not (isinstance(nu_grid, list) and nu_grid):
+        raise SchemaError(f"keller parameter nu_grid must be a nonempty "
+                          f"list of numbers, got {nu_grid!r}")
+    a, d, gamma, *nu_grid = (
+        _json_number(v, "keller parameter") for v in
+        (values["a"], values["d"], values["gamma"], *nu_grid))
     unknown = sorted(set(params) - set(_KELLER_DEFAULTS))
     if unknown:
         raise ValidationError(f"unknown keller parameters {unknown}; the "
                               f"table takes {list(_KELLER_DEFAULTS)}")
-    if not all(map(_finite_number, (a, d, gamma, *nu_grid))):
+    if not all(map(math.isfinite, (a, d, gamma, *nu_grid))):
         raise ValidationError(f"keller parameters must be finite, got "
                               f"{params!r}")
     try:
-        return [KellerParams(a=float(a), nu=float(nu), d=float(d),
-                             gamma=float(gamma)) for nu in nu_grid]
+        return [KellerParams(a=a, nu=nu, d=d, gamma=gamma) for nu in nu_grid]
     except ValueError as exc:
         raise ValidationError(f"keller parameters: {exc}") from None
 

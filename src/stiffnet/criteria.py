@@ -19,10 +19,11 @@ explicit edge matrix P = W^-1 + A D^-1 A^T, each gap conductance in
 series with the mass terms of its two inclusions; P is block diagonal
 by cluster.  ``_h2_operator`` builds Q once per graph: from the batched
 inverses of P's cluster blocks, with no solve, when every cluster has
-fewer than ``DENSE_CUTOFF`` nodes, else as a ``LinearOperator`` with one
-solve of K per product.  At s = 2 the sup is exactly Q's top
-eigenvalue: batched dense eigensolves of the blocks, or Lanczos on the
-operator.
+fewer than this module's ``DENSE_CUTOFF`` nodes, else as a
+``LinearOperator`` with one conjugate-gradient solve of K per product.
+Both paths first certify K and P positive definite from the volumes.
+At s = 2 the sup is exactly Q's top eigenvalue: batched dense
+eigensolves of the blocks, or Lanczos on the operator.
 
 For s > 2 the sup is estimated from below by projected gradient ascent
 over antisymmetric families on the unit l_s sphere (the sup is attained
@@ -59,7 +60,6 @@ from .energy import (
     LaplacianAssembly,
     SolverError,
     SPDSolver,
-    _small_blocks,
     affine_boundary_family,
     midpoint_boundary_family,
     minimize_energy,
@@ -68,8 +68,8 @@ from .geometry import (
     SchemaError,
     SphereConfig,
     _connected_labels,
-    _is_json_number,
     _json_int,
+    _json_number,
     cluster_moment_statistic,
     components,
     generate_chain_forest,
@@ -177,6 +177,11 @@ def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float) -> float:
     return breakdown.total / (Q * (S / Q) ** (2.0 / s))
 
 
+# Graphs whose clusters all have fewer nodes get Q from P's inverted
+# blocks; a larger cluster sends the whole graph to the CG operator.
+DENSE_CUTOFF = 200
+
+
 def _edge_blocks(graph: InclusionGraph):
     """Q's cluster blocks as inverses of the edge matrix P, or None.
 
@@ -186,13 +191,13 @@ def _edge_blocks(graph: InclusionGraph):
     When every cluster has fewer than ``DENSE_CUTOFF`` nodes, returns one
     pair per edge count m: the (k, m) edge ids, ascending, of the k
     clusters with m edges, and their (k, m, m) blocks Q_c = P_c^-1,
-    inverted batched.  Otherwise None: the CG path.  A node volume that
-    is not finite and positive raises SchemaError.
+    inverted batched.  Otherwise None: the CG path.  On both paths a node
+    volume that is not finite and positive raises SchemaError.
     """
-    _, cluster = _connected_labels(graph.n_nodes, graph.a, graph.b)
-    if not _small_blocks(cluster):
-        return None
     graph.check_volumes()
+    _, cluster = _connected_labels(graph.n_nodes, graph.a, graph.b)
+    if np.bincount(cluster, minlength=1).max() >= DENSE_CUTOFF:
+        return None
     edge_cluster = cluster[graph.a]
     by_cluster = np.argsort(edge_cluster, kind="stable")
     count = np.bincount(edge_cluster)
@@ -555,7 +560,7 @@ TASK_PARAMS = {
 }
 
 
-# Each task value's JSON type: float (a number, not a bool), int (the
+# Each task value's JSON type: float (the ``_json_number`` rule), int (the
 # ``_json_int`` rule) or str; and its range, a test and the rule it states
 # (None where H2Options checks the field itself).
 _TASK_VALUES = {
@@ -587,12 +592,10 @@ def _task_value(params: dict, key: str, default):
     what = f"task parameter {key!r}"
     if kind is int:
         value = _json_int(value, what)
-    elif not (isinstance(value, str) if kind is str
-              else _is_json_number(value)):
-        raise SchemaError(f"{what} must be a "
-                          f"{'string' if kind is str else 'number'}, "
-                          f"got {value!r}")
-    value = kind(value)
+    elif kind is float:
+        value = _json_number(value, what)
+    elif not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, got {value!r}")
     if check is not None and not check[0](value):
         raise ValueError(f"{what} must be {check[1]}, got {value!r}")
     return value

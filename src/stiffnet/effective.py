@@ -94,6 +94,8 @@ def network_effective_tensor(graph: InclusionGraph,
     U = np.zeros((n, 3))
     U[clamped] = graph.centroids[clamped]
     if free.size:
+        # L_ff is SPD: every mu > 0, and every free node's cluster holds a
+        # clamped node, so no nonzero U_free leaves the gap energy at 0.
         rows = LaplacianAssembly(graph).laplacian[free]
         U[free] = SPDSolver(rows[:, free]).solve(
             -(rows[:, clamped] @ U[clamped]))

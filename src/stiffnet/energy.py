@@ -16,12 +16,12 @@ Minimizing over u is a symmetric positive definite linear system
 
 with L the weighted graph Laplacian and D = diag(|I|).  ``SPDSolver`` is
 the single solve path of the package (this minimization, the h2 operator
-of a large cluster, the clamped network): one sparse direct
-factorization when every coupled block of the matrix (a connected
-component of its off-diagonal pattern, a cluster for these systems) is
-small, Jacobi-preconditioned conjugate gradients otherwise, and every
-solution certified by its residual against the fixed tolerance
-``SOLVE_TOL``.
+of a large cluster, the clamped network): Jacobi-preconditioned
+conjugate gradients, every solution certified by its residual against
+the fixed tolerance ``SOLVE_TOL``.  Positive definiteness is the
+caller's certificate, read off the data before the matrix is assembled:
+here every volume is finite and positive (``check_volumes``) and every
+mu > 0, so D + 2 L is SPD.
 
 The module also evaluates the explicit gap profile
 
@@ -65,7 +65,7 @@ class SolverError(RuntimeError):
     """A linear solve failed to reach the requested residual.
 
     ``residual`` is the relative residual of the rejected solution (NaN
-    when the matrix could not be factored).
+    when the solution is not finite).
     """
 
     def __init__(self, message, residual=None):
@@ -143,75 +143,36 @@ class EnergyBreakdown:
 SOLVE_TOL = 1e-10
 SOLVE_GATE = 10.0 * SOLVE_TOL
 
-# Matrices whose coupled blocks all have fewer unknowns are factored
-# directly; a larger block sends the whole system to CG.
-DENSE_CUTOFF = 200
-
-
-def _small_blocks(labels):
-    """True when every block of ``labels`` has fewer than ``DENSE_CUTOFF``
-    members: the rule that picks the direct path."""
-    return np.bincount(labels, minlength=1).max() < DENSE_CUTOFF
-
 
 class SPDSolver:
     """Solves K x = rhs for one SPD matrix K and many right-hand sides.
 
-    When every connected block of K's off-diagonal pattern has fewer than
-    ``DENSE_CUTOFF`` unknowns, K is factored once by sparse LU with a
-    symmetric fill-reducing ordering and diagonal pivots (fill stays
-    inside the blocks), and positive definiteness is certified by the
-    pivots; otherwise K gets its Jacobi preconditioner once and conjugate
-    gradients run per right-hand side, at most 10 n iterations each, to
-    the relative residual ``SOLVE_TOL``.  ``solve`` takes one right-hand
-    side or an (n, k) block of them.  Every solution column is certified:
-    a relative residual |K x - rhs| / |rhs| above ``SOLVE_GATE``, or NaN,
-    raises ``SolverError`` carrying that residual.
+    Conjugate gradients with K's Jacobi preconditioner run per
+    right-hand side, at most 10 n iterations each, to the relative
+    residual ``SOLVE_TOL``.  K must be symmetric positive definite; the
+    caller certifies that from the data K is built from.  ``solve``
+    takes one right-hand side or an (n, k) block of them.  Every solution
+    column is certified: a relative residual |K x - rhs| / |rhs| above
+    ``SOLVE_GATE``, or NaN, raises ``SolverError`` carrying that residual.
     """
 
     def __init__(self, K):
         self.K = K
         self.n = K.shape[0]
-        self._lu = None
-        coo = K.tocoo()
-        off = coo.row != coo.col
-        _, block = _connected_labels(self.n, coo.row[off], coo.col[off])
-        if _small_blocks(block):
-            try:
-                self._lu = scipy.sparse.linalg.splu(
-                    K.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            except RuntimeError as exc:     # an exactly zero pivot
-                raise SolverError(f"system matrix is singular: {exc}",
-                                  residual=math.nan) from None
-            # Diagonal pivots under a symmetric ordering give P K P^T =
-            # L D L^T, and K is positive definite iff every pivot is > 0.
-            if not (np.array_equal(self._lu.perm_r, self._lu.perm_c)
-                    and np.all(self._lu.U.diagonal() > 0.0)):
-                raise SolverError("system matrix is not positive definite",
-                                  residual=math.nan)
-        else:
-            self._precond = scipy.sparse.diags(1.0 / K.diagonal())
-            self._max_iter = 10 * self.n
-
-    @property
-    def direct(self):
-        """True when K was factored (every coupled block is small)."""
-        return self._lu is not None
+        self._precond = scipy.sparse.diags(1.0 / K.diagonal())
+        self._max_iter = 10 * self.n
 
     def solve(self, rhs):
         """The solution x of K x = rhs, certified column by column.
 
         ``rhs`` is a vector of length n or an (n, k) array of k
-        right-hand sides, and x has its shape.  The direct path solves
-        all columns in one call to the factor (each column bitwise equal
-        to its own solve); CG runs once per column.  A zero column gives
-        zeros; a column whose relative residual fails the gate raises
-        ``SolverError`` carrying that residual.  Each column is solved
-        divided by the smallest power of two above its largest entry, so
-        its norms neither underflow nor overflow; the scaling is exact,
-        and the solution bitwise that of the unscaled column wherever
-        nothing underflows.
+        right-hand sides, and x has its shape; CG runs once per column.
+        A zero column gives zeros; a column whose relative residual fails
+        the gate raises ``SolverError`` carrying that residual.  Each
+        column is solved divided by the smallest power of two above its
+        largest entry, so its norms neither underflow nor overflow; the
+        scaling is exact, and the solution bitwise that of the unscaled
+        column wherever nothing underflows.
         """
         rhs = np.asarray(rhs, dtype=float)
         cols = rhs.reshape(self.n, -1)
@@ -224,13 +185,10 @@ class SPDSolver:
         cols = cols[:, live] / scale
         rhs_norm = np.linalg.norm(cols, axis=0)
         info = np.zeros(live.size, dtype=int)
-        if self._lu is not None:
-            x[:, live] = self._lu.solve(cols)
-        else:
-            for k, j in enumerate(live):
-                x[:, j], info[k] = scipy.sparse.linalg.cg(
-                    self.K, np.ascontiguousarray(cols[:, k]), rtol=SOLVE_TOL,
-                    atol=0.0, maxiter=self._max_iter, M=self._precond)
+        for k, j in enumerate(live):
+            x[:, j], info[k] = scipy.sparse.linalg.cg(
+                self.K, np.ascontiguousarray(cols[:, k]), rtol=SOLVE_TOL,
+                atol=0.0, maxiter=self._max_iter, M=self._precond)
         residual = np.linalg.norm(self.K @ x[:, live] - cols, axis=0) / rhs_norm
         if info.any():
             worst = float(residual[np.flatnonzero(info)[0]])
@@ -309,11 +267,13 @@ class LaplacianAssembly:
 def minimize_energy(graph: InclusionGraph, b: BoundaryFamily):
     """Minimize the energy over the node potentials.
 
-    Returns ``(u_star, breakdown)``.  The minimizer is unique (the mass
-    diagonal is positive definite, so the system matrix is SPD) and is
-    certified by ``SPDSolver``'s residual gate.
+    Returns ``(u_star, breakdown)``.  The minimizer is unique and is
+    certified by ``SPDSolver``'s residual gate.  A node volume that is
+    not finite and positive raises SchemaError.
     """
     _check_indexing(graph, b=b)
+    # Every mu = |ln d| > 0 since 0 < d < 1, so D > 0 makes K = D + 2 L SPD.
+    graph.check_volumes()
     if graph.n_nodes == 0:
         return PotentialFamily.zeros(0), EnergyBreakdown(0.0, 0.0, 0.0)
     assembly = LaplacianAssembly(graph)

@@ -20,6 +20,7 @@ seed, params) reproduce the same configuration bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,27 @@ def _is_json_number(value):
 
 
 def _json_int(value, what):
-    """``value`` as an int: a JSON integer or integral float, not a bool."""
-    if not _is_json_number(value) or value % 1:
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    """``value`` as an int: a JSON integer or integral float, not a bool,
+    of a magnitude within the float range."""
+    if (not _is_json_number(value) or not abs(value) <= sys.float_info.max
+            or value % 1):
+        raise SchemaError(f"{what} must be an integer in the float range, "
+                          f"got {value!r}")
     return int(value)
+
+
+def _json_number(value, what):
+    """``value`` as a float: a JSON number, not a bool.
+
+    An integer beyond the float range reads as inf or -inf, so the range
+    check of the field answers it.
+    """
+    if not _is_json_number(value):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class SphereConfig:
@@ -131,15 +149,19 @@ class SphereConfig:
             if not isinstance(c, list) or len(c) != 3:
                 raise SchemaError("sphere center must be a 3-element list")
         try:
-            centers = [[float(v) for v in entry["c"]] for entry in spheres]
-            radii = [float(entry["r"]) for entry in spheres]
+            centers = [[_json_number(v, "sphere center entry")
+                        for v in entry["c"]] for entry in spheres]
+            radii = [_json_number(entry["r"], "sphere radius")
+                     for entry in spheres]
             return cls(
                 np.array(centers, dtype=float).reshape(-1, 3),
                 np.array(radii, dtype=float),
-                float(data["box_half_width"]),
+                _json_number(data["box_half_width"],
+                             "configuration field 'box_half_width'"),
                 model=data["model"],
                 seed=_json_int(data["seed"], "configuration field 'seed'"),
-                contact_tol=float(data["contact_tol"]),
+                contact_tol=_json_number(data["contact_tol"],
+                                         "configuration field 'contact_tol'"),
             )
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"invalid configuration values: {exc}") from None

@@ -29,6 +29,7 @@ from .geometry import (
     SphereConfig,
     _connected_labels,
     _json_int,
+    _json_number,
     _pairs_within,
     _pairwise_extent,
     _row_norms,
@@ -117,7 +118,8 @@ class InclusionGraph:
     def from_dict(cls, data):
         """Read a graph document into the columns; SchemaError if malformed.
 
-        Ids and edge ends must be integers and ``boundary`` a boolean.
+        Ids and edge ends must be integers, ``boundary`` a boolean and
+        every other value a JSON number.
         Each node's id must equal its position, and every edge needs
         ``0 <= a < b < n``, ``d`` in (0, 1) and ``mu == |ln d|``; ``N`` must
         be finite and positive, ``delta`` in (0, 1), and every centroid,
@@ -128,15 +130,23 @@ class InclusionGraph:
         missing = [k for k in ("delta", "N", "nodes", "edges") if k not in data]
         if missing:
             raise SchemaError(f"graph document missing fields: {missing}")
+
+        def number(record, key):
+            return _json_number(record[key], f"graph field {key!r}")
+
+        def vector(record, key):
+            return [_json_number(v, f"graph field {key!r} entry")
+                    for v in record[key]]
+
         try:
-            delta, N = float(data["delta"]), float(data["N"])
-            nodes = [(_json_int(n["id"], "node id"), float(n["vol"]),
-                      [float(v) for v in n["x"]], float(n["diam"]),
-                      n["boundary"]) for n in data["nodes"]]
+            delta, N = number(data, "delta"), number(data, "N")
+            nodes = [(_json_int(n["id"], "node id"), number(n, "vol"),
+                      vector(n, "x"), number(n, "diam"), n["boundary"])
+                     for n in data["nodes"]]
             edges = [(*(_json_int(e[key], f"edge {key}")
                         for key in ("id", "a", "b")),
-                      [float(v) for v in e["xa"]], [float(v) for v in e["xb"]],
-                      float(e["d"]), float(e["mu"])) for e in data["edges"]]
+                      vector(e, "xa"), vector(e, "xb"), number(e, "d"),
+                      number(e, "mu")) for e in data["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"invalid graph document: {exc}") from None
         n = len(nodes)

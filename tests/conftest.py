@@ -216,18 +216,19 @@ class ScatterSolveMinimizer:
     """The h2 energy minimum with one certified solve per call.
 
     Each ``minimum`` scatters the right-hand side -A^T W beta with
-    ``np.add.at`` and solves the system once; it shares only ``SPDSolver``
-    with the package's operator ``criteria._h2_operator``, and
-    ``scatter_solve_operator`` stands in for that operator as its oracle.
+    ``np.add.at`` and solves the system once with SciPy's sparse direct
+    ``spsolve``; it shares only ``LaplacianAssembly`` with the package's
+    operator ``criteria._h2_operator``, and ``scatter_solve_operator``
+    stands in for that operator as its oracle.
     """
 
     def __init__(self, graph):
-        from stiffnet.energy import LaplacianAssembly, SPDSolver
+        from stiffnet.energy import LaplacianAssembly
 
         self.a_idx, self.b_idx, self.mu = graph.a, graph.b, graph.mu
         self.n = graph.n_nodes
         self.volumes = graph.volumes
-        self.solver = SPDSolver(LaplacianAssembly(graph).system_matrix)
+        self.K = LaplacianAssembly(graph).system_matrix.tocsc()
 
     def minimum(self, beta):
         """(2 mu r, minimal energy) at the antisymmetric family beta.
@@ -238,7 +239,7 @@ class ScatterSolveMinimizer:
         rhs = np.zeros(self.n)
         np.subtract.at(rhs, self.a_idx, 2.0 * self.mu * beta)
         np.add.at(rhs, self.b_idx, 2.0 * self.mu * beta)
-        u = self.solver.solve(rhs)
+        u = scipy.sparse.linalg.spsolve(self.K, rhs)
         r = (beta + u[self.a_idx]) - u[self.b_idx]
         num = float(np.sum(2.0 * self.mu * r * r)
                     + np.sum(self.volumes * u * u))
@@ -512,9 +513,9 @@ def polarised_tensor(graph, layer_width):
     One solve per probe direction (three axes, three face diagonals) of
     the clamped system, assembled entry by entry; the axes give the
     diagonal, e(x_i + x_j) - (A_ii + A_jj)/2 the off-diagonal entries.
+    Each solve is SciPy's sparse direct ``spsolve``.
     """
     from stiffnet.effective import boundary_nodes
-    from stiffnet.energy import SPDSolver
     from stiffnet.geometry import _connected_labels
 
     n = graph.n_nodes
@@ -537,8 +538,8 @@ def polarised_tensor(graph, layer_width):
         rows = np.stack([ia, ib, ia, ib], axis=1)[entry]
         cols = np.stack([ia, ib, ib, ia], axis=1)[entry]
         vals = np.stack([mu, mu, -mu, -mu], axis=1)[entry]
-        solver = SPDSolver(scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(solve_ids.size, solve_ids.size)))
+        L_ff = scipy.sparse.csc_matrix(
+            (vals, (rows, cols)), shape=(solve_ids.size, solve_ids.size))
     one_end = (ia >= 0) != (ib >= 0)
 
     sq2 = 1.0 / math.sqrt(2.0)
@@ -553,7 +554,7 @@ def polarised_tensor(graph, layer_width):
             rhs = np.zeros(solve_ids.size)
             far = np.where(ia >= 0, u[b_idx], u[a_idx])
             np.add.at(rhs, np.maximum(ia, ib)[one_end], (mu * far)[one_end])
-            u[solve_ids] = solver.solve(rhs)
+            u[solve_ids] = scipy.sparse.linalg.spsolve(L_ff, rhs)
         diff = u[a_idx] - u[b_idx]
         energies.append(float(np.sum(2.0 * mu * diff * diff))
                         / graph.box_volume())

@@ -745,6 +745,8 @@ EVERY_SCAN_KEY_SPEC = {
                     "layer_width": 0.5},
 }
 
+DOCUMENTED_EXITS = (EXIT_OK, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR)
+
 # One value of each JSON type: string, boolean, null, list, object, number.
 JSON_TYPES = ("x", True, None, [], {}, 1)
 
@@ -770,22 +772,34 @@ def _at(doc, path):
 
 @st.composite
 def mutated(draw, doc):
-    """``doc`` after one mutation that never changes a magnitude.
+    """``doc`` after one mutation, and the exit codes it may give.
 
     Drop a key or list entry, add a key to an object, change a value's
-    JSON type, put NaN or an infinity in its place, or nest it in a list.
+    JSON type, put NaN or an infinity in its place, or nest it in a list:
+    any documented exit.  Replace a number by an integer beyond the float
+    range: any documented exit.  Write a number as a string: exit 2,
+    except in xi, whose entries ``_direction`` checks together (exit 3).
     """
     doc = copy.deepcopy(doc)
     paths = list(_paths(doc))
     kind = draw(st.sampled_from(["drop", "add", "retype", "non-finite",
-                                 "nest"]))
+                                 "nest", "huge", "string"]))
     if kind == "add":
         objects = [()] + [p for p in paths if isinstance(_at(doc, p), dict)]
         _at(doc, draw(st.sampled_from(objects)))["extra"] = 1
-        return doc
-    *head, key = draw(st.sampled_from(paths))
+        return doc, DOCUMENTED_EXITS
+    if kind in ("huge", "string"):
+        paths = [p for p in paths if _json_type(_at(doc, p)) == "number"]
+    path = draw(st.sampled_from(paths))
+    *head, key = path
     parent = _at(doc, head)
-    if kind == "drop":
+    if kind == "huge":
+        parent[key] = draw(st.sampled_from([10 ** 400, -10 ** 400]))
+    elif kind == "string":
+        parent[key] = str(parent[key])
+        return doc, ((EXIT_VALIDATION_ERROR,) if "xi" in path
+                     else (EXIT_PARSE_ERROR,))
+    elif kind == "drop":
         del parent[key]
     elif kind == "retype":
         parent[key] = copy.deepcopy(draw(st.sampled_from(
@@ -795,12 +809,12 @@ def mutated(draw, doc):
         parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     else:
         parent[key] = [parent[key]]
-    return doc
+    return doc, DOCUMENTED_EXITS
 
 
-def assert_documented_exit(doc, argv):
-    """Run ``main`` on ``doc`` written to a file: exit 0, or 2 or 3 with
-    exactly one ``error:`` line on stderr."""
+def assert_documented_exit(doc, argv, exits=DOCUMENTED_EXITS):
+    """Run ``main`` on ``doc`` written to a file: an exit in ``exits``,
+    and a nonzero one with exactly one ``error:`` line on stderr."""
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "doc.json"
         path.write_text(json.dumps(doc))
@@ -810,7 +824,7 @@ def assert_documented_exit(doc, argv):
             code = main(["--out", str(Path(work) / "out"),
                          *(arg.format(path) for arg in argv)])
     err = err.getvalue()
-    assert code in (EXIT_OK, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR), err
+    assert code in exits, err
     if code != EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -847,24 +861,24 @@ class TestMalformedDocuments:
         assert len(config["spheres"]) == 8
 
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(doc=mutated(EVERY_SCAN_KEY_SPEC))
-    def test_run_spec(self, doc):
-        assert_documented_exit(doc, ["run", "--spec", "{}"])
+    @given(case=mutated(EVERY_SCAN_KEY_SPEC))
+    def test_run_spec(self, case):
+        assert_documented_exit(case[0], ["run", "--spec", "{}"], case[1])
 
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(doc=mutated(KELLER_SPEC))
-    def test_run_keller_spec(self, doc):
-        assert_documented_exit(doc, ["run", "--spec", "{}"])
+    @given(case=mutated(KELLER_SPEC))
+    def test_run_keller_spec(self, case):
+        assert_documented_exit(case[0], ["run", "--spec", "{}"], case[1])
 
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(doc=mutated(lattice_config_doc()))
-    def test_graph_config(self, doc):
-        assert_documented_exit(doc, ["graph", "--config", "{}",
-                                     "--delta", "0.5"])
+    @given(case=mutated(lattice_config_doc()))
+    def test_graph_config(self, case):
+        assert_documented_exit(case[0], ["graph", "--config", "{}",
+                                         "--delta", "0.5"], case[1])
 
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(doc=mutated(lattice_graph_doc()),
+    @given(case=mutated(lattice_graph_doc()),
            family=st.sampled_from(["affine", "midpoint"]))
-    def test_energy_graph(self, doc, family):
-        assert_documented_exit(doc, ["energy", "--graph", "{}",
-                                     "--family", family])
+    def test_energy_graph(self, case, family):
+        assert_documented_exit(case[0], ["energy", "--graph", "{}",
+                                         "--family", family], case[1])

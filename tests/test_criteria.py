@@ -1,6 +1,5 @@
 """Criterion statistics: affine energy, family-uniform ratio, moments, scans."""
 
-import importlib
 import math
 
 import numpy as np
@@ -326,7 +325,7 @@ class TestPotentialOperator:
     def test_chain_forest_s2_value_is_the_dense_eigenvalue(
             self, chain_forest_graph):
         # Q column by column from the scatter-and-solve oracle, whose
-        # columns Q e_i = 2 mu r share only SPDSolver with the package.
+        # columns Q e_i = 2 mu r share only LaplacianAssembly with the package.
         oracle = ScatterSolveMinimizer(chain_forest_graph)
         Q = np.column_stack([oracle.minimum(e)[0]
                              for e in np.eye(chain_forest_graph.n_edges)])
@@ -339,8 +338,7 @@ class TestPotentialOperator:
                                   n_edges_max=20)
         direct = h2_exact_s2(graph)
         assert direct == pytest.approx(eigensolve_oracle(graph), rel=1e-9)
-        monkeypatch.setattr(importlib.import_module("stiffnet.energy"),
-                            "DENSE_CUTOFF", 1)
+        monkeypatch.setattr(criteria, "DENSE_CUTOFF", 1)
         cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
         assert h2_exact_s2(graph) == pytest.approx(direct, rel=1e-8)
         assert cgs

@@ -148,7 +148,8 @@ class TestNetworkTensor:
 
 
 def tensor_test_graphs():
-    """(id, graph, layer, CG runs): direct path, CG path and a forest."""
+    """(id, graph, layer, CG runs): small clusters, one large cluster and a
+    forest; the clamped solve runs CG once per axis column."""
     hardcore = generate_hardcore(seed=13, N=5, intensity=0.05, radius=0.9,
                                  min_gap=0.02)
     lattice = generate_lattice_jitter(seed=0, N=4, spacing=1, radius=0.4,
@@ -156,11 +157,11 @@ def tensor_test_graphs():
     chains = generate_chain_forest(seed=1, N=12, radius=1.0, chain_len_max=8,
                                    gap_range=[0.01, 0.1])
     return [("hardcore", build_graph(components(hardcore), hardcore, 0.45),
-             0.45, 0),
+             0.45, 3),
             ("lattice-512", build_graph(components(lattice), lattice, 0.5),
              0.5, 3),
             ("chain-forest", build_graph(components(chains), chains, 0.2),
-             0.2, 0)]
+             0.2, 3)]
 
 
 class TestAgainstPolarisation:

@@ -1,5 +1,6 @@
-"""The shared SPD solve layer: both paths, certification, reuse per graph."""
+"""The shared SPD solve layer: conjugate gradients and certification."""
 
+import dataclasses
 import importlib
 import math
 
@@ -10,10 +11,16 @@ import scipy.sparse.linalg
 
 import stiffnet.criteria as criteria
 from conftest import cap_cg_iterations, count_calls, make_graph
-from stiffnet.criteria import H2Options, h2_ratio, h2_statistic
+from stiffnet.criteria import (
+    DENSE_CUTOFF,
+    H2Options,
+    ScanCell,
+    h2_ratio,
+    h2_statistic,
+    task_evaluator,
+)
 from stiffnet.effective import network_effective_tensor
 from stiffnet.energy import (
-    DENSE_CUTOFF,
     BoundaryFamily,
     LaplacianAssembly,
     SolverError,
@@ -22,6 +29,7 @@ from stiffnet.energy import (
     minimize_energy,
 )
 from stiffnet.geometry import (
+    SchemaError,
     components,
     generate_chain_forest,
     generate_lattice_jitter,
@@ -51,16 +59,22 @@ def lattice_512():
 
 
 class TestSPDSolver:
-    @pytest.mark.parametrize("n", [DENSE_CUTOFF - 1, DENSE_CUTOFF])
+    @pytest.mark.parametrize("n", [DENSE_CUTOFF - 1, DENSE_CUTOFF,
+                                   "block-diagonal"])
     def test_both_paths_match_dense_solve(self, n, tight_tol):
-        rng = np.random.default_rng(n)
-        # Diagonally dominant tridiagonal matrix: SPD, well conditioned.
-        off = -rng.uniform(0.1, 1.0, size=n - 1)
-        diag = 2.5 + rng.uniform(0.0, 1.0, size=n)
-        K = scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+        if n == "block-diagonal":
+            rng = np.random.default_rng(3)
+            K = self.block_diagonal(
+                rng, [DENSE_CUTOFF - 1, 1, 57, DENSE_CUTOFF - 1, 120], 1.0)
+        else:
+            rng = np.random.default_rng(n)
+            # Diagonally dominant tridiagonal matrix: SPD, well conditioned.
+            off = -rng.uniform(0.1, 1.0, size=n - 1)
+            diag = 2.5 + rng.uniform(0.0, 1.0, size=n)
+            K = scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
         solver = SPDSolver(K)
         for _ in range(3):
-            rhs = rng.normal(size=n)
+            rhs = rng.normal(size=K.shape[0])
             x = solver.solve(rhs)
             np.testing.assert_allclose(x, np.linalg.solve(K.toarray(), rhs),
                                        rtol=1e-9, atol=1e-12)
@@ -71,12 +85,6 @@ class TestSPDSolver:
         x = SPDSolver(K).solve(np.zeros(DENSE_CUTOFF))
         assert np.array_equal(x, np.zeros(DENSE_CUTOFF))
         assert calls == []
-
-    def test_indefinite_dense_matrix_raises_solver_error(self):
-        K = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(SolverError) as info:
-            SPDSolver(K)
-        assert math.isnan(info.value.residual)
 
     def test_iteration_cap_raises_with_residual(self, lattice_512,
                                                 monkeypatch):
@@ -89,17 +97,13 @@ class TestSPDSolver:
         assert info.value.residual > 1e-9
 
     @pytest.mark.parametrize("tiny", [1e-200, 5.75e-264])
-    @pytest.mark.parametrize("cutoff", [DENSE_CUTOFF, 1], ids=["direct", "cg"])
-    def test_tiny_rhs_gives_the_scaled_solution(self, cutoff, tiny,
-                                                monkeypatch):
+    def test_tiny_rhs_gives_the_scaled_solution(self, tiny):
         # Below ~1e-154 the squares in a column's 2-norm underflow to 0;
         # such a column is still nonzero and must be solved.
-        monkeypatch.setattr(ENERGY, "DENSE_CUTOFF", cutoff)
         graph = make_graph([1.0, 1.0, 1.0],
                            [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (3.0, 0.0, 0.0)],
                            [(0, 1, 0.5), (0, 1, 1.0 / 6.0)])
         solver = SPDSolver(LaplacianAssembly(graph).system_matrix)
-        assert solver.direct == (cutoff == DENSE_CUTOFF)
         rhs = np.array([-1.0, 1.0, 0.0])
         x = solver.solve(tiny * rhs)
         assert np.all(x[:2] != 0.0)
@@ -114,30 +118,6 @@ class TestSPDSolver:
             B = rng.normal(size=(m, m))
             blocks.append(B @ B.T + shift * m * np.eye(m))
         return scipy.sparse.block_diag(blocks, format="csr")
-
-    def test_small_blocks_factor_directly(self, monkeypatch, tight_tol):
-        rng = np.random.default_rng(3)
-        sizes = [DENSE_CUTOFF - 1, 1, 57, DENSE_CUTOFF - 1, 120]
-        assert sum(sizes) >= 2 * DENSE_CUTOFF
-        K = self.block_diagonal(rng, sizes, 1.0)
-        calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
-        solver = SPDSolver(K)
-        for _ in range(3):
-            rhs = rng.normal(size=K.shape[0])
-            np.testing.assert_allclose(solver.solve(rhs),
-                                       np.linalg.solve(K.toarray(), rhs),
-                                       rtol=1e-9, atol=1e-12)
-        assert calls == []
-
-    def test_indefinite_small_blocks_raise_solver_error(self):
-        rng = np.random.default_rng(4)
-        sizes = [DENSE_CUTOFF - 1, 80, DENSE_CUTOFF - 1]
-        # For square Gaussian B the spectrum of B B^T - m I spans about
-        # [-m, 3m]: every block is indefinite.
-        K = self.block_diagonal(rng, sizes, -1.0)
-        with pytest.raises(SolverError) as info:
-            SPDSolver(K)
-        assert math.isnan(info.value.residual)
 
     def test_one_block_at_the_cutoff_takes_cg(self, monkeypatch,
                                               tight_tol):
@@ -163,13 +143,9 @@ class TestSPDSolver:
 
 
 class TestManyRightHandSides:
-    @pytest.mark.parametrize("sizes", [[DENSE_CUTOFF - 1, 40, 7],
-                                       [DENSE_CUTOFF, 3]],
-                             ids=["direct", "cg"])
-    def test_columns_equal_single_solves(self, sizes, monkeypatch,
-                                         tight_tol):
-        rng = np.random.default_rng(len(sizes))
-        K = TestSPDSolver.block_diagonal(rng, sizes, 1.0)
+    def test_columns_equal_single_solves(self, monkeypatch, tight_tol):
+        rng = np.random.default_rng(2)
+        K = TestSPDSolver.block_diagonal(rng, [DENSE_CUTOFF, 3], 1.0)
         solver = SPDSolver(K)
         rhs = rng.normal(size=(K.shape[0], 4))
         rhs[:, 2] = 0.0
@@ -180,7 +156,7 @@ class TestManyRightHandSides:
         for j, single in enumerate(singles):
             assert np.array_equal(x[:, j], single)
         assert np.array_equal(x[:, 2], np.zeros(K.shape[0]))
-        assert len(cgs) == (0 if solver.direct else 3)
+        assert len(cgs) == 3
 
     def test_all_zero_block_gives_zeros(self):
         K = scipy.sparse.identity(5, format="csr")
@@ -245,7 +221,7 @@ class TestManyRightHandSides:
         cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
         lanczos = h2_statistic(lattice_512, H2Options(s=2.0)).value
         assert cgs
-        monkeypatch.setattr(ENERGY, "DENSE_CUTOFF", lattice_512.n_nodes + 1)
+        monkeypatch.setattr(criteria, "DENSE_CUTOFF", lattice_512.n_nodes + 1)
         assert lanczos == pytest.approx(criteria.h2_exact_s2(lattice_512),
                                         rel=1e-8)
 
@@ -274,11 +250,28 @@ class TestCertifiedCallers:
         assert math.isfinite(info.value.residual)
 
 
-class TestClampedSystemReuse:
-    def test_one_factorization_per_graph(self, monkeypatch):
-        graph = jitter_lattice_graph(2)
-        assert graph.n_nodes < DENSE_CUTOFF
-        calls = count_calls(monkeypatch, scipy.sparse.linalg, "splu")
-        tensor = network_effective_tensor(graph, 0.5)
-        assert calls == ["splu"]
-        assert np.all(np.diag(tensor.matrix) > 0.0)
+def h1_task(graph):
+    """The h1 task of a scan evaluated on ``graph``."""
+    cell = ScanCell("lattice", {}, graph.delta, graph.box_half_width, 0, 0)
+    cell.graph = graph      # fills the cached stage ahead of its first use
+    return task_evaluator("h1", {}, 0)(cell)
+
+
+class TestVolumeCertificate:
+    """K = D + 2 L is SPD because every volume is positive; each solving
+    caller checks that before it assembles K, on the CG path too."""
+
+    @pytest.mark.parametrize("volume", [0.0, -0.5])
+    @pytest.mark.parametrize("caller", [
+        lambda g: minimize_energy(g, affine_boundary_family(g, (1, 0, 0))),
+        lambda g: h2_ratio(g, affine_boundary_family(g, (1, 0, 0)), 4.0),
+        h1_task,
+        lambda g: h2_statistic(g, H2Options(s=4.0, n_starts=1)),
+    ], ids=["minimize_energy", "h2_ratio", "h1", "h2_statistic"])
+    def test_non_positive_volume_raises(self, lattice_512, caller, volume):
+        assert lattice_512.n_nodes >= DENSE_CUTOFF
+        volumes = lattice_512.volumes.copy()
+        volumes[100] = volume
+        graph = dataclasses.replace(lattice_512, volumes=volumes)
+        with pytest.raises(SchemaError, match="finite positive volume"):
+            caller(graph)
