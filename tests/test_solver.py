@@ -97,9 +97,13 @@ class TestSPDSolver:
         assert info.value.residual > 1e-9
 
     @pytest.mark.parametrize("tiny", [1e-200, 5.75e-264])
-    def test_tiny_rhs_gives_the_scaled_solution(self, tiny):
+    @pytest.mark.parametrize("cutoff", [DENSE_CUTOFF, 1], ids=["direct", "cg"])
+    def test_tiny_rhs_gives_the_scaled_solution(self, cutoff, tiny,
+                                                monkeypatch):
         # Below ~1e-154 the squares in a column's 2-norm underflow to 0;
-        # such a column is still nonzero and must be solved.
+        # such a column is still nonzero and must be solved.  The cutoff
+        # picks h2's path for Q: P's inverted blocks, or the CG operator.
+        monkeypatch.setattr(criteria, "DENSE_CUTOFF", cutoff)
         graph = make_graph([1.0, 1.0, 1.0],
                            [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (3.0, 0.0, 0.0)],
                            [(0, 1, 0.5), (0, 1, 1.0 / 6.0)])
@@ -108,6 +112,13 @@ class TestSPDSolver:
         x = solver.solve(tiny * rhs)
         assert np.all(x[:2] != 0.0)
         np.testing.assert_allclose(x, tiny * solver.solve(rhs), rtol=1e-12,
+                                   atol=0.0)
+        Q = criteria._h2_operator(graph)
+        assert isinstance(Q, scipy.sparse.csr_matrix) == (cutoff > 1)
+        beta = np.array([1.0, -0.5])
+        y = Q @ (tiny * beta)
+        assert np.all(y != 0.0)
+        np.testing.assert_allclose(y, tiny * (Q @ beta), rtol=1e-12,
                                    atol=0.0)
 
     @staticmethod
@@ -143,9 +154,15 @@ class TestSPDSolver:
 
 
 class TestManyRightHandSides:
-    def test_columns_equal_single_solves(self, monkeypatch, tight_tol):
-        rng = np.random.default_rng(2)
-        K = TestSPDSolver.block_diagonal(rng, [DENSE_CUTOFF, 3], 1.0)
+    # The ids name the h2 path a graph with these cluster sizes takes;
+    # SPDSolver runs CG on both matrices.
+    @pytest.mark.parametrize("sizes", [[DENSE_CUTOFF - 1, 40, 7],
+                                       [DENSE_CUTOFF, 3]],
+                             ids=["direct", "cg"])
+    def test_columns_equal_single_solves(self, sizes, monkeypatch,
+                                         tight_tol):
+        rng = np.random.default_rng(len(sizes))
+        K = TestSPDSolver.block_diagonal(rng, sizes, 1.0)
         solver = SPDSolver(K)
         rhs = rng.normal(size=(K.shape[0], 4))
         rhs[:, 2] = 0.0
