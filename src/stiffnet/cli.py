@@ -10,7 +10,9 @@ per-task time; it is not written to disk).  Outputs are deterministic:
 identical specs produce byte-identical files regardless of the worker
 count.  The ``criteria`` and ``effective`` subcommands write the same CSV
 rows and summary dicts, report each failed cell on stderr and exit 1, as
-``run`` does.
+``run`` does.  Their task flags, and keller's, are read like a spec's
+``task_params``, through the task table ``criteria.TASKS``, which holds
+every default.
 
 Subcommands: generate, graph, energy, criteria, effective, keller, run.
 """
@@ -31,8 +33,7 @@ import numpy as np
 from . import __version__
 from .criteria import (
     MODELS,
-    STATISTICS,
-    TASK_PARAMS,
+    TASKS,
     CriterionSeries,
     check_scan_grid,
     generate_model,
@@ -40,16 +41,13 @@ from .criteria import (
     scan_limsup,
     task_evaluator,
 )
-from .effective import EffectiveSeries, effective_scan
 from .energy import (
-    KellerParams,
     affine_boundary_family,
-    keller_energy,
     midpoint_boundary_family,
     minimize_energy,
 )
-from .geometry import (SchemaError, SphereConfig, _is_json_number,
-                       _json_int, _json_number, components, restrict_box)
+from .geometry import (SchemaError, SphereConfig, _is_json_number, _json_int,
+                       _json_number, _json_str, components, restrict_box)
 from .multigraph import InclusionGraph, build_graph
 
 __all__ = [
@@ -63,8 +61,6 @@ __all__ = [
     "dumps_17g",
     "main",
 ]
-
-TASKS = tuple(TASK_PARAMS)
 
 EXIT_OK = 0
 EXIT_CELL_ERRORS = 1
@@ -221,17 +217,11 @@ class ExperimentSpec:
                 raise SchemaError(
                     f"experiment spec field {key!r} must be a JSON "
                     f"{'list' if kind is list else 'object'}")
-        keller = data.get("task_params", {}).get("keller", {})
-        if not isinstance(keller, dict):
-            raise SchemaError("experiment spec field 'task_params.keller' "
-                              "must be a JSON object")
         strings = [("model", data["model"]),
                    ("out_dir", data.get("out_dir", "results")),
                    *((f"tasks[{i}]", t) for i, t in enumerate(data["tasks"]))]
         for key, value in strings:
-            if not isinstance(value, str):
-                raise SchemaError(f"experiment spec field {key!r} must be a "
-                                  f"string, got {value!r}")
+            _json_str(value, f"experiment spec field {key!r}")
         for key, value in data.get("model_params", {}).items():
             _check_model_value(key, value)
         version, n_seeds, base_seed = (
@@ -240,7 +230,8 @@ class ExperimentSpec:
         delta = _json_number(data["delta"], "experiment spec field 'delta'")
         N_grid = tuple(_json_number(v, f"experiment spec field 'N_grid[{i}]'")
                        for i, v in enumerate(data["N_grid"]))
-        _keller_params(keller)
+        # A mistyped keller value is a schema error, keller task or not.
+        task_evaluator("keller", data.get("task_params", {}), base_seed)
         spec = cls(
             version=version,
             model=data["model"],
@@ -261,17 +252,16 @@ class ExperimentSpec:
             raise ValidationError(f"unsupported spec version {self.version}")
         if not self.tasks:
             raise ValidationError("tasks must be a nonempty subset of "
-                                  f"{TASKS}")
+                                  f"{tuple(TASKS)}")
         unknown = [t for t in self.tasks if t not in TASKS]
         if unknown:
             raise ValidationError(f"unknown tasks: {unknown}")
-        read = {key for task in self.tasks for key in TASK_PARAMS[task]}
+        read = {key for task in self.tasks for key in TASKS[task].params}
         unread = sorted(set(self.task_params) - read)
         if unread:
             raise ValidationError(f"task_params keys that no task of "
                                   f"{list(self.tasks)} reads: {unread}")
-        needs_grid = [t for t in self.tasks if t != "keller"]
-        if needs_grid:
+        if any(TASKS[task].output for task in self.tasks):
             if self.model not in MODELS:
                 raise ValidationError(f"unknown model {self.model!r}")
             params = _model_parameters(self.model)
@@ -282,11 +272,11 @@ class ExperimentSpec:
                 raise ValidationError(
                     f"{self.model} model_params: unknown {unknown}, missing "
                     f"{missing}; the generator takes {list(params)}")
-            try:
-                check_scan_grid(self.N_grid, self.n_seeds)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from None
-        if not (0.0 < self.delta < 1.0) and needs_grid:
+        try:
+            check_scan_grid(self.N_grid, self.n_seeds)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
+        if not (0.0 < self.delta < 1.0):
             raise ValidationError("delta must lie in (0, 1)")
 
     def to_dict(self):
@@ -337,53 +327,6 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The keller table's parameters and their defaults.
-_KELLER_DEFAULTS = {"a": 1.0, "d": 1.0, "gamma": 1.0,
-                    "nu_grid": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]}
-
-
-def _keller_params(params: dict) -> list:
-    """One ``KellerParams`` per nu of the keller table's parameters.
-
-    SchemaError unless a, d and gamma are JSON numbers and nu_grid is a
-    nonempty list of them; ValidationError for an unknown key, a value
-    that is not finite, or one outside ``KellerParams``' ranges.
-    """
-    values = {**_KELLER_DEFAULTS, **params}
-    nu_grid = values["nu_grid"]
-    if not (isinstance(nu_grid, list) and nu_grid):
-        raise SchemaError(f"keller parameter nu_grid must be a nonempty "
-                          f"list of numbers, got {nu_grid!r}")
-    a, d, gamma, *nu_grid = (
-        _json_number(v, "keller parameter") for v in
-        (values["a"], values["d"], values["gamma"], *nu_grid))
-    unknown = sorted(set(params) - set(_KELLER_DEFAULTS))
-    if unknown:
-        raise ValidationError(f"unknown keller parameters {unknown}; the "
-                              f"table takes {list(_KELLER_DEFAULTS)}")
-    if not all(map(math.isfinite, (a, d, gamma, *nu_grid))):
-        raise ValidationError(f"keller parameters must be finite, got "
-                              f"{params!r}")
-    try:
-        return [KellerParams(a=a, nu=nu, d=d, gamma=gamma) for nu in nu_grid]
-    except ValueError as exc:
-        raise ValidationError(f"keller parameters: {exc}") from None
-
-
-def _keller_table(params: dict):
-    """Rows over the nu grid and the slope of the closed form vs ln(1/nu)."""
-    rows = []
-    for table_params in _keller_params(params):
-        out = keller_energy(table_params)
-        rows.append([table_params.nu, out["z_closed_form"],
-                     out["z_quadrature"], out["full_quadrature"],
-                     out["weighted_quadrature"]])
-    x = np.log(1.0 / np.array([row[0] for row in rows]))
-    y = np.array([r[1] for r in rows])
-    slope = float(np.polyfit(x, y, 1)[0]) if len(rows) > 1 else math.nan
-    return {"rows": rows, "slope": slope}
-
-
 def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
     """Execute every task of a spec; write CSVs and a JSON summary.
 
@@ -399,34 +342,31 @@ def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
         spec = ExperimentSpec.from_dict(data)
 
     evaluators = {task: task_evaluator(task, spec.task_params, spec.base_seed)
-                  for task in spec.tasks if task != "keller"}
+                  for task in spec.tasks}
     out = Path(out_dir if out_dir is not None else spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    scanned = {task: evaluate for task, evaluate in evaluators.items()
+               if TASKS[task].output is not None}
     scan = None
-    if evaluators:
+    if scanned:
         scan = scan_cells({"model": spec.model, **spec.model_params},
-                          spec.delta, spec.N_grid, spec.n_seeds, evaluators,
+                          spec.delta, spec.N_grid, spec.n_seeds, scanned,
                           base_seed=spec.base_seed, threads=threads)
 
     task_outputs: dict = {}
     seeds_used: dict = {}
     cell_errors: list[str] = []
     for task in spec.tasks:
-        if task == "keller":
-            table = _keller_table(spec.task_params.get("keller", {}))
-            header = ("nu", "z_closed_form", "z_quadrature",
-                      "full_quadrature", "weighted_quadrature")
-            task_outputs[task], rows = table, table["rows"]
+        if task in scanned:
+            output = TASKS[task].output.from_scan(scan, task)
+            seeds_used[task] = [list(s) for s in output.seeds]
+            cell_errors.extend(output.errors)
         else:
-            series = (EffectiveSeries if task == "effective"
-                      else CriterionSeries).from_scan(scan, task)
-            header, rows = series.CSV_HEADER, series.to_rows()
-            task_outputs[task] = series.to_summary_dict()
-            seeds_used[task] = [list(s) for s in series.seeds]
-            cell_errors.extend(series.errors)
-        (out / f"{task}.csv").write_text(_csv_text(header, rows),
-                                         encoding="utf-8")
+            output = evaluators[task]()
+        task_outputs[task] = output.to_summary_dict()
+        (out / f"{task}.csv").write_text(
+            _csv_text(output.CSV_HEADER, output.to_rows()), encoding="utf-8")
 
     record = ResultRecord(
         spec_hash=spec.hash(),
@@ -477,6 +417,12 @@ def _model_params_from_args(args):
     return {k: given[k] for k in _model_parameters(args.model) if k in given}
 
 
+def _given(args, keys) -> dict:
+    """The task parameters among ``keys`` that were given as flags."""
+    return {key: value for key, value in vars(args).items()
+            if key in keys and value is not None}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stiffnet",
@@ -503,29 +449,29 @@ def main(argv=None) -> int:
 
     p_crit = sub.add_parser("criteria", help="scan a criterion statistic")
     _add_model_arguments(p_crit, require_N=False)
-    p_crit.add_argument("--statistic", required=True, choices=STATISTICS)
+    p_crit.add_argument("--statistic", required=True, choices=[
+        task for task, row in TASKS.items() if row.output is CriterionSeries])
     p_crit.add_argument("--delta", type=float, required=True)
     p_crit.add_argument("--N-grid", type=str, required=True,
                         help="comma-separated box half-widths")
     p_crit.add_argument("--n-seeds", type=int, default=4)
-    p_crit.add_argument("--s", type=float, default=4.0)
-    p_crit.add_argument("--k", type=float, default=2.0)
-    p_crit.add_argument("--p", type=float, default=2.0)
-    p_crit.add_argument("--xi", type=_parse_xi, default=(1.0, 0.0, 0.0))
+    p_crit.add_argument("--s", type=float)
+    p_crit.add_argument("--k", type=float)
+    p_crit.add_argument("--p", type=float)
+    p_crit.add_argument("--xi", type=_parse_xi)
 
     p_eff = sub.add_parser("effective", help="network tensor scan")
     _add_model_arguments(p_eff, require_N=False)
     p_eff.add_argument("--delta", type=float, required=True)
     p_eff.add_argument("--N-grid", type=str, required=True)
     p_eff.add_argument("--n-seeds", type=int, default=1)
-    p_eff.add_argument("--layer-width", type=float, default=None)
+    p_eff.add_argument("--layer-width", type=float)
 
     p_keller = sub.add_parser("keller", help="gap-profile energy table")
-    p_keller.add_argument("--a", type=float, default=1.0)
-    p_keller.add_argument("--d", type=float, default=1.0)
-    p_keller.add_argument("--gamma", type=float, default=1.0)
-    p_keller.add_argument("--nu-grid", type=str,
-                          default="1e-2,1e-3,1e-4,1e-5,1e-6")
+    p_keller.add_argument("--a", type=float)
+    p_keller.add_argument("--d", type=float)
+    p_keller.add_argument("--gamma", type=float)
+    p_keller.add_argument("--nu-grid", type=str)
 
     p_run = sub.add_parser("run", help="run an experiment spec file")
     p_run.add_argument("--spec", required=True)
@@ -585,22 +531,15 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command in ("criteria", "effective"):
-        N_grid = [float(v) for v in args.N_grid.split(",")]
-        model_params = {"model": args.model, **_model_params_from_args(args)}
-        if args.command == "criteria":
-            statistic_params = {"xi": args.xi, "s": args.s, "k": args.k,
-                                "p": args.p}
-            series = scan_limsup(model_params, args.delta, N_grid,
-                                 args.n_seeds, args.statistic,
-                                 statistic_params, base_seed=args.seed,
-                                 threads=args.threads)
-            payload = series.to_summary_dict()
-        else:
-            series = effective_scan(model_params, args.delta, N_grid,
-                                    args.n_seeds, layer_width=args.layer_width,
-                                    base_seed=args.seed, threads=args.threads)
-            payload = {"N_grid": list(series.N_grid),
-                       **series.to_summary_dict()}
+        task = args.statistic if args.command == "criteria" else "effective"
+        series = scan_limsup(
+            {"model": args.model, **_model_params_from_args(args)},
+            args.delta, [float(v) for v in args.N_grid.split(",")],
+            args.n_seeds, task, _given(args, TASKS[task].params),
+            base_seed=args.seed, threads=args.threads)
+        payload = series.to_summary_dict()
+        if args.command == "effective":
+            payload = {"N_grid": list(series.N_grid), **payload}
         if args.format == "csv":
             _emit(args, _csv_text(series.CSV_HEADER, series.to_rows()))
         else:
@@ -608,10 +547,11 @@ def _dispatch(args) -> int:
         return _exit_code(series.errors)
 
     if args.command == "keller":
-        nu_grid = [float(v) for v in args.nu_grid.split(",")]
-        table = _keller_table({"a": args.a, "d": args.d, "gamma": args.gamma,
-                               "nu_grid": nu_grid})
-        _emit(args, dumps_17g(table) + "\n")
+        keller = _given(args, ("a", "d", "gamma"))
+        if args.nu_grid is not None:
+            keller["nu_grid"] = [float(v) for v in args.nu_grid.split(",")]
+        table = task_evaluator("keller", {"keller": keller}, args.seed)()
+        _emit(args, dumps_17g(table.to_summary_dict()) + "\n")
         return EXIT_OK
 
     if args.command == "run":

@@ -32,11 +32,13 @@ minimized by b = (beta/2, -beta/2)).  The energy's gradient is
 2 Q beta = 4 mu r, r the gap residuals at the minimizer.  Equal starts
 ascend once.
 
-``scan_cells`` is the one loop over an (N, seed) grid: it builds each
-cell's configuration and graph once and evaluates every requested task on
-it, each task made by ``task_evaluator`` from the flat task parameters.
-``scan_limsup`` runs one statistic and reports a plateau estimate, the
-empirical surrogate for an almost-sure limsup.
+``TASKS`` is the task table: each task's output, and each task
+parameter's JSON reader, default and range rule, through which spec files
+and subcommands alike read them (``task_evaluator``).  ``scan_cells`` is
+the one loop over an (N, seed) grid: it builds each cell's configuration
+and graph once and evaluates every requested task on it.  ``scan_limsup``
+runs one task; a statistic's series has a plateau estimate, the empirical
+surrogate for an almost-sure limsup.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import functools
 import hashlib
 import math
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,11 +55,13 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from . import geometry
+from . import effective, geometry
 from .energy import (
     SOLVE_GATE,
     SOLVE_TOL,
     BoundaryFamily,
+    KellerParams,
+    KellerTable,
     LaplacianAssembly,
     SolverError,
     SPDSolver,
@@ -70,6 +75,8 @@ from .geometry import (
     _connected_labels,
     _json_int,
     _json_number,
+    _json_numbers,
+    _json_str,
     cluster_moment_statistic,
     components,
     generate_chain_forest,
@@ -89,8 +96,7 @@ __all__ = [
     "log_moment_statistic",
     "scan_limsup",
     "scan_cells",
-    "STATISTICS",
-    "TASK_PARAMS",
+    "TASKS",
     "task_evaluator",
     "ScanCell",
     "CellScan",
@@ -121,6 +127,10 @@ class H2Options:
             raise ValueError("s must be finite and >= 2")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        if self.max_ascent_iters < 1:
+            raise ValueError("max_ascent_iters must be >= 1")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError("tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,7 @@ def _affine_energy_density(graph: InclusionGraph, xi) -> float:
     return breakdown.total / graph.box_volume()
 
 
-def _direction(xi) -> np.ndarray:
+def _direction(xi, what) -> np.ndarray:
     """``xi`` as a float 3-vector: three finite numbers, not all zero."""
     try:
         arr = np.asarray(xi)
@@ -156,8 +166,7 @@ def _direction(xi) -> np.ndarray:
     except ValueError:      # ragged nesting
         ok = False
     if not (ok and np.all(np.isfinite(arr)) and np.any(arr)):
-        raise ValueError("task parameter 'xi' must be three finite numbers, "
-                         "not all zero")
+        raise ValueError(f"{what} must be three finite numbers, not all zero")
     return arr.astype(float)
 
 
@@ -234,16 +243,21 @@ def _h2_operator(graph: InclusionGraph):
     stationarity gives A^T W r = -D u, so beta^T W r = r^T W r + u^T D u.
     """
     blocks = _edge_blocks(graph)
-    if blocks is not None:
-        # Woodbury: Q = W - W A K^-1 A^T W = (W^-1 + A D^-1 A^T)^-1 = P^-1.
-        # check_volumes certifies D > 0, which makes K and P positive
-        # definite, and each block's |P_c Q_c - I| gate certifies Q_c.
-        entries = [(Q.ravel(), np.repeat(ids, ids.shape[1]),
-                    np.tile(ids, ids.shape[1]).ravel()) for ids, Q in blocks]
-        data, rows, cols = ((np.concatenate(column) for column in
-                             zip(*entries)) if entries else ((), (), ()))
-        return scipy.sparse.csr_matrix((data, (rows, cols)),
-                                       shape=(graph.n_edges, graph.n_edges))
+    if blocks is None:
+        return _cg_operator(graph)
+    # Woodbury: Q = W - W A K^-1 A^T W = (W^-1 + A D^-1 A^T)^-1 = P^-1.
+    # check_volumes certifies D > 0, which makes K and P positive
+    # definite, and each block's |P_c Q_c - I| gate certifies Q_c.
+    entries = [(Q.ravel(), np.repeat(ids, ids.shape[1]),
+                np.tile(ids, ids.shape[1]).ravel()) for ids, Q in blocks]
+    data, rows, cols = ((np.concatenate(column) for column in
+                         zip(*entries)) if entries else ((), (), ()))
+    return scipy.sparse.csr_matrix((data, (rows, cols)),
+                                   shape=(graph.n_edges, graph.n_edges))
+
+
+def _cg_operator(graph: InclusionGraph):
+    """Q of a graph on the CG path, after ``_edge_blocks`` certified it."""
     assembly = LaplacianAssembly(graph)
     solver = SPDSolver(assembly.system_matrix)
     w = 2.0 * graph.mu
@@ -273,7 +287,7 @@ def h2_exact_s2(graph: InclusionGraph) -> float:
         return max(float(np.linalg.eigvalsh(
             0.5 * (Q + Q.transpose(0, 2, 1)))[:, -1].max())
             for _, Q in blocks)
-    Q = _h2_operator(graph)
+    Q = _cg_operator(graph)
     _, vectors = scipy.sparse.linalg.eigsh(
         Q, k=1, which="LA", tol=SOLVE_TOL,
         v0=np.random.default_rng(0).standard_normal(graph.n_edges))
@@ -541,110 +555,118 @@ class ScanCell:
         return build_graph(self.comp, self.restricted, self.delta)
 
 
-# Every scan task but "effective" yields one number per cell.
-STATISTICS = ("h1", "h2", "logmoment", "clustermoment", "density")
-
-# The H2Options fields a spec may set.
-_H2_PARAMS = ("s", "n_starts", "max_ascent_iters", "tol")
-
-# The task_params keys each task reads: the scan tasks through
-# ``task_evaluator``, and keller its own object of table parameters.
-TASK_PARAMS = {
-    "h1": ("xi",),
-    "h2": (*_H2_PARAMS, "kappa"),
-    "logmoment": ("k", "kappa"),
-    "clustermoment": ("p", "n_samples", "quantity"),
-    "density": (),
-    "effective": ("layer_width",),
-    "keller": ("keller",),
-}
+# The task table, ``TASKS``: each task's output, the class whose
+# ``from_scan`` builds it from a scan (None: the task runs no cells, and its
+# evaluator, called with no cell, returns it), and a TaskValue(read,
+# default, check) for each task parameter it reads.  ``read(value, what)``
+# raises SchemaError on a wrong JSON type; a None default leaves the
+# parameter unset when absent or null; ``check`` is the range rule, (test,
+# statement), or None where H2Options or KellerParams checks the range.
+# kappa is one row that h2 and logmoment share; keller reads one object.
+Task = namedtuple("Task", "output params")
+TaskValue = namedtuple("TaskValue", "read default check", defaults=(None,))
 
 
-# Each task value's JSON type: float (the ``_json_number`` rule), int (the
-# ``_json_int`` rule) or str; and its range, a test and the rule it states
-# (None where H2Options checks the field itself).
-_TASK_VALUES = {
-    "s": (float, None),
-    "n_starts": (int, None),
-    "max_ascent_iters": (int, None),
-    "tol": (float, None),
-    "kappa": (float, (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
-    "k": (float, (lambda v: 1.0 <= v < math.inf, "a finite number >= 1")),
-    "p": (float, (lambda v: 0.0 < v < math.inf, "a finite number > 0")),
-    "n_samples": (int, (lambda v: v >= 1, ">= 1")),
-    "quantity": (str, (lambda v: v in ("diam", "count"), "diam or count")),
-    # The tensor refuses a finite layer_width <= 0 in each cell.
-    "layer_width": (float, (math.isfinite, "finite")),
-}
-
-
-def _task_value(params: dict, key: str, default):
-    """Task value ``key``, or ``default`` when absent, by ``_TASK_VALUES``.
+def _task_values(params: dict, rows: dict) -> dict:
+    """The value in ``params`` of each key of ``rows``, read by its row.
 
     A wrong JSON type raises SchemaError, a value out of range ValueError.
-    A key with a None default (kappa, layer_width) is unset when absent or
-    null.
     """
-    value = params.get(key, default)
-    if value is None and default is None:
-        return None
-    kind, check = _TASK_VALUES[key]
-    what = f"task parameter {key!r}"
-    if kind is int:
-        value = _json_int(value, what)
-    elif kind is float:
-        value = _json_number(value, what)
-    elif not isinstance(value, str):
-        raise SchemaError(f"{what} must be a string, got {value!r}")
-    if check is not None and not check[0](value):
-        raise ValueError(f"{what} must be {check[1]}, got {value!r}")
-    return value
+    values = {}
+    for key, (read, default, check) in rows.items():
+        value = params.get(key, default)
+        if value is not None or default is not None:
+            what = f"task parameter {key!r}"
+            value = read(value, what)
+            if check is not None and not check[0](value):
+                raise ValueError(f"{what} must be {check[1]}, got {value!r}")
+        values[key] = value
+    return values
+
+
+def _keller_grid(value, what) -> list:
+    """One KellerParams per nu of keller's object of table parameters."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {value!r}")
+    values = _task_values(value, _KELLER)
+    unknown = sorted(set(value) - set(_KELLER))
+    if unknown:
+        raise ValueError(f"unknown keller parameters {unknown}; the table "
+                         f"takes {list(_KELLER)}")
+    nu_grid = values.pop("nu_grid")
+    return [KellerParams(nu=nu, **values) for nu in nu_grid]
+
+
+_KAPPA = TaskValue(_json_number, None, (lambda v: 0.0 < v < 1.0, "in (0, 1)"))
+_KELLER = {
+    "a": TaskValue(_json_number, 1.0),
+    "d": TaskValue(_json_number, 1.0),
+    "gamma": TaskValue(_json_number, 1.0),
+    "nu_grid": TaskValue(_json_numbers, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]),
+}
+TASKS = {
+    "h1": Task(CriterionSeries, {
+        "xi": TaskValue(_direction, (1.0, 0.0, 0.0))}),
+    "h2": Task(CriterionSeries, {
+        "s": TaskValue(_json_number, H2Options.s),
+        "n_starts": TaskValue(_json_int, H2Options.n_starts),
+        "max_ascent_iters": TaskValue(_json_int, H2Options.max_ascent_iters),
+        "tol": TaskValue(_json_number, H2Options.tol),
+        "kappa": _KAPPA}),
+    "logmoment": Task(CriterionSeries, {
+        "k": TaskValue(_json_number, 2.0, (lambda v: 1.0 <= v < math.inf,
+                                            "a finite number >= 1")),
+        "kappa": _KAPPA}),
+    "clustermoment": Task(CriterionSeries, {
+        "p": TaskValue(_json_number, 2.0, (lambda v: 0.0 < v < math.inf,
+                                            "a finite number > 0")),
+        "n_samples": TaskValue(_json_int, 2000, (lambda v: v >= 1, ">= 1")),
+        "quantity": TaskValue(_json_str, "diam", (
+            lambda v: v in ("diam", "count"), "diam or count"))}),
+    "density": Task(CriterionSeries, {}),
+    # The tensor refuses a finite layer_width <= 0 in each cell.
+    "effective": Task(effective.EffectiveSeries, {
+        "layer_width": TaskValue(_json_number, None,
+                                 (math.isfinite, "finite"))}),
+    "keller": Task(None, {"keller": TaskValue(_keller_grid, {})}),
+}
 
 
 def task_evaluator(task: str, params: dict, base_seed: int):
-    """The ScanCell -> value evaluator of a scan task: the task table.
+    """The evaluator of a task, built from the ``TASKS`` values of ``params``.
 
-    ``params`` are a spec's flat task parameters, read and checked here
-    (``_task_value``) before any cell runs.
-    h1 reads ``xi`` (default (1, 0, 0)); h2 the ``_H2_PARAMS`` fields,
-    seeded by ``base_seed``; logmoment ``k`` (2); h2 and logmoment
-    ``kappa``, which shorts the graph first; clustermoment ``p`` (2),
-    ``n_samples`` (2000) and ``quantity`` ("diam"), sampled at the cell's
-    ``sample_seed``; effective ``layer_width`` (the cell's delta); density
-    nothing.
+    ``params`` are a spec's flat task parameters, read and checked here,
+    before any cell runs.  A scan task's evaluator maps a ScanCell to the
+    task's value; h2's ascent is seeded by ``base_seed``.  keller's takes
+    no cell and returns its KellerTable.
     """
+    if task not in TASKS:
+        raise ValueError(f"unknown statistic {task!r}")
+    values = _task_values(params, TASKS[task].params)
+    kappa = values.pop("kappa", None)
+    if task == "keller":
+        return functools.partial(KellerTable, values["keller"])
     if task == "density":
         return lambda cell: (float(np.sum(cell.comp.volumes))
                              / cell.restricted.box_volume())
     if task == "h1":
-        xi = _direction(params.get("xi", (1.0, 0.0, 0.0)))
-        return lambda cell: _affine_energy_density(cell.graph, xi)
+        return lambda cell: _affine_energy_density(cell.graph, values["xi"])
     if task == "clustermoment":
-        kwargs = {"p": _task_value(params, "p", 2.0),
-                  "n_samples": _task_value(params, "n_samples", 2000),
-                  "quantity": _task_value(params, "quantity", "diam")}
         return lambda cell: cluster_moment_statistic(
             config=cell.restricted, graph=cell.graph, seed=cell.sample_seed,
-            **kwargs).mean
+            **values).mean
     if task == "effective":
-        from .effective import network_effective_tensor   # imports criteria
-        layer = _task_value(params, "layer_width", None)
-        return lambda cell: network_effective_tensor(
+        layer = values["layer_width"]
+        return lambda cell: effective.network_effective_tensor(
             cell.graph, cell.delta if layer is None else layer)
-    if task not in ("h2", "logmoment"):
-        raise ValueError(f"unknown statistic {task!r}")
-    kappa = _task_value(params, "kappa", None)
 
     def graph(cell):
         return cell.graph if kappa is None else short_kappa(cell.graph, (),
                                                             kappa)
 
     if task == "logmoment":
-        k = _task_value(params, "k", 2.0)
-        return lambda cell: log_moment_statistic(graph(cell), k)
-    opts = H2Options(seed=base_seed, **{
-        key: _task_value(params, key, getattr(H2Options, key))
-        for key in _H2_PARAMS})
+        return lambda cell: log_moment_statistic(graph(cell), values["k"])
+    opts = H2Options(seed=base_seed, **values)
     return lambda cell: h2_statistic(graph(cell), opts).value
 
 
@@ -729,17 +751,19 @@ def scan_cells(model_params: dict, delta: float, N_grid, n_seeds: int,
 
 def scan_limsup(model_params: dict, delta: float, N_grid, n_seeds: int,
                 statistic_selector: str, statistic_params: dict | None = None,
-                base_seed: int = 0, threads: int = 1) -> CriterionSeries:
-    """Evaluate a statistic over an (N, seed) grid of fresh configurations.
+                base_seed: int = 0, threads: int = 1):
+    """Evaluate a scan task over an (N, seed) grid of fresh configurations.
 
-    ``statistic_params`` are the flat task parameters that
-    ``task_evaluator`` reads.  Each cell draws an independent configuration
-    from the model at its own derived seed; failures are recorded per cell
-    (value NaN) without aborting the scan.  ``threads`` cells run at a time
-    (see ``scan_cells``).
+    Returns the task's ``TASKS`` output: a CriterionSeries with its plateau
+    estimate, or the EffectiveSeries of effective.  ``statistic_params``
+    are the flat task parameters that ``task_evaluator`` reads.  Each cell
+    draws an independent configuration from the model at its own derived
+    seed; failures are recorded per cell without aborting the scan.
+    ``threads`` cells run at a time (see ``scan_cells``).
     """
     task = task_evaluator(statistic_selector, statistic_params or {},
                           base_seed)
     scan = scan_cells(model_params, delta, N_grid, n_seeds,
                       {statistic_selector: task}, base_seed, threads)
-    return CriterionSeries.from_scan(scan, statistic_selector)
+    return TASKS[statistic_selector].output.from_scan(scan,
+                                                      statistic_selector)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CellScan, scan_cells, task_evaluator
 from .energy import LaplacianAssembly, SPDSolver
 from .geometry import _connected_labels
 from .multigraph import InclusionGraph
@@ -119,7 +118,7 @@ class EffectiveSeries:
     CSV_HEADER = ("N", "seed", "a11", "a22", "a33", "a12", "a13", "a23")
 
     @classmethod
-    def from_scan(cls, scan: CellScan, task: str) -> "EffectiveSeries":
+    def from_scan(cls, scan, task: str) -> "EffectiveSeries":
         """Series of one tensor task; failed cells read an all-NaN tensor.
 
         Only its N is kept.  Means and spreads skip every tensor with a
@@ -179,8 +178,6 @@ def effective_scan(model_params: dict, delta: float, N_grid, n_seeds: int,
 
     The clamping layer defaults to delta.
     """
-    evaluate = task_evaluator("effective", {"layer_width": layer_width},
-                              base_seed)
-    scan = scan_cells(model_params, delta, N_grid, n_seeds,
-                      {"effective": evaluate}, base_seed, threads)
-    return EffectiveSeries.from_scan(scan, "effective")
+    from .criteria import scan_limsup   # imports effective
+    return scan_limsup(model_params, delta, N_grid, n_seeds, "effective",
+                       {"layer_width": layer_width}, base_seed, threads)

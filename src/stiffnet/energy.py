@@ -57,6 +57,7 @@ __all__ = [
     "cycle_free_potentials",
     "lift_short_potentials",
     "KellerParams",
+    "KellerTable",
     "keller_energy",
 ]
 
@@ -407,14 +408,14 @@ class KellerParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (self.a > 0.0):
-            raise ValueError("curvature a must be positive")
+        if not (0.0 < self.a < math.inf):
+            raise ValueError("curvature a must be finite and positive")
         if not (0.0 < self.nu < 1.0):
             raise ValueError("gap width nu must lie in (0, 1)")
-        if not (self.d > 0.0):
-            raise ValueError("gap radius d must be positive")
-        if self.gamma < 0.0:
-            raise ValueError("weight exponent gamma must be >= 0")
+        if not (0.0 < self.d < math.inf):
+            raise ValueError("gap radius d must be finite and positive")
+        if not (0.0 <= self.gamma < math.inf):
+            raise ValueError("weight exponent gamma must be finite and >= 0")
 
 
 def _keller_midpoint(params: KellerParams, n_r: int, n_z: int):
@@ -487,3 +488,25 @@ def keller_energy(params: KellerParams, quadrature_grid=(1024, 32)) -> dict:
         "full_quadrature": full_quad,
         "weighted_quadrature": weighted_quad,
     }
+
+
+class KellerTable:
+    """``keller_energy`` over a grid of widths nu, one row per nu, and the
+    slope of the closed form against ln(1/nu) (NaN for a single nu)."""
+
+    CSV_HEADER = ("nu", "z_closed_form", "z_quadrature", "full_quadrature",
+                  "weighted_quadrature")
+
+    def __init__(self, grid: list[KellerParams]):
+        self.rows = [[p.nu, *map(keller_energy(p).get, self.CSV_HEADER[1:])]
+                     for p in grid]
+        x = np.log(1.0 / np.array([row[0] for row in self.rows]))
+        y = np.array([row[1] for row in self.rows])
+        self.slope = (float(np.polyfit(x, y, 1)[0]) if len(self.rows) > 1
+                      else math.nan)
+
+    def to_rows(self):
+        return self.rows
+
+    def to_summary_dict(self):
+        return {"rows": self.rows, "slope": self.slope}

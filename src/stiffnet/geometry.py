@@ -79,6 +79,21 @@ def _json_number(value, what):
         return math.inf if value > 0 else -math.inf
 
 
+def _json_numbers(value, what):
+    """``value`` as a list of floats: a nonempty JSON list of numbers."""
+    if not (isinstance(value, list) and value):
+        raise SchemaError(f"{what} must be a nonempty list of numbers, "
+                          f"got {value!r}")
+    return [_json_number(v, what) for v in value]
+
+
+def _json_str(value, what):
+    """``value``, a JSON string."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 class SphereConfig:
     """A finite ball configuration in the box ``(-N, N)^3``.
 
@@ -628,7 +643,7 @@ class MomentEstimate:
 
 
 def cluster_moment_statistic(config, graph, p, n_samples, seed,
-                             quantity="diam") -> MomentEstimate:
+                             quantity) -> MomentEstimate:
     """Spatial average of ``diam(C_y)^p`` over uniform points of the box.
 
     ``C_y`` is the multigraph cluster containing the point ``y`` (zero

@@ -30,8 +30,7 @@ from stiffnet.cli import (
     save_json,
 )
 from stiffnet.criteria import (
-    STATISTICS,
-    TASK_PARAMS,
+    TASKS,
     H2Options,
     derive_cell_seed,
     generate_model,
@@ -403,6 +402,12 @@ class TestMain:
         {"tasks": ["h2"], "task_params": {"s": 1.5}},
         {"tasks": ["h2"], "task_params": {"s": math.inf}},
         {"tasks": ["h2"], "task_params": {"n_starts": 0}},
+        {"tasks": ["h2"], "task_params": {"max_ascent_iters": 0}},
+        {"tasks": ["h2"], "task_params": {"max_ascent_iters": -3}},
+        {"tasks": ["h2"], "task_params": {"tol": -1e-6}},
+        {"tasks": ["h2"], "task_params": {"tol": 0.0}},
+        {"tasks": ["h2"], "task_params": {"tol": 10 ** 400}},
+        {"tasks": ["h2"], "task_params": {"tol": -10 ** 400}},
         {"tasks": ["effective"], "task_params": {"layer_width": math.nan}},
         {"tasks": ["effective"], "task_params": {"layer_width": -math.inf}},
         {"N_grid": [math.nan, 3, 4]},
@@ -412,7 +417,9 @@ class TestMain:
             "string-xi", "k-below-one", "nan-k", "infinite-k", "zero-p",
             "nan-p", "zero-samples", "unknown-quantity", "zero-kappa",
             "kappa-above-one", "nan-kappa", "s-below-two", "infinite-s",
-            "zero-starts", "nan-layer", "negative-infinite-layer",
+            "zero-starts", "zero-ascent-iters", "negative-ascent-iters",
+            "negative-tol", "zero-tol", "huge-tol", "negative-huge-tol",
+            "nan-layer", "negative-infinite-layer",
             "nan-grid-entry", "infinite-grid-entry", "negative-grid-entry"])
     def test_run_with_bad_parameters_exits_3_before_any_cell(
             self, tmp_path, capsys, monkeypatch, overrides):
@@ -499,6 +506,23 @@ class TestMain:
         spec_path.write_text(json.dumps(spec_dict(
             tasks=["keller"], task_params={"keller": keller},
             out_dir=str(tmp_path / "results"))))
+        code = main(["run", "--spec", str(spec_path)])
+        assert code == EXIT_VALIDATION_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"delta": 10 ** 400}, {"delta": 2.0}, {"N_grid": [1, 2]},
+        {"N_grid": [3, 2, 1]}, {"N_grid": [0, 1, 2]}, {"n_seeds": 0},
+    ], ids=["huge-delta", "delta-above-one", "two-entry-grid",
+            "decreasing-grid", "zero-grid-entry", "zero-seeds"])
+    def test_keller_spec_checks_its_grid_before_writing(self, tmp_path,
+                                                        capsys, overrides):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict(
+            tasks=["keller"], model_params={}, task_params={},
+            out_dir=str(tmp_path / "results"), **overrides)))
         code = main(["run", "--spec", str(spec_path)])
         assert code == EXIT_VALIDATION_ERROR
         err = capsys.readouterr().err
@@ -720,6 +744,28 @@ class TestMain:
         assert pools == [2]
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("argv, defaults", [
+        *((["criteria", "--statistic", statistic],
+           ["--s", "4.0", "--k", "2.0", "--p", "2.0", "--xi", "1,0,0"])
+          for statistic in ("h1", "h2", "logmoment", "clustermoment",
+                            "density")),
+        (["effective"], ["--layer-width", "0.5"]),      # the delta
+        (["keller"], ["--a", "1.0", "--d", "1.0", "--gamma", "1.0",
+                      "--nu-grid", "1e-2,1e-3,1e-4,1e-5,1e-6"]),
+    ], ids=["criteria-h1", "criteria-h2", "criteria-logmoment",
+            "criteria-clustermoment", "criteria-density", "effective",
+            "keller"])
+    def test_task_flags_at_their_old_defaults_print_the_same(
+            self, capsys, argv, defaults):
+        if argv[0] != "keller":
+            argv = [*argv, "--model", "lattice", "--radius", "0.4",
+                    "--jitter", "0.05", "--delta", "0.5",
+                    "--N-grid", "1,1.5,2", "--n-seeds", "1"]
+        assert main(argv) == EXIT_OK
+        implicit = capsys.readouterr().out
+        assert main([*argv, *defaults]) == EXIT_OK
+        assert capsys.readouterr().out == implicit
+
     def test_criteria_subcommand_csv(self, tmp_path):
         out_path = tmp_path / "series.csv"
         code = main(["--format", "csv", "--out", str(out_path), "criteria",
@@ -856,8 +902,9 @@ class TestMalformedDocuments:
         assert_documented_exit(EVERY_SCAN_KEY_SPEC, ["run", "--spec", "{}"])
         assert_documented_exit(KELLER_SPEC, ["run", "--spec", "{}"])
         assert set(EVERY_SCAN_KEY_SPEC["task_params"]) == {
-            key for task in (*STATISTICS, "effective")
-            for key in TASK_PARAMS[task]}
+            key for row in TASKS.values() if row.output for key in row.params}
+        assert set(KELLER_SPEC["task_params"]["keller"]) == set(
+            stiffnet.criteria._KELLER)
         assert len(config["spheres"]) == 8
 
     @settings(max_examples=120, deadline=None, derandomize=True)

@@ -22,8 +22,7 @@ from conftest import (
     single_edge_graph,
 )
 from stiffnet.criteria import (
-    STATISTICS,
-    TASK_PARAMS,
+    TASKS,
     H2Options,
     _h2_operator,
     _plateau,
@@ -440,11 +439,16 @@ class TestTaskTable:
             self.read.add(key)
             return super().__contains__(key)
 
-    @pytest.mark.parametrize("task", [*STATISTICS, "effective"])
+    @pytest.mark.parametrize("task", TASKS)
     def test_evaluator_reads_exactly_the_listed_keys(self, task):
         params = self.RecordingParams()
         task_evaluator(task, params, 0)
-        assert params.read == set(TASK_PARAMS[task])
+        assert params.read == set(TASKS[task].params)
+
+    def test_keller_reads_exactly_its_listed_keys(self):
+        keller = self.RecordingParams()
+        task_evaluator("keller", {"keller": keller}, 0)
+        assert keller.read == set(criteria._KELLER)
 
 
 class TestScan:

@@ -334,7 +334,7 @@ class TestClusterMoment:
         config = SphereConfig(np.empty((0, 3)), np.empty(0), 3.0)
         graph = build_graph(components(config), config, 0.3)
         est = cluster_moment_statistic(config, graph, p=2, n_samples=100,
-                                       seed=0)
+                                       seed=0, quantity="diam")
         assert est.mean == 0.0
 
     def test_singleton_unit_balls_match_density_times_four(self):
@@ -344,7 +344,7 @@ class TestClusterMoment:
         graph = build_graph(components(config), config, 0.5)
         assert graph.n_edges == 0
         est = cluster_moment_statistic(config, graph, p=2, n_samples=40000,
-                                       seed=1)
+                                       seed=1, quantity="diam")
         lam = config.n_spheres * FOUR_THIRDS_PI / config.box_volume()
         assert est.mean == pytest.approx(4.0 * lam, abs=5 * est.stderr + 1e-12)
 
@@ -366,7 +366,7 @@ class TestClusterMoment:
             exact += part.diameters[k] ** 2 * vol
         exact /= config.box_volume()
         est = cluster_moment_statistic(config, graph, p=2, n_samples=60000,
-                                       seed=2)
+                                       seed=2, quantity="diam")
         assert est.mean == pytest.approx(exact, abs=5 * est.stderr + 1e-12)
 
     def test_moment_grows_with_chain_length(self):
@@ -377,8 +377,9 @@ class TestClusterMoment:
         vals = []
         for config in (short_chains, long_chains):
             graph = build_graph(components(config), config, 0.3)
-            vals.append(cluster_moment_statistic(config, graph, p=2,
-                                                 n_samples=30000, seed=3).mean)
+            vals.append(cluster_moment_statistic(
+                config, graph, p=2, n_samples=30000, seed=3,
+                quantity="diam").mean)
         assert vals[1] > vals[0]
 
     def test_count_moment_supported(self):

@@ -15,6 +15,7 @@ from stiffnet.criteria import (
     DENSE_CUTOFF,
     H2Options,
     ScanCell,
+    h2_exact_s2,
     h2_ratio,
     h2_statistic,
     task_evaluator,
@@ -34,7 +35,7 @@ from stiffnet.geometry import (
     generate_chain_forest,
     generate_lattice_jitter,
 )
-from stiffnet.multigraph import build_graph
+from stiffnet.multigraph import InclusionGraph, build_graph
 
 ENERGY = importlib.import_module("stiffnet.energy")
 
@@ -212,6 +213,16 @@ class TestManyRightHandSides:
         h2_statistic(lattice_512, H2Options(s=4.0, n_starts=1,
                                             max_ascent_iters=3))
         assert len(products) > 1 and len(solves) == len(products)
+
+    def test_large_block_exact_s2_builds_edge_blocks_once(self, lattice_512,
+                                                          monkeypatch):
+        # Lanczos stubbed by a fixed vector: only the set-up is counted.
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda Q, **kw: (
+            None, np.ones((Q.shape[0], 1))))
+        labels = count_calls(monkeypatch, criteria, "_connected_labels")
+        checks = count_calls(monkeypatch, InclusionGraph, "check_volumes")
+        assert math.isfinite(h2_exact_s2(lattice_512))
+        assert len(labels) == 1 and len(checks) == 1
 
     def test_large_block_ascent_values_are_attained(self, lattice_512,
                                                     monkeypatch):
