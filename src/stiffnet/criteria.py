@@ -72,6 +72,8 @@ from .energy import (
 from .geometry import (
     SchemaError,
     SphereConfig,
+    _CLUSTER_MOMENT_RULES,
+    _check_range,
     _connected_labels,
     _json_int,
     _json_number,
@@ -398,10 +400,13 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
     return H2Estimate(value=max(per_start), per_start=tuple(per_start))
 
 
+# The range rule of log_moment_statistic's k, also the logmoment task's.
+_LOG_MOMENT_K = (lambda v: 1.0 <= v < math.inf, "a finite number >= 1")
+
+
 def log_moment_statistic(graph: InclusionGraph, k: float) -> float:
     """(1/|Q_N|) sum over edges of mu_e^k, each undirected edge once."""
-    if not (k >= 1.0):
-        raise ValueError("k must be >= 1")
+    _check_range(k, _LOG_MOMENT_K, "k")
     return float(np.sum(graph.mu ** k)) / graph.box_volume()
 
 
@@ -562,7 +567,9 @@ class ScanCell:
 # raises SchemaError on a wrong JSON type; a None default leaves the
 # parameter unset when absent or null; ``check`` is the range rule, (test,
 # statement), or None where H2Options or KellerParams checks the range.
-# kappa is one row that h2 and logmoment share; keller reads one object.
+# The k, p, n_samples and quantity rules are the ones log_moment_statistic
+# and cluster_moment_statistic check their arguments by.  kappa is one row
+# that h2 and logmoment share; keller reads one object.
 Task = namedtuple("Task", "output params")
 TaskValue = namedtuple("TaskValue", "read default check", defaults=(None,))
 
@@ -578,8 +585,8 @@ def _task_values(params: dict, rows: dict) -> dict:
         if value is not None or default is not None:
             what = f"task parameter {key!r}"
             value = read(value, what)
-            if check is not None and not check[0](value):
-                raise ValueError(f"{what} must be {check[1]}, got {value!r}")
+            if check is not None:
+                _check_range(value, check, what)
         values[key] = value
     return values
 
@@ -614,15 +621,14 @@ TASKS = {
         "tol": TaskValue(_json_number, H2Options.tol),
         "kappa": _KAPPA}),
     "logmoment": Task(CriterionSeries, {
-        "k": TaskValue(_json_number, 2.0, (lambda v: 1.0 <= v < math.inf,
-                                            "a finite number >= 1")),
+        "k": TaskValue(_json_number, 2.0, _LOG_MOMENT_K),
         "kappa": _KAPPA}),
     "clustermoment": Task(CriterionSeries, {
-        "p": TaskValue(_json_number, 2.0, (lambda v: 0.0 < v < math.inf,
-                                            "a finite number > 0")),
-        "n_samples": TaskValue(_json_int, 2000, (lambda v: v >= 1, ">= 1")),
-        "quantity": TaskValue(_json_str, "diam", (
-            lambda v: v in ("diam", "count"), "diam or count"))}),
+        "p": TaskValue(_json_number, 2.0, _CLUSTER_MOMENT_RULES["p"]),
+        "n_samples": TaskValue(_json_int, 2000,
+                               _CLUSTER_MOMENT_RULES["n_samples"]),
+        "quantity": TaskValue(_json_str, "diam",
+                              _CLUSTER_MOMENT_RULES["quantity"])}),
     "density": Task(CriterionSeries, {}),
     # The tensor refuses a finite layer_width <= 0 in each cell.
     "effective": Task(effective.EffectiveSeries, {

@@ -94,6 +94,12 @@ def _json_str(value, what):
     return value
 
 
+def _check_range(value, rule, what):
+    """Raise ValueError unless ``value`` passes ``rule``, (test, statement)."""
+    if not rule[0](value):
+        raise ValueError(f"{what} must be {rule[1]}, got {value!r}")
+
+
 class SphereConfig:
     """A finite ball configuration in the box ``(-N, N)^3``.
 
@@ -642,6 +648,15 @@ class MomentEstimate:
     n_samples: int
 
 
+# The range rule, (test, statement), of each cluster_moment_statistic
+# argument; criteria.TASKS checks the clustermoment task values by them.
+_CLUSTER_MOMENT_RULES = {
+    "p": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "n_samples": (lambda v: v >= 1, ">= 1"),
+    "quantity": (lambda v: v in ("diam", "count"), "diam or count"),
+}
+
+
 def cluster_moment_statistic(config, graph, p, n_samples, seed,
                              quantity) -> MomentEstimate:
     """Spatial average of ``diam(C_y)^p`` over uniform points of the box.
@@ -653,12 +668,9 @@ def cluster_moment_statistic(config, graph, p, n_samples, seed,
     """
     from .multigraph import clusters as graph_clusters
 
-    if not (p > 0):
-        raise ValueError("p must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if quantity not in ("diam", "count"):
-        raise ValueError("quantity must be 'diam' or 'count'")
+    for name, value in (("p", p), ("n_samples", n_samples),
+                        ("quantity", quantity)):
+        _check_range(value, _CLUSTER_MOMENT_RULES[name], name)
 
     rng = np.random.default_rng(seed)
     N = config.box_half_width

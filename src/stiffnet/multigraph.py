@@ -18,7 +18,9 @@ narrower than ``kappa`` that are not in a protected edge set.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,10 +62,13 @@ class InclusionGraph:
 
     Immutable; every operation returns a new graph.  ``g2_violations``
     counts spheres whose near-contact caps at the threshold ``delta``
-    overlap (two gaps too close to separate, see ``build_graph``); it is
-    diagnostic only and never alters the edge set.  ``node_merge_map`` is
-    set on graphs produced by shorts and maps the source graph's node ids
-    to this graph's node ids.
+    overlap (two gaps too close to separate, see
+    ``_count_g2_violations``); it is diagnostic only and never alters the
+    edge set.  A built graph computes it on its first read, with a
+    candidate query of its own, and keeps it; a short shares its source
+    graph's count, and a deserialized graph reads 0.  ``node_merge_map``
+    is set on graphs produced by shorts and maps the source graph's node
+    ids to this graph's node ids.
     """
 
     volumes: np.ndarray             # (n_nodes,)
@@ -79,7 +84,8 @@ class InclusionGraph:
     mu: np.ndarray                  # (n_edges,) weight |ln d|
     delta: float
     box_half_width: float
-    g2_violations: int = 0
+    # The cap-separation count of a built graph, computed once when called.
+    _g2_count: Callable[[], int] | None = field(default=None, repr=False)
     node_merge_map: tuple[int, ...] | None = field(default=None, repr=False)
     spheres: SphereConfig | None = field(default=None, repr=False)
     sphere_node: np.ndarray | None = field(default=None, repr=False)
@@ -91,6 +97,10 @@ class InclusionGraph:
     @property
     def n_edges(self):
         return int(self.d.size)
+
+    @property
+    def g2_violations(self):
+        return 0 if self._g2_count is None else self._g2_count()
 
     def box_volume(self):
         return (2.0 * self.box_half_width) ** 3
@@ -290,6 +300,17 @@ def _count_g2_violations(config, pairs, dist, delta):
     return int(bad.sum())
 
 
+def _cross_gap_pairs(config, labels, width):
+    """Sphere pairs in distinct components (by ``labels``) with gap at most
+    ``width``, in ``_pairs_within`` order, and their centre distances."""
+    centers, radii = config.centers, config.radii
+    pairs = _pairs_within(centers, radii, width)
+    i, j = pairs[:, 0], pairs[:, 1]
+    dist = np.linalg.norm(centers[i] - centers[j], axis=1)
+    near = (labels[i] != labels[j]) & (dist - radii[i] - radii[j] <= width)
+    return pairs[near], dist[near]
+
+
 def build_graph(component_set: ComponentSet, config: SphereConfig,
                 delta: float) -> InclusionGraph:
     """Build the gap multigraph at threshold ``delta``.
@@ -301,6 +322,7 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
     enumeration exactly.  Each contact point is a ball centre moved by its
     radius along the unit centre line, and the gap is the centre distance
     minus both radii, rounded as one pair at a time would round them.
+    The returned graph defers ``g2_violations`` to its first read.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1): weights |ln d| must "
@@ -308,22 +330,7 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
     cs = component_set
     labels = cs.labels
     centers, radii = config.centers, config.radii
-
-    g2_violations = 0
-    kept = np.empty((0, 2), dtype=np.int64)
-    if config.n_spheres >= 2:
-        # Search out to 2*delta so the cap-separation diagnostic sees the
-        # near misses as well; edges keep the strict gap <= delta cut.
-        cand = _pairs_within(centers, radii, 2.0 * delta)
-        if cand.size:
-            diff = centers[cand[:, 0]] - centers[cand[:, 1]]
-            dist = np.linalg.norm(diff, axis=1)
-            gap = dist - radii[cand[:, 0]] - radii[cand[:, 1]]
-            cross = labels[cand[:, 0]] != labels[cand[:, 1]]
-            near = cross & (gap <= 2.0 * delta)
-            g2_violations = _count_g2_violations(
-                config, cand[near], dist[near], delta)
-            kept = cand[cross & (gap <= delta)]
+    kept, _ = _cross_gap_pairs(config, labels, delta)
 
     # Contact points of every kept pair at once, in per-pair operation order.
     i, j = kept[:, 0], kept[:, 1]
@@ -352,7 +359,10 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
         # math.log per value: numpy's vectorised log may round differently.
         mu=np.array([abs(math.log(v)) for v in d.tolist()]),
         delta=delta, box_half_width=config.box_half_width,
-        g2_violations=g2_violations, spheres=config, sphere_node=labels)
+        # Caps of gaps up to 2*delta can meet, so the count looks that far.
+        _g2_count=functools.cache(lambda: _count_g2_violations(
+            config, *_cross_gap_pairs(config, labels, 2.0 * delta), delta)),
+        spheres=config, sphere_node=labels)
 
 
 def _union_diameter(graph, nodes, balls):

@@ -45,6 +45,7 @@ from stiffnet.energy import (
 from stiffnet.geometry import (
     SchemaError,
     SphereConfig,
+    cluster_moment_statistic,
     components,
     generate_chain_forest,
     generate_lattice_jitter,
@@ -392,6 +393,10 @@ class TestLogMoment:
         with pytest.raises(ValueError):
             log_moment_statistic(graph, 0.5)
 
+    def test_infinite_k_rejected(self):
+        with pytest.raises(ValueError, match="a finite number >= 1"):
+            log_moment_statistic(single_edge_graph(), math.inf)
+
 
 class TestDensity:
     def test_empty_config(self):
@@ -449,6 +454,33 @@ class TestTaskTable:
         keller = self.RecordingParams()
         task_evaluator("keller", {"keller": keller}, 0)
         assert keller.read == set(criteria._KELLER)
+
+    @staticmethod
+    def refuses(call):
+        try:
+            call()
+        except ValueError:
+            return True
+        return False
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0, math.inf, math.nan])
+    def test_logmoment_k_rule_is_the_functions(self, k):
+        graph = single_edge_graph()
+        assert (self.refuses(lambda: task_evaluator("logmoment", {"k": k}, 0))
+                == self.refuses(lambda: log_moment_statistic(graph, k)))
+
+    @pytest.mark.parametrize("key,value", [
+        ("p", 0.0), ("p", 0.5), ("p", math.inf), ("p", math.nan),
+        ("n_samples", 0), ("n_samples", 5), ("quantity", "count"),
+        ("quantity", "volume")])
+    def test_clustermoment_rules_are_the_functions(self, key, value):
+        config = generate_lattice_jitter(0, 2, 1.0, 0.4, 0.05)
+        graph = build_graph(components(config), config, 0.5)
+        args = {"p": 2.0, "n_samples": 10, "quantity": "diam", key: value}
+        assert (self.refuses(lambda: task_evaluator("clustermoment",
+                                                    {key: value}, 0))
+                == self.refuses(lambda: cluster_moment_statistic(
+                    config, graph, seed=0, **args)))
 
 
 class TestScan:

@@ -330,6 +330,13 @@ class TestComponents:
 
 
 class TestClusterMoment:
+    def test_infinite_p_rejected(self):
+        config = generate_lattice_jitter(0, 2, 1.0, 0.4, 0.05)
+        graph = build_graph(components(config), config, 0.5)
+        with pytest.raises(ValueError, match="a finite number > 0"):
+            cluster_moment_statistic(config, graph, p=math.inf, n_samples=10,
+                                     seed=0, quantity="diam")
+
     def test_empty_config_gives_zero(self):
         config = SphereConfig(np.empty((0, 3)), np.empty(0), 3.0)
         graph = build_graph(components(config), config, 0.3)

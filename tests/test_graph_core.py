@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import stiffnet.geometry as geometry
+import stiffnet.multigraph as multigraph
 from conftest import (
     bfs_clusters,
     boundary_nodes_oracle,
@@ -48,6 +49,7 @@ from stiffnet.multigraph import (
     clusters,
     is_cycle_free,
     short_at,
+    short_kappa,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -194,6 +196,64 @@ class TestBuildGraphOracle:
     def test_generated_g2_violations_match_scalar_loop(self, config, delta):
         graph = build_graph(components(config), config, delta)
         assert graph.g2_violations == scalar_g2_count(config, delta)
+
+
+class TestDeferredCapCount:
+    """``g2_violations`` is computed on its first read, not by build_graph."""
+
+    config, delta = GENERATED[0]
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Record each _pairs_within slack and each cap count call."""
+        calls = {"slack": [], "count": 0}
+        pairs_within = multigraph._pairs_within
+        count = multigraph._count_g2_violations
+
+        def pairs_spy(centers, radii, slack):
+            calls["slack"].append(slack)
+            return pairs_within(centers, radii, slack)
+
+        def count_spy(*args):
+            calls["count"] += 1
+            return count(*args)
+
+        monkeypatch.setattr(multigraph, "_pairs_within", pairs_spy)
+        monkeypatch.setattr(multigraph, "_count_g2_violations", count_spy)
+        return calls
+
+    def build(self):
+        return build_graph(components(self.config), self.config, self.delta)
+
+    def test_build_graph_queries_at_delta_and_counts_nothing(self, spies):
+        self.build()
+        assert spies == {"slack": [self.delta], "count": 0}
+
+    def test_first_read_counts_once(self, spies):
+        graph = self.build()
+        expected = scalar_g2_count(self.config, self.delta)
+        assert expected > 0
+        assert graph.g2_violations == expected
+        assert spies["count"] == 1
+        assert graph.g2_violations == expected
+        assert spies["count"] == 1
+
+    def test_shorts_read_the_source_count(self, spies):
+        graph = self.build()
+        expected = scalar_g2_count(self.config, self.delta)
+        shorted = short_at(graph, [(int(graph.a[0]), int(graph.b[0]))])
+        kappa = short_kappa(graph, (), float(np.median(graph.d)))
+        identity = short_kappa(graph, graph.edge_ids, 0.5)
+        assert shorted.n_nodes < graph.n_nodes
+        assert kappa.n_nodes < graph.n_nodes
+        assert [g.g2_violations for g in (shorted, kappa, identity, graph)] \
+            == [expected] * 4
+        assert spies["count"] == 1
+
+    def test_deserialized_graph_reads_zero(self):
+        graph = self.build()
+        assert graph.g2_violations > 0
+        assert InclusionGraph.from_dict(graph.to_dict()).g2_violations == 0
 
 
 class TestConnectivity:
