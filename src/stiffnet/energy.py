@@ -18,10 +18,12 @@ with L the weighted graph Laplacian and D = diag(|I|).  ``SPDSolver`` is
 the single solve path of the package (this minimization, the h2 operator
 of a large cluster, the clamped network): Jacobi-preconditioned
 conjugate gradients, every solution certified by its residual against
-the fixed tolerance ``SOLVE_TOL``.  Positive definiteness is the
-caller's certificate, read off the data before the matrix is assembled:
-here every volume is finite and positive (``check_volumes``) and every
-mu > 0, so D + 2 L is SPD.
+the fixed tolerance ``SOLVE_TOL``.  The CG loop, ``_jacobi_cg``, is the
+arithmetic of ``scipy.sparse.linalg.cg`` written out, without scipy's
+operator dispatch, and it returns its iteration count.  Positive
+definiteness is the caller's certificate, read off the data before the
+matrix is assembled: here every volume is finite and positive
+(``check_volumes``) and every mu > 0, so D + 2 L is SPD.
 
 The module also evaluates the explicit gap profile
 
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .geometry import _connected_labels
 from .multigraph import InclusionGraph, is_cycle_free
@@ -145,22 +146,55 @@ SOLVE_TOL = 1e-10
 SOLVE_GATE = 10.0 * SOLVE_TOL
 
 
+def _jacobi_cg(K, inv_diag, b, max_iter):
+    """Jacobi-preconditioned CG on K x = b from x = 0.
+
+    The arithmetic, step for step, of ``scipy.sparse.linalg.cg(K, b,
+    rtol=SOLVE_TOL, atol=0, maxiter=max_iter, M=diags(inv_diag))``, so
+    the solution is bitwise scipy's.  Returns ``(x, iterations,
+    converged)``: the steps taken, and whether the residual test passed
+    before ``max_iter`` steps ran out.
+    """
+    x = np.zeros(b.shape)
+    r = b.copy()
+    stop = SOLVE_TOL * np.linalg.norm(b)
+    p = None
+    for iteration in range(max_iter):
+        if np.linalg.norm(r) < stop:
+            return x, iteration, True
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if p is None:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = K @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, max_iter, False
+
+
 class SPDSolver:
     """Solves K x = rhs for one SPD matrix K and many right-hand sides.
 
-    Conjugate gradients with K's Jacobi preconditioner run per
-    right-hand side, at most 10 n iterations each, to the relative
-    residual ``SOLVE_TOL``.  K must be symmetric positive definite; the
-    caller certifies that from the data K is built from.  ``solve``
-    takes one right-hand side or an (n, k) block of them.  Every solution
-    column is certified: a relative residual |K x - rhs| / |rhs| above
-    ``SOLVE_GATE``, or NaN, raises ``SolverError`` carrying that residual.
+    Conjugate gradients with K's Jacobi preconditioner (``_jacobi_cg``,
+    scipy's ``cg`` arithmetic written out, which returns its iteration
+    count) run per right-hand side, at most 10 n iterations each, to the
+    relative residual ``SOLVE_TOL``.  K is a sparse matrix, symmetric
+    positive definite; the caller certifies that from the data K is
+    built from.  ``solve`` takes one right-hand side or an (n, k) block
+    of them.  Every solution column is certified: a relative residual
+    |K x - rhs| / |rhs| above ``SOLVE_GATE``, or NaN, raises
+    ``SolverError`` carrying that residual.
     """
 
     def __init__(self, K):
         self.K = K
         self.n = K.shape[0]
-        self._precond = scipy.sparse.diags(1.0 / K.diagonal())
+        self._inv_diag = 1.0 / K.diagonal()
         self._max_iter = 10 * self.n
 
     def solve(self, rhs):
@@ -185,14 +219,14 @@ class SPDSolver:
         scale = np.ldexp(1.0, np.frexp(peak[live])[1])
         cols = cols[:, live] / scale
         rhs_norm = np.linalg.norm(cols, axis=0)
-        info = np.zeros(live.size, dtype=int)
+        converged = np.ones(live.size, dtype=bool)
         for k, j in enumerate(live):
-            x[:, j], info[k] = scipy.sparse.linalg.cg(
-                self.K, np.ascontiguousarray(cols[:, k]), rtol=SOLVE_TOL,
-                atol=0.0, maxiter=self._max_iter, M=self._precond)
+            x[:, j], _, converged[k] = _jacobi_cg(
+                self.K, self._inv_diag, np.ascontiguousarray(cols[:, k]),
+                self._max_iter)
         residual = np.linalg.norm(self.K @ x[:, live] - cols, axis=0) / rhs_norm
-        if info.any():
-            worst = float(residual[np.flatnonzero(info)[0]])
+        if not converged.all():
+            worst = float(residual[np.flatnonzero(~converged)[0]])
             raise SolverError(
                 f"conjugate gradients did not converge in {self._max_iter} "
                 f"iterations (relative residual {worst:.3e})", residual=worst)

@@ -413,14 +413,16 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
 _BLOCK_BALLS = 2048
 
 
-def _row_norms(v):
-    """Euclidean norms of the rows of ``v``.
+def _row_dots(v):
+    """``v_k @ v_k`` for each row, rounded as one BLAS dot product;
+    ``np.sum(v * v, axis=1)`` sums in another order and can differ in the
+    last bit.  ``np.sqrt`` of it is ``np.linalg.norm`` of each row."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
-    Rounded exactly as ``np.linalg.norm`` rounds one vector (a BLAS dot
-    product, then a square root); ``norm(axis=1)`` sums in another order
-    and can differ in the last bit.
-    """
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+def _row_norms(v):
+    """Euclidean norms of the rows of ``v``, rounded as ``np.linalg.norm``."""
+    return np.sqrt(_row_dots(v))
 
 
 def _place_in_blocks(draw, n_target, max_attempts, reach, conflict, warning):
@@ -657,6 +659,16 @@ _CLUSTER_MOMENT_RULES = {
 }
 
 
+def _scalar_powers(values, p):
+    """``v ** p`` for each entry, rounded as numpy's scalar power.
+
+    The array power may take a vectorised pow that differs in the last
+    bit, so each distinct value is raised once as a scalar.
+    """
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array([v ** p for v in distinct])[index]
+
+
 def cluster_moment_statistic(config, graph, p, n_samples, seed,
                              quantity) -> MomentEstimate:
     """Spatial average of ``diam(C_y)^p`` over uniform points of the box.
@@ -665,6 +677,11 @@ def cluster_moment_statistic(config, graph, p, n_samples, seed,
     contribution when ``y`` is outside every ball).  ``quantity`` selects
     the moment: ``"diam"`` for cluster diameters, ``"count"`` for cluster
     cardinalities.
+
+    Each point's ball is found in one vectorised pass: a single KD-tree
+    query pairs the points with the centres a hair past the largest
+    radius, the exact test ``dx . dx <= r**2`` keeps the pairs inside
+    their ball, and each point takes its lowest-index containing ball.
     """
     from .multigraph import clusters as graph_clusters
 
@@ -689,16 +706,17 @@ def cluster_moment_statistic(config, graph, p, n_samples, seed,
     else:
         cluster_value = np.asarray(part.cardinalities, dtype=float)
 
-    tree = cKDTree(config.centers)
     r_max = float(config.radii.max())
+    pairs = cKDTree(points).sparse_distance_matrix(
+        cKDTree(config.centers), r_max * (1.0 + 1e-9), output_type="ndarray")
+    point, ball = pairs["i"], pairs["j"]
+    inside = (_row_dots(points[point] - config.centers[ball])
+              <= _scalar_powers(config.radii[ball], 2))
+    first = np.full(n_samples, config.n_spheres)
+    np.minimum.at(first, point[inside], ball[inside])
+    hit = first < config.n_spheres
     values = np.zeros(n_samples)
-    hits = tree.query_ball_point(points, r=r_max, return_sorted=True)
-    for k, cand in enumerate(hits):
-        for idx in cand:
-            dx = points[k] - config.centers[idx]
-            if dx @ dx <= config.radii[idx] ** 2:
-                values[k] = cluster_value[sphere_cluster[idx]] ** p
-                break
+    values[hit] = _scalar_powers(cluster_value[sphere_cluster[first[hit]]], p)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return MomentEstimate(mean, stderr, n_samples)

@@ -7,6 +7,7 @@ they share no code path with the package internals they check.
 
 from __future__ import annotations
 
+import importlib
 import math
 from typing import NamedTuple
 
@@ -14,11 +15,14 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.spatial import cKDTree
 
 from stiffnet.criteria import ScanCell, task_evaluator
 from stiffnet.energy import BoundaryFamily, minimize_energy
-from stiffnet.multigraph import InclusionGraph
+from stiffnet.multigraph import InclusionGraph, clusters
 
+# The module itself: the package rebinds ``stiffnet.energy`` to the function.
+ENERGY = importlib.import_module("stiffnet.energy")
 
 class NodeRow(NamedTuple):
     """One node of a graph: volume, centroid, diameter and boundary flag."""
@@ -507,6 +511,37 @@ def quadratic_chain_forest(seed, N, radius, chain_len_max, gap_range,
     return occupied, warnings
 
 
+def pointwise_cluster_moment(config, graph, p, n_samples, seed, quantity):
+    """``cluster_moment_statistic`` by a loop over the sample points.
+
+    Each point's candidate balls come from its own KD-tree query at twice
+    the largest radius, a clear superset; the candidates are tried in
+    index order with the exact test ``dx @ dx <= r ** 2``, and the first
+    ball that holds the point gives its cluster.
+    """
+    points = np.random.default_rng(seed).uniform(
+        -config.box_half_width, config.box_half_width, size=(n_samples, 3))
+    part = clusters(graph)
+    sphere_cluster = part.node_cluster[graph.sphere_node]
+    cluster_value = np.asarray(
+        part.diameters if quantity == "diam" else part.cardinalities,
+        dtype=float)
+    tree = cKDTree(config.centers)
+    hits = tree.query_ball_point(points, r=2.0 * float(config.radii.max()),
+                                 return_sorted=True)
+    values = np.zeros(n_samples)
+    for k, cand in enumerate(hits):
+        for idx in cand:
+            dx = points[k] - config.centers[idx]
+            if dx @ dx <= config.radii[idx] ** 2:
+                values[k] = cluster_value[sphere_cluster[idx]] ** p
+                break
+    mean = float(values.mean())
+    stderr = (float(values.std(ddof=1) / math.sqrt(n_samples))
+              if n_samples > 1 else 0.0)
+    return mean, stderr
+
+
 def polarised_tensor(graph, layer_width):
     """Network tensor from six clamped solves and polarisation.
 
@@ -585,14 +620,19 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def count_cg_runs(monkeypatch):
+    """Record each run of ``SPDSolver``'s CG loop, one per solved column."""
+    return count_calls(monkeypatch, ENERGY, "_jacobi_cg")
+
+
 def cap_cg_iterations(monkeypatch, cap):
-    """Make every ``scipy.sparse.linalg.cg`` call stop after ``cap`` steps."""
-    cg = scipy.sparse.linalg.cg
+    """Make every run of ``SPDSolver``'s CG loop stop after ``cap`` steps."""
+    loop = ENERGY._jacobi_cg
 
-    def capped(*args, **kwargs):
-        return cg(*args, **{**kwargs, "maxiter": cap})
+    def capped(K, inv_diag, b, max_iter):
+        return loop(K, inv_diag, b, cap)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "cg", capped)
+    monkeypatch.setattr(ENERGY, "_jacobi_cg", capped)
 
 
 @pytest.fixture

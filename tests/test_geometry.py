@@ -21,6 +21,7 @@ from stiffnet.multigraph import build_graph, is_cycle_free
 from conftest import (
     count_calls,
     node_rows,
+    pointwise_cluster_moment,
     quadratic_chain_forest,
     sequential_hardcore,
 )
@@ -388,6 +389,85 @@ class TestClusterMoment:
                 config, graph, p=2, n_samples=30000, seed=3,
                 quantity="diam").mean)
         assert vals[1] > vals[0]
+
+    @staticmethod
+    def moment_case(name):
+        """A configuration and its graph for the oracle comparisons."""
+        if name == "lattice":
+            config = generate_lattice_jitter(seed=1, N=4, spacing=1,
+                                             radius=0.4, jitter=0.05)
+            delta = 0.5
+        elif name == "hardcore":
+            config = generate_hardcore(seed=2, N=5, intensity=0.1, radius=0.5,
+                                       min_gap=0.05)
+            delta = 0.3
+        else:
+            config = generate_chain_forest(seed=13, N=8, radius=0.8,
+                                           chain_len_max=5,
+                                           gap_range=(0.05, 0.15),
+                                           chain_density=0.004)
+            delta = 0.3
+        return config, build_graph(components(config), config, delta)
+
+    @pytest.mark.parametrize("n_samples", [1, 2000])
+    @pytest.mark.parametrize("p", [2, 1.5])
+    @pytest.mark.parametrize("quantity", ["diam", "count"])
+    @pytest.mark.parametrize("case", ["lattice", "hardcore", "chains"])
+    def test_matches_pointwise_oracle(self, case, quantity, p, n_samples):
+        config, graph = self.moment_case(case)
+        est = cluster_moment_statistic(config, graph, p=p, n_samples=n_samples,
+                                       seed=7, quantity=quantity)
+        assert (est.mean, est.stderr) == pointwise_cluster_moment(
+            config, graph, p, n_samples, 7, quantity)
+
+    def test_point_in_a_ball_that_is_not_the_nearest(self):
+        # Balls 0 and 2 overlap with unequal radii; ball 1 lies 0.1 past
+        # ball 0, beyond delta, so it is a cluster of its own, and points
+        # of ball 0 near it have ball 1's centre as their nearest.
+        config = SphereConfig([[0.0, 0.0, 0.0], [1.3, 0.0, 0.0],
+                               [-0.9, 0.6, 0.0], [0.0, 0.0, 1.6]],
+                              [1.0, 0.2, 0.5, 0.3], 2.0)
+        graph = build_graph(components(config), config, 0.05)
+        n_samples, seed = 4000, 11
+        points = np.random.default_rng(seed).uniform(-2.0, 2.0,
+                                                     size=(n_samples, 3))
+        dist = np.linalg.norm(points[:, None, :] - config.centers, axis=2)
+        inside = dist <= config.radii
+        nearest = np.argmin(dist, axis=1)
+        assert np.any(inside.any(axis=1)
+                      & ~inside[np.arange(n_samples), nearest])
+        assert np.any(inside[:, 0] & inside[:, 2])
+        for quantity in ("diam", "count"):
+            est = cluster_moment_statistic(config, graph, p=1.5,
+                                           n_samples=n_samples, seed=seed,
+                                           quantity=quantity)
+            assert (est.mean, est.stderr) == pointwise_cluster_moment(
+                config, graph, 1.5, n_samples, seed, quantity)
+
+    def test_point_at_the_largest_radius_is_kept(self):
+        # The one sample point lies on the sphere of the larger ball: its
+        # radius is the least float r with dx @ dx <= r ** 2.  At this
+        # seed a KD-tree query at exactly r misses the point.
+        seed = 4
+        point = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(1, 3))[0]
+        center = point + np.array([0.7, -0.4, 0.25])
+        dx = point - center
+        r = np.sqrt(dx @ dx)
+        while r ** 2 < dx @ dx:
+            r = np.nextafter(r, math.inf)
+        while np.nextafter(r, 0.0) ** 2 >= dx @ dx:
+            r = np.nextafter(r, 0.0)
+        means = []
+        for radius in (r, np.nextafter(r, 0.0)):
+            config = SphereConfig([center, [-2.0, -2.0, -2.0]],
+                                  [radius, 0.3], 3.0)
+            graph = build_graph(components(config), config, 0.1)
+            est = cluster_moment_statistic(config, graph, p=2, n_samples=1,
+                                           seed=seed, quantity="diam")
+            assert (est.mean, est.stderr) == pointwise_cluster_moment(
+                config, graph, 2, 1, seed, "diam")
+            means.append(est.mean)
+        assert means[0] == (2.0 * r) ** 2 and means[1] == 0.0
 
     def test_count_moment_supported(self):
         config = generate_chain_forest(seed=19, N=8, radius=0.8,

@@ -1,7 +1,6 @@
 """The shared SPD solve layer: conjugate gradients and certification."""
 
 import dataclasses
-import importlib
 import math
 
 import numpy as np
@@ -10,7 +9,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import stiffnet.criteria as criteria
-from conftest import cap_cg_iterations, count_calls, make_graph
+from conftest import (
+    ENERGY,
+    cap_cg_iterations,
+    count_calls,
+    count_cg_runs,
+    make_graph,
+)
 from stiffnet.criteria import (
     DENSE_CUTOFF,
     H2Options,
@@ -36,8 +41,6 @@ from stiffnet.geometry import (
     generate_lattice_jitter,
 )
 from stiffnet.multigraph import InclusionGraph, build_graph
-
-ENERGY = importlib.import_module("stiffnet.energy")
 
 
 @pytest.fixture
@@ -82,7 +85,7 @@ class TestSPDSolver:
 
     def test_zero_rhs_returns_zeros_without_iterating(self, monkeypatch):
         K = scipy.sparse.identity(DENSE_CUTOFF, format="csr")
-        calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        calls = count_cg_runs(monkeypatch)
         x = SPDSolver(K).solve(np.zeros(DENSE_CUTOFF))
         assert np.array_equal(x, np.zeros(DENSE_CUTOFF))
         assert calls == []
@@ -135,20 +138,20 @@ class TestSPDSolver:
                                               tight_tol):
         rng = np.random.default_rng(5)
         K = self.block_diagonal(rng, [DENSE_CUTOFF, 3, 10], 1.0)
-        calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        calls = count_cg_runs(monkeypatch)
         solver = SPDSolver(K)
         rhs = rng.normal(size=K.shape[0])
         np.testing.assert_allclose(solver.solve(rhs),
                                    np.linalg.solve(K.toarray(), rhs),
                                    rtol=1e-9, atol=1e-12)
-        assert calls == ["cg"]
+        assert calls == ["_jacobi_cg"]
 
     def test_chain_forest_h2_makes_no_cg_call(self, monkeypatch):
         config = generate_chain_forest(seed=3, N=20, radius=1,
                                        chain_len_max=8, gap_range=(0.01, 0.1))
         graph = build_graph(components(config), config, 0.2)
         assert graph.n_nodes > DENSE_CUTOFF
-        calls = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        calls = count_cg_runs(monkeypatch)
         estimate = h2_statistic(graph, H2Options(s=4.0, n_starts=2))
         assert math.isfinite(estimate.value) and estimate.value > 0.0
         assert calls == []
@@ -168,7 +171,7 @@ class TestManyRightHandSides:
         rhs = rng.normal(size=(K.shape[0], 4))
         rhs[:, 2] = 0.0
         singles = [solver.solve(np.ascontiguousarray(col)) for col in rhs.T]
-        cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        cgs = count_cg_runs(monkeypatch)
         x = solver.solve(rhs)
         assert x.shape == rhs.shape
         for j, single in enumerate(singles):
@@ -246,12 +249,77 @@ class TestManyRightHandSides:
 
     def test_large_block_s2_value_matches_the_direct_one(self, lattice_512,
                                                          monkeypatch):
-        cgs = count_calls(monkeypatch, scipy.sparse.linalg, "cg")
+        cgs = count_cg_runs(monkeypatch)
         lanczos = h2_statistic(lattice_512, H2Options(s=2.0)).value
         assert cgs
         monkeypatch.setattr(criteria, "DENSE_CUTOFF", lattice_512.n_nodes + 1)
         assert lanczos == pytest.approx(criteria.h2_exact_s2(lattice_512),
                                         rel=1e-8)
+
+
+def recorded_systems(monkeypatch, run):
+    """The (K, inv_diag, b, max_iter) of every CG run that ``run()`` makes."""
+    systems = []
+    loop = ENERGY._jacobi_cg
+
+    def recording(K, inv_diag, b, max_iter):
+        systems.append((K, inv_diag, b.copy(), max_iter))
+        return loop(K, inv_diag, b, max_iter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ENERGY, "_jacobi_cg", recording)
+        run()
+    return systems
+
+
+def scipy_cg(K, b, max_iter):
+    """scipy's Jacobi CG: the solution, its step count and its info."""
+    steps = []
+    x, info = scipy.sparse.linalg.cg(
+        K, b, rtol=ENERGY.SOLVE_TOL, atol=0.0, maxiter=max_iter,
+        M=scipy.sparse.diags(1.0 / K.diagonal()), callback=steps.append)
+    return x, len(steps), info
+
+
+class TestLoopAgainstScipy:
+    """``_jacobi_cg`` is scipy's ``cg`` arithmetic: the same solution bit
+    for bit, after the same number of steps, on every system it solves."""
+
+    @staticmethod
+    def run_case(case, graph):
+        if case == "system":
+            return lambda: minimize_energy(
+                graph, affine_boundary_family(graph, (1.0, 0.5, 0.25)))
+        if case == "clamped":
+            return lambda: network_effective_tensor(graph, 0.5)
+        if case == "h2-product":
+            Q = criteria._h2_operator(graph)
+            assert not scipy.sparse.issparse(Q)
+            beta = np.random.default_rng(4).normal(size=graph.n_edges)
+            return lambda: Q @ beta
+        rng = np.random.default_rng(9)
+        K = TestSPDSolver.block_diagonal(rng, [DENSE_CUTOFF, 7, 30, 2], 0.05)
+        return lambda: SPDSolver(K).solve(rng.normal(size=(K.shape[0], 2)))
+
+    @pytest.mark.parametrize("case", ["system", "clamped", "h2-product",
+                                      "block-diagonal"])
+    def test_solutions_and_steps_equal_scipy(self, case, lattice_512,
+                                             monkeypatch):
+        systems = recorded_systems(monkeypatch,
+                                   self.run_case(case, lattice_512))
+        assert systems
+        for K, inv_diag, b, max_iter in systems:
+            assert np.array_equal(inv_diag, 1.0 / K.diagonal())
+            x, steps, converged = ENERGY._jacobi_cg(K, inv_diag, b, max_iter)
+            x_ref, steps_ref, info = scipy_cg(K, b, max_iter)
+            assert converged and info == 0
+            assert 0 < steps == steps_ref < max_iter
+            assert x.tobytes() == x_ref.tobytes()
+            x, steps, converged = ENERGY._jacobi_cg(K, inv_diag, b, 1)
+            x_ref, steps_ref, info = scipy_cg(K, b, 1)
+            assert not converged and info == 1
+            assert steps == steps_ref == 1
+            assert x.tobytes() == x_ref.tobytes()
 
 
 class TestCertifiedCallers:
