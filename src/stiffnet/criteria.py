@@ -79,6 +79,7 @@ from .geometry import (
     _json_number,
     _json_numbers,
     _json_str,
+    _near_pairs,
     cluster_moment_statistic,
     components,
     generate_chain_forest,
@@ -116,6 +117,8 @@ class H2Options:
     and solved exactly, as an eigenvalue, so the ascent fields
     (``n_starts``, ``max_ascent_iters``, ``tol``, ``seed``) apply only
     when s > 2; the conjugate exponent s/(s-2) is finite only for s > 2.
+    The ascent holds all its starts at once, one value per edge each, so
+    ``n_starts`` is at most 256; ``max_ascent_iters`` is at most 10**5.
     """
 
     s: float = 4.0
@@ -127,10 +130,10 @@ class H2Options:
     def __post_init__(self):
         if not (2.0 <= self.s < math.inf):
             raise ValueError("s must be finite and >= 2")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
-        if self.max_ascent_iters < 1:
-            raise ValueError("max_ascent_iters must be >= 1")
+        if not 1 <= self.n_starts <= 256:
+            raise ValueError("n_starts must be in [1, 256]")
+        if not 1 <= self.max_ascent_iters <= 10 ** 5:
+            raise ValueError("max_ascent_iters must be in [1, 10**5]")
         if not (0.0 < self.tol < math.inf):
             raise ValueError("tol must be finite and positive")
 
@@ -549,6 +552,9 @@ class ScanCell:
 
     @functools.cached_property
     def restricted(self) -> SphereConfig:
+        # One pair query at delta, handed down by restrict_box, serves the
+        # contacts of restrict_box and components and the gaps of the graph.
+        _near_pairs(self.config, self.delta)
         return restrict_box(self.config, self.config.box_half_width)
 
     @functools.cached_property
@@ -680,7 +686,7 @@ def check_scan_grid(N_grid, n_seeds: int) -> list[float]:
     """The grid as floats; raises ValueError unless it is scannable.
 
     A scan needs at least 3 strictly increasing box sizes (the plateau
-    estimate reads the larger half) and at least one seed per size.
+    estimate reads the larger half) and 1 to 10**4 seeds per size.
     """
     N_grid = [float(N) for N in N_grid]
     if not all(0.0 < N < math.inf for N in N_grid):
@@ -689,8 +695,8 @@ def check_scan_grid(N_grid, n_seeds: int) -> list[float]:
         raise ValueError("N_grid needs at least 3 entries")
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise ValueError("N_grid must be strictly increasing")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    if not 1 <= n_seeds <= 10 ** 4:
+        raise ValueError("n_seeds must be in [1, 10**4]")
     return N_grid
 
 

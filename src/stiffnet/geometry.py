@@ -131,6 +131,10 @@ class SphereConfig:
         # Generation diagnostics (e.g. saturation); not part of the value,
         # not serialized, excluded from equality.
         self.warnings = tuple(warnings)
+        # The widest pair table asked of this configuration, (width, pairs,
+        # centre distances), see ``_near_pairs``; a cache, not part of the
+        # value either.
+        self._near = None
 
     @property
     def n_spheres(self):
@@ -291,9 +295,27 @@ def _pairs_within(centers, radii, slack):
     pairs = tree.query_pairs(r=r_query * (1.0 + 1e-12), output_type="ndarray")
     if pairs.size == 0:
         return pairs.reshape(0, 2)
-    # Sort for deterministic downstream iteration.
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    # Sort for deterministic downstream iteration: the pairs are distinct,
+    # so the one key i*n + j gives lexicographic order.
+    return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+
+
+def _near_pairs(config, width):
+    """Candidate pairs with centre distance <= r_i + r_j + ``width``.
+
+    Returns ``(pairs, dist)``: ``_pairs_within`` pairs in lexicographic
+    order and their centre distances by ``np.linalg.norm``.  The
+    configuration keeps its widest table and answers a narrower width from
+    it, a superset of the narrower query's pairs; callers apply their exact
+    test to the distances, so the answer does not depend on the table.
+    """
+    if config._near is None or config._near[0] < width:
+        centers = config.centers
+        pairs = _pairs_within(centers, config.radii, width)
+        dist = np.linalg.norm(centers[pairs[:, 0]] - centers[pairs[:, 1]],
+                              axis=1)
+        config._near = (width, pairs, dist)
+    return config._near[1], config._near[2]
 
 
 def _lens_volume(r1, r2, dist):
@@ -313,11 +335,10 @@ def _contact_pairs(config: SphereConfig):
 
     Returns ``(pairs, d, r_sum)``, pairs in lexicographic order with their
     center distances and radius sums; overlapping pairs are those with
-    ``d < r_sum``.
+    ``d < r_sum``.  The candidates come from the configuration's pair
+    table (``_near_pairs``), which a wider earlier query may already hold.
     """
-    pairs = _pairs_within(config.centers, config.radii, config.contact_tol)
-    d = np.linalg.norm(config.centers[pairs[:, 0]] - config.centers[pairs[:, 1]],
-                       axis=1)
+    pairs, d = _near_pairs(config, config.contact_tol)
     r_sum = config.radii[pairs[:, 0]] + config.radii[pairs[:, 1]]
     touching = d <= r_sum + config.contact_tol
     return pairs[touching], d[touching], r_sum[touching]
@@ -384,6 +405,11 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
 
     A component straddling the boundary is removed entirely, including its
     spheres that lie inside the smaller box.  Idempotent.
+
+    The returned configuration inherits the pair table of ``config`` (see
+    ``_near_pairs``): the pairs with both balls kept, renumbered in the
+    same order.  Its largest radius is no larger, so they are still a
+    superset of its own query at the table's width.
     """
     if not (0.0 < M <= config.box_half_width):
         raise ValueError(f"need 0 < M <= box_half_width, got M={M}")
@@ -393,7 +419,7 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
     comp_reach = np.full(m, -np.inf)
     np.maximum.at(comp_reach, labels, reach)
     keep = comp_reach[labels] < M
-    return SphereConfig(
+    out = SphereConfig(
         config.centers[keep],
         config.radii[keep],
         M,
@@ -402,6 +428,10 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
         contact_tol=config.contact_tol,
         warnings=config.warnings,
     )
+    width, pairs, dist = config._near
+    both = keep[pairs[:, 0]] & keep[pairs[:, 1]]
+    out._near = (width, (np.cumsum(keep) - 1)[pairs[both]], dist[both])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +682,10 @@ class MomentEstimate:
 
 # The range rule, (test, statement), of each cluster_moment_statistic
 # argument; criteria.TASKS checks the clustermoment task values by them.
+# The sample points are drawn at once, 24 bytes each, hence the 10**6 cap.
 _CLUSTER_MOMENT_RULES = {
     "p": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
-    "n_samples": (lambda v: v >= 1, ">= 1"),
+    "n_samples": (lambda v: 1 <= v <= 10 ** 6, "in [1, 10**6]"),
     "quantity": (lambda v: v in ("diam", "count"), "diam or count"),
 }
 

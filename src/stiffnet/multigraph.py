@@ -32,7 +32,7 @@ from .geometry import (
     _connected_labels,
     _json_int,
     _json_number,
-    _pairs_within,
+    _near_pairs,
     _pairwise_extent,
     _row_norms,
 )
@@ -302,11 +302,10 @@ def _count_g2_violations(config, pairs, dist, delta):
 
 def _cross_gap_pairs(config, labels, width):
     """Sphere pairs in distinct components (by ``labels``) with gap at most
-    ``width``, in ``_pairs_within`` order, and their centre distances."""
-    centers, radii = config.centers, config.radii
-    pairs = _pairs_within(centers, radii, width)
+    ``width``, in lexicographic order, and their centre distances."""
+    radii = config.radii
+    pairs, dist = _near_pairs(config, width)
     i, j = pairs[:, 0], pairs[:, 1]
-    dist = np.linalg.norm(centers[i] - centers[j], axis=1)
     near = (labels[i] != labels[j]) & (dist - radii[i] - radii[j] <= width)
     return pairs[near], dist[near]
 
@@ -317,9 +316,12 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
 
     One edge per pair of spheres in distinct components with gap at most
     ``delta``; candidate pairs come from a KD-tree query at radius
-    ``2*max_radius + delta`` so no pair can be missed.  Edges are sorted by
-    (node_a, node_b, d, xa, xb) and the edge count matches brute-force pair
-    enumeration exactly.  Each contact point is a ball centre moved by its
+    ``2*max_radius + delta`` (or the configuration's wider pair table, see
+    ``geometry._near_pairs``) so no pair can be missed.  Edges are sorted
+    by (node_a, node_b, d, xa, xb), ties keeping pair order: one stable
+    sort by the key ``a * n_nodes + b``, then the runs of parallel edges
+    by (d, xa, xb).  The edge count matches brute-force pair enumeration
+    exactly.  Each contact point is a ball centre moved by its
     radius along the unit centre line, and the gap is the centre distance
     minus both radii, rounded as one pair at a time would round them.
     The returned graph defers ``g2_violations`` to its first read.
@@ -349,15 +351,24 @@ def build_graph(component_set: ComponentSet, config: SphereConfig,
     na, nb = np.minimum(labels[i], labels[j]), np.maximum(labels[i], labels[j])
     xa = np.where(swap[:, None], xj, xi)
     xb = np.where(swap[:, None], xi, xj)
-    order = np.lexsort((xb[:, 2], xb[:, 1], xb[:, 0],
-                        xa[:, 2], xa[:, 1], xa[:, 0], d, nb, na))
+    key = na * cs.n_components + nb
+    order = np.argsort(key, kind="stable")
+    # Equal keys are parallel edges; order each run of them by (d, xa, xb).
+    same = np.diff(key[order]) == 0
+    tied = np.zeros(order.size, dtype=bool)
+    tied[1:] |= same
+    tied[:-1] |= same
+    run = order[tied]
+    order[tied] = run[np.lexsort((xb[run, 2], xb[run, 1], xb[run, 0],
+                                  xa[run, 2], xa[run, 1], xa[run, 0],
+                                  d[run], key[run]))]
     d = d[order]
     return InclusionGraph(
         volumes=cs.volumes, centroids=cs.centroids, diameters=cs.diameters,
         boundary=cs.boundary, edge_ids=np.arange(d.size), a=na[order],
         b=nb[order], xa=xa[order], xb=xb[order], d=d,
         # math.log per value: numpy's vectorised log may round differently.
-        mu=np.array([abs(math.log(v)) for v in d.tolist()]),
+        mu=np.abs(np.fromiter(map(math.log, d.tolist()), float, d.size)),
         delta=delta, box_half_width=config.box_half_width,
         # Caps of gaps up to 2*delta can meet, so the count looks that far.
         _g2_count=functools.cache(lambda: _count_g2_violations(

@@ -395,6 +395,7 @@ class TestMain:
         {"tasks": ["clustermoment"], "task_params": {"p": 0.0}},
         {"tasks": ["clustermoment"], "task_params": {"p": math.nan}},
         {"tasks": ["clustermoment"], "task_params": {"n_samples": 0}},
+        {"tasks": ["clustermoment"], "task_params": {"n_samples": 1e15}},
         {"tasks": ["clustermoment"], "task_params": {"quantity": "radius"}},
         {"task_params": {"kappa": 0.0}},
         {"task_params": {"kappa": 1.5}},
@@ -402,7 +403,9 @@ class TestMain:
         {"tasks": ["h2"], "task_params": {"s": 1.5}},
         {"tasks": ["h2"], "task_params": {"s": math.inf}},
         {"tasks": ["h2"], "task_params": {"n_starts": 0}},
+        {"tasks": ["h2"], "task_params": {"n_starts": 10 ** 9}},
         {"tasks": ["h2"], "task_params": {"max_ascent_iters": 0}},
+        {"tasks": ["h2"], "task_params": {"max_ascent_iters": 10 ** 9}},
         {"tasks": ["h2"], "task_params": {"max_ascent_iters": -3}},
         {"tasks": ["h2"], "task_params": {"tol": -1e-6}},
         {"tasks": ["h2"], "task_params": {"tol": 0.0}},
@@ -413,14 +416,17 @@ class TestMain:
         {"N_grid": [math.nan, 3, 4]},
         {"N_grid": [3, 4, math.inf]},
         {"N_grid": [-1, 3, 4]},
+        {"n_seeds": 10 ** 9},
     ], ids=["unknown-model-key", "missing-model-key", "short-xi", "zero-xi",
             "string-xi", "k-below-one", "nan-k", "infinite-k", "zero-p",
-            "nan-p", "zero-samples", "unknown-quantity", "zero-kappa",
-            "kappa-above-one", "nan-kappa", "s-below-two", "infinite-s",
-            "zero-starts", "zero-ascent-iters", "negative-ascent-iters",
+            "nan-p", "zero-samples", "huge-samples", "unknown-quantity",
+            "zero-kappa", "kappa-above-one", "nan-kappa", "s-below-two",
+            "infinite-s", "zero-starts", "huge-starts", "zero-ascent-iters",
+            "huge-ascent-iters", "negative-ascent-iters",
             "negative-tol", "zero-tol", "huge-tol", "negative-huge-tol",
             "nan-layer", "negative-infinite-layer",
-            "nan-grid-entry", "infinite-grid-entry", "negative-grid-entry"])
+            "nan-grid-entry", "infinite-grid-entry", "negative-grid-entry",
+            "huge-seed-count"])
     def test_run_with_bad_parameters_exits_3_before_any_cell(
             self, tmp_path, capsys, monkeypatch, overrides):
         cells = count_calls(monkeypatch, stiffnet.criteria, "ScanCell")

@@ -1,5 +1,6 @@
 """Generators, components, restriction and the cluster moment statistic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -277,6 +278,36 @@ class TestRestrictBox:
         once = restrict_box(config, 4)
         twice = restrict_box(once, 4)
         assert once == twice
+
+    @pytest.mark.parametrize("width", [None, 0.5],
+                             ids=["own-contact-table", "delta-table"])
+    @pytest.mark.parametrize("source", [
+        generate_hardcore(seed=5, N=6, intensity=0.05, radius=0.9,
+                          min_gap=0.05),
+        generate_lattice_jitter(seed=2, N=4, spacing=1.0, radius=0.45,
+                                jitter=0.2, allow_overlap=True),
+    ], ids=["hardcore", "overlapping-lattice"])
+    def test_handed_down_pairs_give_fresh_components(self, monkeypatch,
+                                                     source, width):
+        """The restricted configuration answers from the pair table it
+        inherits, and its components and graph are those of a fresh copy."""
+        config = SphereConfig(source.centers, source.radii,
+                              source.box_half_width)
+        if width is not None:
+            geometry._near_pairs(config, width)
+        out = restrict_box(config, config.box_half_width - 1.0)
+        fresh = SphereConfig(out.centers, out.radii, out.box_half_width)
+        assert 0 < out.n_spheres < config.n_spheres
+        queries = count_calls(monkeypatch, geometry, "_pairs_within")
+        got = components(out)
+        assert queries == []
+        monkeypatch.undo()
+        want = components(fresh)
+        for f in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+        if source.model == "lattice_jitter":
+            assert np.bincount(want.labels).max() > 1      # overlaps kept
+        assert build_graph(got, out, 0.5) == build_graph(want, fresh, 0.5)
 
     def test_invalid_m_rejected(self):
         config = generate_lattice_jitter(seed=0, N=2, spacing=1, radius=0.3,

@@ -186,6 +186,19 @@ class TestBuildGraphOracle:
                for e in edge_rows(graph)]
         assert got == closest_point_edges(config, delta)
 
+    def test_parallel_edges_with_equal_gaps_ordered_by_contact_point(self):
+        """A dumbbell faces a ball on its axis of symmetry: two parallel
+        edges with bitwise-equal gaps, which pair order lists with xa
+        descending."""
+        config = SphereConfig([[0.75, 0.0, 0.0], [-0.75, 0.0, 0.0],
+                               [0.0, 2.3, 0.0]], [1.0, 1.0, 1.0], 4.0)
+        graph = build_graph(components(config), config, 0.5)
+        got = [(e.a, e.b, e.d, tuple(e.xa), tuple(e.xb))
+               for e in edge_rows(graph)]
+        assert graph.n_edges == 2 and graph.d[0] == graph.d[1]
+        assert graph.xa[0, 0] < 0.0 < graph.xa[1, 0]
+        assert got == closest_point_edges(config, 0.5)
+
     @PROPERTY
     @given(configurations(), st.floats(0.05, 0.95))
     def test_g2_violations_match_scalar_loop(self, config, delta):
@@ -204,10 +217,18 @@ class TestDeferredCapCount:
     config, delta = GENERATED[0]
 
     @pytest.fixture
-    def spies(self, monkeypatch):
+    def fresh(self):
+        """A copy of the configuration with no pair table yet, and its
+        components; ``components`` queries through ``_pairs_within`` too."""
+        config = SphereConfig(self.config.centers, self.config.radii,
+                              self.config.box_half_width)
+        return config, components(config)
+
+    @pytest.fixture
+    def spies(self, monkeypatch, fresh):
         """Record each _pairs_within slack and each cap count call."""
         calls = {"slack": [], "count": 0}
-        pairs_within = multigraph._pairs_within
+        pairs_within = geometry._pairs_within
         count = multigraph._count_g2_violations
 
         def pairs_spy(centers, radii, slack):
@@ -218,15 +239,17 @@ class TestDeferredCapCount:
             calls["count"] += 1
             return count(*args)
 
-        monkeypatch.setattr(multigraph, "_pairs_within", pairs_spy)
+        monkeypatch.setattr(geometry, "_pairs_within", pairs_spy)
         monkeypatch.setattr(multigraph, "_count_g2_violations", count_spy)
         return calls
 
     def build(self):
         return build_graph(components(self.config), self.config, self.delta)
 
-    def test_build_graph_queries_at_delta_and_counts_nothing(self, spies):
-        self.build()
+    def test_build_graph_queries_at_delta_and_counts_nothing(self, fresh,
+                                                             spies):
+        config, comp = fresh
+        build_graph(comp, config, self.delta)
         assert spies == {"slack": [self.delta], "count": 0}
 
     def test_first_read_counts_once(self, spies):

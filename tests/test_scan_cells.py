@@ -2,11 +2,15 @@
 
 import math
 
+import pytest
+
 import stiffnet.cli
 import stiffnet.criteria
 import stiffnet.effective
+import stiffnet.geometry
+import stiffnet.multigraph
 from stiffnet.cli import ExperimentSpec, run_experiment
-from stiffnet.criteria import scan_limsup
+from stiffnet.criteria import ScanCell, scan_limsup, task_evaluator
 from stiffnet.effective import effective_scan
 
 MODEL = {"spacing": 1.0, "radius": 0.4, "jitter": 0.05}
@@ -90,3 +94,31 @@ def test_cell_threads_byte_identical(tmp_path):
                  "effective.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("model, params, delta, N", [
+    ("lattice", MODEL, 0.5, 4.0),
+    ("hardcore", {"intensity": 0.03, "radius": 1.0, "min_gap": 0.2}, 0.3,
+     8.0),
+    ("chains", {"radius": 1.0, "chain_len_max": 8,
+                "gap_range": [0.01, 0.1]}, 0.2, 12.0),
+])
+def test_one_pair_query_per_cell(monkeypatch, model, params, delta, N):
+    """restrict_box, components and build_graph share one KD-tree query."""
+    cell = ScanCell(model, params, delta, N, seed=3, sample_seed=4)
+    queries = []
+    original = stiffnet.geometry._pairs_within
+
+    def counted(*args):
+        queries.append(args[2])
+        return original(*args)
+
+    for module in (stiffnet.geometry, stiffnet.multigraph):
+        if getattr(module, "_pairs_within", None) is original:
+            monkeypatch.setattr(module, "_pairs_within", counted)
+    assert cell.graph.n_edges > 0
+    for task in ("h1", "logmoment", "clustermoment", "effective"):
+        task_evaluator(task, {"n_samples": 200}, base_seed=0)(cell)
+    assert queries == [delta]
+    if model == "hardcore":
+        assert cell.restricted.n_spheres < cell.config.n_spheres
