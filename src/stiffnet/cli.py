@@ -504,6 +504,8 @@ def _exit_code(cell_errors) -> int:
 
 
 def _dispatch(args) -> int:
+    if not 1 <= args.threads <= 64:     # one OS thread per worker
+        raise ValueError(f"--threads must be in [1, 64], got {args.threads}")
     if args.command == "generate":
         config = generate_model(args.model, _model_params_from_args(args),
                                 args.N, args.seed)

@@ -74,7 +74,6 @@ from .geometry import (
     SphereConfig,
     _CLUSTER_MOMENT_RULES,
     _check_range,
-    _connected_labels,
     _json_int,
     _json_number,
     _json_numbers,
@@ -209,7 +208,7 @@ def _edge_blocks(graph: InclusionGraph):
     volume that is not finite and positive raises SchemaError.
     """
     graph.check_volumes()
-    _, cluster = _connected_labels(graph.n_nodes, graph.a, graph.b)
+    _, cluster = graph._node_clusters
     if np.bincount(cluster, minlength=1).max() >= DENSE_CUTOFF:
         return None
     edge_cluster = cluster[graph.a]

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import LaplacianAssembly, SPDSolver
-from .geometry import _connected_labels
 from .multigraph import InclusionGraph
 
 __all__ = [
@@ -75,22 +74,15 @@ def network_effective_tensor(graph: InclusionGraph,
     graph Laplacian, U_free solves L_ff U_free = -L_fc U_clamped, all three
     columns in one certified solve.  Then A = dU^T diag(2 mu) dU / |Q_N|
     with dU = U_a - U_b per edge, so xi^T A xi = E_min(xi) / |Q_N|.
-    Interior clusters with no path to a clamped node are free up to a
-    constant; they are set to zero (their edges contribute nothing).
+    Clusters (the graph's ``_node_clusters``) that hold no clamped node
+    are free up to a constant; they are set to zero (no edge energy).
     """
-    n = graph.n_nodes
     clamped = np.array(sorted(boundary_nodes(graph, layer_width)),
                        dtype=np.int64)
-    solvable = np.zeros(n, dtype=bool)
-    if graph.n_edges:
-        # Keep only free nodes connected to the clamped set through edges.
-        m, cluster = _connected_labels(n, graph.a, graph.b)
-        anchored = np.zeros(m, dtype=bool)
-        anchored[cluster[clamped]] = True
-        solvable = anchored[cluster]
-        solvable[clamped] = False
-    free = np.flatnonzero(solvable)
-    U = np.zeros((n, 3))
+    cluster = graph._node_clusters[1]
+    free = np.setdiff1d(np.flatnonzero(np.isin(cluster, cluster[clamped])),
+                        clamped, assume_unique=True)
+    U = np.zeros((graph.n_nodes, 3))
     U[clamped] = graph.centroids[clamped]
     if free.size:
         # L_ff is SPD: every mu > 0, and every free node's cluster holds a

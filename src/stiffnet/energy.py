@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .geometry import _connected_labels
 from .multigraph import InclusionGraph, is_cycle_free
 
 __all__ = [
@@ -372,7 +371,7 @@ def cycle_free_potentials(graph: InclusionGraph, b: BoundaryFamily,
         adjacency[lo].append((hi, k, True))    # traversal along storage
         adjacency[hi].append((lo, k, False))   # traversal against storage
 
-    _, cluster = _connected_labels(n, graph.a, graph.b)
+    _, cluster = graph._node_clusters
     # Labels are ordered by smallest node, so first occurrences are roots.
     root_by_cluster = np.unique(cluster, return_index=True)[1].tolist()
     if roots is not None:

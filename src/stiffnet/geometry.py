@@ -132,9 +132,9 @@ class SphereConfig:
         # not serialized, excluded from equality.
         self.warnings = tuple(warnings)
         # The widest pair table asked of this configuration, (width, pairs,
-        # centre distances), see ``_near_pairs``; a cache, not part of the
-        # value either.
-        self._near = None
+        # centre distances), see ``_near_pairs``, and its contact partition,
+        # see ``_contact_partition``; caches, not part of the value either.
+        self._near = self._contact = None
 
     @property
     def n_spheres(self):
@@ -344,21 +344,36 @@ def _contact_pairs(config: SphereConfig):
     return pairs[touching], d[touching], r_sum[touching]
 
 
+def _contact_partition(config: SphereConfig):
+    """``(labels, comp_reach)``, computed once and kept by ``config``: each
+    ball's component of the contact graph, numbered by smallest ball index,
+    and each component's largest ball reach ``max_i |c_i| + r``."""
+    if config._contact is None:
+        pairs = _contact_pairs(config)[0]
+        m, labels = _connected_labels(config.n_spheres, *pairs.T)
+        reach = np.max(np.abs(config.centers), axis=1) + config.radii
+        comp_reach = np.full(m, -np.inf)
+        np.maximum.at(comp_reach, labels, reach)
+        config._contact = (labels, comp_reach)
+    return config._contact
+
+
 def components(config: SphereConfig) -> ComponentSet:
     """Connected components of a configuration.
 
     Components are the connected sets of the graph joining sphere pairs
     with center distance at most ``r_i + r_j + contact_tol``; they are
-    numbered by their smallest sphere index.  Component volume uses
-    pairwise inclusion-exclusion only; the generators never produce triple
-    overlaps, and ``triple_overlap_possible`` records whether the
+    numbered by their smallest sphere index, and read with the boundary
+    flags off the configuration's ``_contact_partition``.  Component volume
+    uses pairwise inclusion-exclusion only; the generators never produce
+    triple overlaps, and ``triple_overlap_possible`` records whether the
     truncation could matter for this instance.
     """
-    n = config.n_spheres
     centers, radii = config.centers, config.radii
     touching, d, r_sum = _contact_pairs(config)
     overlaps, overlap_dist = touching[d < r_sum], d[d < r_sum]
-    m, labels = _connected_labels(n, touching[:, 0], touching[:, 1])
+    labels, comp_reach = _contact_partition(config)
+    m = comp_reach.size
 
     order = np.argsort(labels, kind="stable").astype(np.int64)
     counts = np.bincount(labels, minlength=m)
@@ -381,9 +396,6 @@ def components(config: SphereConfig) -> ComponentSet:
         idx = order[starts[k]:starts[k + 1]]
         diameters[k] = _pairwise_extent(centers[idx], radii[idx])
 
-    reach = np.max(np.abs(centers), axis=1) + radii
-    comp_reach = np.full(m, -np.inf)
-    np.maximum.at(comp_reach, labels, reach)
     boundary = comp_reach >= config.box_half_width
 
     # A sphere appearing in two overlap pairs may create a triple overlap.
@@ -409,15 +421,13 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
     The returned configuration inherits the pair table of ``config`` (see
     ``_near_pairs``): the pairs with both balls kept, renumbered in the
     same order.  Its largest radius is no larger, so they are still a
-    superset of its own query at the table's width.
+    superset of its own query at the table's width.  It inherits the kept
+    part of ``_contact_partition`` too, renumbered: whole components kept
+    in ball order are its own partition.
     """
     if not (0.0 < M <= config.box_half_width):
         raise ValueError(f"need 0 < M <= box_half_width, got M={M}")
-    pairs, _, _ = _contact_pairs(config)
-    m, labels = _connected_labels(config.n_spheres, pairs[:, 0], pairs[:, 1])
-    reach = np.max(np.abs(config.centers), axis=1) + config.radii
-    comp_reach = np.full(m, -np.inf)
-    np.maximum.at(comp_reach, labels, reach)
+    labels, comp_reach = _contact_partition(config)
     keep = comp_reach[labels] < M
     out = SphereConfig(
         config.centers[keep],
@@ -431,6 +441,8 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
     width, pairs, dist = config._near
     both = keep[pairs[:, 0]] & keep[pairs[:, 1]]
     out._near = (width, (np.cumsum(keep) - 1)[pairs[both]], dist[both])
+    kept, out_labels = np.unique(labels[keep], return_inverse=True)
+    out._contact = (out_labels, comp_reach[kept])
     return out
 
 

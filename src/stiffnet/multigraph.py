@@ -68,7 +68,9 @@ class InclusionGraph:
     candidate query of its own, and keeps it; a short shares its source
     graph's count, and a deserialized graph reads 0.  ``node_merge_map``
     is set on graphs produced by shorts and maps the source graph's node
-    ids to this graph's node ids.
+    ids to this graph's node ids.  Every reader of the clusters shares
+    ``_node_clusters``, computed on first read; it is not a field, so a
+    short (made by ``dataclasses.replace``) computes its own.
     """
 
     volumes: np.ndarray             # (n_nodes,)
@@ -101,6 +103,11 @@ class InclusionGraph:
     @property
     def g2_violations(self):
         return 0 if self._g2_count is None else self._g2_count()
+
+    @functools.cached_property
+    def _node_clusters(self):
+        """``(m, labels)``: cluster count and each node's cluster."""
+        return _connected_labels(self.n_nodes, self.a, self.b)
 
     def box_volume(self):
         return (2.0 * self.box_half_width) ** 3
@@ -417,12 +424,12 @@ def _member_balls(graph, labels, m):
 def clusters(graph: InclusionGraph) -> ClusterPartition:
     """Connected components of the multigraph, with per-cluster stats.
 
-    Clusters are numbered by their smallest node id.  Union diameter is
-    exact (pairwise over all member balls) when the graph carries sphere
-    geometry; otherwise an upper bound from node centroids and node
-    diameters is used.
+    Clusters are the graph's ``_node_clusters``, numbered by their
+    smallest node id.  Union diameter is exact (pairwise over all member
+    balls) when the graph carries sphere geometry; otherwise an upper
+    bound from node centroids and node diameters is used.
     """
-    m, node_cluster = _connected_labels(graph.n_nodes, graph.a, graph.b)
+    m, node_cluster = graph._node_clusters
     groups = _groups(node_cluster, m)
     balls = _member_balls(graph, node_cluster, m)
     return ClusterPartition(
@@ -517,5 +524,4 @@ def is_cycle_free(graph: InclusionGraph) -> bool:
     Any pair of parallel edges counts as a cycle, so this is exactly
     ``n_edges == n_nodes - n_clusters``.
     """
-    n_clusters, _ = _connected_labels(graph.n_nodes, graph.a, graph.b)
-    return graph.n_edges == graph.n_nodes - n_clusters
+    return graph.n_edges == graph.n_nodes - graph._node_clusters[0]

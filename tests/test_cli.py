@@ -750,6 +750,22 @@ class TestMain:
         assert pools == [2]
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "65"])
+    def test_threads_out_of_range_exits_3_before_writing(
+            self, tmp_path, capsys, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(stiffnet.criteria, "ThreadPoolExecutor", no_pool)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict(
+            out_dir=str(tmp_path / "results"))))
+        code = main(["--threads", threads, "run", "--spec", str(spec_path)])
+        assert code == EXIT_VALIDATION_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: --threads must be in [1, 64], got {threads}\n"
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("argv, defaults", [
         *((["criteria", "--statistic", statistic],
            ["--s", "4.0", "--k", "2.0", "--p", "2.0", "--xi", "1,0,0"])

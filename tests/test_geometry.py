@@ -8,6 +8,7 @@ import pytest
 
 from stiffnet import geometry
 from stiffnet.cli import dumps_17g
+from stiffnet.criteria import ScanCell
 from stiffnet.geometry import (
     SphereConfig,
     cluster_moment_statistic,
@@ -308,6 +309,35 @@ class TestRestrictBox:
         if source.model == "lattice_jitter":
             assert np.bincount(want.labels).max() > 1      # overlaps kept
         assert build_graph(got, out, 0.5) == build_graph(want, fresh, 0.5)
+
+    @pytest.mark.parametrize("case", ["hardcore-cell", "straddling"])
+    def test_handed_down_partition_gives_fresh_components(self, case):
+        """The contact partition restrict_box hands down is, bit for bit,
+        the one a fresh configuration of the kept balls computes."""
+        if case == "hardcore-cell":
+            cell = ScanCell("hardcore", {"intensity": 0.03, "radius": 1.0,
+                                         "min_gap": 0.2}, 0.3, 8.0, seed=3,
+                            sample_seed=4)
+            config, out = cell.config, cell.restricted
+        else:
+            # Kept and dropped balls interleave: a touching pair that
+            # straddles |x| = 2.5, an overlapping pair and two singletons.
+            config = SphereConfig(
+                [[-1.0, -1.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.5, 0.0],
+                 [-1.0, -1.0, 0.9], [2.5, 0.0, 0.0], [0.0, 0.0, -1.5]],
+                [0.5] * 6, 3.0)
+            out = restrict_box(config, 2.5)
+        assert 0 < out.n_spheres < config.n_spheres
+        assert out._contact is not None          # handed down, not computed
+        fresh = SphereConfig(out.centers, out.radii, out.box_half_width,
+                             contact_tol=out.contact_tol)
+        got, want = components(out), components(fresh)
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(a, b)
+        if case == "straddling":
+            assert want.labels.tolist() == [0, 1, 0, 2]
 
     def test_invalid_m_rejected(self):
         config = generate_lattice_jitter(seed=0, N=2, spacing=1, radius=0.3,

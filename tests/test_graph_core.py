@@ -28,6 +28,7 @@ from conftest import (
     make_graph,
     node_ball_lists,
     node_rows,
+    polarised_tensor,
     quadratic_extent,
     scalar_g2_violations,
     short_oracle,
@@ -306,6 +307,44 @@ class TestConnectivity:
     @given(multigraphs(parallel=True))
     def test_parallel_edges_are_a_cycle(self, graph):
         assert not is_cycle_free(graph)
+
+
+class TestSharedClusterLabels:
+    """Each graph partitions its own nodes: a short never reads its
+    source's clusters, and the oracles never read the graph's."""
+
+    # Clusters {0, 1}, {2, 3} and {4}; shorting (1, 2) joins the first two.
+    GRAPH = make_graph([1.0] * 5, [[float(k), 0.0, 0.0] for k in range(5)],
+                       [(0, 1, 0.1), (2, 3, 0.2)])
+
+    def test_short_reads_its_own_clusters(self):
+        graph = dataclasses.replace(self.GRAPH)
+        assert clusters(graph).node_cluster.tolist() == [0, 0, 1, 1, 2]
+        shorted = short_at(graph, [(1, 2)])
+        assert clusters(shorted).node_cluster.tolist() == \
+            bfs_clusters(shorted) == [0, 0, 0, 1]
+        assert is_cycle_free(shorted) and is_cycle_free(graph)
+
+    def test_identity_short_equals_its_source(self):
+        graph = dataclasses.replace(self.GRAPH)
+        part = clusters(graph)
+        identity = short_kappa(graph, graph.edge_ids, 0.5)
+        assert "_node_clusters" not in vars(identity)
+        assert identity == graph
+        assert clusters(identity).node_cluster.tolist() == \
+            part.node_cluster.tolist()
+
+    def test_oracles_ignore_the_cached_partition(self):
+        config = generate_lattice_jitter(seed=0, N=3, spacing=1, radius=0.4,
+                                         jitter=0.05)
+        graph = build_graph(components(config), config, 0.5)
+        want = bfs_clusters(graph), polarised_tensor(graph, 0.5)
+        # Every node its own cluster: wrong for this connected lattice.
+        graph.__dict__["_node_clusters"] = (graph.n_nodes,
+                                            np.arange(graph.n_nodes))
+        got = bfs_clusters(graph), polarised_tensor(graph, 0.5)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert len(set(want[0])) == 1
 
 
 class TestColumnOracles:

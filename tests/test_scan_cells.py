@@ -1,6 +1,7 @@
 """The cell-major scan loop: each (N, seed) cell is built once for all tasks."""
 
 import math
+import sys
 
 import pytest
 
@@ -122,3 +123,38 @@ def test_one_pair_query_per_cell(monkeypatch, model, params, delta, N):
     assert queries == [delta]
     if model == "hardcore":
         assert cell.restricted.n_spheres < cell.config.n_spheres
+
+
+@pytest.mark.parametrize("model, params, delta, N, tasks, params_task", [
+    ("lattice", MODEL, 0.5, 4.0,
+     ("h1", "logmoment", "clustermoment", "effective"), {"n_samples": 200}),
+    ("chains", {"radius": 1.0, "chain_len_max": 8,
+                "gap_range": [0.01, 0.1]}, 0.2, 12.0, ("h2",),
+     {"s": 4.0, "n_starts": 2, "max_ascent_iters": 20}),
+    ("hardcore", {"intensity": 0.03, "radius": 1.0, "min_gap": 0.2}, 0.3,
+     8.0, ("h2", "clustermoment"), {"s": 4.0, "n_starts": 2,
+                                    "max_ascent_iters": 20,
+                                    "n_samples": 200}),
+], ids=["lattice", "chains", "hardcore"])
+def test_one_partition_per_object(monkeypatch, model, params, delta, N, tasks,
+                                  params_task):
+    """A cell partitions its balls once (restrict_box) and its graph once,
+    whichever tasks read the contact components or the clusters."""
+    cell = ScanCell(model, params, delta, N, seed=3, sample_seed=4)
+    runs = []
+    original = stiffnet.geometry._connected_labels
+
+    def counted(n, a, b):
+        runs.append(n)
+        return original(n, a, b)
+
+    # By sys.modules: the package rebinds ``stiffnet.energy`` to a function.
+    for name in ("geometry", "multigraph", "criteria", "effective", "energy"):
+        module = sys.modules[f"stiffnet.{name}"]
+        if getattr(module, "_connected_labels", None) is original:
+            monkeypatch.setattr(module, "_connected_labels", counted)
+    for task in tasks:
+        task_evaluator(task, params_task, base_seed=0)(cell)
+    assert cell.graph.n_edges > 0
+    assert runs == [cell.config.n_spheres, cell.graph.n_nodes]
+
