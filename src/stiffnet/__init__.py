@@ -46,7 +46,6 @@ from .criteria import (            # noqa: F401
     H2Options,
     derive_cell_seed,
     h2_exact_s2,
-    h2_ratio,
     h2_statistic,
     log_moment_statistic,
     scan_limsup,

@@ -29,7 +29,8 @@ For s > 2 the sup is estimated from below by projected gradient ascent
 over antisymmetric families on the unit l_s sphere (the sup is attained
 on antisymmetric families: for fixed differences beta the denominator is
 minimized by b = (beta/2, -beta/2)).  The energy's gradient is
-2 Q beta = 4 mu r, r the gap residuals at the minimizer.  Equal starts
+2 Q beta = 4 mu r, r the gap residuals at the minimizer.  Each step
+makes one Q product; Q's linearity scores its trials.  Equal starts
 ascend once.
 
 ``TASKS`` is the task table: each task's output, and each task
@@ -79,6 +80,7 @@ from .geometry import (
     _json_numbers,
     _json_str,
     _near_pairs,
+    _once,
     cluster_moment_statistic,
     components,
     generate_chain_forest,
@@ -92,7 +94,6 @@ __all__ = [
     "H2Options",
     "H2Estimate",
     "CriterionSeries",
-    "h2_ratio",
     "h2_statistic",
     "h2_exact_s2",
     "log_moment_statistic",
@@ -151,11 +152,6 @@ class H2Estimate:
     per_start: tuple[float, ...]
 
 
-def _ordered_pair_power_sum(b: BoundaryFamily, s: float) -> float:
-    """S_s(b): both oriented values per edge, ordered-pair double count."""
-    return float(2.0 * (np.sum(np.abs(b.ab) ** s) + np.sum(np.abs(b.ba) ** s)))
-
-
 def _affine_energy_density(graph: InclusionGraph, xi) -> float:
     """inf_u E(u, affine family of xi) / |Q_N| on a built graph."""
     _, breakdown = minimize_energy(graph, affine_boundary_family(graph, xi))
@@ -172,22 +168,6 @@ def _direction(xi, what) -> np.ndarray:
     if not (ok and np.all(np.isfinite(arr)) and np.any(arr)):
         raise ValueError(f"{what} must be three finite numbers, not all zero")
     return arr.astype(float)
-
-
-def h2_ratio(graph: InclusionGraph, b: BoundaryFamily, s: float) -> float:
-    """Normalized ratio of minimal energy to the l_s size of the family.
-
-    inf_u E(u, b) / ( |Q_N| ((1/|Q_N|) S_s(b))^(2/s) ); invariant under
-    scaling of ``b``, and independent of |Q_N| at s = 2.
-    """
-    if not (s >= 2.0):
-        raise ValueError("s must be >= 2")
-    if not (np.any(b.ab != 0.0) or np.any(b.ba != 0.0)):
-        raise ValueError("the zero family is excluded from the ratio")
-    _, breakdown = minimize_energy(graph, b)
-    S = _ordered_pair_power_sum(b, s)
-    Q = graph.box_volume()
-    return breakdown.total / (Q * (S / Q) ** (2.0 / s))
 
 
 # Graphs whose clusters all have fewer nodes get Q from P's inverted
@@ -299,60 +279,69 @@ def h2_exact_s2(graph: InclusionGraph) -> float:
     return float(beta @ (Q @ beta))
 
 
-def _ratio_pieces(Q, box_volume, beta, s):
-    """beta scaled onto the unit l_s sphere, and the ratio there.
+def _power_sum(x, s):
+    """sum |x|^s, as sum (x^2)^(s/2-1) x^2: at s = 4 no power is taken."""
+    x2 = x * x
+    return float((x2 ** (0.5 * s - 1.0)) @ x2)
 
-    Returns (unit beta, ratio value, ratio gradient), or None for
-    the zero family.  One power p = |beta|^(s-2) serves the whole
-    evaluation: sum |beta|^s = sum p beta^2, and sign(beta) |beta|^(s-1)
-    = p beta.  On the unit sphere S_s = 2^(2-s) for the family
-    (beta/2, -beta/2), so the denominator is the constant
-    |Q_N|^(1-2/s) 2^(4/s-2) and its gradient is 2 denom p beta; the
-    numerator gradient is 2 Q beta by the envelope theorem.
+
+def _ratio_pieces(beta, q_beta, s, denom):
+    """(beta^T Q beta, ratio, its gradient) at a unit beta, from Q beta.
+
+    On the unit l_s sphere S_s = 2^(2-s) for the family (beta/2, -beta/2),
+    so the ratio is beta^T Q beta / denom, denom = |Q_N|^(1-2/s) 2^(4/s-2),
+    with gradient (2/denom) (Q beta - beta^T Q beta |beta|^(s-2) beta): the
+    numerator's gradient is 2 Q beta by the envelope theorem.
     """
-    p = np.abs(beta) ** (s - 2.0)
-    norm = float(p @ (beta * beta)) ** (1.0 / s)
-    if norm == 0.0:
-        return None
-    beta = beta / norm
-    q_beta = Q @ beta
     num = float(beta @ q_beta)
-    denom = box_volume ** (1.0 - 2.0 / s) * 2.0 ** (4.0 / s - 2.0)
-    grad = (2.0 / denom) * (q_beta - (num * norm ** (2.0 - s)) * (p * beta))
-    return beta, num / denom, grad
+    grad = (2.0 / denom) * (q_beta - num * (np.abs(beta) ** (s - 2.0) * beta))
+    return num, num / denom, grad
 
 
 def _ascend_from(Q, box_volume, beta0, opts: H2Options):
     """Projected gradient ascent on the unit l_s sphere, backtracking steps.
 
-    Returns (value, unit beta), or None for a zero start.
+    One Q product per step, on the unit gradient d: by Q's linearity a
+    trial x = beta + t d is scored from its power sum and x^T Q x = beta^T
+    Q beta + t (d^T Q beta + beta^T Q d) + t^2 d^T Q d; an accepted one
+    moves beta and Q beta.  A fresh product gives the value, free of the
+    recurrence's drift.  Returns (value, unit beta), or None if beta0 = 0.
     """
-    start = _ratio_pieces(Q, box_volume, beta0, opts.s)
-    if start is None:
+    s = opts.s
+    norm = _power_sum(beta0, s) ** (1.0 / s)
+    if norm == 0.0:
         return None
-    beta, value, grad = start
-    step = 1.0
-    stall = 0
+    denom = box_volume ** (1.0 - 2.0 / s) * 2.0 ** (4.0 / s - 2.0)
+    beta = beta0 / norm
+    q_beta = Q @ beta
+    step, stall = 1.0, 0
     for _ in range(opts.max_ascent_iters):
-        gnorm = float(np.linalg.norm(grad))
+        num, value, grad = _ratio_pieces(beta, q_beta, s, denom)
+        gnorm = math.sqrt(grad @ grad)
         if gnorm == 0.0:
             break
+        d = grad / gnorm
+        q_d = Q @ d
+        cross, curv = float(d @ q_beta + beta @ q_d), float(d @ q_d)
         trial_step = step
         for _bt in range(30):
-            cand = _ratio_pieces(Q, box_volume,
-                                 beta + trial_step * grad / gnorm, opts.s)
-            if cand is not None and cand[1] > value:
+            x = beta + trial_step * d
+            power = _power_sum(x, s)    # > 0: d is orthogonal to beta
+            trial = ((num + trial_step * (cross + trial_step * curv))
+                     / (power ** (2.0 / s) * denom))
+            if trial > value:
                 break
             trial_step *= 0.5
         else:
             break
-        gain = cand[1] - value
-        beta, value, grad = cand
+        norm = power ** (1.0 / s)
+        beta, q_beta = x / norm, (q_beta + trial_step * q_d) / norm
         step = min(trial_step * 2.0, 1e6)
-        stall = stall + 1 if gain <= opts.tol * max(abs(value), 1e-30) else 0
+        gain = trial - value
+        stall = stall + 1 if gain <= opts.tol * max(abs(trial), 1e-30) else 0
         if stall >= 3:
             break
-    return value, beta
+    return float(beta @ (Q @ beta)) / denom, beta
 
 
 def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
@@ -366,8 +355,8 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
     equal to an earlier one (the affine and midpoint starts often are)
     reuses that start's result; ``per_start`` still has one entry per
     nonzero start.  All starts share one Q from ``_h2_operator``, whose
-    every product is certified, so the ascent value is a certified lower
-    bound of the true sup.
+    every product is certified; an ascent makes one per step, and a fresh
+    one gives its value, a certified lower bound of the true sup.
     """
     if graph.n_edges == 0:
         raise ValueError("graph has no edges; the sup statistic is undefined")
@@ -375,9 +364,7 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
         return H2Estimate(value=h2_exact_s2(graph), per_start=())
     rng = np.random.default_rng(opts.seed)
     starts = [rng.normal(size=graph.n_edges) for _ in range(opts.n_starts)]
-    for axis in range(3):
-        xi = np.zeros(3)
-        xi[axis] = 1.0
+    for xi in np.eye(3):
         starts.append(affine_boundary_family(graph, xi).antisymmetric_part())
         try:
             starts.append(
@@ -393,10 +380,8 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
         key = beta0.tobytes()
         if key not in ascents:
             ascents[key] = _ascend_from(Q, box_volume, beta0, opts)
-        out = ascents[key]
-        if out is None:
-            continue    # zero start (excluded from the sup)
-        per_start.append(out[0])
+        if ascents[key] is not None:    # a zero start is excluded
+            per_start.append(ascents[key][0])
     if not per_start:
         raise ValueError("all ascent starts degenerate to the zero family")
     return H2Estimate(value=max(per_start), per_start=tuple(per_start))
@@ -545,22 +530,22 @@ class ScanCell:
         self.model, self.model_params, self.delta = model, model_params, delta
         self.N, self.seed, self.sample_seed = N, seed, sample_seed
 
-    @functools.cached_property
+    @_once
     def config(self) -> SphereConfig:
         return generate_model(self.model, self.model_params, self.N, self.seed)
 
-    @functools.cached_property
+    @_once
     def restricted(self) -> SphereConfig:
         # One pair query at delta, handed down by restrict_box, serves the
         # contacts of restrict_box and components and the gaps of the graph.
         _near_pairs(self.config, self.delta)
         return restrict_box(self.config, self.config.box_half_width)
 
-    @functools.cached_property
+    @_once
     def comp(self):
         return components(self.restricted)
 
-    @functools.cached_property
+    @_once
     def graph(self) -> InclusionGraph:
         return build_graph(self.comp, self.restricted, self.delta)
 

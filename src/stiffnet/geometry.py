@@ -50,6 +50,20 @@ class SchemaError(ValueError):
     """A document does not match its expected schema."""
 
 
+class _once:
+    """A method read as an attribute, computed on first read and kept in the
+    instance ``__dict__`` (a raise keeps nothing): ``cached_property``
+    without the lock that, on Python <= 3.11, all instances share."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.name, self.method(instance))
+
+
 def _is_json_number(value):
     """True for a JSON number: an int or a float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -33,6 +33,7 @@ from .geometry import (
     _json_int,
     _json_number,
     _near_pairs,
+    _once,
     _pairwise_extent,
     _row_norms,
 )
@@ -104,7 +105,7 @@ class InclusionGraph:
     def g2_violations(self):
         return 0 if self._g2_count is None else self._g2_count()
 
-    @functools.cached_property
+    @_once
     def _node_clusters(self):
         """``(m, labels)``: cluster count and each node's cluster."""
         return _connected_labels(self.n_nodes, self.a, self.b)

@@ -17,6 +17,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.spatial import cKDTree
 
+import stiffnet.criteria as criteria
 from stiffnet.criteria import ScanCell, task_evaluator
 from stiffnet.energy import BoundaryFamily, minimize_energy
 from stiffnet.multigraph import InclusionGraph, clusters
@@ -187,6 +188,29 @@ def eigensolve_oracle(graph):
             e[i] = e[j] = 1.0
             Q[i, j] = Q[j, i] = 0.5 * (N_of(e) - singles[i] - singles[j])
     return float(np.linalg.eigvalsh(Q)[-1])
+
+
+def _ordered_pair_power_sum(b, s):
+    """S_s(b): both oriented values per edge, ordered-pair double count."""
+    return float(2.0 * (np.sum(np.abs(b.ab) ** s) + np.sum(np.abs(b.ba) ** s)))
+
+
+def h2_ratio(graph, b, s):
+    """Normalized ratio of minimal energy to the l_s size of the family.
+
+    inf_u E(u, b) / ( |Q_N| ((1/|Q_N|) S_s(b))^(2/s) ), the energy from
+    ``minimize_energy``; invariant under scaling of ``b``, and independent
+    of |Q_N| at s = 2.  The reference that h2's ascent values are checked
+    against.
+    """
+    if not (s >= 2.0):
+        raise ValueError("s must be >= 2")
+    if not (np.any(b.ab != 0.0) or np.any(b.ba != 0.0)):
+        raise ValueError("the zero family is excluded from the ratio")
+    _, breakdown = minimize_energy(graph, b)
+    S = _ordered_pair_power_sum(b, s)
+    Q = graph.box_volume()
+    return breakdown.total / (Q * (S / Q) ** (2.0 / s))
 
 
 def energy_gradient(graph, u, b):
@@ -623,6 +647,46 @@ def count_calls(monkeypatch, owner, name):
 def count_cg_runs(monkeypatch):
     """Record each run of ``SPDSolver``'s CG loop, one per solved column."""
     return count_calls(monkeypatch, ENERGY, "_jacobi_cg")
+
+
+def count_h2_products(monkeypatch):
+    """Record each product of the operator Q that ``h2_statistic`` builds."""
+    products = []
+    build = criteria._h2_operator
+
+    def counting(graph):
+        Q = build(graph)
+
+        def product(beta):
+            products.append(1)
+            return Q @ beta
+
+        return scipy.sparse.linalg.LinearOperator(Q.shape, matvec=product,
+                                                  dtype=float)
+
+    monkeypatch.setattr(criteria, "_h2_operator", counting)
+    return products
+
+
+def record_ascents(monkeypatch):
+    """Record each ``_ascend_from`` call as (Q, box volume, its result)."""
+    ascents = []
+    ascend = criteria._ascend_from
+
+    def recording(Q, box_volume, beta0, opts):
+        ascents.append((Q, box_volume, ascend(Q, box_volume, beta0, opts)))
+        return ascents[-1][2]
+
+    monkeypatch.setattr(criteria, "_ascend_from", recording)
+    return ascents
+
+
+def fresh_ratio(Q, box_volume, beta, s):
+    """The ratio at a unit beta from one fresh product: beta^T Q beta over
+    the l_s denominator |Q_N|^(1-2/s) 2^(4/s-2), written as the ascent
+    writes it, so an ascent value read this way matches bit for bit."""
+    return (float(beta @ (Q @ beta))
+            / (box_volume ** (1.0 - 2.0 / s) * 2.0 ** (4.0 / s - 2.0)))
 
 
 def cap_cg_iterations(monkeypatch, cap):

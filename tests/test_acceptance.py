@@ -19,6 +19,7 @@ from conftest import (
     eigensolve_oracle,
     energy_gradient,
     evaluate_task,
+    h2_ratio,
     make_graph,
     node_rows,
     random_test_graph,
@@ -27,7 +28,6 @@ from conftest import (
 from stiffnet.criteria import (
     H2Options,
     derive_cell_seed,
-    h2_ratio,
     h2_statistic,
     log_moment_statistic,
     scan_limsup,

@@ -14,11 +14,15 @@ from conftest import (
     ScatterSolveMinimizer,
     count_calls,
     count_cg_runs,
+    count_h2_products,
     edge_rows,
     eigensolve_oracle,
     evaluate_task,
+    fresh_ratio,
+    h2_ratio,
     make_graph,
     random_test_graph,
+    record_ascents,
     scatter_solve_operator,
     single_edge_graph,
 )
@@ -29,7 +33,6 @@ from stiffnet.criteria import (
     _plateau,
     derive_cell_seed,
     h2_exact_s2,
-    h2_ratio,
     h2_statistic,
     log_moment_statistic,
     scan_limsup,
@@ -277,21 +280,42 @@ class TestPotentialOperator:
                                                      monkeypatch):
         # h2_ratio sums the energy of minimize_energy's potentials, so this
         # checks the beta^T Q beta numerator independently.
-        results = []
-        ascend = criteria._ascend_from
-
-        def recording(*args):
-            results.append(ascend(*args))
-            return results[-1]
-
-        monkeypatch.setattr(criteria, "_ascend_from", recording)
+        ascents = record_ascents(monkeypatch)
         opts = H2Options(s=4.0, n_starts=3, max_ascent_iters=40, tol=1e-6)
         h2_statistic(chain_forest_graph, opts)
+        results = [result for _, _, result in ascents]
         assert len(results) >= 3 and None not in results
         for value, beta in results:
             family = BoundaryFamily.from_antisymmetric(beta)
             assert value == pytest.approx(
                 h2_ratio(chain_forest_graph, family, opts.s), rel=1e-10)
+
+    def test_chain_forest_h2_values_are_pinned(self, chain_forest_graph,
+                                               monkeypatch):
+        # Recorded when every backtracking trial made its own Q product;
+        # each value is one fresh product at the returned beta.
+        ascents = record_ascents(monkeypatch)
+        opts = H2Options(s=4.0, n_starts=3, max_ascent_iters=40, tol=1e-6)
+        est = h2_statistic(chain_forest_graph, opts)
+        assert est.value == pytest.approx(0.5402317196029478, rel=1e-12)
+        assert est.per_start == pytest.approx(
+            [0.5287374176993355, 0.5270312606696376, 0.5277158400702149,
+             0.5402317196029478, 0.5402317196029478, 0.5402317194639792,
+             0.5402317194639792, 0.5402317174213468, 0.5402317174213468],
+            rel=1e-12)
+        for Q, volume, (value, beta) in ascents:
+            assert value == fresh_ratio(Q, volume, beta, opts.s)
+
+    def test_chain_forest_h2_ascent_product_count(self, chain_forest_graph,
+                                                  monkeypatch):
+        # Trials are scored from Q's linearity: one product for the start,
+        # one per step and one fresh at the end.
+        products = count_h2_products(monkeypatch)
+        ascents = count_calls(monkeypatch, criteria, "_ascend_from")
+        opts = H2Options(s=4.0, n_starts=3, max_ascent_iters=40, tol=1e-6)
+        h2_statistic(chain_forest_graph, opts)
+        assert ascents
+        assert len(products) <= len(ascents) * (opts.max_ascent_iters + 2)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(graph=weighted_multigraphs(), s=st.sampled_from([2.0, 3.5, 4.0]),
@@ -310,13 +334,17 @@ class TestPotentialOperator:
         rng = np.random.default_rng(21)
         graph = random_test_graph(rng, n_nodes_max=12, n_edges_max=20)
         Q = _h2_operator(graph)
-        volume = graph.box_volume()
+        denom = graph.box_volume() ** (1.0 - 2.0 / s) * 2.0 ** (4.0 / s - 2.0)
+
+        def unit(beta):
+            return beta / np.sum(np.abs(beta) ** s) ** (1.0 / s)
 
         def ratio(beta):
-            return criteria._ratio_pieces(Q, volume, beta, s)[1]
+            beta = unit(beta)
+            return criteria._ratio_pieces(beta, Q @ beta, s, denom)[1]
 
-        beta, _, grad = criteria._ratio_pieces(
-            Q, volume, rng.normal(size=graph.n_edges), s)
+        beta = unit(rng.normal(size=graph.n_edges))
+        _, _, grad = criteria._ratio_pieces(beta, Q @ beta, s, denom)
         h = 1e-6
         central = np.array([(ratio(beta + h * e) - ratio(beta - h * e))
                             / (2 * h) for e in np.eye(graph.n_edges)])

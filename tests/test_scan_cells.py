@@ -1,7 +1,9 @@
 """The cell-major scan loop: each (N, seed) cell is built once for all tasks."""
 
+import dataclasses
 import math
 import sys
+import threading
 
 import pytest
 
@@ -158,3 +160,42 @@ def test_one_partition_per_object(monkeypatch, model, params, delta, N, tasks,
     assert cell.graph.n_edges > 0
     assert runs == [cell.config.n_spheres, cell.graph.n_nodes]
 
+
+
+@pytest.mark.parametrize("owner, stage", [
+    (stiffnet.criteria, "config"),
+    (stiffnet.multigraph, "_node_clusters"),
+], ids=["ScanCell.config", "InclusionGraph._node_clusters"])
+def test_one_stage_of_two_objects_computes_at_once(monkeypatch, owner, stage):
+    """Two threads that compute a stage of two different objects both reach
+    a barrier inside it: no lock shared by the class holds one back."""
+    cells = [ScanCell("lattice", MODEL, 0.5, N, seed=3, sample_seed=4)
+             for N in (2.0, 3.0)]
+    objects = (cells if stage == "config" else
+               [dataclasses.replace(cell.graph) for cell in cells])
+    name = "generate_model" if stage == "config" else "_connected_labels"
+    original = getattr(owner, name)
+    barrier = threading.Barrier(2, timeout=2)
+
+    def meeting(*args):
+        barrier.wait()
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, meeting)
+    results = [None, None]
+
+    def read(k):
+        try:
+            results[k] = getattr(objects[k], stage)
+        except threading.BrokenBarrierError as exc:
+            results[k] = exc
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    for obj, result in zip(objects, results):
+        assert not isinstance(result, threading.BrokenBarrierError)
+        assert vars(obj)[stage] is result

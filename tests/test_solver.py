@@ -15,14 +15,17 @@ from conftest import (
     cap_cg_iterations,
     count_calls,
     count_cg_runs,
+    count_h2_products,
+    fresh_ratio,
+    h2_ratio,
     make_graph,
+    record_ascents,
 )
 from stiffnet.criteria import (
     DENSE_CUTOFF,
     H2Options,
     ScanCell,
     h2_exact_s2,
-    h2_ratio,
     h2_statistic,
     task_evaluator,
 )
@@ -198,21 +201,7 @@ class TestManyRightHandSides:
 
     def test_large_block_h2_solves_once_per_step(self, lattice_512,
                                                  monkeypatch):
-        products = []
-        build = criteria._h2_operator
-
-        def counting(graph):
-            Q = build(graph)
-            assert not scipy.sparse.issparse(Q)
-
-            def product(beta):
-                products.append(1)
-                return Q @ beta
-
-            return scipy.sparse.linalg.LinearOperator(Q.shape, matvec=product,
-                                                      dtype=float)
-
-        monkeypatch.setattr(criteria, "_h2_operator", counting)
+        products = count_h2_products(monkeypatch)
         solves = count_calls(monkeypatch, SPDSolver, "solve")
         h2_statistic(lattice_512, H2Options(s=4.0, n_starts=1,
                                             max_ascent_iters=3))
@@ -235,21 +224,40 @@ class TestManyRightHandSides:
                                                     monkeypatch):
         # h2_ratio sums the energy of minimize_energy's potentials; the
         # ascent reads beta^T Q beta from the operator's solves.
-        results = []
-        ascend = criteria._ascend_from
-
-        def recording(*args):
-            results.append(ascend(*args))
-            return results[-1]
-
-        monkeypatch.setattr(criteria, "_ascend_from", recording)
+        ascents = record_ascents(monkeypatch)
         opts = H2Options(s=4.0, n_starts=2, max_ascent_iters=5)
         h2_statistic(lattice_512, opts)
+        results = [result for _, _, result in ascents]
         assert len(results) >= 2 and None not in results
         for value, beta in results:
             family = BoundaryFamily.from_antisymmetric(beta)
             assert value == pytest.approx(
                 h2_ratio(lattice_512, family, opts.s), rel=1e-8)
+
+    def test_large_block_h2_values_are_pinned(self, lattice_512,
+                                              monkeypatch):
+        # Recorded when every backtracking trial made its own solve; each
+        # value is one fresh solve at the returned beta.
+        ascents = record_ascents(monkeypatch)
+        opts = H2Options(s=4.0, n_starts=2, max_ascent_iters=30, tol=1e-6)
+        est = h2_statistic(lattice_512, opts)
+        assert est.value == pytest.approx(10.062212095430706, rel=1e-9)
+        assert est.per_start == pytest.approx(
+            [10.03178611334461, 10.062212095430706, 9.877012797848748,
+             9.877012797848746, 9.962759753251543, 9.962759753251532,
+             9.968508459192515, 9.968508459192519], rel=1e-9)
+        for Q, volume, (value, beta) in ascents:
+            assert value == fresh_ratio(Q, volume, beta, opts.s)
+
+    def test_large_block_h2_ascent_solve_count(self, lattice_512, monkeypatch):
+        # Trials are scored from Q's linearity: one solve for the start,
+        # one per step and one fresh at the end.
+        cgs = count_cg_runs(monkeypatch)
+        ascents = count_calls(monkeypatch, criteria, "_ascend_from")
+        opts = H2Options(s=4.0, n_starts=2, max_ascent_iters=8)
+        h2_statistic(lattice_512, opts)
+        assert ascents
+        assert len(cgs) <= len(ascents) * (opts.max_ascent_iters + 2)
 
     def test_large_block_s2_value_matches_the_direct_one(self, lattice_512,
                                                          monkeypatch):
