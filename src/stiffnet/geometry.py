@@ -465,8 +465,11 @@ def restrict_box(config: SphereConfig, M: float) -> SphereConfig:
 # ---------------------------------------------------------------------------
 
 # Most attempts a placement block draws ahead (a chain block also stops at
-# this many balls): bounds its arrays and pairs when a run saturates.
-_BLOCK_BALLS = 2048
+# this many balls): bounds its arrays and pairs when a run saturates.  The
+# placed balls do not depend on it, and fewer, larger blocks rebuild the
+# placed balls' KD-tree less often (an N 50 chain cell of 7.7k balls takes
+# 6 blocks, not the 9 of 2048).
+_BLOCK_BALLS = 8192
 
 
 def _row_dots(v):
@@ -560,6 +563,8 @@ def generate_hardcore(seed, N, intensity, radius, min_gap,
         raise ValueError("radius must be positive")
     if not (min_gap >= 0.0):
         raise ValueError("min_gap must be >= 0")
+    if not (max_attempts >= 1):
+        raise ValueError("max_attempts must be >= 1")
     if not (N >= radius):
         raise ValueError("box half-width must be at least the radius")
 
@@ -639,14 +644,25 @@ def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
     If a chain cannot be placed within ``max_attempts`` draws, placement
     stops and the partial configuration carries a warning.
 
-    Chains are placed in blocks by ``_place_in_blocks``.  Each attempt
-    makes the same four ``rng`` calls in the same order as one at a time;
-    balls and box test are then computed per block, rounding as per chain,
-    so the chains are those of one attempt at a time.
+    Chains are placed in blocks by ``_place_in_blocks``.  An attempt of
+    ``n`` balls makes three ``rng`` calls: ``integers(1, chain_len_max +
+    1)`` for ``n``, ``standard_normal(3)`` for the direction, and
+    ``random(n + 2)``, whose first ``n - 1`` doubles ``u`` give the gaps
+    and last 3 the start.  The block maps them at once by ``low + (high -
+    low) * u``, the arithmetic of ``rng.uniform``, so every gap and start
+    is bitwise that of ``uniform(g_min, g_max, n - 1)`` and ``uniform(-N +
+    radius, N - radius, 3)`` drawn in turn.  Balls and box test are then
+    computed per block, rounding as per chain, so the chains are those of
+    one attempt at a time.  An attempt's doubles are drawn at once, hence
+    ``chain_len_max <= 10**6``.
     """
     g_min, g_max = float(gap_range[0]), float(gap_range[1])
-    if chain_len_max < 1:
-        raise ValueError("chain_len_max must be >= 1")
+    if not (1 <= chain_len_max <= 10 ** 6):
+        raise ValueError("chain_len_max must be in [1, 10**6]")
+    if not (0.0 <= chain_density < math.inf):
+        raise ValueError("chain_density must be finite and >= 0")
+    if not (max_attempts >= 1):
+        raise ValueError("max_attempts must be >= 1")
     if not (0.0 < g_min <= g_max):
         raise ValueError("gap_range must satisfy 0 < g_min <= g_max")
     if not (radius > 0.0):
@@ -657,27 +673,33 @@ def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
     rng = np.random.default_rng(seed)
     n_chains_target = max(1, int(round(chain_density * (2.0 * N) ** 3)))
     min_center_dist = 2.0 * radius + 2.0 * g_max
+    lo, hi = float(-N + radius), float(N - radius)
 
     def draw(k):
-        lengths, directions, gaps, starts = [], [], [], []
+        lengths, directions, doubles = [], [], []
         n_balls = 0
         while len(lengths) < k and n_balls < _BLOCK_BALLS:
-            lengths.append(int(rng.integers(1, chain_len_max + 1)))
-            directions.append(rng.normal(size=3))
-            gaps.append(rng.uniform(g_min, g_max, size=lengths[-1] - 1))
-            starts.append(rng.uniform(-N + radius, N - radius, size=3))
-            n_balls += lengths[-1]
+            n = int(rng.integers(1, chain_len_max + 1))
+            lengths.append(n)
+            directions.append(rng.standard_normal(3))
+            doubles.append(rng.random(n + 2))
+            n_balls += n
         lengths, directions = np.array(lengths), np.array(directions)
         owner = np.repeat(np.arange(len(lengths)), lengths)
         first = np.cumsum(lengths) - lengths
+        # An attempt's n + 2 doubles are its n - 1 gaps, then its start.
+        u = np.concatenate(doubles)
+        at_start = (np.cumsum(lengths + 2)[:, None] - (3, 2, 1)).ravel()
+        starts = lo + (hi - lo) * u[at_start].reshape(-1, 3)
+        gaps = g_min + (g_max - g_min) * np.delete(u, at_start)
         # Each ball's distance from its chain's start: the cumsum of 2r + gap
         # along the chain's row, zero-padded to the block's longest chain.
         pad = np.arange(lengths.max()) < lengths[:, None]
         rows = np.zeros(pad.shape)
-        rows[:, 1:][pad[:, 1:]] = 2.0 * radius + np.concatenate(gaps)
+        rows[:, 1:][pad[:, 1:]] = 2.0 * radius + gaps
         step = np.cumsum(rows, axis=1)[pad]
         directions /= _row_norms(directions)[:, None]
-        balls = np.array(starts)[owner] + step[:, None] * directions[owner]
+        balls = starts[owner] + step[:, None] * directions[owner]
         reach = np.maximum.reduceat(np.abs(balls).max(axis=1), first)
         inside = (reach + radius < N)[owner]
         return len(lengths), owner[inside], balls[inside]

@@ -594,6 +594,33 @@ class TestMain:
         code = main(["run", "--spec", str(spec_path)])
         assert code == EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize("model, key, value, message", [
+        ("chains", "max_attempts", 0, "max_attempts must be >= 1"),
+        ("chains", "max_attempts", -5, "max_attempts must be >= 1"),
+        ("chains", "chain_density", -1, "chain_density must be finite"),
+        ("chains", "chain_len_max", 1e12, "chain_len_max must be in"),
+        ("hardcore", "max_attempts", 0, "max_attempts must be >= 1"),
+        ("hardcore", "max_attempts", -5, "max_attempts must be >= 1"),
+    ], ids=["chains-zero-attempts", "chains-negative-attempts",
+            "chains-negative-density", "chains-huge-length",
+            "hardcore-zero-attempts", "hardcore-negative-attempts"])
+    def test_run_with_out_of_range_generator_value_fails_every_cell(
+            self, tmp_path, capsys, model, key, value, message):
+        model_params = {
+            "chains": {"radius": 1.0, "chain_len_max": 8,
+                       "gap_range": [0.01, 0.1]},
+            "hardcore": {"intensity": 0.05, "radius": 0.9, "min_gap": 0.05},
+        }[model]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict(
+            model=model, model_params={**model_params, key: value},
+            N_grid=[6, 7, 8], out_dir=str(tmp_path / "results"))))
+        code = main(["run", "--spec", str(spec_path)])
+        assert code == EXIT_CELL_ERRORS
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 3
+        assert all(message in line for line in errors)
+
     def test_run_with_cell_errors_exits_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_dict(

@@ -8,7 +8,7 @@ import pytest
 
 from stiffnet import geometry
 from stiffnet.cli import dumps_17g
-from stiffnet.criteria import ScanCell
+from stiffnet.criteria import ScanCell, derive_cell_seed
 from stiffnet.geometry import (
     SphereConfig,
     cluster_moment_statistic,
@@ -82,6 +82,12 @@ class TestHardcore:
         with pytest.raises(ValueError, match="min_gap"):
             generate_hardcore(seed=0, N=4, intensity=0.05, radius=1.0,
                               min_gap=math.nan)
+
+    @pytest.mark.parametrize("max_attempts", [0, -5])
+    def test_attempt_budget_below_one_rejected(self, max_attempts):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            generate_hardcore(seed=0, N=4, intensity=0.05, radius=1.0,
+                              min_gap=0.2, max_attempts=max_attempts)
 
     def test_saturation_reports_partial(self):
         config = generate_hardcore(seed=3, N=2, intensity=2.0, radius=1,
@@ -201,8 +207,15 @@ class TestChainForest:
                    "chain_density": 0.01, "max_attempts": 5}),
         (0, 30.0, {"radius": 0.01, "chain_len_max": 3000,
                    "gap_range": (0.001, 0.002), "chain_density": 2e-5}),
+        (3, 10.0, {"chain_len_max": 5, "chain_density": 0.01}),
+        (4, 10.0, {"gap_range": (0.05, 0.05), "chain_density": 0.01}),
+        (5, 12, {"radius": 1}),
     ])
     def test_matches_quadratic_oracle(self, seed, N, params):
+        """Bitwise the oracle's chains, drawn by the four ``rng`` calls
+        the generator's three replace: also where ``integers`` rejects
+        draws (a bound that is not a power of two), where the gaps have
+        zero span, and with an integer box and radius."""
         kwargs = {"radius": 1.0, "chain_len_max": 8,
                   "gap_range": (0.01, 0.1), **params}
         config = generate_chain_forest(seed=seed, N=N, **kwargs)
@@ -231,6 +244,36 @@ class TestChainForest:
         centers, warnings = quadratic_chain_forest(seed, N, **kwargs)
         assert config.centers.tobytes() == centers.tobytes()
         assert config.warnings == warnings
+
+    def test_block_size_keeps_the_chains_cell(self, monkeypatch):
+        """The seed-0 N 50 cell of the chains benchmark workload places
+        the same centres in blocks of 2048 and of 8192 balls."""
+        kwargs = {"radius": 1.0, "chain_len_max": 8, "gap_range": (0.01, 0.1)}
+        centers = []
+        for block in (2048, 8192):
+            monkeypatch.setattr(geometry, "_BLOCK_BALLS", block)
+            config = generate_chain_forest(seed=derive_cell_seed(0, 50.0, 0),
+                                           N=50.0, **kwargs)
+            centers.append(config.centers.tobytes())
+        assert centers[0] == centers[1]
+
+    @pytest.mark.parametrize("params, message", [
+        ({"max_attempts": 0}, "max_attempts must be >= 1"),
+        ({"max_attempts": -5}, "max_attempts must be >= 1"),
+        ({"chain_density": -1.0}, "chain_density must be finite and >= 0"),
+        ({"chain_density": math.inf}, "chain_density must be finite"),
+        ({"chain_density": math.nan}, "chain_density must be finite"),
+        ({"chain_len_max": 0}, r"chain_len_max must be in \[1, 10\*\*6\]"),
+        ({"chain_len_max": 10 ** 6 + 1}, "chain_len_max must be in"),
+        ({"chain_len_max": 1e12}, "chain_len_max must be in"),
+    ], ids=["zero-attempts", "negative-attempts", "negative-density",
+            "infinite-density", "nan-density", "zero-length",
+            "length-above-cap", "huge-length"])
+    def test_bad_parameters_rejected(self, params, message):
+        kwargs = {"radius": 1.0, "chain_len_max": 8,
+                  "gap_range": (0.01, 0.1), **params}
+        with pytest.raises(ValueError, match=message):
+            generate_chain_forest(seed=0, N=10.0, **kwargs)
 
     def test_default_blocks_check_placed_balls(self, monkeypatch):
         trees = count_calls(monkeypatch, geometry, "cKDTree")
