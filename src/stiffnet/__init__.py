@@ -21,7 +21,6 @@ from .multigraph import (          # noqa: F401
     InclusionGraph,
     build_graph,
     clusters,
-    is_cycle_free,
     short_at,
     short_kappa,
 )
@@ -33,10 +32,8 @@ from .energy import (              # noqa: F401
     PotentialFamily,
     SolverError,
     affine_boundary_family,
-    cycle_free_potentials,
     energy,
     keller_energy,
-    lift_short_potentials,
     midpoint_boundary_family,
     minimize_energy,
 )

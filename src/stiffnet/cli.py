@@ -35,6 +35,7 @@ from .criteria import (
     MODELS,
     TASKS,
     CriterionSeries,
+    check_model_ranges,
     check_scan_grid,
     generate_model,
     scan_cells,
@@ -261,7 +262,8 @@ class ExperimentSpec:
         if unread:
             raise ValidationError(f"task_params keys that no task of "
                                   f"{list(self.tasks)} reads: {unread}")
-        if any(TASKS[task].output for task in self.tasks):
+        scanned = any(TASKS[task].output for task in self.tasks)
+        if scanned:
             if self.model not in MODELS:
                 raise ValidationError(f"unknown model {self.model!r}")
             params = _model_parameters(self.model)
@@ -274,6 +276,9 @@ class ExperimentSpec:
                     f"{missing}; the generator takes {list(params)}")
         try:
             check_scan_grid(self.N_grid, self.n_seeds)
+            if scanned:
+                check_model_ranges(self.model, self.model_params,
+                                   self.N_grid)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
         if not (0.0 < self.delta < 1.0):

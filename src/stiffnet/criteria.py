@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import math
 import time
 from collections import namedtuple
@@ -60,7 +61,6 @@ from . import effective, geometry
 from .energy import (
     SOLVE_GATE,
     SOLVE_TOL,
-    BoundaryFamily,
     KellerParams,
     KellerTable,
     LaplacianAssembly,
@@ -411,6 +411,28 @@ def derive_cell_seed(base_seed: int, N: float, seed_index: int) -> int:
 # parameters as keywords.
 MODELS = {"hardcore": generate_hardcore, "lattice": generate_lattice_jitter,
           "chains": generate_chain_forest}
+# Model name -> the range check its generator runs first.
+_MODEL_RANGES = {"hardcore": geometry.check_hardcore,
+                 "lattice": geometry.check_lattice_jitter,
+                 "chains": geometry.check_chain_forest}
+
+
+def check_model_ranges(model: str, params: dict, N_grid) -> None:
+    """Raise ValueError unless the model's generator takes ``params`` at all N.
+
+    The generator's own range check runs on ``params`` over the
+    generator's defaults, so a scan refuses an out-of-range value before
+    any cell runs.  An unknown model is left to ``generate_model``.
+    """
+    if model not in MODELS:
+        return
+    generator = inspect.signature(MODELS[model])
+    check = _MODEL_RANGES[model]
+    names = inspect.signature(check).parameters
+    for N in N_grid:
+        args = generator.bind(seed=0, N=N, **params)
+        args.apply_defaults()
+        check(**{key: args.arguments[key] for key in names})
 
 
 def generate_model(model: str, params: dict, N: float, seed: int) -> SphereConfig:
@@ -657,8 +679,7 @@ def task_evaluator(task: str, params: dict, base_seed: int):
             cell.graph, cell.delta if layer is None else layer)
 
     def graph(cell):
-        return cell.graph if kappa is None else short_kappa(cell.graph, (),
-                                                            kappa)
+        return cell.graph if kappa is None else short_kappa(cell.graph, kappa)
 
     if task == "logmoment":
         return lambda cell: log_moment_statistic(graph(cell), values["k"])
@@ -704,15 +725,18 @@ def scan_cells(model_params: dict, delta: float, N_grid, n_seeds: int,
                tasks: dict, base_seed: int = 0, threads: int = 1) -> CellScan:
     """Evaluate every task on each (N, seed) cell of fresh configurations.
 
-    ``tasks`` maps a name to an evaluator, ScanCell -> value.  Each cell
-    draws its configuration at its own derived seed and is dropped once
-    its tasks are done.  A failure is recorded per (cell, task) without
-    aborting anything else.  With ``threads > 1`` cells run on a thread
-    pool; results are collected in grid order, so they do not depend on it.
+    ``tasks`` maps a name to an evaluator, ScanCell -> value.  The grid
+    and the model's value ranges (``check_model_ranges``) are checked
+    first.  Each cell draws its configuration at its own derived seed and
+    is dropped once its tasks are done.  A failure is recorded per (cell,
+    task) without aborting anything else.  With ``threads > 1`` cells run
+    on a thread pool; results are collected in grid order, so they do not
+    depend on it.
     """
     N_grid = check_scan_grid(N_grid, n_seeds)
     model = dict(model_params)
     model_name = model.pop("model")
+    check_model_ranges(model_name, model, N_grid)
 
     def run_cell(N, k):
         t0 = time.perf_counter()

@@ -43,9 +43,6 @@ class EffectiveTensor:
     delta: float
     layer_width: float
 
-    def eigenvalues(self):
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def boundary_nodes(graph: InclusionGraph, layer_width: float) -> set[int]:
     """Nodes whose component meets the layer of width ``layer_width`` at the box boundary.

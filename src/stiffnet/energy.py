@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .multigraph import InclusionGraph, is_cycle_free
+from .multigraph import InclusionGraph
 
 __all__ = [
     "BoundaryFamily",
@@ -54,8 +54,6 @@ __all__ = [
     "minimize_energy",
     "affine_boundary_family",
     "midpoint_boundary_family",
-    "cycle_free_potentials",
-    "lift_short_potentials",
     "KellerParams",
     "KellerTable",
     "keller_energy",
@@ -104,12 +102,6 @@ class BoundaryFamily:
     @classmethod
     def zeros(cls, n_edges):
         return cls(np.zeros(n_edges), np.zeros(n_edges))
-
-    @classmethod
-    def from_antisymmetric(cls, beta):
-        """The family (beta/2, -beta/2), the minimal-norm lift of beta."""
-        beta = np.asarray(beta, dtype=float).reshape(-1)
-        return cls(0.5 * beta, -0.5 * beta)
 
 
 @dataclass
@@ -253,7 +245,8 @@ def _gap_residuals(graph, u, b):
 
     Evaluation order is fixed (((ab - ba) + u_a) - u_b) so that potentials
     built by telescoping the same differences cancel exactly in floating
-    point; ``cycle_free_potentials`` relies on this.
+    point; the test oracle ``cycle_free_potentials`` in
+    ``tests/conftest.py`` relies on this.
     """
     return (b.antisymmetric_part() + u.u[graph.a]) - u.u[graph.b]
 
@@ -317,7 +310,7 @@ def minimize_energy(graph: InclusionGraph, b: BoundaryFamily):
 
 
 # ---------------------------------------------------------------------------
-# Canonical boundary families and explicit potential constructions
+# Canonical boundary families
 # ---------------------------------------------------------------------------
 
 def affine_boundary_family(graph: InclusionGraph, xi) -> BoundaryFamily:
@@ -347,84 +340,6 @@ def midpoint_boundary_family(graph: InclusionGraph, xi) -> BoundaryFamily:
         raise ValueError("midpoint family out of its guaranteed bound; "
                            "graph data is inconsistent")
     return BoundaryFamily(ab, ba)
-
-
-def cycle_free_potentials(graph: InclusionGraph, b: BoundaryFamily,
-                          roots=None) -> PotentialFamily:
-    """Telescoped potentials that cancel every gap residual on a forest.
-
-    Along each tree branch from the cluster root, the potential accumulates
-    the oriented differences b_ab - b_ba; the root potential is zero.  The
-    construction matches the energy's floating-point evaluation order, so
-    the resulting gap term is exactly zero.
-    """
-    if not is_cycle_free(graph):
-        raise ValueError("graph has a cycle; telescoped potentials need a forest")
-    _check_indexing(graph, b=b)
-
-    n = graph.n_nodes
-    u = np.zeros(n)
-    d1 = b.antisymmetric_part()
-
-    adjacency: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-    for k, (lo, hi) in enumerate(zip(graph.a.tolist(), graph.b.tolist())):
-        adjacency[lo].append((hi, k, True))    # traversal along storage
-        adjacency[hi].append((lo, k, False))   # traversal against storage
-
-    _, cluster = graph._node_clusters
-    # Labels are ordered by smallest node, so first occurrences are roots.
-    root_by_cluster = np.unique(cluster, return_index=True)[1].tolist()
-    if roots is not None:
-        for r in roots:
-            root_by_cluster[cluster[int(r)]] = int(r)
-
-    visited = np.zeros(n, dtype=bool)
-    for root in root_by_cluster:
-        u[root] = 0.0
-        visited[root] = True
-        stack = [root]
-        while stack:
-            parent = stack.pop()
-            for child, k, along in adjacency[parent]:
-                if visited[child]:
-                    continue
-                if along:
-                    # residual ((d1 + u_a) - u_b) vanishes bitwise
-                    u[child] = d1[k] + u[parent]
-                else:
-                    # Solve fl(d1 + u_child) == u_parent; the first guess is
-                    # off by at most an ulp, a couple of nudges settle it.
-                    guess = u[parent] - d1[k]
-                    for _ in range(4):
-                        probe = d1[k] + guess
-                        if probe == u[parent]:
-                            break
-                        guess = guess + (u[parent] - probe)
-                    u[child] = guess
-                visited[child] = True
-                stack.append(child)
-    return PotentialFamily(u)
-
-
-def lift_short_potentials(graph_F: InclusionGraph, graph_Fprime: InclusionGraph,
-                          u_prime: PotentialFamily, xi) -> PotentialFamily:
-    """Pull a potential family back from a short to the finer graph.
-
-    Each fine node inherits u_I = xi . x_I + u'_{I'} - xi . x_{I'} from the
-    merged node containing it; requires the merge map recorded by the short.
-    """
-    if graph_Fprime.node_merge_map is None:
-        raise ValueError("shorted graph carries no merge map; produce it "
-                         "with short_at/short_kappa from the source graph")
-    merge_map = np.asarray(graph_Fprime.node_merge_map, dtype=np.int64)
-    if merge_map.size != graph_F.n_nodes:
-        raise ValueError("merge map does not index the source graph's nodes")
-    _check_indexing(graph_Fprime, u=u_prime)
-    xi = np.asarray(xi, dtype=float).reshape(3)
-    proj_fine = graph_F.centroids @ xi
-    proj_coarse = graph_Fprime.centroids @ xi
-    u = proj_fine + u_prime.u[merge_map] - proj_coarse[merge_map]
-    return PotentialFamily(u)
 
 
 # ---------------------------------------------------------------------------

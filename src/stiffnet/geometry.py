@@ -542,6 +542,34 @@ def _place_in_blocks(draw, n_target, max_attempts, reach, conflict, warning):
     return placed, ()
 
 
+# The target count of balls or chains in a box, density times (2N)^3, is
+# capped like other sizes: the generator rounds it to an int and places
+# up to that many.
+_MAX_TARGET = 10 ** 8
+
+
+def _check_target(density, N, what):
+    count = density * (2.0 * N) ** 3
+    if not (count <= _MAX_TARGET):
+        raise ValueError(f"{what} * (2N)^3 must be at most 10**8, got "
+                         f"{count!r} at N {N!r}")
+
+
+def check_hardcore(N, intensity, radius, min_gap, max_attempts):
+    """Raise ValueError unless ``generate_hardcore`` takes these values."""
+    if not (intensity >= 0.0):
+        raise ValueError("intensity must be >= 0")
+    if not (radius > 0.0):
+        raise ValueError("radius must be positive")
+    if not (min_gap >= 0.0):
+        raise ValueError("min_gap must be >= 0")
+    if not (max_attempts >= 1):
+        raise ValueError("max_attempts must be >= 1")
+    if not (N >= radius):
+        raise ValueError("box half-width must be at least the radius")
+    _check_target(intensity, N, "intensity")
+
+
 def generate_hardcore(seed, N, intensity, radius, min_gap,
                       contact_tol=DEFAULT_CONTACT_TOL,
                       max_attempts=200) -> SphereConfig:
@@ -556,17 +584,9 @@ def generate_hardcore(seed, N, intensity, radius, min_gap,
     Centres are drawn in blocks by ``_place_in_blocks``: ``k`` attempts
     are one ``rng.uniform(-N, N, size=(k, 3))``, the same doubles as ``k``
     draws of size 3, so the balls are those of one draw at a time.
+    ``check_hardcore`` states the ranges of the arguments.
     """
-    if not (intensity >= 0.0):
-        raise ValueError("intensity must be >= 0")
-    if not (radius > 0.0):
-        raise ValueError("radius must be positive")
-    if not (min_gap >= 0.0):
-        raise ValueError("min_gap must be >= 0")
-    if not (max_attempts >= 1):
-        raise ValueError("max_attempts must be >= 1")
-    if not (N >= radius):
-        raise ValueError("box half-width must be at least the radius")
+    check_hardcore(N, intensity, radius, min_gap, max_attempts)
 
     rng = np.random.default_rng(seed)
     n_target = int(round(intensity * (2.0 * N) ** 3))
@@ -587,15 +607,10 @@ def generate_hardcore(seed, N, intensity, radius, min_gap,
                         contact_tol=contact_tol, warnings=warnings)
 
 
-def generate_lattice_jitter(seed, N, spacing, radius, jitter,
-                            allow_overlap=False,
-                            contact_tol=DEFAULT_CONTACT_TOL) -> SphereConfig:
-    """One ball per cubic cell of side ``spacing`` intersecting the box.
+def check_lattice_jitter(N, spacing, radius, jitter, allow_overlap):
+    """Raise ValueError unless ``generate_lattice_jitter`` takes these values.
 
-    Cell ``k`` covers ``[k*s, (k+1)*s)^3``; the ball sits at the cell center
-    displaced uniformly in ``[-jitter, jitter]^3``.  Unless overlaps are
-    explicitly allowed, parameters must keep distinct balls disjoint:
-    ``jitter < spacing/2 - radius``.
+    No rule reads ``N``: every box holds one ball per cell it meets.
     """
     if not (spacing > 0.0):
         raise ValueError("spacing must be positive")
@@ -609,6 +624,19 @@ def generate_lattice_jitter(seed, N, spacing, radius, jitter,
                              "pass allow_overlap=True to permit them")
         if jitter >= spacing / 2.0 - radius:
             raise ValueError("jitter too large: may force overlaps")
+
+
+def generate_lattice_jitter(seed, N, spacing, radius, jitter,
+                            allow_overlap=False,
+                            contact_tol=DEFAULT_CONTACT_TOL) -> SphereConfig:
+    """One ball per cubic cell of side ``spacing`` intersecting the box.
+
+    Cell ``k`` covers ``[k*s, (k+1)*s)^3``; the ball sits at the cell center
+    displaced uniformly in ``[-jitter, jitter]^3``.  Unless overlaps are
+    explicitly allowed, parameters must keep distinct balls disjoint:
+    ``jitter < spacing/2 - radius``.
+    """
+    check_lattice_jitter(N, spacing, radius, jitter, allow_overlap)
 
     rng = np.random.default_rng(seed)
     k_lo = int(math.floor(-N / spacing))
@@ -625,6 +653,29 @@ def generate_lattice_jitter(seed, N, spacing, radius, jitter,
     centers, radii = centers[touch], radii[touch]
     return SphereConfig(centers, radii, N, model="lattice_jitter", seed=seed,
                         contact_tol=contact_tol)
+
+
+def check_chain_forest(N, radius, chain_len_max, gap_range, chain_density,
+                       max_attempts):
+    """Raise ValueError unless ``generate_chain_forest`` takes these values.
+
+    An attempt's doubles are drawn at once, hence ``chain_len_max <=
+    10**6``.
+    """
+    g_min, g_max = float(gap_range[0]), float(gap_range[1])
+    if not (1 <= chain_len_max <= 10 ** 6):
+        raise ValueError("chain_len_max must be in [1, 10**6]")
+    if not (0.0 <= chain_density < math.inf):
+        raise ValueError("chain_density must be finite and >= 0")
+    if not (max_attempts >= 1):
+        raise ValueError("max_attempts must be >= 1")
+    if not (0.0 < g_min <= g_max):
+        raise ValueError("gap_range must satisfy 0 < g_min <= g_max")
+    if not (radius > 0.0):
+        raise ValueError("radius must be positive")
+    if not (N > radius):
+        raise ValueError("box half-width must exceed the radius")
+    _check_target(chain_density, N, "chain_density")
 
 
 def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
@@ -653,22 +704,12 @@ def generate_chain_forest(seed, N, radius, chain_len_max, gap_range,
     is bitwise that of ``uniform(g_min, g_max, n - 1)`` and ``uniform(-N +
     radius, N - radius, 3)`` drawn in turn.  Balls and box test are then
     computed per block, rounding as per chain, so the chains are those of
-    one attempt at a time.  An attempt's doubles are drawn at once, hence
-    ``chain_len_max <= 10**6``.
+    one attempt at a time.  ``check_chain_forest`` states the ranges of
+    the arguments.
     """
+    check_chain_forest(N, radius, chain_len_max, gap_range, chain_density,
+                       max_attempts)
     g_min, g_max = float(gap_range[0]), float(gap_range[1])
-    if not (1 <= chain_len_max <= 10 ** 6):
-        raise ValueError("chain_len_max must be in [1, 10**6]")
-    if not (0.0 <= chain_density < math.inf):
-        raise ValueError("chain_density must be finite and >= 0")
-    if not (max_attempts >= 1):
-        raise ValueError("max_attempts must be >= 1")
-    if not (0.0 < g_min <= g_max):
-        raise ValueError("gap_range must satisfy 0 < g_min <= g_max")
-    if not (radius > 0.0):
-        raise ValueError("radius must be positive")
-    if not (N > radius):
-        raise ValueError("box half-width must exceed the radius")
 
     rng = np.random.default_rng(seed)
     n_chains_target = max(1, int(round(chain_density * (2.0 * N) ** 3)))

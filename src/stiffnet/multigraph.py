@@ -13,7 +13,7 @@ node of each of its balls.
 
 A *short* merges chosen node groups into single nodes, suppressing the
 edges that become internal; ``short_kappa`` shorts exactly the gaps
-narrower than ``kappa`` that are not in a protected edge set.
+narrower than ``kappa``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "clusters",
     "short_at",
     "short_kappa",
-    "is_cycle_free",
 ]
 
 
@@ -236,13 +235,8 @@ class ClusterPartition:
     """
 
     node_cluster: np.ndarray        # (n_nodes,) node -> cluster index
-    members: tuple[tuple[int, ...], ...]
     diameters: np.ndarray           # union diameter per cluster
     cardinalities: np.ndarray       # number of nodes per cluster
-
-    @property
-    def n_clusters(self):
-        return len(self.members)
 
 
 def _cap_cos_angle(r_self, r_other, center_dist, delta):
@@ -435,7 +429,6 @@ def clusters(graph: InclusionGraph) -> ClusterPartition:
     balls = _member_balls(graph, node_cluster, m)
     return ClusterPartition(
         node_cluster=node_cluster,
-        members=tuple(tuple(g.tolist()) for g in groups),
         diameters=np.array([_union_diameter(graph, g, bl)
                             for g, bl in zip(groups, balls)]),
         cardinalities=np.bincount(node_cluster, minlength=m))
@@ -495,34 +488,17 @@ def short_at(graph: InclusionGraph, node_pairs) -> InclusionGraph:
                      else merge_map[graph.sphere_node]))
 
 
-def short_kappa(graph: InclusionGraph, graph_prime_edge_ids,
-                kappa: float) -> InclusionGraph:
-    """Short every unprotected gap narrower than ``kappa``.
+def short_kappa(graph: InclusionGraph, kappa: float) -> InclusionGraph:
+    """Short every gap narrower than ``kappa``.
 
-    ``graph_prime_edge_ids`` lists the edges kept open by construction;
-    every other edge with ``d < kappa`` is shorted (its endpoints merged).
-    Surviving edges are the protected ones plus the unprotected gaps of
-    width at least ``kappa``, minus any edge that became internal to a
-    merged node.
+    Every edge with ``d < kappa`` is shorted (its endpoints merged).
+    Surviving edges are the gaps of width at least ``kappa``, minus any
+    edge that became internal to a merged node.
     """
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
-    prime = np.array(sorted({int(i) for i in graph_prime_edge_ids}),
-                     dtype=np.int64)
-    unknown = np.setdiff1d(prime, graph.edge_ids)
-    if unknown.size:
-        raise ValueError(f"unknown edge ids in protected set: {unknown.tolist()}")
-    shorted = ~np.isin(graph.edge_ids, prime) & (graph.d < kappa)
+    shorted = graph.d < kappa
     if not shorted.any():
         # Identity short; still record the trivial merge map.
         return replace(graph, node_merge_map=tuple(range(graph.n_nodes)))
     return short_at(graph, np.stack([graph.a[shorted], graph.b[shorted]], axis=1))
-
-
-def is_cycle_free(graph: InclusionGraph) -> bool:
-    """True when the multigraph has no cycle.
-
-    Any pair of parallel edges counts as a cycle, so this is exactly
-    ``n_edges == n_nodes - n_clusters``.
-    """
-    return graph.n_edges == graph.n_nodes - graph._node_clusters[0]

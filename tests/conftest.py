@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 import stiffnet.criteria as criteria
 from stiffnet.criteria import ScanCell, task_evaluator
-from stiffnet.energy import BoundaryFamily, minimize_energy
+from stiffnet.energy import BoundaryFamily, PotentialFamily, minimize_energy
 from stiffnet.multigraph import InclusionGraph, clusters
 
 # The module itself: the package rebinds ``stiffnet.energy`` to the function.
@@ -171,8 +171,7 @@ def eigensolve_oracle(graph):
     m = graph.n_edges
 
     def N_of(beta):
-        b = BoundaryFamily.from_antisymmetric(beta)
-        _, out = minimize_energy(graph, b)
+        _, out = minimize_energy(graph, antisymmetric_family(beta))
         return out.total
 
     Q = np.zeros((m, m))
@@ -220,6 +219,108 @@ def energy_gradient(graph, u, b):
     np.add.at(g, graph.a, 4.0 * graph.mu * r)
     np.add.at(g, graph.b, -4.0 * graph.mu * r)
     return g
+
+
+def antisymmetric_family(beta):
+    """The family (beta/2, -beta/2), the minimal-norm lift of beta."""
+    beta = np.asarray(beta, dtype=float).reshape(-1)
+    return BoundaryFamily(0.5 * beta, -0.5 * beta)
+
+
+def cluster_members(part):
+    """Node ids of each cluster, ascending, read off ``node_cluster``."""
+    labels = part.node_cluster.tolist()
+    return [[i for i, lab in enumerate(labels) if lab == k]
+            for k in range(len(set(labels)))]
+
+
+def is_cycle_free(graph):
+    """True when the multigraph has no cycle.
+
+    Any pair of parallel edges counts as a cycle, so this is exactly
+    ``n_edges == n_nodes - n_clusters``.
+    """
+    return graph.n_edges == graph.n_nodes - graph._node_clusters[0]
+
+
+def cycle_free_potentials(graph, b, roots=None):
+    """Telescoped potentials that cancel every gap residual on a forest.
+
+    Along each tree branch from the cluster root, the potential accumulates
+    the oriented differences b_ab - b_ba; the root potential is zero.  The
+    construction matches the energy's floating-point evaluation order
+    (``energy._gap_residuals``), so the resulting gap term is exactly zero.
+    """
+    if not is_cycle_free(graph):
+        raise ValueError("graph has a cycle; telescoped potentials need a forest")
+    if b.n_edges != graph.n_edges:
+        raise ValueError(f"boundary family has {b.n_edges} entries, "
+                         f"graph has {graph.n_edges} edges")
+
+    n = graph.n_nodes
+    u = np.zeros(n)
+    d1 = b.antisymmetric_part()
+
+    adjacency = [[] for _ in range(n)]
+    for k, (lo, hi) in enumerate(zip(graph.a.tolist(), graph.b.tolist())):
+        adjacency[lo].append((hi, k, True))    # traversal along storage
+        adjacency[hi].append((lo, k, False))   # traversal against storage
+
+    _, cluster = graph._node_clusters
+    # Labels are ordered by smallest node, so first occurrences are roots.
+    root_by_cluster = np.unique(cluster, return_index=True)[1].tolist()
+    if roots is not None:
+        for r in roots:
+            root_by_cluster[cluster[int(r)]] = int(r)
+
+    visited = np.zeros(n, dtype=bool)
+    for root in root_by_cluster:
+        u[root] = 0.0
+        visited[root] = True
+        stack = [root]
+        while stack:
+            parent = stack.pop()
+            for child, k, along in adjacency[parent]:
+                if visited[child]:
+                    continue
+                if along:
+                    # residual ((d1 + u_a) - u_b) vanishes bitwise
+                    u[child] = d1[k] + u[parent]
+                else:
+                    # Solve fl(d1 + u_child) == u_parent; the first guess is
+                    # off by at most an ulp, a couple of nudges settle it.
+                    guess = u[parent] - d1[k]
+                    for _ in range(4):
+                        probe = d1[k] + guess
+                        if probe == u[parent]:
+                            break
+                        guess = guess + (u[parent] - probe)
+                    u[child] = guess
+                visited[child] = True
+                stack.append(child)
+    return PotentialFamily(u)
+
+
+def lift_short_potentials(graph_F, graph_Fprime, u_prime, xi):
+    """Pull a potential family back from a short to the finer graph.
+
+    Each fine node inherits u_I = xi . x_I + u'_{I'} - xi . x_{I'} from the
+    merged node containing it; requires the merge map recorded by the short.
+    """
+    if graph_Fprime.node_merge_map is None:
+        raise ValueError("shorted graph carries no merge map; produce it "
+                         "with short_at/short_kappa from the source graph")
+    merge_map = np.asarray(graph_Fprime.node_merge_map, dtype=np.int64)
+    if merge_map.size != graph_F.n_nodes:
+        raise ValueError("merge map does not index the source graph's nodes")
+    if u_prime.n_nodes != graph_Fprime.n_nodes:
+        raise ValueError(f"potential family has {u_prime.n_nodes} entries, "
+                         f"graph has {graph_Fprime.n_nodes} nodes")
+    xi = np.asarray(xi, dtype=float).reshape(3)
+    proj_fine = graph_F.centroids @ xi
+    proj_coarse = graph_Fprime.centroids @ xi
+    u = proj_fine + u_prime.u[merge_map] - proj_coarse[merge_map]
+    return PotentialFamily(u)
 
 
 def closest_points(sphere_a, sphere_b):

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cycle_free_potentials,
     dense_minimum_oracle,
     edge_rows,
     eigensolve_oracle,
     energy_gradient,
     evaluate_task,
     h2_ratio,
+    is_cycle_free,
     make_graph,
     node_rows,
     random_test_graph,
@@ -36,7 +38,6 @@ from stiffnet.energy import (
     BoundaryFamily,
     PotentialFamily,
     affine_boundary_family,
-    cycle_free_potentials,
     energy,
     keller_energy,
     KellerParams,
@@ -51,7 +52,7 @@ from stiffnet.geometry import (
     generate_lattice_jitter,
     restrict_box,
 )
-from stiffnet.multigraph import build_graph, is_cycle_free, short_kappa
+from stiffnet.multigraph import build_graph, short_kappa
 
 
 def report(cid, detail):
@@ -345,17 +346,17 @@ def test_criterion_12_short_consistency():
     assert graph.n_edges > 0
     gaps = [e.d for e in edge_rows(graph)]
 
-    below = short_kappa(graph, [], min(gaps) / 2.0)
+    below = short_kappa(graph, min(gaps) / 2.0)
     assert below.n_nodes == graph.n_nodes and below.n_edges == graph.n_edges
 
-    top = short_kappa(graph, [], np.nextafter(1.0, 0.0))
+    top = short_kappa(graph, np.nextafter(1.0, 0.0))
     assert top.n_edges == 0
 
     previous = None
     nodes = node_rows(graph)
     total_before = sum(Fraction(n.volume) for n in nodes)
     for kappa in (0.01, 0.05, 0.1, 0.2, 0.45, 0.9):
-        shorted = short_kappa(graph, [], kappa)
+        shorted = short_kappa(graph, kappa)
         shorted_nodes = node_rows(shorted)
         ids = {e.id for e in edge_rows(shorted)}
         if previous is not None:

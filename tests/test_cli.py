@@ -96,7 +96,7 @@ class TestSerialization:
 
     def test_shorted_graph_roundtrip(self, tmp_path):
         graph = hardcore_graph()
-        shorted = short_kappa(graph, (), sorted(graph.d.tolist())[2])
+        shorted = short_kappa(graph, sorted(graph.d.tolist())[2])
         assert shorted.n_nodes < graph.n_nodes
         save_json(shorted, tmp_path / "shorted.json")
         assert load_json(tmp_path / "shorted.json", kind="graph") == shorted
@@ -236,7 +236,7 @@ class TestRunExperiment:
                                     derive_cell_seed(spec.base_seed, N, 0))
             config = restrict_box(config, N)
             graph = build_graph(components(config), config, spec.delta)
-            shorted = short_kappa(graph, (), kappa)
+            shorted = short_kappa(graph, kappa)
             assert 0 < shorted.n_nodes < graph.n_nodes
             assert outputs["h2"]["values"][i] == [h2_statistic(
                 shorted, H2Options(seed=spec.base_seed, **h2)).value]
@@ -601,11 +601,18 @@ class TestMain:
         ("chains", "chain_len_max", 1e12, "chain_len_max must be in"),
         ("hardcore", "max_attempts", 0, "max_attempts must be >= 1"),
         ("hardcore", "max_attempts", -5, "max_attempts must be >= 1"),
+        ("chains", "chain_density", 1e305,
+         "chain_density * (2N)^3 must be at most 10**8"),
+        ("hardcore", "intensity", 1e305,
+         "intensity * (2N)^3 must be at most 10**8"),
     ], ids=["chains-zero-attempts", "chains-negative-attempts",
             "chains-negative-density", "chains-huge-length",
-            "hardcore-zero-attempts", "hardcore-negative-attempts"])
+            "hardcore-zero-attempts", "hardcore-negative-attempts",
+            "chains-huge-density", "hardcore-huge-intensity"])
     def test_run_with_out_of_range_generator_value_fails_every_cell(
             self, tmp_path, capsys, model, key, value, message):
+        # The generator's range check runs at validation, so no cell fails:
+        # the spec exits 3 with one line and creates nothing.
         model_params = {
             "chains": {"radius": 1.0, "chain_len_max": 8,
                        "gap_range": [0.01, 0.1]},
@@ -616,10 +623,22 @@ class TestMain:
             model=model, model_params={**model_params, key: value},
             N_grid=[6, 7, 8], out_dir=str(tmp_path / "results"))))
         code = main(["run", "--spec", str(spec_path)])
-        assert code == EXIT_CELL_ERRORS
+        assert code == EXIT_VALIDATION_ERROR
         errors = capsys.readouterr().err.splitlines()
-        assert len(errors) == 3
-        assert all(message in line for line in errors)
+        assert len(errors) == 1 and message in errors[0]
+        assert not (tmp_path / "results").exists()
+
+    def test_criteria_with_out_of_range_generator_value_exits_3(
+            self, tmp_path, capsys):
+        out_path = tmp_path / "series.json"
+        code = main(["--out", str(out_path), "criteria", "--model", "chains",
+                     "--chain-len-max", "0", "--statistic", "logmoment",
+                     "--delta", "0.2", "--N-grid", "10,12,14",
+                     "--n-seeds", "1"])
+        assert code == EXIT_VALIDATION_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: chain_len_max must be in [1, 10**6]\n"
+        assert not out_path.exists()
 
     def test_run_with_cell_errors_exits_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"

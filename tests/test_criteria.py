@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 import stiffnet.criteria as criteria
 from conftest import (
     ScatterSolveMinimizer,
+    antisymmetric_family,
     count_calls,
     count_cg_runs,
     count_h2_products,
@@ -286,7 +287,7 @@ class TestPotentialOperator:
         results = [result for _, _, result in ascents]
         assert len(results) >= 3 and None not in results
         for value, beta in results:
-            family = BoundaryFamily.from_antisymmetric(beta)
+            family = antisymmetric_family(beta)
             assert value == pytest.approx(
                 h2_ratio(chain_forest_graph, family, opts.s), rel=1e-10)
 
@@ -326,7 +327,7 @@ class TestPotentialOperator:
         beta0 = np.random.default_rng(seed).normal(size=graph.n_edges)
         value, beta = criteria._ascend_from(Q, graph.box_volume(), beta0,
                                             opts)
-        family = BoundaryFamily.from_antisymmetric(beta)
+        family = antisymmetric_family(beta)
         assert value == pytest.approx(h2_ratio(graph, family, s), rel=1e-10)
 
     @pytest.mark.parametrize("s", [2.0, 3.5, 4.0])

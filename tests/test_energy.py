@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cycle_free_potentials,
     dense_minimum_oracle,
     edge_rows,
     energy_gradient,
+    lift_short_potentials,
     make_graph,
     node_rows,
     random_test_graph,
@@ -18,9 +20,7 @@ from stiffnet.energy import (
     BoundaryFamily,
     PotentialFamily,
     affine_boundary_family,
-    cycle_free_potentials,
     energy,
-    lift_short_potentials,
     midpoint_boundary_family,
     minimize_energy,
 )

@@ -18,10 +18,12 @@ from stiffnet.geometry import (
     generate_lattice_jitter,
     restrict_box,
 )
-from stiffnet.multigraph import build_graph, is_cycle_free
+from stiffnet.multigraph import build_graph
 
 from conftest import (
+    cluster_members,
     count_calls,
+    is_cycle_free,
     node_rows,
     pointwise_cluster_moment,
     quadratic_chain_forest,
@@ -473,7 +475,7 @@ class TestClusterMoment:
         # diam(C_y)^2 over the box is sum_C diam(C)^2 vol(C) / |Q_N|.
         exact = 0.0
         nodes = node_rows(graph)
-        for k, mem in enumerate(part.members):
+        for k, mem in enumerate(cluster_members(part)):
             vol = sum(nodes[i].volume for i in mem)
             exact += part.diameters[k] ** 2 * vol
         exact /= config.box_volume()

@@ -10,7 +10,9 @@ from conftest import (
     bfs_clusters,
     brute_force_gap_pairs,
     closest_points,
+    cluster_members,
     edge_rows,
+    is_cycle_free,
     make_graph,
     node_rows,
 )
@@ -18,7 +20,6 @@ from stiffnet.geometry import SphereConfig, components, generate_hardcore
 from stiffnet.multigraph import (
     build_graph,
     clusters,
-    is_cycle_free,
     short_at,
     short_kappa,
 )
@@ -134,13 +135,13 @@ class TestClusters:
                               [1.0, 1.0, 1.0], 8.0)
         graph = build_graph(components(config), config, 0.3)
         part = clusters(graph)
-        assert part.n_clusters == 1
+        assert np.unique(part.node_cluster).size == 1
         assert part.cardinalities[0] == 3
 
     def test_edgeless_graph_all_singletons(self):
         graph = make_graph([1, 1, 1], [(0, 0, 0), (1, 0, 0), (2, 0, 0)], [])
         part = clusters(graph)
-        assert part.n_clusters == 3
+        assert np.unique(part.node_cluster).size == 3
 
     def test_matches_bfs_oracle(self, rng):
         config = generate_hardcore(seed=47, N=6, intensity=0.05, radius=0.9,
@@ -153,7 +154,7 @@ class TestClusters:
         for node_id, lab in enumerate(oracle):
             mine = int(part.node_cluster[node_id])
             assert mapping.setdefault(lab, mine) == mine
-        assert len(set(mapping.values())) == part.n_clusters
+        assert len(set(mapping.values())) == np.unique(part.node_cluster).size
 
     def test_cluster_stats(self):
         config = SphereConfig([[0, 0, 0], [2.1, 0, 0]], [1.0, 1.0], 6.0)
@@ -199,7 +200,7 @@ class TestShortAt:
                                    min_gap=0.02)
         graph = build_graph(components(config), config, 0.45)
         part = clusters(graph)
-        sizes = [len(m) for m in part.members]
+        sizes = [len(m) for m in cluster_members(part)]
         big = int(np.argmax(sizes))
         pairs = [(e.a, e.b) for e in edge_rows(graph)
                  if part.node_cluster[e.a] == big]
@@ -265,30 +266,23 @@ class TestShortKappa:
 
     def test_kappa_below_all_gaps_is_identity(self):
         graph = self.path_with_gaps(0.1, 0.2)
-        out = short_kappa(graph, [], 0.05)
+        out = short_kappa(graph, 0.05)
         assert out.n_nodes == graph.n_nodes
         assert out.n_edges == graph.n_edges
         assert out.node_merge_map == (0, 1, 2)
 
     def test_kappa_near_one_shorts_everything(self):
         graph = self.path_with_gaps(0.1, 0.2)
-        out = short_kappa(graph, [], np.nextafter(1.0, 0.0))
+        out = short_kappa(graph, np.nextafter(1.0, 0.0))
         assert out.n_edges == 0
         assert out.n_nodes == 1
 
     def test_hand_checkable_threshold(self):
         graph = self.path_with_gaps(0.01, 0.2)
-        out = short_kappa(graph, [], 0.1)
+        out = short_kappa(graph, 0.1)
         assert out.n_nodes == 2
         assert out.n_edges == 1
         assert edge_rows(out)[0].d == pytest.approx(0.2)
-
-    def test_protected_edges_survive(self):
-        graph = self.path_with_gaps(0.01, 0.02)
-        protected = [edge_rows(graph)[0].id]
-        out = short_kappa(graph, protected, 0.1)
-        # unprotected 0.02 edge shorted; protected 0.01 edge kept
-        assert {e.id for e in edge_rows(out)} == set(protected)
 
     def test_edge_sets_monotone_in_kappa(self):
         config = generate_hardcore(seed=67, N=6, intensity=0.05, radius=0.9,
@@ -298,7 +292,7 @@ class TestShortKappa:
             pytest.skip("edgeless draw")
         previous = None
         for kappa in (0.05, 0.15, 0.3, 0.6):
-            ids = {e.id for e in edge_rows(short_kappa(graph, [], kappa))}
+            ids = {e.id for e in edge_rows(short_kappa(graph, kappa))}
             if previous is not None:
                 assert ids <= previous
             previous = ids
@@ -307,7 +301,7 @@ class TestShortKappa:
         graph = self.path_with_gaps(0.1, 0.2)
         for kappa in (0.0, 1.0, -0.2, 2.0):
             with pytest.raises(ValueError):
-                short_kappa(graph, [], kappa)
+                short_kappa(graph, kappa)
 
 
 class TestCycleFree:
@@ -338,5 +332,6 @@ class TestCycleFree:
             graph = make_graph(np.ones(n), rng.uniform(-1, 1, size=(n, 3)),
                                edges)
             part = clusters(graph)
-            expected = graph.n_edges == graph.n_nodes - part.n_clusters
+            n_clusters = np.unique(part.node_cluster).size
+            expected = graph.n_edges == graph.n_nodes - n_clusters
             assert is_cycle_free(graph) == expected

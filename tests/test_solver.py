@@ -12,6 +12,7 @@ import stiffnet.criteria as criteria
 import stiffnet.multigraph
 from conftest import (
     ENERGY,
+    antisymmetric_family,
     cap_cg_iterations,
     count_calls,
     count_cg_runs,
@@ -31,7 +32,6 @@ from stiffnet.criteria import (
 )
 from stiffnet.effective import network_effective_tensor
 from stiffnet.energy import (
-    BoundaryFamily,
     LaplacianAssembly,
     SolverError,
     SPDSolver,
@@ -230,7 +230,7 @@ class TestManyRightHandSides:
         results = [result for _, _, result in ascents]
         assert len(results) >= 2 and None not in results
         for value, beta in results:
-            family = BoundaryFamily.from_antisymmetric(beta)
+            family = antisymmetric_family(beta)
             assert value == pytest.approx(
                 h2_ratio(lattice_512, family, opts.s), rel=1e-8)
 
