@@ -12,7 +12,8 @@ count.  The ``criteria`` and ``effective`` subcommands write the same CSV
 rows and summary dicts, report each failed cell on stderr and exit 1, as
 ``run`` does.  Their task flags, and keller's, are read like a spec's
 ``task_params``, through the task table ``criteria.TASKS``, which holds
-every default.
+every default.  ``criteria`` owns every scan input rule and runs it before
+any cell, so a bad spec or flag exits 3 with one line and writes nothing.
 
 Subcommands: generate, graph, energy, criteria, effective, keller, run.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import math
 import sys
@@ -35,7 +35,8 @@ from .criteria import (
     MODELS,
     TASKS,
     CriterionSeries,
-    check_model_ranges,
+    _model_parameters,
+    check_model,
     check_scan_grid,
     generate_model,
     scan_cells,
@@ -130,10 +131,9 @@ def save_json(obj, path):
     Path(path).write_text(dumps_17g(obj) + "\n", encoding="utf-8")
 
 
-def load_json(path, kind=None):
-    """Load a configuration or graph; ``kind`` forces the schema.
+def load_json(path, kind):
+    """Load a configuration (``kind`` "config") or a graph ("graph").
 
-    Without ``kind`` the schema is inferred from the document's fields.
     Raises SchemaError on malformed documents; never returns a partial
     object.
     """
@@ -141,13 +141,6 @@ def load_json(path, kind=None):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    if kind is None:
-        if isinstance(data, dict) and "spheres" in data:
-            kind = "config"
-        elif isinstance(data, dict) and "nodes" in data and "edges" in data:
-            kind = "graph"
-        else:
-            raise SchemaError("document is neither a configuration nor a graph")
     if kind == "config":
         return SphereConfig.from_dict(data)
     if kind == "graph":
@@ -158,12 +151,6 @@ def load_json(path, kind=None):
 # ---------------------------------------------------------------------------
 # Experiment spec and result record
 # ---------------------------------------------------------------------------
-
-def _model_parameters(model):
-    """The keyword parameters of a model's generator, less seed and N."""
-    params = inspect.signature(MODELS[model]).parameters
-    return {k: p for k, p in params.items() if k not in ("seed", "N")}
-
 
 def _finite_number(value):
     """True for a JSON number (not a bool) that is finite as a float."""
@@ -262,27 +249,13 @@ class ExperimentSpec:
         if unread:
             raise ValidationError(f"task_params keys that no task of "
                                   f"{list(self.tasks)} reads: {unread}")
-        scanned = any(TASKS[task].output for task in self.tasks)
-        if scanned:
-            if self.model not in MODELS:
-                raise ValidationError(f"unknown model {self.model!r}")
-            params = _model_parameters(self.model)
-            unknown = sorted(set(self.model_params) - set(params))
-            missing = [k for k, p in params.items()
-                       if p.default is p.empty and k not in self.model_params]
-            if unknown or missing:
-                raise ValidationError(
-                    f"{self.model} model_params: unknown {unknown}, missing "
-                    f"{missing}; the generator takes {list(params)}")
+        # A keller-only spec draws no model; its grid and delta are checked.
         try:
-            check_scan_grid(self.N_grid, self.n_seeds)
-            if scanned:
-                check_model_ranges(self.model, self.model_params,
-                                   self.N_grid)
+            N_grid = check_scan_grid(self.N_grid, self.n_seeds, self.delta)
+            if any(TASKS[task].output for task in self.tasks):
+                check_model(self.model, self.model_params, N_grid)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
-        if not (0.0 < self.delta < 1.0):
-            raise ValidationError("delta must lie in (0, 1)")
 
     def to_dict(self):
         return {

@@ -36,10 +36,11 @@ ascend once.
 ``TASKS`` is the task table: each task's output, and each task
 parameter's JSON reader, default and range rule, through which spec files
 and subcommands alike read them (``task_evaluator``).  ``scan_cells`` is
-the one loop over an (N, seed) grid: it builds each cell's configuration
-and graph once and evaluates every requested task on it.  ``scan_limsup``
-runs one task; a statistic's series has a plateau estimate, the empirical
-surrogate for an almost-sure limsup.
+the one loop over an (N, seed) grid: it checks the scan's inputs
+(``check_scan_grid``, ``check_model``) before any cell, then builds each
+cell's configuration and graph once and evaluates every requested task
+on it.  ``scan_limsup`` runs one task; a statistic's series has a plateau
+estimate, the empirical surrogate for an almost-sure limsup.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from .geometry import (
     SchemaError,
     SphereConfig,
     _CLUSTER_MOMENT_RULES,
+    _CONTACT_TOL,
     _check_range,
     _json_int,
     _json_number,
@@ -417,22 +419,36 @@ _MODEL_RANGES = {"hardcore": geometry.check_hardcore,
                  "chains": geometry.check_chain_forest}
 
 
-def check_model_ranges(model: str, params: dict, N_grid) -> None:
+def _model_parameters(model: str) -> dict:
+    """The keyword parameters of a model's generator, less seed and N."""
+    params = inspect.signature(MODELS[model]).parameters
+    return {k: p for k, p in params.items() if k not in ("seed", "N")}
+
+
+def check_model(model: str, params: dict, N_grid) -> None:
     """Raise ValueError unless the model's generator takes ``params`` at all N.
 
-    The generator's own range check runs on ``params`` over the
-    generator's defaults, so a scan refuses an out-of-range value before
-    any cell runs.  An unknown model is left to ``generate_model``.
+    The model must be known, and ``params`` must hold each generator
+    parameter without a default and no other key.  Then the generator's
+    range check runs at each N and ``contact_tol`` meets SphereConfig's
+    rule, both on ``params`` over the generator's defaults.
     """
     if model not in MODELS:
-        return
-    generator = inspect.signature(MODELS[model])
+        raise ValueError(f"unknown model {model!r}; expected one of "
+                         f"{sorted(MODELS)}")
+    takes = _model_parameters(model)
+    unknown = sorted(set(params) - set(takes))
+    missing = [k for k, p in takes.items()
+               if p.default is p.empty and k not in params]
+    if unknown or missing:
+        raise ValueError(f"{model} model_params: unknown {unknown}, missing "
+                         f"{missing}; the generator takes {list(takes)}")
+    values = {**{k: p.default for k, p in takes.items()}, **params}
+    _check_range(values["contact_tol"], _CONTACT_TOL, "contact_tol")
     check = _MODEL_RANGES[model]
-    names = inspect.signature(check).parameters
+    names = [key for key in inspect.signature(check).parameters if key != "N"]
     for N in N_grid:
-        args = generator.bind(seed=0, N=N, **params)
-        args.apply_defaults()
-        check(**{key: args.arguments[key] for key in names})
+        check(N=N, **{key: values[key] for key in names})
 
 
 def generate_model(model: str, params: dict, N: float, seed: int) -> SphereConfig:
@@ -687,11 +703,12 @@ def task_evaluator(task: str, params: dict, base_seed: int):
     return lambda cell: h2_statistic(graph(cell), opts).value
 
 
-def check_scan_grid(N_grid, n_seeds: int) -> list[float]:
+def check_scan_grid(N_grid, n_seeds: int, delta: float) -> list[float]:
     """The grid as floats; raises ValueError unless it is scannable.
 
     A scan needs at least 3 strictly increasing box sizes (the plateau
-    estimate reads the larger half) and 1 to 10**4 seeds per size.
+    estimate reads the larger half), 1 to 10**4 seeds per size and a gap
+    threshold delta in (0, 1).
     """
     N_grid = [float(N) for N in N_grid]
     if not all(0.0 < N < math.inf for N in N_grid):
@@ -702,6 +719,8 @@ def check_scan_grid(N_grid, n_seeds: int) -> list[float]:
         raise ValueError("N_grid must be strictly increasing")
     if not 1 <= n_seeds <= 10 ** 4:
         raise ValueError("n_seeds must be in [1, 10**4]")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
     return N_grid
 
 
@@ -726,17 +745,17 @@ def scan_cells(model_params: dict, delta: float, N_grid, n_seeds: int,
     """Evaluate every task on each (N, seed) cell of fresh configurations.
 
     ``tasks`` maps a name to an evaluator, ScanCell -> value.  The grid
-    and the model's value ranges (``check_model_ranges``) are checked
-    first.  Each cell draws its configuration at its own derived seed and
-    is dropped once its tasks are done.  A failure is recorded per (cell,
-    task) without aborting anything else.  With ``threads > 1`` cells run
-    on a thread pool; results are collected in grid order, so they do not
-    depend on it.
+    and delta (``check_scan_grid``), then the model (``check_model``), are
+    checked before any cell.  Each cell draws its configuration at its own
+    derived seed and is dropped once its tasks are done.  A failure is
+    recorded per (cell, task) without aborting anything else.  With
+    ``threads > 1`` cells run on a thread pool; results are collected in
+    grid order, so they do not depend on it.
     """
-    N_grid = check_scan_grid(N_grid, n_seeds)
+    N_grid = check_scan_grid(N_grid, n_seeds, delta)
     model = dict(model_params)
     model_name = model.pop("model")
-    check_model_ranges(model_name, model, N_grid)
+    check_model(model_name, model, N_grid)
 
     def run_cell(N, k):
         t0 = time.perf_counter()

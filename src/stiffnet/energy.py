@@ -398,7 +398,7 @@ def _keller_midpoint(params: KellerParams, n_r: int, n_z: int):
     return acc_z, acc_full, acc_weighted
 
 
-def keller_energy(params: KellerParams, quadrature_grid=(1024, 32)) -> dict:
+def keller_energy(params: KellerParams) -> dict:
     """Dirichlet energies of the explicit gap profile.
 
     Returns a dict with
@@ -409,19 +409,14 @@ def keller_energy(params: KellerParams, quadrature_grid=(1024, 32)) -> dict:
     * ``full_quadrature``     -- quadrature of the full squared gradient,
     * ``weighted_quadrature`` -- full gradient weighted by |x|^(2 gamma).
 
-    Quadratures use the tensor midpoint rule in (r, z) with the angular
-    factor analytic, refined once by grid doubling and Richardson
-    extrapolated.  The radial resolution is raised automatically for small
-    ``nu`` so the near-axis peak of the integrand stays resolved.
+    Quadratures use the tensor midpoint rule in (r, z) on a 1024 x 32 grid
+    with the angular factor analytic, refined once by grid doubling and
+    Richardson extrapolated.  The radial resolution is raised automatically
+    for small ``nu`` so the near-axis peak of the integrand stays resolved.
     """
-    if isinstance(quadrature_grid, int):
-        n_r, n_z = quadrature_grid, quadrature_grid
-    else:
-        n_r, n_z = quadrature_grid
-    if n_r < 16 or n_z < 16:
-        raise ValueError("grid resolution must be at least 16 per axis")
     # Resolve the integrand's peak at r ~ sqrt(nu / a).
-    n_r = max(int(n_r), int(math.ceil(8.0 * params.d / math.sqrt(params.nu / params.a))))
+    n_r = max(1024, int(math.ceil(8.0 * params.d / math.sqrt(params.nu / params.a))))
+    n_z = 32
 
     coarse = _keller_midpoint(params, n_r, n_z)
     fine = _keller_midpoint(params, 2 * n_r, 2 * n_z)

@@ -44,6 +44,9 @@ __all__ = [
 _FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
 DEFAULT_CONTACT_TOL = 1e-12
+# The range rule, (test, statement), of a configuration's contact_tol;
+# criteria.check_model checks a scan's value by it.
+_CONTACT_TOL = (lambda v: 0.0 < v < math.inf, "positive and finite")
 
 
 class SchemaError(ValueError):
@@ -134,8 +137,7 @@ class SphereConfig:
             raise ValueError("all radii must be positive and finite")
         if not (0.0 < box_half_width < math.inf):
             raise ValueError("box_half_width must be positive and finite")
-        if not (0.0 < contact_tol < math.inf):
-            raise ValueError("contact_tol must be positive and finite")
+        _check_range(contact_tol, _CONTACT_TOL, "contact_tol")
         self.centers = centers
         self.radii = radii
         self.box_half_width = float(box_half_width)

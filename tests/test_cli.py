@@ -108,7 +108,7 @@ class TestSerialization:
             load_json(path, kind="config")
         path.write_text("not json at all {{{")
         with pytest.raises(SchemaError):
-            load_json(path)
+            load_json(path, kind="config")
 
     def test_missing_fields_raise(self, tmp_path):
         path = tmp_path / "partial.json"
@@ -386,6 +386,8 @@ class TestMain:
         {"model_params": {"spacing": 1.0, "radius": 0.3, "jitter": 0.0,
                           "foo": 1}},
         {"model_params": {"spacing": 1.0, "radius": 0.3}},
+        {"model_params": {"spacing": 1.0, "radius": 0.3, "jitter": 0.0,
+                          "contact_tol": -1.0}},
         {"tasks": ["h1"], "task_params": {"xi": [1, 0]}},
         {"tasks": ["h1"], "task_params": {"xi": [0, 0, 0]}},
         {"tasks": ["h1"], "task_params": {"xi": ["1", "0", "0"]}},
@@ -417,7 +419,8 @@ class TestMain:
         {"N_grid": [3, 4, math.inf]},
         {"N_grid": [-1, 3, 4]},
         {"n_seeds": 10 ** 9},
-    ], ids=["unknown-model-key", "missing-model-key", "short-xi", "zero-xi",
+    ], ids=["unknown-model-key", "missing-model-key",
+            "negative-contact-tol", "short-xi", "zero-xi",
             "string-xi", "k-below-one", "nan-k", "infinite-k", "zero-p",
             "nan-p", "zero-samples", "huge-samples", "unknown-quantity",
             "zero-kappa", "kappa-above-one", "nan-kappa", "s-below-two",
@@ -639,6 +642,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "error: chain_len_max must be in [1, 10**6]\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["criteria", "--statistic", "logmoment", "--delta", "1.5"],
+        ["effective", "--delta", "0"],
+    ], ids=["criteria-delta-above-one", "effective-zero-delta"])
+    def test_scan_subcommand_with_bad_delta_exits_3_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, argv):
+        cells = count_calls(monkeypatch, stiffnet.criteria, "ScanCell")
+        out_path = tmp_path / "series.json"
+        code = main(["--out", str(out_path), argv[0], "--model", "lattice",
+                     "--radius", "0.3", "--N-grid", "3,4,5", "--n-seeds", "1",
+                     *argv[1:]])
+        assert code == EXIT_VALIDATION_ERROR
+        assert capsys.readouterr().err == "error: delta must lie in (0, 1)\n"
+        assert cells == [] and not out_path.exists()
 
     def test_run_with_cell_errors_exits_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -562,6 +562,23 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_limsup(model, 0.5, [3, 4, 5], 0, "density")
 
+    @pytest.mark.parametrize("changes, delta, message", [
+        ({"foo": 1}, 0.5, r"lattice model_params: unknown \['foo'\]"),
+        ({"model": "cubic"}, 0.5, "unknown model 'cubic'"),
+        ({"contact_tol": -1.0}, 0.5, "contact_tol must be positive"),
+        ({}, 1.5, r"delta must lie in \(0, 1\)"),
+        ({}, 0.0, r"delta must lie in \(0, 1\)"),
+    ], ids=["unknown-key", "unknown-model", "negative-contact-tol",
+            "delta-above-one", "zero-delta"])
+    def test_bad_input_rejected_before_any_cell(self, monkeypatch, changes,
+                                                delta, message):
+        cells = count_calls(monkeypatch, criteria, "ScanCell")
+        model = {"model": "lattice", "spacing": 1.0, "radius": 0.3,
+                 "jitter": 0.0, **changes}
+        with pytest.raises(ValueError, match=message):
+            scan_limsup(model, delta, [3, 4, 5], 1, "density")
+        assert cells == []
+
     def test_h1_series_on_chains(self):
         series = scan_limsup(
             {"model": "chains", "radius": 1.0, "chain_len_max": 4,

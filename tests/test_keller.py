@@ -105,11 +105,6 @@ class TestFullGradient:
 
 
 class TestValidation:
-    def test_degenerate_grid_rejected(self):
-        with pytest.raises(ValueError):
-            keller_energy(KellerParams(a=1.0, nu=1e-2, d=1.0),
-                          quadrature_grid=(8, 8))
-
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             KellerParams(a=0.0, nu=1e-2, d=1.0)

@@ -78,13 +78,16 @@ def test_each_cell_generated_and_built_once(tmp_path, monkeypatch):
         [m.tolist() for m in tensors.mean_matrices]
 
 
-def test_build_failure_recorded_by_every_task(tmp_path):
-    # The generator's ranges are checked before any cell runs; a contact
-    # tolerance is checked when the cell's configuration is built.
-    bad = spec(model_params={**MODEL, "contact_tol": -1.0},
-               tasks=["logmoment", "effective", "h1"], task_params={})
+def test_build_failure_recorded_by_every_task(tmp_path, monkeypatch):
+    # Every input rule runs before any cell, so the build failure comes
+    # from the generator itself, which generate_model looks up by name.
+    def fail(**kwargs):
+        raise RuntimeError("generator failed")
+
+    monkeypatch.setattr(stiffnet.geometry, "generate_lattice_jitter", fail)
+    bad = spec(tasks=["logmoment", "effective", "h1"], task_params={})
     record = run_experiment(bad, out_dir=tmp_path, threads=2)
-    messages = [f"N={N} seed_index=0: contact_tol must be positive and finite"
+    messages = [f"N={N} seed_index=0: generator failed"
                 for N in (3.0, 4.0, 5.0)]
     assert record.cell_errors == tuple(messages * 3)
     assert all(math.isnan(v) for row in record.task_outputs["h1"]["values"]
