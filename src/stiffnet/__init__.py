@@ -29,7 +29,6 @@ from .energy import (              # noqa: F401
     EnergyBreakdown,
     KellerParams,
     LaplacianAssembly,
-    PotentialFamily,
     SolverError,
     affine_boundary_family,
     energy,
@@ -48,7 +47,6 @@ from .criteria import (            # noqa: F401
     scan_limsup,
 )
 from .effective import (           # noqa: F401
-    EffectiveTensor,
     boundary_nodes,
     effective_scan,
     network_effective_tensor,

@@ -4,16 +4,17 @@ An experiment file is a JSON document (with a ``"version"`` field)
 describing a model, a box grid, seeds and a set of tasks; ``run_experiment``
 builds each (N, seed) cell once, evaluates every task on it, writes one
 CSV per task plus a JSON summary, and returns a record carrying the spec
-hash, the seeds used and ``wall_clock``: the wall time of each cell, keyed
-``(N, seed_index)``, covering its build and all its tasks (there is no
-per-task time; it is not written to disk).  Outputs are deterministic:
-identical specs produce byte-identical files regardless of the worker
-count.  The ``criteria`` and ``effective`` subcommands write the same CSV
-rows and summary dicts, report each failed cell on stderr and exit 1, as
-``run`` does.  Their task flags, and keller's, are read like a spec's
-``task_params``, through the task table ``criteria.TASKS``, which holds
-every default.  ``criteria`` owns every scan input rule and runs it before
-any cell, so a bad spec or flag exits 3 with one line and writes nothing.
+hash, each task's summary dict, the cell errors and ``wall_clock``: the
+wall time of each cell, keyed ``(N, seed_index)``, covering its build and
+all its tasks (there is no per-task time; it is not written to disk).
+Outputs are deterministic: identical specs produce byte-identical files
+regardless of the worker count.  The ``criteria`` and ``effective``
+subcommands write the same CSV rows and summary dicts, report each failed
+cell on stderr and exit 1, as ``run`` does.  Their task flags, and
+keller's, are read like a spec's ``task_params``, through the task table
+``criteria.TASKS``, which holds every default.  ``criteria`` owns every
+scan input rule and runs it before any cell, so a bad spec or flag exits
+3 with one line and writes nothing.
 
 Subcommands: generate, graph, energy, criteria, effective, keller, run.
 """
@@ -277,12 +278,11 @@ class ExperimentSpec:
 
 @dataclass
 class ResultRecord:
-    """Everything an experiment produced, with provenance."""
+    """What ``run_experiment`` returns: its spec hash, each task's summary
+    dict, each cell's wall time and the failed cells (none when ``ok``)."""
 
     spec_hash: str
-    tool_version: str
     task_outputs: dict
-    seeds_used: dict
     wall_clock: dict
     cell_errors: tuple[str, ...] = ()
 
@@ -346,24 +346,21 @@ def run_experiment(spec, out_dir=None, threads=1) -> ResultRecord:
         (out / f"{task}.csv").write_text(
             _csv_text(output.CSV_HEADER, output.to_rows()), encoding="utf-8")
 
-    record = ResultRecord(
-        spec_hash=spec.hash(),
-        tool_version=__version__,
-        task_outputs=task_outputs,
-        seeds_used=seeds_used,
-        wall_clock=scan.wall_clock if scan is not None else {},
-        cell_errors=tuple(cell_errors),
-    )
     summary = {
-        "spec_hash": record.spec_hash,
-        "tool_version": record.tool_version,
+        "spec_hash": spec.hash(),
+        "tool_version": __version__,
         "spec": spec.to_dict(),
         "tasks": task_outputs,
         "seeds_used": seeds_used,
-        "cell_errors": list(record.cell_errors),
+        "cell_errors": cell_errors,
     }
     save_json(summary, out / "summary.json")
-    return record
+    return ResultRecord(
+        spec_hash=summary["spec_hash"],
+        task_outputs=task_outputs,
+        wall_clock=scan.wall_clock if scan is not None else {},
+        cell_errors=tuple(cell_errors),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -160,18 +160,6 @@ def _affine_energy_density(graph: InclusionGraph, xi) -> float:
     return breakdown.total / graph.box_volume()
 
 
-def _direction(xi, what) -> np.ndarray:
-    """``xi`` as a float 3-vector: three finite numbers, not all zero."""
-    try:
-        arr = np.asarray(xi)
-        ok = arr.dtype.kind in "iuf" and arr.shape == (3,)
-    except ValueError:      # ragged nesting
-        ok = False
-    if not (ok and np.all(np.isfinite(arr)) and np.any(arr)):
-        raise ValueError(f"{what} must be three finite numbers, not all zero")
-    return arr.astype(float)
-
-
 # Graphs whose clusters all have fewer nodes get Q from P's inverted
 # blocks; a larger cluster sends the whole graph to the CG operator.
 DENSE_CUTOFF = 200
@@ -641,7 +629,9 @@ _KELLER = {
 }
 TASKS = {
     "h1": Task(CriterionSeries, {
-        "xi": TaskValue(_direction, (1.0, 0.0, 0.0))}),
+        "xi": TaskValue(_json_numbers, (1.0, 0.0, 0.0), (
+            lambda v: len(v) == 3 and all(map(math.isfinite, v)) and any(v),
+            "three finite numbers, not all zero"))}),
     "h2": Task(CriterionSeries, {
         "s": TaskValue(_json_number, H2Options.s),
         "n_starts": TaskValue(_json_int, H2Options.n_starts),
@@ -658,10 +648,9 @@ TASKS = {
         "quantity": TaskValue(_json_str, "diam",
                               _CLUSTER_MOMENT_RULES["quantity"])}),
     "density": Task(CriterionSeries, {}),
-    # The tensor refuses a finite layer_width <= 0 in each cell.
     "effective": Task(effective.EffectiveSeries, {
-        "layer_width": TaskValue(_json_number, None,
-                                 (math.isfinite, "finite"))}),
+        "layer_width": TaskValue(_json_number, None, (
+            lambda v: 0.0 < v < math.inf, "finite and positive"))}),
     "keller": Task(None, {"keller": TaskValue(_keller_grid, {})}),
 }
 

@@ -9,6 +9,7 @@ minimizer is linear in xi, so the three axis fields x_1, x_2, x_3 give
 all of it: their clamped minimizers U = (u_1, u_2, u_3) come from one
 three-column solve of the free block of the graph Laplacian, and A_net
 is the Gram matrix dU^T diag(2 mu) dU / |Q_N| of their edge differences.
+``network_effective_tensor`` returns A_net as a symmetric (3, 3) array.
 
 A_net measures the inclusion-network contribution only: no ambient-medium
 conductance is added in parallel, and no claim is made that A_net
@@ -26,22 +27,11 @@ from .energy import LaplacianAssembly, SPDSolver
 from .multigraph import InclusionGraph
 
 __all__ = [
-    "EffectiveTensor",
     "EffectiveSeries",
     "boundary_nodes",
     "network_effective_tensor",
     "effective_scan",
 ]
-
-
-@dataclass(frozen=True)
-class EffectiveTensor:
-    """Symmetric 3x3 network tensor; xi^T A xi is the energy density at xi."""
-
-    matrix: np.ndarray                  # (3, 3)
-    box_half_width: float
-    delta: float
-    layer_width: float
 
 
 def boundary_nodes(graph: InclusionGraph, layer_width: float) -> set[int]:
@@ -63,8 +53,8 @@ def boundary_nodes(graph: InclusionGraph, layer_width: float) -> set[int]:
 
 
 def network_effective_tensor(graph: InclusionGraph,
-                             layer_width: float) -> EffectiveTensor:
-    """Network tensor by clamping affine data on the boundary layer.
+                             layer_width: float) -> np.ndarray:
+    """Network tensor A, a symmetric (3, 3) array, from clamped affine data.
 
     The boundary nodes carry U = x_I, one column per axis, and the
     interior nodes minimize the pure gap energy of each column: with L the
@@ -89,8 +79,7 @@ def network_effective_tensor(graph: InclusionGraph,
             -(rows[:, clamped] @ U[clamped]))
     dU = U[graph.a] - U[graph.b]
     A = dU.T @ (2.0 * graph.mu[:, None] * dU) / graph.box_volume()
-    return EffectiveTensor(0.5 * (A + A.T), graph.box_half_width,
-                           graph.delta, layer_width)
+    return 0.5 * (A + A.T)
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,7 @@ class EffectiveSeries:
 
     N_grid: tuple[float, ...]
     seeds: tuple[tuple[int, ...], ...]
-    tensors: tuple[tuple[EffectiveTensor, ...], ...]
+    tensors: tuple[tuple[np.ndarray, ...], ...]
     mean_matrices: tuple[np.ndarray, ...]
     frobenius_stderrs: tuple[float, ...]
     errors: tuple[str, ...] = ()
@@ -108,17 +97,16 @@ class EffectiveSeries:
 
     @classmethod
     def from_scan(cls, scan, task: str) -> "EffectiveSeries":
-        """Series of one tensor task; failed cells read an all-NaN tensor.
+        """Series of one tensor task; a failed cell reads an all-NaN array.
 
-        Only its N is kept.  Means and spreads skip every tensor with a
-        non-finite entry.
+        Means and spreads skip every tensor with a non-finite entry.
         """
         tensors, means, stderrs = [], [], []
-        for N, row in zip(scan.N_grid, scan.values[task]):
-            row = tuple(t if t is not None else EffectiveTensor(
-                np.full((3, 3), np.nan), N, math.nan, math.nan) for t in row)
+        for row in scan.values[task]:
+            row = tuple(np.full((3, 3), np.nan) if t is None else t
+                        for t in row)
             tensors.append(row)
-            mats = [t.matrix for t in row if np.all(np.isfinite(t.matrix))]
+            mats = [t for t in row if np.all(np.isfinite(t))]
             if mats:
                 stack = np.stack(mats)
                 mean = stack.mean(axis=0)
@@ -146,8 +134,7 @@ class EffectiveSeries:
         """CSV rows (N, seed, a11, a22, a33, a12, a13, a23)."""
         rows = []
         for N, seeds, tens in zip(self.N_grid, self.seeds, self.tensors):
-            for seed, t in zip(seeds, tens):
-                m = t.matrix
+            for seed, m in zip(seeds, tens):
                 rows.append((N, seed, m[0, 0], m[1, 1], m[2, 2],
                              m[0, 1], m[0, 2], m[1, 2]))
         return rows

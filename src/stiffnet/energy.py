@@ -1,8 +1,8 @@
 """The discrete gap energy and its minimization in the node potentials.
 
 For a graph with edge weights ``mu_e``, node volumes ``|I|``, a boundary
-family (two oriented reals per edge) and a potential family (one real per
-node), the energy is
+family (two oriented reals per edge) and node potentials u (a float
+vector, one entry per node), the energy is
 
     E(u, b) = sum_e 2 mu_e (b_ab - b_ba + u_a - u_b)^2 + sum_I |I| u_I^2 .
 
@@ -45,7 +45,6 @@ from .multigraph import InclusionGraph
 
 __all__ = [
     "BoundaryFamily",
-    "PotentialFamily",
     "EnergyBreakdown",
     "SolverError",
     "SPDSolver",
@@ -102,24 +101,6 @@ class BoundaryFamily:
     @classmethod
     def zeros(cls, n_edges):
         return cls(np.zeros(n_edges), np.zeros(n_edges))
-
-
-@dataclass
-class PotentialFamily:
-    """One real per node, aligned with the graph's node order."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float).reshape(-1)
-
-    @property
-    def n_nodes(self):
-        return int(self.u.size)
-
-    @classmethod
-    def zeros(cls, n_nodes):
-        return cls(np.zeros(n_nodes))
 
 
 @dataclass(frozen=True)
@@ -232,8 +213,8 @@ class SPDSolver:
 
 
 def _check_indexing(graph, u=None, b=None):
-    if u is not None and u.n_nodes != graph.n_nodes:
-        raise ValueError(f"potential family has {u.n_nodes} entries, "
+    if u is not None and u.size != graph.n_nodes:
+        raise ValueError(f"potential vector has {u.size} entries, "
                          f"graph has {graph.n_nodes} nodes")
     if b is not None and b.n_edges != graph.n_edges:
         raise ValueError(f"boundary family has {b.n_edges} entries, "
@@ -248,16 +229,17 @@ def _gap_residuals(graph, u, b):
     point; the test oracle ``cycle_free_potentials`` in
     ``tests/conftest.py`` relies on this.
     """
-    return (b.antisymmetric_part() + u.u[graph.a]) - u.u[graph.b]
+    return (b.antisymmetric_part() + u[graph.a]) - u[graph.b]
 
 
-def energy(graph: InclusionGraph, u: PotentialFamily,
-           b: BoundaryFamily) -> EnergyBreakdown:
-    """Evaluate the energy; each undirected edge contributes twice."""
+def energy(graph: InclusionGraph, u, b: BoundaryFamily) -> EnergyBreakdown:
+    """Evaluate the energy at node potentials ``u``, read as a 1-D float
+    vector of one entry per node; each undirected edge contributes twice."""
+    u = np.asarray(u, dtype=float).reshape(-1)
     _check_indexing(graph, u, b)
     r = _gap_residuals(graph, u, b)
     gap = float(np.sum(2.0 * graph.mu * r * r))
-    mass = float(np.sum(graph.volumes * u.u * u.u))
+    mass = float(np.sum(graph.volumes * u * u))
     return EnergyBreakdown(gap=gap, mass=mass, total=gap + mass)
 
 
@@ -294,18 +276,19 @@ class LaplacianAssembly:
 def minimize_energy(graph: InclusionGraph, b: BoundaryFamily):
     """Minimize the energy over the node potentials.
 
-    Returns ``(u_star, breakdown)``.  The minimizer is unique and is
-    certified by ``SPDSolver``'s residual gate.  A node volume that is
-    not finite and positive raises SchemaError.
+    Returns ``(u_star, breakdown)``, ``u_star`` the float vector of node
+    potentials.  The minimizer is unique and is certified by
+    ``SPDSolver``'s residual gate.  A node volume that is not finite and
+    positive raises SchemaError.
     """
     _check_indexing(graph, b=b)
     # Every mu = |ln d| > 0 since 0 < d < 1, so D > 0 makes K = D + 2 L SPD.
     graph.check_volumes()
     if graph.n_nodes == 0:
-        return PotentialFamily.zeros(0), EnergyBreakdown(0.0, 0.0, 0.0)
+        return np.zeros(0), EnergyBreakdown(0.0, 0.0, 0.0)
     assembly = LaplacianAssembly(graph)
-    u = PotentialFamily(SPDSolver(assembly.system_matrix).solve(
-        assembly.rhs(b.antisymmetric_part())))
+    u = SPDSolver(assembly.system_matrix).solve(
+        assembly.rhs(b.antisymmetric_part()))
     return u, energy(graph, u, b)
 
 

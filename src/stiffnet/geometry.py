@@ -97,8 +97,13 @@ def _json_number(value, what):
 
 
 def _json_numbers(value, what):
-    """``value`` as a list of floats: a nonempty JSON list of numbers."""
-    if not (isinstance(value, list) and value):
+    """``value`` as a list of floats: a nonempty JSON list of numbers.
+
+    A tuple or an array, as flags and direct calls pass, reads as a list.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not (isinstance(value, (list, tuple)) and value):
         raise SchemaError(f"{what} must be a nonempty list of numbers, "
                           f"got {value!r}")
     return [_json_number(v, what) for v in value]
@@ -546,7 +551,7 @@ def _place_in_blocks(draw, n_target, max_attempts, reach, conflict, warning):
 
 # The target count of balls or chains in a box, density times (2N)^3, is
 # capped like other sizes: the generator rounds it to an int and places
-# up to that many.
+# up to that many.  The lattice's count of cells has the same cap.
 _MAX_TARGET = 10 ** 8
 
 
@@ -612,7 +617,10 @@ def generate_hardcore(seed, N, intensity, radius, min_gap,
 def check_lattice_jitter(N, spacing, radius, jitter, allow_overlap):
     """Raise ValueError unless ``generate_lattice_jitter`` takes these values.
 
-    No rule reads ``N``: every box holds one ball per cell it meets.
+    The generator draws a ball in each of the (ceil(N/spacing) -
+    floor(-N/spacing))^3 whole cells that cover the box before it drops
+    those outside, so that count is at most 10**8.  It is computed in
+    floats, without an array, so an infinite N gets a range message too.
     """
     if not (spacing > 0.0):
         raise ValueError("spacing must be positive")
@@ -626,6 +634,12 @@ def check_lattice_jitter(N, spacing, radius, jitter, allow_overlap):
                              "pass allow_overlap=True to permit them")
         if jitter >= spacing / 2.0 - radius:
             raise ValueError("jitter too large: may force overlaps")
+    side = float(np.ceil(N / spacing) - np.floor(-N / spacing))
+    cells = side * side * side      # a float product overflows to inf
+    if not (cells <= _MAX_TARGET):
+        raise ValueError(f"lattice cell count (ceil(N/spacing) - "
+                         f"floor(-N/spacing))^3 must be at most 10**8, got "
+                         f"{cells!r} at N {N!r}")
 
 
 def generate_lattice_jitter(seed, N, spacing, radius, jitter,
@@ -768,7 +782,6 @@ class MomentEstimate:
 
     mean: float
     stderr: float
-    n_samples: int
 
 
 # The range rule, (test, statement), of each cluster_moment_statistic
@@ -816,7 +829,7 @@ def cluster_moment_statistic(config, graph, p, n_samples, seed,
     points = rng.uniform(-N, N, size=(n_samples, 3))
 
     if config.n_spheres == 0:
-        return MomentEstimate(0.0, 0.0, n_samples)
+        return MomentEstimate(0.0, 0.0)
 
     if graph.sphere_node is None:
         raise ValueError("graph carries no sphere geometry; build it "
@@ -841,4 +854,4 @@ def cluster_moment_statistic(config, graph, p, n_samples, seed,
     values[hit] = _scalar_powers(cluster_value[sphere_cluster[first[hit]]], p)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return MomentEstimate(mean, stderr, n_samples)
+    return MomentEstimate(mean, stderr)

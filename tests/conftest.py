@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 import stiffnet.criteria as criteria
 from stiffnet.criteria import ScanCell, task_evaluator
-from stiffnet.energy import BoundaryFamily, PotentialFamily, minimize_energy
+from stiffnet.energy import BoundaryFamily, minimize_energy
 from stiffnet.multigraph import InclusionGraph, clusters
 
 # The module itself: the package rebinds ``stiffnet.energy`` to the function.
@@ -214,8 +214,8 @@ def h2_ratio(graph, b, s):
 
 def energy_gradient(graph, u, b):
     """Gradient of the energy with respect to the node potentials."""
-    r = (b.antisymmetric_part() + u.u[graph.a]) - u.u[graph.b]
-    g = 2.0 * graph.volumes * u.u
+    r = (b.antisymmetric_part() + u[graph.a]) - u[graph.b]
+    g = 2.0 * graph.volumes * u
     np.add.at(g, graph.a, 4.0 * graph.mu * r)
     np.add.at(g, graph.b, -4.0 * graph.mu * r)
     return g
@@ -298,11 +298,11 @@ def cycle_free_potentials(graph, b, roots=None):
                     u[child] = guess
                 visited[child] = True
                 stack.append(child)
-    return PotentialFamily(u)
+    return u
 
 
 def lift_short_potentials(graph_F, graph_Fprime, u_prime, xi):
-    """Pull a potential family back from a short to the finer graph.
+    """Pull node potentials back from a short to the finer graph.
 
     Each fine node inherits u_I = xi . x_I + u'_{I'} - xi . x_{I'} from the
     merged node containing it; requires the merge map recorded by the short.
@@ -313,14 +313,14 @@ def lift_short_potentials(graph_F, graph_Fprime, u_prime, xi):
     merge_map = np.asarray(graph_Fprime.node_merge_map, dtype=np.int64)
     if merge_map.size != graph_F.n_nodes:
         raise ValueError("merge map does not index the source graph's nodes")
-    if u_prime.n_nodes != graph_Fprime.n_nodes:
-        raise ValueError(f"potential family has {u_prime.n_nodes} entries, "
+    u_prime = np.asarray(u_prime, dtype=float)
+    if u_prime.size != graph_Fprime.n_nodes:
+        raise ValueError(f"potential vector has {u_prime.size} entries, "
                          f"graph has {graph_Fprime.n_nodes} nodes")
     xi = np.asarray(xi, dtype=float).reshape(3)
     proj_fine = graph_F.centroids @ xi
     proj_coarse = graph_Fprime.centroids @ xi
-    u = proj_fine + u_prime.u[merge_map] - proj_coarse[merge_map]
-    return PotentialFamily(u)
+    return proj_fine + u_prime[merge_map] - proj_coarse[merge_map]
 
 
 def closest_points(sphere_a, sphere_b):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stiffnet.criteria
+import stiffnet.effective
 from conftest import count_calls
 from stiffnet.cli import (
     EXIT_CELL_ERRORS,
@@ -289,8 +290,9 @@ class TestMain:
          "--radius", "0.9", "--min-gap", "nan"],
         ["--model", "lattice", "--N", "inf", "--radius", "0.4"],
         ["--model", "chains", "--N", "inf", "--radius", "0.4"],
+        ["--model", "lattice", "--N", "10000", "--radius", "0.4"],
     ], ids=["nan-jitter", "nan-min-gap", "infinite-lattice-box",
-            "infinite-chains-box"])
+            "infinite-chains-box", "huge-lattice-box"])
     def test_generate_refuses_non_finite_arguments(self, capsys, argv):
         assert main(["generate", *argv]) == EXIT_VALIDATION_ERROR
         captured = capsys.readouterr()
@@ -390,7 +392,6 @@ class TestMain:
                           "contact_tol": -1.0}},
         {"tasks": ["h1"], "task_params": {"xi": [1, 0]}},
         {"tasks": ["h1"], "task_params": {"xi": [0, 0, 0]}},
-        {"tasks": ["h1"], "task_params": {"xi": ["1", "0", "0"]}},
         {"task_params": {"k": 0.5}},
         {"task_params": {"k": math.nan}},
         {"task_params": {"k": math.inf}},
@@ -415,21 +416,24 @@ class TestMain:
         {"tasks": ["h2"], "task_params": {"tol": -10 ** 400}},
         {"tasks": ["effective"], "task_params": {"layer_width": math.nan}},
         {"tasks": ["effective"], "task_params": {"layer_width": -math.inf}},
+        {"tasks": ["effective"], "task_params": {"layer_width": -1}},
+        {"tasks": ["effective"], "task_params": {"layer_width": 0}},
         {"N_grid": [math.nan, 3, 4]},
         {"N_grid": [3, 4, math.inf]},
         {"N_grid": [-1, 3, 4]},
+        {"N_grid": [2, 3, 10000]},
         {"n_seeds": 10 ** 9},
     ], ids=["unknown-model-key", "missing-model-key",
             "negative-contact-tol", "short-xi", "zero-xi",
-            "string-xi", "k-below-one", "nan-k", "infinite-k", "zero-p",
+            "k-below-one", "nan-k", "infinite-k", "zero-p",
             "nan-p", "zero-samples", "huge-samples", "unknown-quantity",
             "zero-kappa", "kappa-above-one", "nan-kappa", "s-below-two",
             "infinite-s", "zero-starts", "huge-starts", "zero-ascent-iters",
             "huge-ascent-iters", "negative-ascent-iters",
             "negative-tol", "zero-tol", "huge-tol", "negative-huge-tol",
-            "nan-layer", "negative-infinite-layer",
-            "nan-grid-entry", "infinite-grid-entry", "negative-grid-entry",
-            "huge-seed-count"])
+            "nan-layer", "negative-infinite-layer", "negative-layer",
+            "zero-layer", "nan-grid-entry", "infinite-grid-entry",
+            "negative-grid-entry", "huge-lattice-grid", "huge-seed-count"])
     def test_run_with_bad_parameters_exits_3_before_any_cell(
             self, tmp_path, capsys, monkeypatch, overrides):
         cells = count_calls(monkeypatch, stiffnet.criteria, "ScanCell")
@@ -461,6 +465,8 @@ class TestMain:
         ("h2", "n_starts", None),
         ("h2", "max_ascent_iters", [5]),
         ("h2", "tol", "x"),
+        pytest.param("h1", "xi", ["1", "0", "0"], id="string-xi"),
+        pytest.param("h1", "xi", [True, 0, 0], id="bool-xi"),
     ], ids=_value_id)
     def test_run_with_mistyped_task_value_exits_2_before_any_cell(
             self, tmp_path, capsys, monkeypatch, task, key, value):
@@ -658,6 +664,20 @@ class TestMain:
         assert capsys.readouterr().err == "error: delta must lie in (0, 1)\n"
         assert cells == [] and not out_path.exists()
 
+    @pytest.mark.parametrize("layer", ["-1", "0"])
+    def test_effective_with_bad_layer_width_exits_3_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, layer):
+        cells = count_calls(monkeypatch, stiffnet.criteria, "ScanCell")
+        out_path = tmp_path / "tensors.json"
+        code = main(["--out", str(out_path), "effective", "--model",
+                     "lattice", "--radius", "0.3", "--delta", "0.5",
+                     "--N-grid", "3,4,5", "--layer-width", layer])
+        assert code == EXIT_VALIDATION_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: task parameter 'layer_width' must be "
+                              "finite and positive") and err.count("\n") == 1
+        assert cells == [] and not out_path.exists()
+
     def test_run_with_cell_errors_exits_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec_dict(
@@ -683,11 +703,15 @@ class TestMain:
           "--delta", "0.05", "--N-grid", "3,4,5", "--n-seeds", "1",
           "--statistic", "h2"], "graph has no edges"),
         (["effective", "--model", "lattice", "--radius", "0.3",
-          "--delta", "0.5", "--N-grid", "3,4,5", "--layer-width", "-1"],
-         "layer_width must be positive"),
-    ], ids=["criteria-h2-edgeless", "effective-negative-layer"])
+          "--delta", "0.5", "--N-grid", "3,4,5"], "tensor solve failed"),
+    ], ids=["criteria-h2-edgeless", "effective-failed-tensor"])
     def test_scan_subcommand_reports_cell_errors(self, tmp_path, capsys,
-                                                 argv, message):
+                                                 monkeypatch, argv, message):
+        def failed_tensor(graph, layer_width):
+            raise RuntimeError("tensor solve failed")
+
+        monkeypatch.setattr(stiffnet.effective, "network_effective_tensor",
+                            failed_tensor)
         out_path = tmp_path / "series.csv"
         code = main(["--format", "csv", "--out", str(out_path), *argv])
         assert code == EXIT_CELL_ERRORS
@@ -909,8 +933,7 @@ def mutated(draw, doc):
     Drop a key or list entry, add a key to an object, change a value's
     JSON type, put NaN or an infinity in its place, or nest it in a list:
     any documented exit.  Replace a number by an integer beyond the float
-    range: any documented exit.  Write a number as a string: exit 2,
-    except in xi, whose entries ``_direction`` checks together (exit 3).
+    range: any documented exit.  Write a number as a string: exit 2.
     """
     doc = copy.deepcopy(doc)
     paths = list(_paths(doc))
@@ -929,8 +952,7 @@ def mutated(draw, doc):
         parent[key] = draw(st.sampled_from([10 ** 400, -10 ** 400]))
     elif kind == "string":
         parent[key] = str(parent[key])
-        return doc, ((EXIT_VALIDATION_ERROR,) if "xi" in path
-                     else (EXIT_PARSE_ERROR,))
+        return doc, (EXIT_PARSE_ERROR,)
     elif kind == "drop":
         del parent[key]
     elif kind == "retype":

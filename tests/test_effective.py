@@ -40,7 +40,7 @@ DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
 
 def direction_energies(tensor):
     """Energy densities xi^T A xi over the six directions."""
-    return [float(np.asarray(xi) @ tensor.matrix @ np.asarray(xi))
+    return [float(np.asarray(xi) @ tensor @ np.asarray(xi))
             for xi in DIRECTIONS]
 
 
@@ -80,7 +80,7 @@ class TestNetworkTensor:
         config = SphereConfig([[0, 0, 0], [4, 0, 0]], [1.0, 1.0], 8.0)
         graph = build_graph(components(config), config, 0.5)
         tensor = network_effective_tensor(graph, 0.5)
-        assert np.all(tensor.matrix == 0.0)
+        assert np.all(tensor == 0.0)
 
     def test_single_clamped_edge_hand_value(self):
         # both nodes inside the boundary layer: u = xi . x clamped, so
@@ -91,8 +91,8 @@ class TestNetworkTensor:
         mu = edge_rows(graph)[0].mu
         tensor = network_effective_tensor(graph, 1.9)
         expected = 2 * mu * 2.1 ** 2 / 4.0 ** 3
-        assert tensor.matrix[0, 0] == pytest.approx(expected, rel=1e-12)
-        assert tensor.matrix[1, 1] == pytest.approx(0.0, abs=1e-15)
+        assert tensor[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert tensor[1, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_weight_scaling_is_exactly_linear(self):
         graph = lattice_graph(3, 0.3, 0.5)
@@ -123,15 +123,15 @@ class TestNetworkTensor:
         rotated = SphereConfig(config.centers @ perm.T, config.radii, 3.0)
         graph_r = build_graph(components(rotated), rotated, 0.5)
         tensor_r = network_effective_tensor(graph_r, 0.5)
-        expected = perm @ tensor.matrix @ perm.T
-        assert np.allclose(tensor_r.matrix, expected, atol=1e-8)
+        expected = perm @ tensor @ perm.T
+        assert np.allclose(tensor_r, expected, atol=1e-8)
 
     def test_isotropic_on_cubic_lattice(self):
         graph = lattice_graph(4, 0.3, 0.5)
         tensor = network_effective_tensor(graph, 0.5)
-        diag = np.diag(tensor.matrix)
-        trace = float(np.trace(tensor.matrix))
-        off = tensor.matrix - np.diag(diag)
+        diag = np.diag(tensor)
+        trace = float(np.trace(tensor))
+        off = tensor - np.diag(diag)
         assert np.max(np.abs(off)) <= 1e-8 * trace
         assert float(diag.max() - diag.min()) <= 1e-8
         # interior solution is the affine field itself: energy counts the
@@ -144,8 +144,8 @@ class TestNetworkTensor:
     def test_positive_semidefinite(self):
         graph = lattice_graph(3, 0.45, 0.5)
         tensor = network_effective_tensor(graph, 0.5)
-        eigs = np.linalg.eigvalsh(tensor.matrix)
-        assert float(eigs.min()) >= -1e-10 * float(np.trace(tensor.matrix))
+        eigs = np.linalg.eigvalsh(tensor)
+        assert float(eigs.min()) >= -1e-10 * float(np.trace(tensor))
 
 
 def tensor_test_graphs():
@@ -179,17 +179,17 @@ class TestAgainstPolarisation:
         monkeypatch.undo()
         scale = affine_extension_energy(graph)
         assert scale > 0.0
-        np.testing.assert_allclose(tensor.matrix,
+        np.testing.assert_allclose(tensor,
                                    polarised_tensor(graph, layer),
                                    rtol=0.0, atol=1e-12 * scale)
-        assert np.array_equal(tensor.matrix, tensor.matrix.T)
+        assert np.array_equal(tensor, tensor.T)
 
     def test_chain_forest_tensor_vanishes(self):
         _, graph, layer, _ = tensor_test_graphs()[2]
         assert is_cycle_free(graph) and boundary_nodes(graph, layer)
         tensor = network_effective_tensor(graph, layer)
         scale = affine_extension_energy(graph)
-        assert np.max(np.abs(tensor.matrix)) <= 1e-12 * scale
+        assert np.max(np.abs(tensor)) <= 1e-12 * scale
 
 
 class TestEffectiveScan:
@@ -199,7 +199,7 @@ class TestEffectiveScan:
             0.5, [3, 4, 5], 3)
         for tensors in series.tensors:
             for t in tensors[1:]:
-                assert np.array_equal(t.matrix, tensors[0].matrix)
+                assert np.array_equal(t, tensors[0])
         # mean roundoff leaves at most ulp-level spread
         assert all(s <= 1e-12 for s in series.frobenius_stderrs)
 

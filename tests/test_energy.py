@@ -18,7 +18,6 @@ from conftest import (
 )
 from stiffnet.energy import (
     BoundaryFamily,
-    PotentialFamily,
     affine_boundary_family,
     energy,
     midpoint_boundary_family,
@@ -42,14 +41,14 @@ class TestEnergyEvaluation:
         graph = random_test_graph(rng)
         vals = rng.normal(size=graph.n_edges)
         b = BoundaryFamily(vals, vals.copy())
-        u = PotentialFamily.zeros(graph.n_nodes)
+        u = np.zeros(graph.n_nodes)
         out = energy(graph, u, b)
         assert out.total == 0.0
 
     def test_worked_single_edge_value(self):
         graph = single_edge_graph(mu=2.0)
         b = BoundaryFamily([1.0], [0.0])
-        u = PotentialFamily([-4.0 / 9.0, 4.0 / 9.0])
+        u = [-4.0 / 9.0, 4.0 / 9.0]
         out = energy(graph, u, b)
         assert out.total == pytest.approx(4.0 / 9.0, abs=1e-15)
         assert out.gap == pytest.approx(4.0 / 81.0, abs=1e-15)
@@ -57,14 +56,14 @@ class TestEnergyEvaluation:
 
     def test_empty_graph(self):
         graph = make_graph([], [], [])
-        out = energy(graph, PotentialFamily.zeros(0), BoundaryFamily.zeros(0))
+        out = energy(graph, np.zeros(0), BoundaryFamily.zeros(0))
         assert out.total == 0.0
 
     def test_breakdown_consistency(self, rng):
         graph = random_test_graph(rng)
         b = BoundaryFamily(rng.normal(size=graph.n_edges),
                            rng.normal(size=graph.n_edges))
-        u = PotentialFamily(rng.normal(size=graph.n_nodes))
+        u = rng.normal(size=graph.n_nodes)
         out = energy(graph, u, b)
         assert out.total == out.gap + out.mass
         assert out.gap >= 0.0 and out.mass >= 0.0
@@ -72,9 +71,9 @@ class TestEnergyEvaluation:
     def test_index_mismatch_rejected(self):
         graph = single_edge_graph()
         with pytest.raises(ValueError):
-            energy(graph, PotentialFamily.zeros(3), BoundaryFamily.zeros(1))
+            energy(graph, np.zeros(3), BoundaryFamily.zeros(1))
         with pytest.raises(ValueError):
-            energy(graph, PotentialFamily.zeros(2), BoundaryFamily.zeros(4))
+            energy(graph, np.zeros(2), BoundaryFamily.zeros(4))
 
 
 class TestMinimizeEnergy:
@@ -82,7 +81,7 @@ class TestMinimizeEnergy:
         graph = single_edge_graph(mu=2.0)
         b = BoundaryFamily([1.0], [0.0])
         u, out = minimize_energy(graph, b)
-        assert u.u == pytest.approx([-4.0 / 9.0, 4.0 / 9.0], abs=1e-14)
+        assert u == pytest.approx([-4.0 / 9.0, 4.0 / 9.0], abs=1e-14)
         assert out.total == pytest.approx(4.0 / 9.0, abs=1e-14)
         assert out.total == pytest.approx(single_edge_minimum(2.0, 1.0),
                                           abs=1e-14)
@@ -92,7 +91,7 @@ class TestMinimizeEnergy:
         vals = rng.normal(size=graph.n_edges)
         b = BoundaryFamily(vals, vals.copy())
         u, out = minimize_energy(graph, b)
-        assert np.all(u.u == 0.0)
+        assert np.all(u == 0.0)
         assert out.total == 0.0
 
     def test_matches_dense_oracle(self, rng):
@@ -127,8 +126,8 @@ class TestMinimizeEnergy:
                            rng.normal(size=graph.n_edges))
         u_star, out = minimize_energy(graph, b)
         for _ in range(100):
-            u = PotentialFamily(u_star.u + rng.normal(
-                scale=rng.uniform(1e-4, 1.0), size=graph.n_nodes))
+            u = u_star + rng.normal(
+                scale=rng.uniform(1e-4, 1.0), size=graph.n_nodes)
             assert energy(graph, u, b).total >= out.total - 1e-12
 
     def test_gradient_zero_at_minimizer(self, rng):
@@ -137,14 +136,14 @@ class TestMinimizeEnergy:
                            rng.normal(size=graph.n_edges))
         u_star, out = minimize_energy(graph, b)
         g = energy_gradient(graph, u_star, b)
-        scale = max(1.0, energy(graph, PotentialFamily.zeros(graph.n_nodes),
+        scale = max(1.0, energy(graph, np.zeros(graph.n_nodes),
                                 b).total)
         assert np.linalg.norm(g) <= 1e-8 * scale
 
     def test_empty_graph(self):
         graph = make_graph([], [], [])
         u, out = minimize_energy(graph, BoundaryFamily.zeros(0))
-        assert u.n_nodes == 0 and out.total == 0.0
+        assert u.size == 0 and out.total == 0.0
 
 
 class TestGradient:
@@ -154,15 +153,15 @@ class TestGradient:
             b = BoundaryFamily(rng.normal(size=graph.n_edges),
                                rng.normal(size=graph.n_edges))
             u0 = rng.normal(size=graph.n_nodes)
-            g = energy_gradient(graph, PotentialFamily(u0), b)
+            g = energy_gradient(graph, u0, b)
             scale = max(1.0, float(np.max(np.abs(u0))))
             h = 1e-6 * scale
             for i in range(graph.n_nodes):
                 up, dn = u0.copy(), u0.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (energy(graph, PotentialFamily(up), b).total
-                      - energy(graph, PotentialFamily(dn), b).total) / (2 * h)
+                fd = (energy(graph, up, b).total
+                      - energy(graph, dn, b).total) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-6 * scale)
 
 
@@ -189,8 +188,7 @@ class TestMonotonicity:
             u = rng.normal(size=n)
             b_ab = rng.normal(size=m)
             b_ba = rng.normal(size=m)
-            e_small = energy(graph, PotentialFamily(u),
-                             BoundaryFamily(b_ab, b_ba)).total
+            e_small = energy(graph, u, BoundaryFamily(b_ab, b_ba)).total
 
             # extend the families: old edges of the extension correspond to
             # the first m sorted edges only up to reordering; map by key.
@@ -210,8 +208,7 @@ class TestMonotonicity:
                     ab_ext.append(float(rng.normal()))
                     ba_ext.append(float(rng.normal()))
             u_ext = np.concatenate([u, rng.normal(size=extra_nodes)])
-            e_big = energy(extended, PotentialFamily(u_ext),
-                           BoundaryFamily(ab_ext, ba_ext)).total
+            e_big = energy(extended, u_ext, BoundaryFamily(ab_ext, ba_ext)).total
             scale = max(1.0, abs(e_big))
             assert e_small <= e_big + 1e-12 * scale
 
@@ -284,8 +281,8 @@ class TestCycleFreePotentials:
         graph = single_edge_graph(mu=1.0)
         b = BoundaryFamily([0.7], [0.2])
         u = cycle_free_potentials(graph, b)
-        assert u.u[0] == 0.0
-        assert u.u[1] == pytest.approx(0.5)
+        assert u[0] == 0.0
+        assert u[1] == pytest.approx(0.5)
         assert energy(graph, u, b).gap == 0.0
 
     def test_star_with_zero_family(self):
@@ -293,7 +290,7 @@ class TestCycleFreePotentials:
                            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
                            [(0, 1, 0.1), (0, 2, 0.1), (0, 3, 0.1)])
         u = cycle_free_potentials(graph, BoundaryFamily.zeros(3))
-        assert np.all(u.u == 0.0)
+        assert np.all(u == 0.0)
 
     def test_random_forest_gap_exactly_zero(self, rng):
         for _ in range(20):
@@ -318,7 +315,7 @@ class TestCycleFreePotentials:
                            [(0, 1, 0.1), (1, 2, 0.1)])
         b = BoundaryFamily([0.3, 0.4], [0.1, 0.6])
         u = cycle_free_potentials(graph, b, roots=[2])
-        assert u.u[2] == 0.0
+        assert u[2] == 0.0
         assert energy(graph, u, b).gap == 0.0
 
     def test_cyclic_graph_rejected(self):
@@ -333,33 +330,32 @@ class TestLiftShortPotentials:
         graph = random_test_graph(rng)
         trivial = short_at(graph, [(0, 0)])
         assert trivial.n_nodes == graph.n_nodes
-        u_prime = PotentialFamily(rng.normal(size=graph.n_nodes))
+        u_prime = rng.normal(size=graph.n_nodes)
         xi = rng.normal(size=3)
         u = lift_short_potentials(graph, trivial, u_prime, xi)
-        assert np.allclose(u.u, u_prime.u[list(trivial.node_merge_map)])
+        assert np.allclose(u, u_prime[list(trivial.node_merge_map)])
 
     def test_zero_direction_constant_on_groups(self, rng):
         graph = random_test_graph(rng, n_nodes_max=8)
         e = edge_rows(graph)[0]
         shorted = short_at(graph, [(e.a, e.b)])
-        u_prime = PotentialFamily(rng.normal(size=shorted.n_nodes))
+        u_prime = rng.normal(size=shorted.n_nodes)
         u = lift_short_potentials(graph, shorted, u_prime, (0, 0, 0))
         for old_id, new_id in enumerate(shorted.node_merge_map):
-            assert u.u[old_id] == u_prime.u[new_id]
+            assert u[old_id] == u_prime[new_id]
 
     def test_two_node_merge_hand_values(self):
         graph = make_graph([1.0, 3.0], [(0, 0, 0), (2, 0, 0)], [(0, 1, 0.1)])
         shorted = short_at(graph, [(0, 1)])
         # merged centroid: volume weighted = (1*0 + 3*2)/4 = 1.5
         assert node_rows(shorted)[0].centroid[0] == pytest.approx(1.5)
-        u = lift_short_potentials(graph, shorted, PotentialFamily([5.0]),
-                                  (1.0, 0.0, 0.0))
-        assert u.u[0] == pytest.approx(0.0 + 5.0 - 1.5)
-        assert u.u[1] == pytest.approx(2.0 + 5.0 - 1.5)
+        u = lift_short_potentials(graph, shorted, [5.0], (1.0, 0.0, 0.0))
+        assert u[0] == pytest.approx(0.0 + 5.0 - 1.5)
+        assert u[1] == pytest.approx(2.0 + 5.0 - 1.5)
 
     def test_missing_merge_map_rejected(self, rng):
         graph = random_test_graph(rng)
         with pytest.raises(ValueError):
             lift_short_potentials(graph, graph,
-                                  PotentialFamily.zeros(graph.n_nodes),
+                                  np.zeros(graph.n_nodes),
                                   (1, 0, 0))

@@ -160,6 +160,14 @@ class TestLatticeJitter:
             generate_lattice_jitter(seed=0, N=2, spacing=1, radius=0.4,
                                     jitter=math.nan)
 
+    @pytest.mark.parametrize("N", [10000, math.inf],
+                             ids=["huge-box", "infinite-box"])
+    def test_cell_count_above_cap_rejected(self, N):
+        # Refused before any array is drawn: the cells would take 58 TiB.
+        with pytest.raises(ValueError, match="lattice cell count"):
+            generate_lattice_jitter(seed=0, N=N, spacing=1, radius=0.4,
+                                    jitter=0)
+
     def test_component_count_equals_sphere_count(self):
         config = generate_lattice_jitter(seed=0, N=3, spacing=1, radius=0.3,
                                          jitter=0)
