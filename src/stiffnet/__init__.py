@@ -25,7 +25,6 @@ from .multigraph import (          # noqa: F401
     short_kappa,
 )
 from .energy import (              # noqa: F401
-    BoundaryFamily,
     EnergyBreakdown,
     KellerParams,
     LaplacianAssembly,

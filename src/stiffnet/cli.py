@@ -498,11 +498,13 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "energy":
+        if not all(map(math.isfinite, args.xi)):
+            raise ValueError(f"xi must be three finite numbers, "
+                             f"got {list(args.xi)}")
         graph = load_json(args.graph, kind="graph")
         family = (affine_boundary_family if args.family == "affine"
                   else midpoint_boundary_family)
-        b = family(graph, args.xi)
-        _, breakdown = minimize_energy(graph, b)
+        _, breakdown = minimize_energy(graph, family(graph, args.xi))
         _emit(args, dumps_17g({"gap": breakdown.gap, "mass": breakdown.mass,
                                "total": breakdown.total}) + "\n")
         return EXIT_OK

@@ -355,10 +355,9 @@ def h2_statistic(graph: InclusionGraph, opts: H2Options) -> H2Estimate:
     rng = np.random.default_rng(opts.seed)
     starts = [rng.normal(size=graph.n_edges) for _ in range(opts.n_starts)]
     for xi in np.eye(3):
-        starts.append(affine_boundary_family(graph, xi).antisymmetric_part())
+        starts.append(affine_boundary_family(graph, xi))
         try:
-            starts.append(
-                midpoint_boundary_family(graph, xi).antisymmetric_part())
+            starts.append(midpoint_boundary_family(graph, xi))
         except ValueError:
             pass    # graph lacks consistent contact geometry; start skipped
 

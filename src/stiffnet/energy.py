@@ -1,10 +1,13 @@
 """The discrete gap energy and its minimization in the node potentials.
 
 For a graph with edge weights ``mu_e``, node volumes ``|I|``, a boundary
-family (two oriented reals per edge) and node potentials u (a float
-vector, one entry per node), the energy is
+family b and node potentials u (a float vector, one entry per node), the
+energy is
 
     E(u, b) = sum_e 2 mu_e (b_ab - b_ba + u_a - u_b)^2 + sum_I |I| u_I^2 .
+
+It reads b only through beta_e = b_ab - b_ba, so a family is passed as
+that float vector, one entry per edge.
 
 The factor 2 comes from counting each undirected edge once per orientation;
 every statistic built on E is a ratio, so the convention only has to be
@@ -44,7 +47,6 @@ import scipy.sparse
 from .multigraph import InclusionGraph
 
 __all__ = [
-    "BoundaryFamily",
     "EnergyBreakdown",
     "SolverError",
     "SPDSolver",
@@ -69,38 +71,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass
-class BoundaryFamily:
-    """Two oriented reals per edge, aligned with the graph's edge order.
-
-    ``ab[e]`` is the value attached to edge ``e`` seen from its first
-    endpoint, ``ba[e]`` the value seen from the second.
-    """
-
-    ab: np.ndarray
-    ba: np.ndarray
-
-    def __post_init__(self):
-        self.ab = np.asarray(self.ab, dtype=float).reshape(-1)
-        self.ba = np.asarray(self.ba, dtype=float).reshape(-1)
-        if self.ab.shape != self.ba.shape:
-            raise ValueError("ab and ba must have equal length")
-        if not (np.all(np.isfinite(self.ab)) and np.all(np.isfinite(self.ba))):
-            raise ValueError("boundary family values must be finite")
-
-    @property
-    def n_edges(self):
-        return int(self.ab.size)
-
-    def antisymmetric_part(self):
-        """Per-edge differences b_ab - b_ba (all the energy sees of b)."""
-        return self.ab - self.ba
-
-    @classmethod
-    def zeros(cls, n_edges):
-        return cls(np.zeros(n_edges), np.zeros(n_edges))
 
 
 @dataclass(frozen=True)
@@ -212,32 +182,37 @@ class SPDSolver:
         return x.reshape(rhs.shape)
 
 
-def _check_indexing(graph, u=None, b=None):
+def _check_indexing(graph, u=None, beta=None):
     if u is not None and u.size != graph.n_nodes:
         raise ValueError(f"potential vector has {u.size} entries, "
                          f"graph has {graph.n_nodes} nodes")
-    if b is not None and b.n_edges != graph.n_edges:
-        raise ValueError(f"boundary family has {b.n_edges} entries, "
-                         f"graph has {graph.n_edges} edges")
+    if beta is not None:
+        if beta.size != graph.n_edges:
+            raise ValueError(f"boundary family has {beta.size} entries, "
+                             f"graph has {graph.n_edges} edges")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("boundary family values must be finite")
 
 
-def _gap_residuals(graph, u, b):
-    """Per-edge residuals (b_ab - b_ba + u_a - u_b).
+def _gap_residuals(graph, u, beta):
+    """Per-edge residuals (beta + u_a - u_b), with beta = b_ab - b_ba.
 
-    Evaluation order is fixed (((ab - ba) + u_a) - u_b) so that potentials
+    Evaluation order is fixed ((beta + u_a) - u_b) so that potentials
     built by telescoping the same differences cancel exactly in floating
     point; the test oracle ``cycle_free_potentials`` in
     ``tests/conftest.py`` relies on this.
     """
-    return (b.antisymmetric_part() + u[graph.a]) - u[graph.b]
+    return (beta + u[graph.a]) - u[graph.b]
 
 
-def energy(graph: InclusionGraph, u, b: BoundaryFamily) -> EnergyBreakdown:
-    """Evaluate the energy at node potentials ``u``, read as a 1-D float
-    vector of one entry per node; each undirected edge contributes twice."""
+def energy(graph: InclusionGraph, u, beta) -> EnergyBreakdown:
+    """Evaluate the energy at node potentials ``u`` and family ``beta``,
+    each read as a 1-D float vector; each undirected edge contributes
+    twice."""
     u = np.asarray(u, dtype=float).reshape(-1)
-    _check_indexing(graph, u, b)
-    r = _gap_residuals(graph, u, b)
+    beta = np.asarray(beta, dtype=float).reshape(-1)
+    _check_indexing(graph, u, beta)
+    r = _gap_residuals(graph, u, beta)
     gap = float(np.sum(2.0 * graph.mu * r * r))
     mass = float(np.sum(graph.volumes * u * u))
     return EnergyBreakdown(gap=gap, mass=mass, total=gap + mass)
@@ -273,36 +248,39 @@ class LaplacianAssembly:
         return rhs
 
 
-def minimize_energy(graph: InclusionGraph, b: BoundaryFamily):
-    """Minimize the energy over the node potentials.
+def minimize_energy(graph: InclusionGraph, beta):
+    """Minimize the energy over the node potentials at the family ``beta``.
 
     Returns ``(u_star, breakdown)``, ``u_star`` the float vector of node
     potentials.  The minimizer is unique and is certified by
     ``SPDSolver``'s residual gate.  A node volume that is not finite and
     positive raises SchemaError.
     """
-    _check_indexing(graph, b=b)
+    beta = np.asarray(beta, dtype=float).reshape(-1)
+    _check_indexing(graph, beta=beta)
     # Every mu = |ln d| > 0 since 0 < d < 1, so D > 0 makes K = D + 2 L SPD.
     graph.check_volumes()
     if graph.n_nodes == 0:
         return np.zeros(0), EnergyBreakdown(0.0, 0.0, 0.0)
     assembly = LaplacianAssembly(graph)
-    u = SPDSolver(assembly.system_matrix).solve(
-        assembly.rhs(b.antisymmetric_part()))
-    return u, energy(graph, u, b)
+    u = SPDSolver(assembly.system_matrix).solve(assembly.rhs(beta))
+    return u, energy(graph, u, beta)
 
 
 # ---------------------------------------------------------------------------
 # Canonical boundary families
 # ---------------------------------------------------------------------------
+# Each returns beta = b_ab - b_ba; an overflow from a huge xi leaves a
+# non-finite beta, which the energy refuses.
 
-def affine_boundary_family(graph: InclusionGraph, xi) -> BoundaryFamily:
+def affine_boundary_family(graph: InclusionGraph, xi):
     """The family b_ab = xi . x_a_centroid, b_ba = xi . x_b_centroid."""
-    proj = graph.centroids @ np.asarray(xi, dtype=float).reshape(3)
-    return BoundaryFamily(proj[graph.a], proj[graph.b])
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = graph.centroids @ np.asarray(xi, dtype=float).reshape(3)
+        return proj[graph.a] - proj[graph.b]
 
 
-def midpoint_boundary_family(graph: InclusionGraph, xi) -> BoundaryFamily:
+def midpoint_boundary_family(graph: InclusionGraph, xi):
     """Affine values measured from each edge's contact midpoint.
 
     b_ab = xi . (x_a_centroid - m_e), with m_e the midpoint of the
@@ -310,19 +288,18 @@ def midpoint_boundary_family(graph: InclusionGraph, xi) -> BoundaryFamily:
     |xi| (diam + delta) regardless of where the box sits.
     """
     xi = np.asarray(xi, dtype=float).reshape(3)
-    if graph.n_edges == 0:
-        return BoundaryFamily.zeros(0)
-    proj = graph.centroids @ xi
-    mid_proj = ((graph.xa + graph.xb) * 0.5) @ xi
-    ab = proj[graph.a] - mid_proj
-    ba = proj[graph.b] - mid_proj
-    diam = graph.diameters
-    bound = (np.linalg.norm(xi) * (np.maximum(diam[graph.a], diam[graph.b])
-                                   + graph.delta)) * (1.0 + 1e-9) + 1e-12
-    if np.any(np.abs(ab) > bound) or np.any(np.abs(ba) > bound):
-        raise ValueError("midpoint family out of its guaranteed bound; "
-                           "graph data is inconsistent")
-    return BoundaryFamily(ab, ba)
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = graph.centroids @ xi
+        mid_proj = ((graph.xa + graph.xb) * 0.5) @ xi
+        ab = proj[graph.a] - mid_proj
+        ba = proj[graph.b] - mid_proj
+        diam = graph.diameters
+        bound = (np.linalg.norm(xi) * (np.maximum(diam[graph.a], diam[graph.b])
+                                       + graph.delta)) * (1.0 + 1e-9) + 1e-12
+        if np.any(np.abs(ab) > bound) or np.any(np.abs(ba) > bound):
+            raise ValueError("midpoint family out of its guaranteed bound; "
+                             "graph data is inconsistent")
+        return ab - ba
 
 
 # ---------------------------------------------------------------------------

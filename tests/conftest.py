@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 import stiffnet.criteria as criteria
 from stiffnet.criteria import ScanCell, task_evaluator
-from stiffnet.energy import BoundaryFamily, minimize_energy
+from stiffnet.energy import minimize_energy
 from stiffnet.multigraph import InclusionGraph, clusters
 
 # The module itself: the package rebinds ``stiffnet.energy`` to the function.
@@ -171,7 +171,7 @@ def eigensolve_oracle(graph):
     m = graph.n_edges
 
     def N_of(beta):
-        _, out = minimize_energy(graph, antisymmetric_family(beta))
+        _, out = minimize_energy(graph, beta)
         return out.total
 
     Q = np.zeros((m, m))
@@ -189,32 +189,36 @@ def eigensolve_oracle(graph):
     return float(np.linalg.eigvalsh(Q)[-1])
 
 
-def _ordered_pair_power_sum(b, s):
+def _ordered_pair_power_sum(ab, ba, s):
     """S_s(b): both oriented values per edge, ordered-pair double count."""
-    return float(2.0 * (np.sum(np.abs(b.ab) ** s) + np.sum(np.abs(b.ba) ** s)))
+    return float(2.0 * (np.sum(np.abs(ab) ** s) + np.sum(np.abs(ba) ** s)))
 
 
-def h2_ratio(graph, b, s):
+def h2_ratio(graph, ab, ba, s):
     """Normalized ratio of minimal energy to the l_s size of the family.
 
-    inf_u E(u, b) / ( |Q_N| ((1/|Q_N|) S_s(b))^(2/s) ), the energy from
+    inf_u E(u, b) / ( |Q_N| ((1/|Q_N|) S_s(b))^(2/s) ) for the family b
+    with oriented values ``ab`` and ``ba``, the energy from
     ``minimize_energy``; invariant under scaling of ``b``, and independent
     of |Q_N| at s = 2.  The reference that h2's ascent values are checked
     against.
     """
+    ab = np.asarray(ab, dtype=float).reshape(-1)
+    ba = np.asarray(ba, dtype=float).reshape(-1)
     if not (s >= 2.0):
         raise ValueError("s must be >= 2")
-    if not (np.any(b.ab != 0.0) or np.any(b.ba != 0.0)):
+    if not (np.any(ab != 0.0) or np.any(ba != 0.0)):
         raise ValueError("the zero family is excluded from the ratio")
-    _, breakdown = minimize_energy(graph, b)
-    S = _ordered_pair_power_sum(b, s)
+    _, breakdown = minimize_energy(graph, ab - ba)
+    S = _ordered_pair_power_sum(ab, ba, s)
     Q = graph.box_volume()
     return breakdown.total / (Q * (S / Q) ** (2.0 / s))
 
 
-def energy_gradient(graph, u, b):
-    """Gradient of the energy with respect to the node potentials."""
-    r = (b.antisymmetric_part() + u[graph.a]) - u[graph.b]
+def energy_gradient(graph, u, beta):
+    """Gradient of the energy with respect to the node potentials, for
+    the family whose per-edge differences are ``beta``."""
+    r = (beta + u[graph.a]) - u[graph.b]
     g = 2.0 * graph.volumes * u
     np.add.at(g, graph.a, 4.0 * graph.mu * r)
     np.add.at(g, graph.b, -4.0 * graph.mu * r)
@@ -222,9 +226,10 @@ def energy_gradient(graph, u, b):
 
 
 def antisymmetric_family(beta):
-    """The family (beta/2, -beta/2), the minimal-norm lift of beta."""
+    """The oriented values (ab, ba) = (beta/2, -beta/2), the minimal-norm
+    lift of beta."""
     beta = np.asarray(beta, dtype=float).reshape(-1)
-    return BoundaryFamily(0.5 * beta, -0.5 * beta)
+    return 0.5 * beta, -0.5 * beta
 
 
 def cluster_members(part):
@@ -243,23 +248,24 @@ def is_cycle_free(graph):
     return graph.n_edges == graph.n_nodes - graph._node_clusters[0]
 
 
-def cycle_free_potentials(graph, b, roots=None):
+def cycle_free_potentials(graph, beta, roots=None):
     """Telescoped potentials that cancel every gap residual on a forest.
 
     Along each tree branch from the cluster root, the potential accumulates
-    the oriented differences b_ab - b_ba; the root potential is zero.  The
-    construction matches the energy's floating-point evaluation order
-    (``energy._gap_residuals``), so the resulting gap term is exactly zero.
+    the oriented differences beta = b_ab - b_ba; the root potential is
+    zero.  The construction matches the energy's floating-point evaluation
+    order (``energy._gap_residuals``), so the resulting gap term is exactly
+    zero.
     """
     if not is_cycle_free(graph):
         raise ValueError("graph has a cycle; telescoped potentials need a forest")
-    if b.n_edges != graph.n_edges:
-        raise ValueError(f"boundary family has {b.n_edges} entries, "
+    d1 = np.asarray(beta, dtype=float).reshape(-1)
+    if d1.size != graph.n_edges:
+        raise ValueError(f"boundary family has {d1.size} entries, "
                          f"graph has {graph.n_edges} edges")
 
     n = graph.n_nodes
     u = np.zeros(n)
-    d1 = b.antisymmetric_part()
 
     adjacency = [[] for _ in range(n)]
     for k, (lo, hi) in enumerate(zip(graph.a.tolist(), graph.b.tolist())):

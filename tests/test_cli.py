@@ -6,9 +6,9 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,6 +358,34 @@ class TestMain:
         assert code == EXIT_VALIDATION_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: midpoint family") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("family", ["affine", "midpoint"])
+    @pytest.mark.parametrize("xi", ["inf,0,0", "nan,0,0", "1e308,1e308,0"])
+    def test_energy_refuses_non_finite_xi_in_one_line(self, tmp_path, capsys,
+                                                      xi, family):
+        # An infinite or NaN entry is refused before any arithmetic; a
+        # family that overflows is refused by the energy's finite check.
+        path = tmp_path / "graph.json"
+        path.write_text(dumps_17g(hardcore_graph().to_dict()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["energy", "--graph", str(path), "--family", family,
+                         "--xi", xi])
+        assert code == EXIT_VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("error: ")
+                and captured.err.count("\n") == 1), captured.err
+
+    @pytest.mark.parametrize("family", ["affine", "midpoint"])
+    def test_energy_with_zero_xi_prints_zeros(self, tmp_path, capsys, family):
+        path = tmp_path / "graph.json"
+        path.write_text(dumps_17g(hardcore_graph().to_dict()))
+        code = main(["energy", "--graph", str(path), "--family", family,
+                     "--xi", "0,0,0"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {
+            "gap": 0.0, "mass": 0.0, "total": 0.0}
 
     def test_effective_with_decreasing_grid_exits_3(self, capsys):
         code = main(["effective", "--model", "lattice", "--radius", "0.3",

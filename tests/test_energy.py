@@ -1,7 +1,5 @@
 """Energy evaluation, minimization, canonical families, potentials."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from conftest import (
     single_edge_graph,
 )
 from stiffnet.energy import (
-    BoundaryFamily,
     affine_boundary_family,
     energy,
     midpoint_boundary_family,
@@ -40,47 +37,47 @@ class TestEnergyEvaluation:
     def test_symmetric_family_zero_total(self, rng):
         graph = random_test_graph(rng)
         vals = rng.normal(size=graph.n_edges)
-        b = BoundaryFamily(vals, vals.copy())
+        beta = vals - vals.copy()
         u = np.zeros(graph.n_nodes)
-        out = energy(graph, u, b)
+        out = energy(graph, u, beta)
         assert out.total == 0.0
 
     def test_worked_single_edge_value(self):
         graph = single_edge_graph(mu=2.0)
-        b = BoundaryFamily([1.0], [0.0])
+        beta = np.array([1.0]) - np.array([0.0])
         u = [-4.0 / 9.0, 4.0 / 9.0]
-        out = energy(graph, u, b)
+        out = energy(graph, u, beta)
         assert out.total == pytest.approx(4.0 / 9.0, abs=1e-15)
         assert out.gap == pytest.approx(4.0 / 81.0, abs=1e-15)
         assert out.mass == pytest.approx(32.0 / 81.0, abs=1e-15)
 
     def test_empty_graph(self):
         graph = make_graph([], [], [])
-        out = energy(graph, np.zeros(0), BoundaryFamily.zeros(0))
+        out = energy(graph, np.zeros(0), np.zeros(0))
         assert out.total == 0.0
 
     def test_breakdown_consistency(self, rng):
         graph = random_test_graph(rng)
-        b = BoundaryFamily(rng.normal(size=graph.n_edges),
-                           rng.normal(size=graph.n_edges))
+        beta = (rng.normal(size=graph.n_edges)
+                - rng.normal(size=graph.n_edges))
         u = rng.normal(size=graph.n_nodes)
-        out = energy(graph, u, b)
+        out = energy(graph, u, beta)
         assert out.total == out.gap + out.mass
         assert out.gap >= 0.0 and out.mass >= 0.0
 
     def test_index_mismatch_rejected(self):
         graph = single_edge_graph()
         with pytest.raises(ValueError):
-            energy(graph, np.zeros(3), BoundaryFamily.zeros(1))
+            energy(graph, np.zeros(3), np.zeros(1))
         with pytest.raises(ValueError):
-            energy(graph, np.zeros(2), BoundaryFamily.zeros(4))
+            energy(graph, np.zeros(2), np.zeros(4))
 
 
 class TestMinimizeEnergy:
     def test_single_edge_analytic(self):
         graph = single_edge_graph(mu=2.0)
-        b = BoundaryFamily([1.0], [0.0])
-        u, out = minimize_energy(graph, b)
+        beta = np.array([1.0]) - np.array([0.0])
+        u, out = minimize_energy(graph, beta)
         assert u == pytest.approx([-4.0 / 9.0, 4.0 / 9.0], abs=1e-14)
         assert out.total == pytest.approx(4.0 / 9.0, abs=1e-14)
         assert out.total == pytest.approx(single_edge_minimum(2.0, 1.0),
@@ -89,18 +86,17 @@ class TestMinimizeEnergy:
     def test_zero_antisymmetric_part_gives_zero(self, rng):
         graph = random_test_graph(rng)
         vals = rng.normal(size=graph.n_edges)
-        b = BoundaryFamily(vals, vals.copy())
-        u, out = minimize_energy(graph, b)
+        u, out = minimize_energy(graph, vals - vals.copy())
         assert np.all(u == 0.0)
         assert out.total == 0.0
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(25):
             graph = random_test_graph(rng, n_nodes_max=50, n_edges_max=150)
-            b = BoundaryFamily(rng.normal(size=graph.n_edges),
-                               rng.normal(size=graph.n_edges))
-            _, out = minimize_energy(graph, b)
-            _, oracle = dense_minimum_oracle(graph, b.ab, b.ba)
+            ab = rng.normal(size=graph.n_edges)
+            ba = rng.normal(size=graph.n_edges)
+            _, out = minimize_energy(graph, ab - ba)
+            _, oracle = dense_minimum_oracle(graph, ab, ba)
             assert out.total == pytest.approx(oracle, rel=1e-8)
 
     def test_large_graph_uses_cg(self, rng):
@@ -114,35 +110,35 @@ class TestMinimizeEnergy:
                    int(rng.integers(n // 2, n)),
                    float(rng.uniform(0.05, 0.4))) for _ in range(120)]
         graph = make_graph(volumes, positions, edges, N=3.0)
-        b = BoundaryFamily(rng.normal(size=graph.n_edges),
-                           rng.normal(size=graph.n_edges))
-        _, out = minimize_energy(graph, b)
-        _, oracle = dense_minimum_oracle(graph, b.ab, b.ba)
+        ab = rng.normal(size=graph.n_edges)
+        ba = rng.normal(size=graph.n_edges)
+        _, out = minimize_energy(graph, ab - ba)
+        _, oracle = dense_minimum_oracle(graph, ab, ba)
         assert out.total == pytest.approx(oracle, rel=1e-8)
 
     def test_optimality_against_random_competitors(self, rng):
         graph = random_test_graph(rng)
-        b = BoundaryFamily(rng.normal(size=graph.n_edges),
-                           rng.normal(size=graph.n_edges))
-        u_star, out = minimize_energy(graph, b)
+        beta = (rng.normal(size=graph.n_edges)
+                - rng.normal(size=graph.n_edges))
+        u_star, out = minimize_energy(graph, beta)
         for _ in range(100):
             u = u_star + rng.normal(
                 scale=rng.uniform(1e-4, 1.0), size=graph.n_nodes)
-            assert energy(graph, u, b).total >= out.total - 1e-12
+            assert energy(graph, u, beta).total >= out.total - 1e-12
 
     def test_gradient_zero_at_minimizer(self, rng):
         graph = random_test_graph(rng)
-        b = BoundaryFamily(rng.normal(size=graph.n_edges),
-                           rng.normal(size=graph.n_edges))
-        u_star, out = minimize_energy(graph, b)
-        g = energy_gradient(graph, u_star, b)
+        beta = (rng.normal(size=graph.n_edges)
+                - rng.normal(size=graph.n_edges))
+        u_star, out = minimize_energy(graph, beta)
+        g = energy_gradient(graph, u_star, beta)
         scale = max(1.0, energy(graph, np.zeros(graph.n_nodes),
-                                b).total)
+                                beta).total)
         assert np.linalg.norm(g) <= 1e-8 * scale
 
     def test_empty_graph(self):
         graph = make_graph([], [], [])
-        u, out = minimize_energy(graph, BoundaryFamily.zeros(0))
+        u, out = minimize_energy(graph, np.zeros(0))
         assert u.size == 0 and out.total == 0.0
 
 
@@ -150,18 +146,18 @@ class TestGradient:
     def test_matches_central_differences(self, rng):
         for _ in range(5):
             graph = random_test_graph(rng)
-            b = BoundaryFamily(rng.normal(size=graph.n_edges),
-                               rng.normal(size=graph.n_edges))
+            beta = (rng.normal(size=graph.n_edges)
+                    - rng.normal(size=graph.n_edges))
             u0 = rng.normal(size=graph.n_nodes)
-            g = energy_gradient(graph, u0, b)
+            g = energy_gradient(graph, u0, beta)
             scale = max(1.0, float(np.max(np.abs(u0))))
             h = 1e-6 * scale
             for i in range(graph.n_nodes):
                 up, dn = u0.copy(), u0.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (energy(graph, up, b).total
-                      - energy(graph, dn, b).total) / (2 * h)
+                fd = (energy(graph, up, beta).total
+                      - energy(graph, dn, beta).total) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-6 * scale)
 
 
@@ -188,7 +184,7 @@ class TestMonotonicity:
             u = rng.normal(size=n)
             b_ab = rng.normal(size=m)
             b_ba = rng.normal(size=m)
-            e_small = energy(graph, u, BoundaryFamily(b_ab, b_ba)).total
+            e_small = energy(graph, u, b_ab - b_ba).total
 
             # extend the families: old edges of the extension correspond to
             # the first m sorted edges only up to reordering; map by key.
@@ -208,7 +204,8 @@ class TestMonotonicity:
                     ab_ext.append(float(rng.normal()))
                     ba_ext.append(float(rng.normal()))
             u_ext = np.concatenate([u, rng.normal(size=extra_nodes)])
-            e_big = energy(extended, u_ext, BoundaryFamily(ab_ext, ba_ext)).total
+            e_big = energy(extended, u_ext,
+                           np.array(ab_ext) - np.array(ba_ext)).total
             scale = max(1.0, abs(e_big))
             assert e_small <= e_big + 1e-12 * scale
 
@@ -238,58 +235,55 @@ class TestRigidMotion:
 class TestBoundaryFamilies:
     def test_affine_zero_direction(self, rng):
         graph = random_test_graph(rng)
-        fam = affine_boundary_family(graph, (0, 0, 0))
-        assert np.all(fam.ab == 0.0) and np.all(fam.ba == 0.0)
+        beta = affine_boundary_family(graph, (0, 0, 0))
+        assert beta.shape == (graph.n_edges,) and np.all(beta == 0.0)
 
     def test_affine_dot_products(self):
         graph = make_graph([1, 1], [(0, 0, 0), (1, 0, 0)], [(0, 1, 0.1)])
-        fam = affine_boundary_family(graph, (1, 0, 0))
-        assert fam.ab[0] == 0.0 and fam.ba[0] == 1.0
+        beta = affine_boundary_family(graph, (1, 0, 0))
+        assert beta.tolist() == [-1.0]
 
     def test_affine_linearity(self, rng):
         graph = random_test_graph(rng)
         xi = rng.normal(size=3)
         one = affine_boundary_family(graph, xi)
         two = affine_boundary_family(graph, 2 * xi)
-        assert np.allclose(two.ab, 2 * one.ab)
-        assert np.allclose(two.ba, 2 * one.ba)
+        assert np.allclose(two, 2 * one)
 
     def test_midpoint_centroid_at_midpoint_gives_zero(self):
         # centroids at +-0.5 along x, contacts symmetric about the origin:
         # node 0's centroid sits at the contact midpoint after shifting
         graph = make_graph([1, 1], [(0, 0, 0), (1, 0, 0)], [(0, 1, 1.0)])
         # the synthesized contacts straddle the segment midpoint (0.5,0,0)
-        fam = midpoint_boundary_family(graph, (1, 0, 0))
-        assert fam.ab[0] == pytest.approx(-0.5)
-        assert fam.ba[0] == pytest.approx(0.5)
+        beta = midpoint_boundary_family(graph, (1, 0, 0))
+        assert beta[0] == pytest.approx(-1.0)
 
     def test_midpoint_orthogonal_direction_gives_zero(self):
         graph = make_graph([1, 1], [(0, 0, 0), (1, 0, 0)], [(0, 1, 0.2)])
-        fam = midpoint_boundary_family(graph, (0, 1, 0))
-        assert fam.ab[0] == 0.0 and fam.ba[0] == 0.0
+        beta = midpoint_boundary_family(graph, (0, 1, 0))
+        assert beta.tolist() == [0.0]
 
     def test_midpoint_worked_example(self):
         config = SphereConfig([[0, 0, 0], [2.1, 0, 0]], [1.0, 1.0], 4.0)
         graph = build_graph(components(config), config, 0.3)
-        fam = midpoint_boundary_family(graph, (1, 0, 0))
-        assert fam.ab[0] == pytest.approx(-1.05, abs=1e-12)
-        assert fam.ba[0] == pytest.approx(1.05, abs=1e-12)
+        beta = midpoint_boundary_family(graph, (1, 0, 0))
+        assert beta[0] == pytest.approx(-2.1, abs=1e-12)
 
 
 class TestCycleFreePotentials:
     def test_one_edge_telescoping(self):
         graph = single_edge_graph(mu=1.0)
-        b = BoundaryFamily([0.7], [0.2])
-        u = cycle_free_potentials(graph, b)
+        beta = np.array([0.7]) - np.array([0.2])
+        u = cycle_free_potentials(graph, beta)
         assert u[0] == 0.0
         assert u[1] == pytest.approx(0.5)
-        assert energy(graph, u, b).gap == 0.0
+        assert energy(graph, u, beta).gap == 0.0
 
     def test_star_with_zero_family(self):
         graph = make_graph([1] * 4,
                            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
                            [(0, 1, 0.1), (0, 2, 0.1), (0, 3, 0.1)])
-        u = cycle_free_potentials(graph, BoundaryFamily.zeros(3))
+        u = cycle_free_potentials(graph, np.zeros(3))
         assert np.all(u == 0.0)
 
     def test_random_forest_gap_exactly_zero(self, rng):
@@ -302,27 +296,27 @@ class TestCycleFreePotentials:
                     edges.append((j, i, float(rng.uniform(0.01, 0.5))))
             graph = make_graph(rng.uniform(0.3, 2.0, size=n),
                                rng.uniform(-2, 2, size=(n, 3)), edges)
-            b = BoundaryFamily(rng.normal(size=graph.n_edges),
-                               rng.normal(size=graph.n_edges))
-            u = cycle_free_potentials(graph, b)
-            out = energy(graph, u, b)
+            beta = (rng.normal(size=graph.n_edges)
+                    - rng.normal(size=graph.n_edges))
+            u = cycle_free_potentials(graph, beta)
+            out = energy(graph, u, beta)
             assert out.gap == 0.0
-            _, best = minimize_energy(graph, b)
+            _, best = minimize_energy(graph, beta)
             assert out.total >= best.total - 1e-12 * max(1.0, out.total)
 
     def test_custom_roots_respected(self):
         graph = make_graph([1, 1, 1], [(0, 0, 0), (1, 0, 0), (2, 0, 0)],
                            [(0, 1, 0.1), (1, 2, 0.1)])
-        b = BoundaryFamily([0.3, 0.4], [0.1, 0.6])
-        u = cycle_free_potentials(graph, b, roots=[2])
+        beta = np.array([0.3, 0.4]) - np.array([0.1, 0.6])
+        u = cycle_free_potentials(graph, beta, roots=[2])
         assert u[2] == 0.0
-        assert energy(graph, u, b).gap == 0.0
+        assert energy(graph, u, beta).gap == 0.0
 
     def test_cyclic_graph_rejected(self):
         graph = make_graph([1, 1, 1], [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
                            [(0, 1, 0.1), (1, 2, 0.1), (0, 2, 0.1)])
         with pytest.raises(ValueError):
-            cycle_free_potentials(graph, BoundaryFamily.zeros(3))
+            cycle_free_potentials(graph, np.zeros(3))
 
 
 class TestLiftShortPotentials:

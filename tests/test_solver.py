@@ -232,7 +232,7 @@ class TestManyRightHandSides:
         for value, beta in results:
             family = antisymmetric_family(beta)
             assert value == pytest.approx(
-                h2_ratio(lattice_512, family, opts.s), rel=1e-8)
+                h2_ratio(lattice_512, *family, opts.s), rel=1e-8)
 
     def test_large_block_h2_values_are_pinned(self, lattice_512,
                                               monkeypatch):
@@ -372,7 +372,7 @@ class TestVolumeCertificate:
     @pytest.mark.parametrize("volume", [0.0, -0.5])
     @pytest.mark.parametrize("caller", [
         lambda g: minimize_energy(g, affine_boundary_family(g, (1, 0, 0))),
-        lambda g: h2_ratio(g, affine_boundary_family(g, (1, 0, 0)), 4.0),
+        lambda g: h2_ratio(g, g.centroids[g.a, 0], g.centroids[g.b, 0], 4.0),
         h1_task,
         lambda g: h2_statistic(g, H2Options(s=4.0, n_starts=1)),
     ], ids=["minimize_energy", "h2_ratio", "h1", "h2_statistic"])
