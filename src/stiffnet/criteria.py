@@ -270,9 +270,10 @@ def h2_exact_s2(graph: InclusionGraph) -> float:
 
 
 def _power_sum(x, s):
-    """sum |x|^s, as sum (x^2)^(s/2-1) x^2: at s = 4 no power is taken."""
+    """sum |x|^s, as sum (x^2)^(s/2-1) x^2: at s = 4 no power is taken
+    (x^2 @ x^2 is bitwise (x^2)^1.0 @ x^2)."""
     x2 = x * x
-    return float((x2 ** (0.5 * s - 1.0)) @ x2)
+    return float((x2 if s == 4.0 else x2 ** (0.5 * s - 1.0)) @ x2)
 
 
 def _ratio_pieces(beta, q_beta, s, denom):
@@ -284,7 +285,13 @@ def _ratio_pieces(beta, q_beta, s, denom):
     numerator's gradient is 2 Q beta by the envelope theorem.
     """
     num = float(beta @ q_beta)
-    grad = (2.0 / denom) * (q_beta - num * (np.abs(beta) ** (s - 2.0) * beta))
+    # The gradient's operations in their order, in one array; at s = 4
+    # beta * beta is |beta|^2.0 bitwise.
+    grad = beta * beta if s == 4.0 else np.abs(beta) ** (s - 2.0)
+    grad *= beta
+    grad *= num
+    np.subtract(q_beta, grad, out=grad)
+    grad *= 2.0 / denom
     return num, num / denom, grad
 
 
@@ -304,18 +311,20 @@ def _ascend_from(Q, box_volume, beta0, opts: H2Options):
     denom = box_volume ** (1.0 - 2.0 / s) * 2.0 ** (4.0 / s - 2.0)
     beta = beta0 / norm
     q_beta = Q @ beta
+    x = np.empty_like(beta)     # each trial, formed in place
     step, stall = 1.0, 0
     for _ in range(opts.max_ascent_iters):
-        num, value, grad = _ratio_pieces(beta, q_beta, s, denom)
-        gnorm = math.sqrt(grad @ grad)
+        num, value, d = _ratio_pieces(beta, q_beta, s, denom)
+        gnorm = math.sqrt(d @ d)
         if gnorm == 0.0:
             break
-        d = grad / gnorm
+        d /= gnorm              # the gradient, made the unit direction
         q_d = Q @ d
         cross, curv = float(d @ q_beta + beta @ q_d), float(d @ q_d)
         trial_step = step
         for _bt in range(30):
-            x = beta + trial_step * d
+            np.multiply(d, trial_step, out=x)
+            x += beta
             power = _power_sum(x, s)    # > 0: d is orthogonal to beta
             trial = ((num + trial_step * (cross + trial_step * curv))
                      / (power ** (2.0 / s) * denom))
@@ -325,7 +334,10 @@ def _ascend_from(Q, box_volume, beta0, opts: H2Options):
         else:
             break
         norm = power ** (1.0 / s)
-        beta, q_beta = x / norm, (q_beta + trial_step * q_d) / norm
+        np.divide(x, norm, out=beta)
+        q_d *= trial_step
+        q_beta += q_d
+        q_beta /= norm
         step = min(trial_step * 2.0, 1e6)
         gain = trial - value
         stall = stall + 1 if gain <= opts.tol * max(abs(trial), 1e-30) else 0

@@ -208,13 +208,17 @@ def _gap_residuals(graph, u, beta):
 def energy(graph: InclusionGraph, u, beta) -> EnergyBreakdown:
     """Evaluate the energy at node potentials ``u`` and family ``beta``,
     each read as a 1-D float vector; each undirected edge contributes
-    twice."""
+    twice.  A sum that overflows (a huge but finite family) raises
+    ValueError."""
     u = np.asarray(u, dtype=float).reshape(-1)
     beta = np.asarray(beta, dtype=float).reshape(-1)
     _check_indexing(graph, u, beta)
-    r = _gap_residuals(graph, u, beta)
-    gap = float(np.sum(2.0 * graph.mu * r * r))
-    mass = float(np.sum(graph.volumes * u * u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _gap_residuals(graph, u, beta)
+        gap = float(np.sum(2.0 * graph.mu * r * r))
+        mass = float(np.sum(graph.volumes * u * u))
+    if not (math.isfinite(gap) and math.isfinite(mass)):
+        raise ValueError(f"energy is not finite: gap {gap!r}, mass {mass!r}")
     return EnergyBreakdown(gap=gap, mass=mass, total=gap + mass)
 
 

@@ -215,6 +215,58 @@ def h2_ratio(graph, ab, ba, s):
     return breakdown.total / (Q * (S / Q) ** (2.0 / s))
 
 
+def _power_sum_oracle(x, s):
+    x2 = x * x
+    return float((x2 ** (0.5 * s - 1.0)) @ x2)
+
+
+def _ratio_pieces_oracle(beta, q_beta, s, denom):
+    num = float(beta @ q_beta)
+    grad = (2.0 / denom) * (q_beta - num * (np.abs(beta) ** (s - 2.0) * beta))
+    return num, num / denom, grad
+
+
+def ascend_oracle(Q, box_volume, beta0, opts):
+    """``criteria._ascend_from`` written out of place: a power at every s
+    and a fresh array for every intermediate vector, in the same operand
+    order, so the package's in-place ascent must match it bit for bit."""
+    s = opts.s
+    norm = _power_sum_oracle(beta0, s) ** (1.0 / s)
+    if norm == 0.0:
+        return None
+    denom = box_volume ** (1.0 - 2.0 / s) * 2.0 ** (4.0 / s - 2.0)
+    beta = beta0 / norm
+    q_beta = Q @ beta
+    step, stall = 1.0, 0
+    for _ in range(opts.max_ascent_iters):
+        num, value, grad = _ratio_pieces_oracle(beta, q_beta, s, denom)
+        gnorm = math.sqrt(grad @ grad)
+        if gnorm == 0.0:
+            break
+        d = grad / gnorm
+        q_d = Q @ d
+        cross, curv = float(d @ q_beta + beta @ q_d), float(d @ q_d)
+        trial_step = step
+        for _bt in range(30):
+            x = beta + trial_step * d
+            power = _power_sum_oracle(x, s)
+            trial = ((num + trial_step * (cross + trial_step * curv))
+                     / (power ** (2.0 / s) * denom))
+            if trial > value:
+                break
+            trial_step *= 0.5
+        else:
+            break
+        norm = power ** (1.0 / s)
+        beta, q_beta = x / norm, (q_beta + trial_step * q_d) / norm
+        step = min(trial_step * 2.0, 1e6)
+        gain = trial - value
+        stall = stall + 1 if gain <= opts.tol * max(abs(trial), 1e-30) else 0
+        if stall >= 3:
+            break
+    return float(beta @ (Q @ beta)) / denom, beta
+
+
 def energy_gradient(graph, u, beta):
     """Gradient of the energy with respect to the node potentials, for
     the family whose per-edge differences are ``beta``."""

@@ -360,11 +360,13 @@ class TestMain:
         assert err.startswith("error: midpoint family") and err.count("\n") == 1
 
     @pytest.mark.parametrize("family", ["affine", "midpoint"])
-    @pytest.mark.parametrize("xi", ["inf,0,0", "nan,0,0", "1e308,1e308,0"])
+    @pytest.mark.parametrize("xi", ["inf,0,0", "nan,0,0", "1e308,1e308,0",
+                                    "1e200,0,0"])
     def test_energy_refuses_non_finite_xi_in_one_line(self, tmp_path, capsys,
                                                       xi, family):
         # An infinite or NaN entry is refused before any arithmetic; a
-        # family that overflows is refused by the energy's finite check.
+        # family that overflows is refused by the family's finite check,
+        # and a finite family whose energy sums overflow by the energy's.
         path = tmp_path / "graph.json"
         path.write_text(dumps_17g(hardcore_graph().to_dict()))
         with warnings.catch_warnings():
@@ -713,6 +715,24 @@ class TestMain:
             out_dir=str(tmp_path / "results"))))
         code = main(["run", "--spec", str(spec_path)])
         assert code == EXIT_CELL_ERRORS
+
+    def test_h1_with_overflowing_energy_reports_each_cell(self, capsys):
+        # A finite family whose energy overflows is a cell error, not a
+        # null value, and prints no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["criteria", "--statistic", "h1", "--model",
+                         "lattice", "--radius", "0.4", "--jitter", "0.05",
+                         "--N-grid", "2,3,4", "--n-seeds", "1",
+                         "--delta", "0.5", "--xi", "1e200,0,0"])
+        assert code == EXIT_CELL_ERRORS
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)["errors"]) == 3
+        err = captured.err.splitlines()
+        assert len(err) == 3
+        for line, N in zip(err, (2.0, 3.0, 4.0)):
+            assert line.startswith(f"error: N={N} seed_index=0: energy is "
+                                   "not finite")
 
     def test_keller_subcommand(self, capsys):
         code = main(["keller", "--a", "1", "--d", "1",

@@ -13,6 +13,7 @@ import stiffnet.criteria as criteria
 from conftest import (
     ScatterSolveMinimizer,
     antisymmetric_family,
+    ascend_oracle,
     count_calls,
     count_cg_runs,
     count_h2_products,
@@ -215,6 +216,16 @@ def chain_forest_graph():
     return graph
 
 
+@pytest.fixture(scope="module")
+def cg_lattice_graph():
+    """A graph on the CG path: one cluster of at least DENSE_CUTOFF nodes."""
+    config = generate_lattice_jitter(seed=0, N=3, spacing=1.0, radius=0.4,
+                                     jitter=0.05)
+    graph = build_graph(components(config), config, 0.5)
+    assert np.bincount(graph._node_clusters[1]).max() >= criteria.DENSE_CUTOFF
+    return graph
+
+
 class TestPotentialOperator:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(graph=weighted_multigraphs(), data=st.data())
@@ -305,6 +316,22 @@ class TestPotentialOperator:
             rel=1e-12)
         for Q, volume, (value, beta) in ascents:
             assert value == fresh_ratio(Q, volume, beta, opts.s)
+
+    @pytest.mark.parametrize("s", [2.5, 3.5, 4.0, 6.0])
+    @pytest.mark.parametrize("graph_name",
+                             ["chain_forest_graph", "cg_lattice_graph"])
+    def test_ascent_matches_out_of_place_oracle(self, request, monkeypatch,
+                                                graph_name, s):
+        # Every start's value has the oracle's bytes, on the dense blocks
+        # (chains) and on the CG operator (one lattice cluster).
+        graph = request.getfixturevalue(graph_name)
+        opts = H2Options(s=s, n_starts=3, max_ascent_iters=40, tol=1e-6)
+        est = h2_statistic(graph, opts)
+        monkeypatch.setattr(criteria, "_ascend_from", ascend_oracle)
+        oracle = h2_statistic(graph, opts)
+        assert len(est.per_start) >= 3
+        assert (np.array(est.per_start).tobytes()
+                == np.array(oracle.per_start).tobytes())
 
     def test_chain_forest_h2_ascent_product_count(self, chain_forest_graph,
                                                   monkeypatch):

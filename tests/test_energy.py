@@ -1,5 +1,7 @@
 """Energy evaluation, minimization, canonical families, potentials."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,21 @@ class TestEnergyEvaluation:
         out = energy(graph, u, beta)
         assert out.total == out.gap + out.mass
         assert out.gap >= 0.0 and out.mass >= 0.0
+
+    def test_overflowing_sums_rejected_without_warnings(self, rng):
+        # A finite family and potentials whose squares overflow.
+        graph = random_test_graph(rng, connected=True)
+        beta = 1e200 * rng.normal(size=graph.n_edges)
+        u = np.zeros(graph.n_nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="energy is not finite"):
+                energy(graph, u, beta)
+            with pytest.raises(ValueError, match="energy is not finite"):
+                energy(graph, np.full(graph.n_nodes, 1e200),
+                       np.zeros(graph.n_edges))
+            with pytest.raises(ValueError, match="energy is not finite"):
+                minimize_energy(graph, beta)
 
     def test_index_mismatch_rejected(self):
         graph = single_edge_graph()

@@ -267,6 +267,16 @@ class TestChainForest:
             centers.append(config.centers.tobytes())
         assert centers[0] == centers[1]
 
+    def test_chains_cell_block_count(self, monkeypatch):
+        """The seed-0 N 50 cell of the chains benchmark workload is placed
+        in 2 blocks: two KD-trees a block, of its balls and the placed."""
+        trees = count_calls(monkeypatch, geometry, "cKDTree")
+        config = generate_chain_forest(seed=derive_cell_seed(0, 50.0, 0),
+                                       N=50.0, radius=1.0, chain_len_max=8,
+                                       gap_range=(0.01, 0.1))
+        assert config.n_spheres == 7698 and config.warnings == ()
+        assert len(trees) == 2 * 2
+
     @pytest.mark.parametrize("params, message", [
         ({"max_attempts": 0}, "max_attempts must be >= 1"),
         ({"max_attempts": -5}, "max_attempts must be >= 1"),
